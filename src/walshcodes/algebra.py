@@ -18,6 +18,7 @@ from .errors import (
     DegreeMismatch,
     EvenCharacteristic,
     FieldTooLarge,
+    InvariantViolated,
     NotASubfield,
     NotPrime,
     ReducibleModulus,
@@ -82,6 +83,20 @@ def _modulus_is_irreducible(modulus, p, m) -> bool:
             if _poly_is_divisible(modulus, cand, p):
                 return False
     return True
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _digits(n: int, p: int, width: int) -> tuple[int, ...]:
@@ -188,8 +203,10 @@ class Field:
         self.modulus = modulus
         self._build_elements()
         self._trace_ints: list[int] | None = None
-        self._trace_bilinear: list[tuple[int, ...]] | None = None
+        self._trace_dual: list[int] | None = None
         self._generator: FieldElement | None = None
+        self._exp: list[int] | None = None
+        self._log: list[int] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -276,72 +293,102 @@ class Field:
                 out[j] = (out[j] + c * row[j]) % p
         return self._by_coeffs[tuple(out)]
 
+    def _linear_indices(self, images: Sequence[FieldElement]) -> list[int]:
+        """Index of L(e) for every element e, for the F_p-linear map L with
+        L(x^j) = images[j]; built digit by digit in q additions."""
+        out = [self.zero]
+        for img in images:
+            size = len(out)
+            step = self.zero
+            for _ in range(1, self.p):
+                step = step + img
+                out.extend(v + step for v in out[:size])
+        return [v.index for v in out]
+
+    def _pow_tables(self) -> tuple[list[int], list[int]]:
+        """exp[k] = index of g^k for k < q - 1 and log[index of g^k] = k, for
+        the generator g, walked through the F_p-linear map x -> g*x."""
+        if self._exp is None:
+            g = self.generator()
+            times_g = self._linear_indices([self._mul_elem(b, g) for b in self.power_basis()])
+            exp = [0] * (self.q - 1)
+            log = [0] * self.q
+            cur = 1
+            for k in range(self.q - 1):
+                exp[k] = cur
+                log[cur] = k
+                cur = times_g[cur]
+            self._exp, self._log = exp, log
+        return self._exp, self._log
+
     def _pow(self, a: FieldElement, e: int) -> FieldElement:
-        if e < 0:
-            a = self._inverse(a)
-            e = -e
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul_elem(result, base)
-            base = self._mul_elem(base, base)
-            e >>= 1
-        return result
+        if a.index == 0:
+            if e < 0:
+                raise ZeroDivisionError("negative power of zero field element")
+            return self.one if e == 0 else self.zero
+        exp, log = self._pow_tables()
+        return self.elements[exp[log[a.index] * e % (self.q - 1)]]
 
     def _inverse(self, a: FieldElement) -> FieldElement:
         if a.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        return self._pow(a, self.q - 2)
+        return self._pow(a, -1)
 
     def frobenius(self, a: FieldElement, t: int = 1) -> FieldElement:
         return self._pow(a, self.p ** (t % self.m))
 
     def generator(self) -> FieldElement:
-        """Multiplicative generator of smallest canonical index (cached)."""
+        """Multiplicative generator of smallest canonical index (cached).
+
+        A candidate a generates F_q^* exactly when a^((q-1)/r) != 1 for every
+        prime r dividing q - 1.  These powers are taken by square-and-multiply,
+        since the exp/log tables behind :meth:`_pow` need the generator."""
+
+        def power_is_one(a, e):
+            result = self.one
+            while e:
+                if e & 1:
+                    result = self._mul_elem(result, a)
+                a = self._mul_elem(a, a)
+                e >>= 1
+            return result == self.one
+
         if self._generator is None:
-            target = self.q - 1
-            for e in self.elements[1:]:
-                x, order = e, 1
-                while x != self.one:
-                    x = self._mul_elem(x, e)
-                    order += 1
-                if order == target:
-                    self._generator = e
+            cofactors = [(self.q - 1) // r for r in _prime_factors(self.q - 1)]
+            for a in self.elements[1:]:
+                if not any(power_is_one(a, c) for c in cofactors):
+                    self._generator = a
                     break
         return self._generator
 
     # -- trace machinery -------------------------------------------------------
 
     def trace_int(self, a: FieldElement) -> int:
-        """Absolute trace Tr_{q/p}(a) as an integer in [0, p)."""
+        """Absolute trace Tr_{q/p}(a) as an integer in [0, p).
+
+        The table is the linear functional Tr(a) = sum_i a_i Tr(x^i), so only
+        the m basis traces go through the Frobenius sum of :func:`trace`."""
         if self._trace_ints is None:
-            self._trace_ints = [
-                trace(self, e, 1).coeffs[0] for e in self.elements
-            ]
+            # an element of the prime subfield has its value as its index
+            self._trace_ints = self._linear_indices([trace(self, b) for b in self.power_basis()])
         return self._trace_ints[a.index]
 
+    def trace_dual_indices(self) -> list[int]:
+        """For each b, the index of the coefficient vector v_b with
+        Tr_{q/p}(b x) = <x, v_b> for every x (cached).
+
+        v_b is b contracted with the Gram matrix Tr(x^i x^j) of the power
+        basis; b -> v_b is F_p-linear and bijective."""
+        if self._trace_dual is None:
+            basis = self.power_basis()
+            gram = [[self.trace_int(self._mul_elem(ei, ej)) for ei in basis] for ej in basis]
+            self._trace_dual = self._linear_indices([self.element(col) for col in gram])
+        return self._trace_dual
+
     def trace_bilinear(self, a: FieldElement, b: FieldElement) -> int:
-        """Tr_{q/p}(a*b) in [0, p) via the cached Gram matrix of the power
-        basis; avoids a field multiplication in transform-heavy loops."""
-        if self._trace_bilinear is None:
-            gram = []
-            for i in range(self.m):
-                ei = self.elements[self.p ** i] if self.m > 1 else self.one
-                row = []
-                for j in range(self.m):
-                    ej = self.elements[self.p ** j] if self.m > 1 else self.one
-                    row.append(self.trace_int(self._mul_elem(ei, ej)))
-                gram.append(tuple(row))
-            # per-element contraction: vec[b][i] = sum_j gram[i][j]*b_j
-            self._trace_bilinear = [
-                tuple(
-                    sum(gram[i][j] * e.coeffs[j] for j in range(self.m)) % self.p
-                    for i in range(self.m)
-                )
-                for e in self.elements
-            ]
-        vb = self._trace_bilinear[b.index]
+        """Tr_{q/p}(a*b) in [0, p) via the cached Gram contraction of b;
+        avoids a field multiplication in transform-heavy loops."""
+        vb = self.elements[self.trace_dual_indices()[b.index]].coeffs
         return sum(x * y for x, y in zip(a.coeffs, vb)) % self.p
 
 
@@ -418,7 +465,8 @@ def trace(ctx: Field, x: FieldElement, s: int = 1) -> FieldElement:
     for _ in range(ctx.m // s):
         acc = acc + power
         power = ctx._pow(power, ctx.p ** s)
-    assert ctx._pow(acc, ctx.p ** s) == acc, "trace left the subfield"
+    if ctx._pow(acc, ctx.p ** s) != acc:
+        raise InvariantViolated(f"trace of {x!r} left the subfield F_{ctx.p}^{s}")
     return acc
 
 
@@ -658,7 +706,8 @@ def quadratic_gauss_sum(p: int) -> CyclotomicInt:
     for x in range(p):
         v[(x * x) % p] += 1
     g = CyclotomicInt(p, v)
-    assert g * g == CyclotomicInt.from_int(p, p_star(p)), "G^2 must equal p*"
+    if g * g != CyclotomicInt.from_int(p, p_star(p)):
+        raise InvariantViolated(f"the quadratic Gauss sum of F_{p} does not square to p*")
     return g
 
 

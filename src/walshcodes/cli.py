@@ -1,9 +1,10 @@
 """Command-line front-end.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or spec
-error, 3 enumeration guard exceeded.  JSON is the canonical output
-format; CSV uses plain headers and no locale formatting, so identical
-configuration and seed produce byte-identical output.
+error, 3 enumeration guard exceeded, 4 an internal invariant failed.
+JSON is the canonical output format; CSV uses plain headers and no locale
+formatting, so identical configuration and seed produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .constructions import (
     make_trace_zero_set,
     second_generic,
 )
-from .errors import WalshCodesError
+from .errors import InvariantViolated, WalshCodesError
 from .functions import parse_function
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
@@ -43,6 +44,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_GUARD = 3
+EXIT_INVARIANT = 4
 
 
 class ConfigError(Exception):
@@ -169,17 +171,21 @@ def cmd_build(args) -> int:
 def cmd_analyze(args) -> int:
     code = _build_code(args)
     report: dict = {"parameters": [code.n, code.k]}
-    try:
-        report["parameters"].append(min_distance(code, args.guard) if code.k else None)
-    except TooLarge:
-        report["parameters"].append(None)
+    # with --weights, one enumeration gives both the table and d
+    wd = weight_distribution(code, args.guard) if args.weights else None
+    if wd is not None:
+        report["parameters"].append(min(wd.nonzero_weights()) if code.k else None)
+    else:
+        try:
+            report["parameters"].append(min_distance(code, args.guard) if code.k else None)
+        except TooLarge:
+            report["parameters"].append(None)
     lines_csv: list[str] = []
     if args.dual:
         report["dual"] = jsonio.code_to_json(dual(code))
     if args.hull:
         report["hull_dim"] = hull_dim(code)
-    if args.weights:
-        wd = weight_distribution(code, args.guard)
+    if wd is not None:
         report["weights"] = jsonio.weight_distribution_to_json(wd)
         lines_csv.append("w,count")
         lines_csv.extend(f"{w},{c}" for w, c in wd.counts.items())
@@ -304,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     except TooLarge as ex:
         print(f"guard exceeded: {ex}", file=sys.stderr)
         return EXIT_GUARD
+    except InvariantViolated as ex:
+        print(f"invariant violated: {ex}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (ConfigError, WalshCodesError, ValueError, KeyError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_CONFIG

@@ -104,13 +104,13 @@ def respects_prime_scalars(f: ParyFunction) -> bool:
 def shifted_trace_form(f: ParyFunction) -> ParyFunction:
     """x -> Tr(f(x) - x) as a prime-valued function."""
     field = f.field
-    return ParyFunction(field, [(f(x) - x).trace() for x in field.elements], 1)
+    return ParyFunction(field, [field.scalar(field.trace_int(f(x) - x)) for x in field.elements], 1)
 
 
 def plain_trace_form(f: ParyFunction) -> ParyFunction:
     """x -> Tr(f(x)) as a prime-valued function."""
     field = f.field
-    return ParyFunction(field, [f(x).trace() for x in field.elements], 1)
+    return ParyFunction(field, [field.scalar(field.trace_int(f(x))) for x in field.elements], 1)
 
 
 class _WrbContext:

@@ -10,6 +10,12 @@ class WalshCodesError(Exception):
     pass
 
 
+class InvariantViolated(WalshCodesError):
+    """An exact identity the mathematics guarantees did not hold (Parseval,
+    a bent coefficient off its Gauss-sum form, a trace outside its
+    subfield).  Raised explicitly, so the check survives ``python -O``."""
+
+
 # --- field construction ----------------------------------------------------
 
 class NotPrime(WalshCodesError):

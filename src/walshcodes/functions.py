@@ -1,16 +1,18 @@
 """Truth-table functions on F_{p^m}, exact Walsh spectra and bentness.
 
 The Walsh transform of a prime-valued function lands in Z[zeta_p] and is
-computed coefficient-exactly; Parseval is verified before a spectrum is
-returned.  Bent classification searches for a single global sign making
-every coefficient sign * G^m * zeta^e with G the quadratic Gauss sum, and
-reads the dual function off the exponents e.
+computed coefficient-exactly by a p-ary fast Walsh-Hadamard transform;
+Parseval is verified before a spectrum is returned.  Bent classification
+searches for a single global sign making every coefficient
+sign * G^m * zeta^e with G the quadratic Gauss sum, and reads the dual
+function off the exponents e.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Callable, Sequence
 
 from .algebra import (
@@ -21,6 +23,7 @@ from .algebra import (
 )
 from .errors import (
     ExponentOverflow,
+    InvariantViolated,
     NotWeaklyRegular,
     ParseError,
     UndefinedSymbol,
@@ -74,8 +77,15 @@ class ParyFunction:
         return cls(field, [fn(x) for x in field.elements], codomain_degree)
 
     def with_codomain(self, s: int) -> "ParyFunction":
-        """Reinterpret the same table with a declared codomain degree."""
-        return ParyFunction(self.field, self.table, s)
+        """Reinterpret the same table with a declared codomain degree.
+
+        Values in F_{p^d} satisfy v^(p^s) = v whenever d divides s, so the
+        per-value check is skipped in that case."""
+        if s % self.codomain_degree:
+            return ParyFunction(self.field, self.table, s)
+        out = ParyFunction.__new__(ParyFunction)
+        out.field, out.codomain_degree, out.table = self.field, s, self.table
+        return out
 
     def exponents(self) -> tuple[int, ...]:
         """Values as integers in [0, p); requires a prime-valued function."""
@@ -234,20 +244,24 @@ class _Parser:
             self.take("(")
             inner = self.expr()
             self.take(")")
-            return lambda x: inner(x).trace()
+            return self._trace_of(inner)
         if tok == "quadratic":
             c, i = self._family_args()
             e = field.p ** i + 1
-            return lambda x: (c * x ** e).trace()
+            return self._trace_of(lambda x: c * x ** e)
         if tok == "ternary_half":
             if field.p != 3:
                 raise ParseError("ternary_half needs characteristic 3")
             c, i = self._family_args()
             e = (3 ** i + 1) // 2
-            return lambda x: (c * x ** e).trace()
+            return self._trace_of(lambda x: c * x ** e)
         if tok.isidentifier():
             raise UndefinedSymbol(f"unknown symbol {tok!r}")
         raise ParseError(f"unexpected token {tok!r}")
+
+    def _trace_of(self, inner):
+        elements, trace_int = self.field.elements, self.field.trace_int
+        return lambda x: elements[trace_int(inner(x))]
 
     def _family_args(self):
         self.take("(")
@@ -291,29 +305,55 @@ class WalshSpectrum:
         return f"WalshSpectrum(GF({self.field.p}^{self.field.m}))"
 
     def parseval_sum(self) -> CyclotomicInt:
-        total = CyclotomicInt.zero(self.field.p)
-        for c in self.coefficients:
-            total = total + c.abs_squared()
-        return total
+        """Sum over b of |chi_hat(b)|^2; coefficient d of zeta^d is
+        sum_i <column i, column i - d> over the coefficient columns."""
+        p = self.field.p
+        cols = list(zip(*(c.coeffs for c in self.coefficients)))
+        return CyclotomicInt(
+            p, [sum(sum(map(mul, cols[i], cols[(i - d) % p])) for i in range(p)) for d in range(p)]
+        )
 
 
 def walsh_transform(f: ParyFunction) -> WalshSpectrum:
-    """chi_hat(b) = sum over x of zeta^(f(x) - Tr(bx)), exactly."""
+    """chi_hat(b) = sum over x of zeta^(f(x) - Tr(bx)), exactly.
+
+    Tr(bx) = <x, v_b> with v_b the Gram contraction of b, so chi_hat(b) is
+    the p-ary Walsh-Hadamard transform of zeta^f read at v_b."""
     if f.codomain_degree != 1:
         raise WrongCodomain("Walsh transform needs a prime-valued function")
     field = f.field
     p = field.p
-    fints = f.exponents()
-    coeffs = []
-    for b in field.elements:
-        counts = [0] * p
-        for x in field.elements:
-            counts[(fints[x.index] - field.trace_bilinear(b, x)) % p] += 1
-        coeffs.append(CyclotomicInt(p, counts))
+    layers = _fwht(f.exponents(), p, field.m)
+    coeffs = [CyclotomicInt(p, [layer[u] for layer in layers]) for u in field.trace_dual_indices()]
     spectrum = WalshSpectrum(field, coeffs, f)
-    expected = CyclotomicInt.from_int(p, field.q ** 2)
-    assert spectrum.parseval_sum() == expected, "Parseval failed: spectrum is wrong"
+    if spectrum.parseval_sum() != CyclotomicInt.from_int(p, field.q ** 2):
+        raise InvariantViolated("Parseval failed: the Walsh spectrum is wrong")
     return spectrum
+
+
+def _fwht(fints: Sequence[int], p: int, m: int) -> list[list[int]]:
+    """F(u) = sum over x of zeta^(f(x) - <x, u>) for every u in F_p^m.
+
+    ``layers[e][u]`` is the coefficient of zeta^e in F(u), indexed like the
+    field elements.  Each of the m passes transforms the top digit of the
+    index and moves it to the bottom (constant geometry), so after m passes
+    the digits are back in place.  Multiplying by zeta^(-k) rotates a
+    coefficient vector, so a pass is p^2 (p - 1) additions of lists of
+    length q/p."""
+    q = len(fints)
+    n = q // p
+    layers = [[int(v == e) for v in fints] for e in range(p)]
+    for _ in range(m):
+        blocks = [[layer[x * n:(x + 1) * n] for x in range(p)] for layer in layers]
+        new = [[0] * q for _ in range(p)]
+        for u in range(p):
+            for e in range(p):
+                acc = blocks[e][0]
+                for x in range(1, p):
+                    acc = list(map(add, acc, blocks[(e + u * x) % p][x]))
+                new[e][u::p] = acc
+        layers = new
+    return layers
 
 
 class BentKind(enum.Enum):
@@ -354,7 +394,8 @@ def classify_bent(spectrum: WalshSpectrum) -> BentClass:
         exps = []
         for c in spectrum.coefficients:
             v = c.as_int()
-            assert v * v == q
+            if v * v != q:
+                raise InvariantViolated(f"bent coefficient {v} does not square to {q}")
             exps.append(0 if v > 0 else 1)
         dual = ParyFunction(field, [field.scalar(e) for e in exps], 1)
         return BentClass(BentKind.REGULAR, 1, "1", dual)
@@ -371,7 +412,8 @@ def classify_bent(spectrum: WalshSpectrum) -> BentClass:
             if c == -cand:
                 found = (-1, e)
                 break
-        assert found is not None, "bent coefficient must be +/- G^m * zeta^e"
+        if found is None:
+            raise InvariantViolated(f"bent coefficient {c!r} is not +/- G^m * zeta^e")
         signs.append(found[0])
         exps.append(found[1])
     if len(set(signs)) != 1:

@@ -151,3 +151,38 @@ def test_guard_env_override(monkeypatch, capsys):
 
 def test_guard_must_be_positive(capsys):
     assert run(["verify", "ding", "--guard", "0"]) == 2
+
+
+def test_analyze_weights_enumerates_once(monkeypatch, capsys):
+    from walshcodes.codes import LinearCode
+
+    calls = []
+    codewords = LinearCode.codewords
+
+    def counted(self, guard=None):
+        calls.append(self.k)
+        return codewords(self, guard)
+
+    monkeypatch.setattr(LinearCode, "codewords", counted)
+    argv = ["analyze", "first", "--field", "p=2,m=4", "--fn", "x^3", "--weights"]
+    assert run(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert out["parameters"] == [16, 8, 4]
+    assert min(e["w"] for e in out["weights"] if e["w"] > 0) == 4
+    calls.clear()
+    assert run(argv[:-1]) == 0
+    assert json.loads(capsys.readouterr().out)["parameters"] == [16, 8, 4]
+    assert len(calls) == 1
+
+
+def test_invariant_violation_exit_code(monkeypatch, capsys):
+    from walshcodes import cli
+    from walshcodes.errors import InvariantViolated
+
+    def broken(name, seed):
+        raise InvariantViolated("Parseval failed")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    assert run(["verify", "ding"]) == 4
+    assert "invariant violated: Parseval failed" in capsys.readouterr().err

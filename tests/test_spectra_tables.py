@@ -1,0 +1,282 @@
+"""Differential tests of the table-driven spectral path.
+
+Each fast route is compared with the reference it replaced, which lives
+here as a test oracle: the O(q^2) Walsh loop, square-and-multiply powers,
+the Frobenius-sum trace and the order-counting generator search.
+"""
+
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from walshcodes.algebra import CyclotomicInt, is_prime, make_field, trace
+from walshcodes.functions import ParyFunction, classify_bent, parse_function, walsh_transform
+
+
+def _prime_powers(limit):
+    out = []
+    for p in range(2, limit + 1):
+        if is_prime(p):
+            m = 1
+            while p ** m <= limit:
+                out.append((p, m))
+                m += 1
+    return sorted(out, key=lambda pm: pm[0] ** pm[1])
+
+
+SMALL = _prime_powers(27)
+UP_TO_1024 = _prime_powers(2 ** 10)
+
+
+def _ids(fields):
+    return [f"GF({p}^{m})" for p, m in fields]
+
+
+# -- oracles --------------------------------------------------------------------
+
+
+def walsh_oracle(f):
+    """The O(q^2) loop: chi_hat(b) = sum over x of zeta^(f(x) - Tr(bx))."""
+    field = f.field
+    p = field.p
+    fints = f.exponents()
+    coeffs = []
+    for b in field.elements:
+        counts = [0] * p
+        for x in field.elements:
+            counts[(fints[x.index] - field.trace_bilinear(b, x)) % p] += 1
+        coeffs.append(CyclotomicInt(p, counts))
+    return coeffs
+
+
+def pow_oracle(field, a, e):
+    """Square-and-multiply over the coefficient convolution."""
+    if e < 0:
+        if a.is_zero():
+            raise ZeroDivisionError("inverse of zero field element")
+        a = pow_oracle(field, a, field.q - 2)
+        e = -e
+    result = field.one
+    while e:
+        if e & 1:
+            result = field._mul_elem(result, a)
+        a = field._mul_elem(a, a)
+        e >>= 1
+    return result
+
+
+def generator_oracle(field):
+    """First element, in index order, whose multiplicative order is q - 1."""
+    for e in field.elements[1:]:
+        x, order = e, 1
+        while x != field.one:
+            x = field._mul_elem(x, e)
+            order += 1
+        if order == field.q - 1:
+            return e
+
+
+# -- Walsh transform --------------------------------------------------------------
+
+
+def _assert_same_spectrum(f):
+    spectrum = walsh_transform(f)
+    assert spectrum.coefficients == tuple(walsh_oracle(f))
+    return spectrum
+
+
+@pytest.mark.parametrize("pm", SMALL, ids=_ids(SMALL))
+def test_fwht_matches_quadratic_loop(pm):
+    field = make_field(*pm)
+    rng = random.Random(field.q)
+    for _ in range(6):
+        table = [field.scalar(rng.randrange(field.p)) for _ in range(field.q)]
+        _assert_same_spectrum(ParyFunction(field, table, 1))
+
+
+@pytest.mark.parametrize("pm", [(2, 8), (3, 5), (5, 3)], ids=["GF(2^8)", "GF(3^5)", "GF(5^3)"])
+def test_fwht_matches_quadratic_loop_hypothesis(pm):
+    field = make_field(*pm)
+
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(st.lists(st.integers(0, field.p - 1), min_size=field.q, max_size=field.q))
+    def check(values):
+        _assert_same_spectrum(ParyFunction(field, [field.scalar(v) for v in values], 1))
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "pm,spec,bent",
+    [
+        ((2, 4), "tr(g*x^3)", True),
+        ((2, 4), "tr(g^3*x^3)", False),
+        ((3, 3), "tr(x^2)", True),
+        ((3, 3), "ternary_half(g,1) + tr(g^4*x)", True),
+        ((5, 3), "quadratic(g^3,1)", True),
+        ((5, 2), "quadratic(g^3,1)", False),
+        ((2, 5), "tr(x^3)", False),
+    ],
+)
+def test_classification_from_fwht_spectrum(pm, spec, bent):
+    field = make_field(*pm)
+    spectrum = _assert_same_spectrum(parse_function(field, spec))
+    q = CyclotomicInt.from_int(field.p, field.q)
+    assert all(c.abs_squared() == q for c in walsh_oracle(spectrum.source)) == bent
+    assert (classify_bent(spectrum).kind.value != "not_bent") == bent
+
+
+# -- powers, traces, generator ------------------------------------------------------
+
+
+@pytest.mark.parametrize("pm", SMALL, ids=_ids(SMALL))
+def test_pow_tables_match_square_and_multiply(pm):
+    field = make_field(*pm)
+    q = field.q
+    for a in field.elements:
+        for e in range(-q, 2 * q + 1):
+            if a.is_zero() and e < 0:
+                with pytest.raises(ZeroDivisionError):
+                    field._pow(a, e)
+                with pytest.raises(ZeroDivisionError):
+                    pow_oracle(field, a, e)
+                continue
+            assert field._pow(a, e) == pow_oracle(field, a, e), (a, e)
+    assert field.zero ** 0 == field.one and field.zero ** 5 == field.zero
+    with pytest.raises(ZeroDivisionError):
+        field.one / field.zero
+
+
+def test_large_exponents_reduce_mod_q_minus_one():
+    field = make_field(3, 5)
+    g = field.generator()
+    for e in (10 ** 6, 3 ** 40 + 7, -(2 ** 70) - 1):
+        assert g ** e == pow_oracle(field, g, e)
+
+
+@pytest.mark.parametrize("pm", UP_TO_1024, ids=_ids(UP_TO_1024))
+def test_trace_table_matches_frobenius_sum(pm):
+    field = make_field(*pm)
+    assert [field.trace_int(e) for e in field.elements] == [
+        trace(field, e).as_prime_int() for e in field.elements
+    ]
+
+
+@pytest.mark.parametrize("pm", UP_TO_1024, ids=_ids(UP_TO_1024))
+def test_generator_matches_order_counting(pm):
+    field = make_field(*pm)
+    assert field.generator() == generator_oracle(field)
+
+
+@pytest.mark.parametrize("pm", SMALL, ids=_ids(SMALL))
+def test_trace_bilinear_matches_trace_of_product(pm):
+    field = make_field(*pm)
+    for a in field.elements:
+        for b in field.elements:
+            assert field.trace_bilinear(a, b) == field.trace_int(a * b)
+    assert sorted(field.trace_dual_indices()) == list(range(field.q))
+
+
+# -- parser ---------------------------------------------------------------------------
+
+
+def _oracle_table(field, fn):
+    return [fn(x) for x in field.elements]
+
+
+PARSE_FIELDS = [(2, 4), (2, 5), (3, 3), (5, 2), (7, 2)]
+
+
+@pytest.mark.parametrize("pm", PARSE_FIELDS, ids=_ids(PARSE_FIELDS))
+def test_parsed_tables_match_frobenius_evaluation(pm):
+    field = make_field(*pm)
+    g = field.generator()
+    q = field.q
+    cases = {
+        "x^3": lambda x: pow_oracle(field, x, 3),
+        f"x^{q - 2}": lambda x: pow_oracle(field, x, q - 2),
+        "tr(g*x^3) + tr(g^5*x)": lambda x: (g * pow_oracle(field, x, 3)).trace()
+        + (pow_oracle(field, g, 5) * x).trace(),
+        "tr(x^2 + 1)": lambda x: (pow_oracle(field, x, 2) + field.one).trace(),
+    }
+    if field.p > 2:
+        cases["quadratic(g^3,1)"] = lambda x: (
+            pow_oracle(field, g, 3) * pow_oracle(field, x, field.p + 1)
+        ).trace()
+    if field.p == 3:
+        cases["ternary_half(g,1)"] = lambda x: (g * pow_oracle(field, x, 2)).trace()
+    for spec, fn in cases.items():
+        assert parse_function(field, spec).table == tuple(_oracle_table(field, fn)), spec
+
+
+def test_with_codomain_skips_only_implied_checks():
+    field = make_field(2, 6)
+    f = parse_function(field, "x^9")  # (x^9)^8 = x^72 = x^9: values in F_{2^3}
+    assert f.codomain_degree == 3
+    for s in (1, 2, 3, 6):
+        if s % f.codomain_degree == 0:
+            g = f.with_codomain(s)
+            assert g.codomain_degree == s and g.table is f.table
+            assert ParyFunction(field, f.table, s) == g
+        else:
+            with pytest.raises(ValueError):
+                f.with_codomain(s)
+    t = parse_function(field, "tr(x^3)")
+    assert t.codomain_degree == 1
+    assert t.with_codomain(6).codomain_degree == 6
+    with pytest.raises(ValueError):
+        parse_function(field, "x^3").with_codomain(2)
+
+
+# -- invariants under python -O --------------------------------------------------------
+
+
+def test_invariants_raise_under_optimize():
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = textwrap.dedent(
+        """
+        assert False, "this line must vanish under -O"
+        import walshcodes.functions as fn
+        from walshcodes.algebra import CyclotomicInt, make_field
+        from walshcodes.errors import InvariantViolated
+
+        field = make_field(3, 3)
+        f = fn.parse_function(field, "tr(x^2)")
+        good = fn._fwht
+
+        def corrupted(*args):
+            layers = good(*args)
+            layers[0][5] += 1
+            return layers
+
+        fn._fwht = corrupted
+        try:
+            fn.walsh_transform(f)
+        except InvariantViolated as ex:
+            print("parseval:", ex)
+        fn._fwht = good
+
+        spectrum = fn.walsh_transform(f)
+        fn.gauss_sum_power = lambda p, m: CyclotomicInt.from_int(p, 1)
+        try:
+            fn.classify_bent(spectrum)
+        except InvariantViolated as ex:
+            print("gauss:", ex)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["parseval", "gauss"], proc.stdout
+    assert "Parseval" in lines[0]
