@@ -207,6 +207,7 @@ class Field:
         self._generator: FieldElement | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._zech: list[int] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -320,6 +321,20 @@ class Field:
                 cur = times_g[cur]
             self._exp, self._log = exp, log
         return self._exp, self._log
+
+    def _zech_table(self) -> list[int]:
+        """Zech logarithms: zech[k] = log(1 + g^k) for k < q - 1, and -1 where
+        1 + g^k = 0.  Then a + b = a * (1 + b/a) has log(a + b) =
+        log(a) + zech[log(b) - log(a)] (Huber, IEEE TIT 1990)."""
+        if self._zech is None:
+            exp, log = self._pow_tables()
+            p = self.p
+            zech = []
+            for e in exp:
+                one_plus = e - e % p + (e + 1) % p  # add 1 to the constant digit
+                zech.append(log[one_plus] if one_plus else -1)
+            self._zech = zech
+        return self._zech
 
     def _pow(self, a: FieldElement, e: int) -> FieldElement:
         if a.index == 0:
@@ -529,12 +544,6 @@ def subfield(ctx: Field, s: int) -> tuple[Field, dict, dict]:
     assert len(project) == sub.q, "subfield embedding must be injective"
     _SUBFIELD_CACHE[key] = (sub, embed, project)
     return _SUBFIELD_CACHE[key]
-
-
-def relative_trace_to_subfield(ctx: Field, x: FieldElement, s: int) -> FieldElement:
-    """Tr_{p^m/p^s}(x) projected into the standalone F_{p^s} context."""
-    _, _, project = subfield(ctx, s)
-    return project[trace(ctx, x, s)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from __future__ import annotations
 import os
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import Field, FieldElement, make_field
-from .errors import EmptyLength, RaggedRows, TooLarge, ZeroCode
+from .algebra import Field, FieldElement, make_field, subfield
+from .errors import EmptyLength, NotASubfield, RaggedRows, TooLarge, ZeroCode
 
 DEFAULT_GUARD = 2 ** 22
 
@@ -29,55 +29,165 @@ def enumeration_guard(override: int | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense linear algebra over a Field
+# the elimination kernel, on canonical element indices
 # ---------------------------------------------------------------------------
+#
+# Matrices are lists of index lists: FieldElement rows become indices once on
+# entry (_indices) and FieldElement tuples once on exit (_elements).  Over
+# F_p the index is the value.  Over F_{p^m} products and inverses read the
+# field's exp/log tables; sums are the XOR of indices when p = 2 and go
+# through the field's Zech logarithms when p is odd.  Every table has O(q)
+# entries.
 
-def rref(rows: Sequence[Sequence[FieldElement]], field: Field):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    mat = [list(r) for r in rows]
+
+class _Arith:
+    """Arithmetic of one field on canonical indices.
+
+    A row operation first turns the pivot row into a ``prepared`` list of
+    (column, value) pairs of its nonzero entries, the value being a log
+    over F_{p^m}, so that each row it updates costs one pass over them."""
+
+    __slots__ = ("p", "prime", "even", "n1", "exp", "log", "zech")
+
+    def __init__(self, field: Field):
+        self.p = field.p
+        self.prime = field.m == 1
+        self.even = field.p == 2
+        self.n1 = field.q - 1
+        if not self.prime:
+            self.exp, self.log = field._pow_tables()
+            self.zech = None if self.even else field._zech_table()
+
+    def neg(self, a: int) -> int:
+        if self.prime:
+            return -a % self.p
+        if self.even or not a:
+            return a
+        return self.exp[(self.log[a] + self.n1 // 2) % self.n1]  # -1 = g^((q-1)/2)
+
+    def inv(self, a: int) -> int:
+        if self.prime:
+            return pow(a, -1, self.p)
+        return self.exp[-self.log[a] % self.n1]
+
+    def scale(self, row: list[int], a: int) -> list[int]:
+        if self.prime:
+            p = self.p
+            return [x * a % p for x in row]
+        exp, log, n1 = self.exp, self.log, self.n1
+        la = log[a]
+        return [exp[(la + log[x]) % n1] if x else 0 for x in row]
+
+    def prepare(self, row: Sequence[int]) -> list[tuple[int, int]]:
+        if self.prime:
+            return [(j, x) for j, x in enumerate(row) if x]
+        log = self.log
+        return [(j, log[x]) for j, x in enumerate(row) if x]
+
+    def axpy(self, row: list[int], f: int, prepared: list[tuple[int, int]]) -> None:
+        """row += f * (the prepared row), in place; f != 0."""
+        if self.prime:
+            p = self.p
+            for j, y in prepared:
+                row[j] = (row[j] + f * y) % p
+            return
+        exp, log, n1 = self.exp, self.log, self.n1
+        lf = log[f]
+        if self.even:
+            for j, ly in prepared:
+                row[j] ^= exp[(lf + ly) % n1]
+            return
+        zech = self.zech
+        for j, ly in prepared:
+            lc = (lf + ly) % n1
+            x = row[j]
+            if x:
+                lx = log[x]
+                z = zech[(lc - lx) % n1]
+                row[j] = exp[(lx + z) % n1] if z >= 0 else 0
+            else:
+                row[j] = exp[lc]
+
+
+def _indices(rows: Iterable[Sequence[FieldElement | int]], field: Field) -> list[list[int]]:
+    """Index lists of FieldElement rows; ints are prime-field scalars."""
+    return [
+        [x.index if type(x) is FieldElement and x.field is field else _index(x, field) for x in row]
+        for row in rows
+    ]
+
+
+def _index(x: FieldElement | int, field: Field) -> int:
+    if isinstance(x, FieldElement):
+        raise ValueError("elements from different fields")
+    return x % field.p
+
+
+def _elements(rows: Iterable[Sequence[int]], field: Field) -> list[tuple[FieldElement, ...]]:
+    elements = field.elements
+    return [tuple(map(elements.__getitem__, row)) for row in rows]
+
+
+def _rref(mat: list[list[int]], ar: _Arith) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of an index matrix, in place; returns
+    (the nonzero rows, pivot columns)."""
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
         for i in range(r, nrows):
-            if not mat[i][c].is_zero():
-                pivot = i
+            if mat[i][c]:
                 break
-        if pivot is None:
+        else:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c] ** (-1)
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        mat[r], mat[i] = mat[i], mat[r]
+        mat[r] = ar.scale(mat[r], ar.inv(mat[r][c]))
+        prepared = ar.prepare(mat[r])
+        for i, row in enumerate(mat):
+            if row[c] and i != r:
+                ar.axpy(row, ar.neg(row[c]), prepared)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return [tuple(row) for row in mat[:r]], pivots
+    return mat[:r], pivots
+
+
+def _nullspace(mat: list[list[int]], ar: _Arith, n: int) -> list[list[int]]:
+    """Basis of {v : mat @ v = 0}, one vector per free column."""
+    red, pivots = _rref(mat, ar)
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(n):
+        if fc in pivot_set:
+            continue
+        v = [0] * n
+        v[fc] = 1
+        for row, pc in zip(red, pivots):
+            v[pc] = ar.neg(row[fc])
+        basis.append(v)
+    return basis
+
+
+def _dual(mat: list[list[int]], ar: _Arith, n: int) -> list[list[int]]:
+    """RREF generator of the dual of the row space of mat, in F^n."""
+    return _rref(_nullspace(mat, ar, n), ar)[0]
+
+
+def rref(rows: Sequence[Sequence[FieldElement]], field: Field):
+    """Reduced row echelon form; returns (rows, pivot_columns)."""
+    red, pivots = _rref(_indices(rows, field), _Arith(field))
+    return _elements(red, field), pivots
 
 
 def nullspace(rows: Sequence[Sequence[FieldElement]], field: Field, n: int):
     """Basis of {v : rows @ v = 0} in F^n, one vector per free column."""
-    red, pivots = rref(rows, field) if rows else ([], [])
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [field.zero] * n
-        v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
-    return basis
+    return _elements(_nullspace(_indices(rows, field), _Arith(field), n), field)
 
 
 def matrix_rank(rows: Sequence[Sequence[FieldElement]], field: Field) -> int:
-    red, _ = rref(rows, field)
-    return len(red)
+    return len(_rref(_indices(rows, field), _Arith(field))[0])
 
 
 class LinearCode:
@@ -136,16 +246,8 @@ class LinearCode:
     def contains(self, word: Sequence[FieldElement]) -> bool:
         if len(word) != self.n:
             return False
-        red, pivots = self.generator, [
-            next(i for i, x in enumerate(row) if not x.is_zero())
-            for row in self.generator
-        ]
-        residue = list(word)
-        for row, pc in zip(red, pivots):
-            f = residue[pc]
-            if not f.is_zero():
-                residue = [a - f * b for a, b in zip(residue, row)]
-        return all(x.is_zero() for x in residue)
+        mat = _indices(self.generator + (tuple(word),), self.base)
+        return len(_rref(mat, _Arith(self.base))[0]) == self.k
 
 
 def from_rows(
@@ -155,9 +257,7 @@ def from_rows(
     provenance: str | None = None,
 ) -> LinearCode:
     """Span of the given rows; dependent rows are dropped by the RREF."""
-    mat = []
-    for row in rows:
-        mat.append([x if isinstance(x, FieldElement) else base.scalar(x) for x in row])
+    mat = _indices(rows, base)
     if mat:
         lengths = {len(r) for r in mat}
         if len(lengths) != 1:
@@ -168,8 +268,8 @@ def from_rows(
         n = length
     if n is None or n <= 0:
         raise EmptyLength("a code needs positive length")
-    red, _ = rref(mat, base)
-    return LinearCode(base, n, red, provenance)
+    red, _ = _rref(mat, _Arith(base))
+    return LinearCode(base, n, _elements(red, base), provenance)
 
 
 def zero_code(base: Field, n: int) -> LinearCode:
@@ -187,29 +287,64 @@ def full_code(base: Field, n: int) -> LinearCode:
 
 def dual(code: LinearCode) -> LinearCode:
     """Nullspace of the generator as an [n, n-k] code."""
-    basis = nullspace(code.generator, code.base, code.n)
-    red, _ = rref(basis, code.base)
-    return LinearCode(code.base, code.n, red, provenance="dual")
+    base = code.base
+    red = _dual(_indices(code.generator, base), _Arith(base), code.n)
+    return LinearCode(base, code.n, _elements(red, base), provenance="dual")
 
 
 def sum_code(a: LinearCode, b: LinearCode) -> LinearCode:
     _check_same_space(a, b)
-    red, _ = rref(list(a.generator) + list(b.generator), a.base)
-    return LinearCode(a.base, a.n, red)
+    red, _ = _rref(_indices(a.generator + b.generator, a.base), _Arith(a.base))
+    return LinearCode(a.base, a.n, _elements(red, a.base))
 
 
 def intersect(a: LinearCode, b: LinearCode) -> LinearCode:
     """A cap B = (A^perp + B^perp)^perp."""
     _check_same_space(a, b)
-    return dual(sum_code(dual(a), dual(b)))
+    base, n = a.base, a.n
+    ar = _Arith(base)
+    perps = _dual(_indices(a.generator, base), ar, n) + _dual(_indices(b.generator, base), ar, n)
+    return LinearCode(base, n, _elements(_dual(perps, ar, n), base), provenance="dual")
+
+
+def _gram(code: LinearCode, ar: _Arith) -> tuple[list[list[int]], list[list[int]]]:
+    """The generator G as index rows and the k x k matrix G G^T, whose row a
+    is the sum over columns j of G[a][j] times column j."""
+    g = _indices(code.generator, code.base)
+    columns = [ar.prepare(col) for col in zip(*g)]
+    gram = []
+    for u in g:
+        row = [0] * len(g)
+        for x, col in zip(u, columns):
+            if x:
+                ar.axpy(row, x, col)
+        gram.append(row)
+    return g, gram
 
 
 def hull(code: LinearCode) -> LinearCode:
-    return intersect(code, dual(code))
+    """C cap C^perp = {x G : G G^T x^T = 0}, since the rows of G are
+    independent: the kernel of the k x k Gram matrix mapped through G."""
+    base = code.base
+    ar = _Arith(base)
+    g, gram = _gram(code, ar)
+    rows = [ar.prepare(row) for row in g]
+    words = []
+    for x in _nullspace(gram, ar, code.k):
+        word = [0] * code.n
+        for xi, row in zip(x, rows):
+            if xi:
+                ar.axpy(word, xi, row)
+        words.append(word)
+    red, _ = _rref(words, ar)
+    return LinearCode(base, code.n, _elements(red, base), provenance="hull")
 
 
 def hull_dim(code: LinearCode) -> int:
-    return hull(code).k
+    """k - rank(G G^T); zero exactly for LCD codes (Massey 1992)."""
+    ar = _Arith(code.base)
+    _, gram = _gram(code, ar)
+    return code.k - len(_rref(gram, ar)[0])
 
 
 def is_lcd(code: LinearCode) -> bool:
@@ -323,21 +458,41 @@ def is_mds(code: LinearCode, guard: int | None = None) -> bool:
 # scalar restriction
 # ---------------------------------------------------------------------------
 
-def restrict_to_prime_subfield(code: LinearCode) -> LinearCode:
-    """V cap F_p^n for the F_q-linear space V spanned by the code.
+def restrict_to_subfield(code: LinearCode, s: int) -> LinearCode:
+    """V cap F_{p^s}^n for the F_{p^m}-linear space V spanned by the code.
 
-    Each F_q-linear parity check expands into m F_p-linear constraints
-    (coordinate-wise in the power basis), solved over F_p.
+    Each F_{p^m}-linear parity check h expands into m F_p-linear constraints
+    on the coordinates of c_i = sum_t c_it theta^t over the power basis of
+    the subfield (theta^0 = 1 alone when s = 1): coordinate tau of
+    sum_i h_i c_i, solved over F_p for the n*s unknowns c_it.
     """
-    q_field = code.base
-    if q_field.m == 1:
+    big = code.base
+    if s == big.m:
         return code
-    p_field = make_field(q_field.p, 1)
-    checks = dual(code).generator
+    if big.m % s != 0:
+        raise NotASubfield(f"s={s} does not divide m={big.m}")
+    sub, embed, _ = subfield(big, s)
+    theta = [embed[b].index for b in sub.power_basis()]
+    p, n = big.p, code.n
+    ar = _Arith(big)
     expanded = []
-    for row in checks:
-        for t in range(q_field.m):
-            expanded.append([p_field.scalar(x.coeffs[t]) for x in row])
-    basis = nullspace(expanded, p_field, code.n)
-    red, _ = rref(basis, p_field)
-    return LinearCode(p_field, code.n, red, provenance="prime-restriction")
+    for row in _dual(_indices(code.generator, big), ar, n):
+        # h_i * theta^t at column i*s + t; constraint tau reads coefficient tau
+        prods = [x for hs in zip(*(ar.scale(row, t) for t in theta)) for x in hs]
+        expanded.extend(map(list, zip(*(big.elements[x].coeffs for x in prods))))
+    solution = _nullspace(expanded, _Arith(make_field(p, 1)), n * s)
+    # c_i as a subfield element has the index sum_t c_it p^t, by Horner
+    words = []
+    for v in solution:
+        word = v[s - 1 :: s]
+        for t in range(s - 2, -1, -1):
+            word = [w * p + c for w, c in zip(word, v[t::s])]
+        words.append(word)
+    red, _ = _rref(words, _Arith(sub))
+    tag = "prime-restriction" if s == 1 else "subfield-restriction"
+    return LinearCode(sub, n, _elements(red, sub), provenance=tag)
+
+
+def restrict_to_prime_subfield(code: LinearCode) -> LinearCode:
+    """V cap F_p^n for the F_q-linear space V spanned by the code."""
+    return restrict_to_subfield(code, 1)

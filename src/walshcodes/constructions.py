@@ -20,6 +20,7 @@ from .codes import (
     matrix_rank,
     nullspace,
     restrict_to_prime_subfield,
+    restrict_to_subfield,
     rref,
 )
 from .errors import (
@@ -33,6 +34,7 @@ from .errors import (
     DimensionTooLarge,
     EmptySet,
     EvenCharacteristic,
+    InvariantViolated,
     MinusOneNotSquare,
     NeedDistinctAlphas,
     NotASubfield,
@@ -212,61 +214,21 @@ def second_codeword(ds: DefiningSet, x: FieldElement) -> tuple[FieldElement, ...
     return tuple(project[trace(ctx, x * d, ds.base_degree)] for d in ds.elements)
 
 
-def restrict_to_subfield(code: LinearCode, s: int) -> LinearCode:
-    """V cap F_{p^s}^n for an F_{p^m}-linear V, solved over F_p."""
-    big = code.base
-    if s == big.m:
-        return code
-    if big.m % s != 0:
-        raise NotASubfield(f"s={s} does not divide m={big.m}")
-    if s == 1:
-        return restrict_to_prime_subfield(code)
-    sub, embed, _ = subfield(big, s)
-    theta_powers = [embed[sub.elements[sub.p ** t]] if s > 1 else big.one for t in range(s)]
-    prime = make_field(big.p, 1)
-    checks = dual(code).generator
-    n = code.n
-    expanded = []
-    for row in checks:
-        prods = [[h * tp for tp in theta_powers] for h in row]
-        for tau in range(big.m):
-            expanded.append(
-                [
-                    prime.scalar(prods[i][t].coeffs[tau])
-                    for i in range(n)
-                    for t in range(s)
-                ]
-            )
-    sol = nullspace(expanded, prime, n * s)
-    words = []
-    for vec in sol:
-        word = []
-        for i in range(n):
-            chunk = [vec[i * s + t].as_prime_int() for t in range(s)]
-            word.append(sub.element(chunk))
-        words.append(word)
-    red, _ = rref(words, sub)
-    return LinearCode(sub, n, red, provenance="subfield-restriction")
-
-
 def dual_second_closed_form(ds: DefiningSet) -> LinearCode:
     """Dual of the defining-set code: solutions of sum c_i d_i = 0 with
     c_i in the base subfield; verified identical across Frobenius powers
     of the defining row."""
     ctx = ds.field
     s = ds.base_degree
-    b = ctx.m // s
     result = None
-    for j in range(b):
-        row = [ctx._pow(d, ctx.q ** 0) for d in ds.elements] if j == 0 else [
-            ctx._pow(d, (ctx.p ** s) ** j) for d in ds.elements
-        ]
+    for j in range(ctx.m // s):
+        row = [ctx.frobenius(d, s * j) for d in ds.elements]
         span = from_rows(ctx, [row], n=len(ds.elements) or None)
         restricted = restrict_to_subfield(dual(span), s)
         if result is None:
             result = restricted
-        else:
-            assert restricted == result, "Frobenius-power duals must agree"
+        elif restricted != result:
+            raise InvariantViolated(f"the dual from Frobenius power {j} of the defining row differs")
     return LinearCode(result.base, result.n, result.generator, provenance="closed-form-dual")
 
 
@@ -295,7 +257,8 @@ def _relative_coords(ctx: Field, s: int):
         row += [prime.one if r == c else prime.zero for c in range(ctx.m)]
         aug.append(row)
     red, pivots = rref(aug, prime)
-    assert pivots == list(range(ctx.m)), "power basis change must be invertible"
+    if pivots != list(range(ctx.m)):
+        raise InvariantViolated(f"the relative basis of F_{ctx.p}^{ctx.m} over F_{ctx.p}^{s} is singular")
     inv = [row[ctx.m :] for row in red]
 
     def coords(y: FieldElement) -> tuple[FieldElement, ...]:

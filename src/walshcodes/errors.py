@@ -13,7 +13,8 @@ class WalshCodesError(Exception):
 class InvariantViolated(WalshCodesError):
     """An exact identity the mathematics guarantees did not hold (Parseval,
     a bent coefficient off its Gauss-sum form, a trace outside its
-    subfield).  Raised explicitly, so the check survives ``python -O``."""
+    subfield, Frobenius-power duals that disagree).  Raised explicitly, so
+    the check survives ``python -O``."""
 
 
 # --- field construction ----------------------------------------------------

@@ -7,7 +7,7 @@ canonical coefficient lists.
 
 from __future__ import annotations
 
-from .algebra import CyclotomicInt, Field, FieldElement, make_field
+from .algebra import Field, FieldElement, make_field
 from .codes import CompleteWeightEnumerator, LinearCode, WeightDistribution
 from .conditions import MembershipVerdict
 from .constructions import DefiningSet
@@ -69,10 +69,6 @@ def weight_distribution_to_json(wd: WeightDistribution) -> list[dict]:
 def cwe_to_json(cwe: CompleteWeightEnumerator) -> list[dict]:
     items = sorted(cwe.counts.items())
     return [{"composition": list(comp), "count": c} for comp, c in items]
-
-
-def cyclotomic_to_json(z: CyclotomicInt) -> list[int]:
-    return list(z.coeffs)
 
 
 def spectrum_to_json(spec: WalshSpectrum) -> list[dict]:

@@ -1,0 +1,318 @@
+"""Differential tests of the integer-index elimination kernel.
+
+The FieldElement `rref` that the kernel replaced lives here, unchanged, as
+the oracle: the kernel must return the same rows and pivots.  Duals,
+nullspaces, hulls and scalar restrictions are checked against it and
+against the identities they must satisfy.
+"""
+
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from walshcodes.algebra import is_prime, make_field, subfield
+from walshcodes.codes import (
+    LinearCode,
+    dual,
+    from_rows,
+    hull,
+    hull_dim,
+    intersect,
+    is_lcd,
+    matrix_rank,
+    nullspace,
+    restrict_to_prime_subfield,
+    restrict_to_subfield,
+    rref,
+)
+
+
+def _prime_powers(limit):
+    out = []
+    for p in range(2, limit + 1):
+        if is_prime(p):
+            m = 1
+            while p ** m <= limit:
+                out.append((p, m))
+                m += 1
+    return sorted(out, key=lambda pm: pm[0] ** pm[1])
+
+
+SMALL = _prime_powers(27)
+WIDE = [(2, 8), (3, 5), (5, 3)]
+HULL = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
+WITH_SUBFIELDS = [(2, 4), (3, 2), (2, 6)]
+
+
+def _ids(fields):
+    return [f"GF({p}^{m})" for p, m in fields]
+
+
+# -- oracle ---------------------------------------------------------------------
+
+
+def rref_oracle(rows, field):
+    """Reduced row echelon form; returns (rows, pivot_columns)."""
+    mat = [list(r) for r in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, nrows):
+            if not mat[i][c].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = mat[r][c] ** (-1)
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(nrows):
+            if i != r and not mat[i][c].is_zero():
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def dot(u, v, field):
+    acc = field.zero
+    for x, y in zip(u, v):
+        acc = acc + x * y
+    return acc
+
+
+# -- matrices -------------------------------------------------------------------
+
+
+def random_matrix(field, nrows, ncols, rng):
+    return [[field.elements[rng.randrange(field.q)] for _ in range(ncols)] for _ in range(nrows)]
+
+
+def deficient_matrix(field, nrows, ncols, rank, rng):
+    """nrows random combinations of `rank` random rows."""
+    basis = random_matrix(field, rank, ncols, rng)
+    out = []
+    for _ in range(nrows):
+        row = [field.zero] * ncols
+        for b in basis:
+            c = field.elements[rng.randrange(field.q)]
+            row = [x + c * y for x, y in zip(row, b)]
+        out.append(row)
+    return out
+
+
+def matrix_cases(field, rng):
+    """Full-rank, rank-deficient, zero-row, zero-column, wide, tall, empty."""
+    cases = [[], [[field.zero] * 3], [[field.one]]]
+    for _ in range(6):
+        nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 9)
+        cases.append(random_matrix(field, nrows, ncols, rng))
+        cases.append(deficient_matrix(field, nrows, ncols, rng.randrange(0, min(nrows, ncols) + 1), rng))
+    tall = random_matrix(field, 8, 4, rng)
+    cases.append(tall)
+    zero_rows = random_matrix(field, 5, 6, rng)
+    zero_rows[1] = [field.zero] * 6
+    zero_rows[3] = [field.zero] * 6
+    cases.append(zero_rows)
+    zero_cols = random_matrix(field, 4, 7, rng)
+    for row in zero_cols:
+        row[0] = row[4] = field.zero
+    cases.append(zero_cols)
+    return cases
+
+
+def assert_nullspace(rows, field, n):
+    basis = nullspace(rows, field, n)
+    rank = len(rref_oracle(rows, field)[0])
+    assert len(basis) == n - rank
+    assert len(rref_oracle(basis, field)[0]) == len(basis)
+    for v in basis:
+        assert all(dot(r, v, field).is_zero() for r in rows)
+
+
+# -- rref and nullspace against the oracle --------------------------------------
+
+
+@pytest.mark.parametrize("pm", SMALL, ids=_ids(SMALL))
+def test_rref_matches_oracle(pm):
+    field = make_field(*pm)
+    rng = random.Random(field.q)
+    for rows in matrix_cases(field, rng):
+        assert rref(rows, field) == rref_oracle(rows, field)
+        assert matrix_rank(rows, field) == len(rref_oracle(rows, field)[1])
+        n = len(rows[0]) if rows else 3
+        assert_nullspace(rows, field, n)
+
+
+@pytest.mark.parametrize("pm", SMALL, ids=_ids(SMALL))
+def test_dual_matches_oracle(pm):
+    field = make_field(*pm)
+    rng = random.Random(100 + field.q)
+    for _ in range(8):
+        n = rng.randrange(1, 9)
+        rows = deficient_matrix(field, rng.randrange(1, 6), n, rng.randrange(0, n + 1), rng)
+        code = from_rows(field, rows)
+        assert list(code.generator) == rref_oracle(rows, field)[0]
+        d = dual(code)
+        assert code.k + d.k == n
+        assert all(dot(g, h, field).is_zero() for g in code.generator for h in d.generator)
+        assert list(d.generator) == rref_oracle(d.generator, field)[0]
+        assert dual(d) == code
+
+
+def _matrices(draw_field):
+    @st.composite
+    def strategy(draw):
+        field = draw_field
+        nrows = draw(st.integers(0, 6))
+        ncols = draw(st.integers(1, 8))
+        entry = st.integers(0, field.q - 1) | st.sampled_from([0, 1])
+        rows = [[field.elements[draw(entry)] for _ in range(ncols)] for _ in range(nrows)]
+        return rows, ncols
+
+    return strategy()
+
+
+@pytest.mark.parametrize("pm", WIDE, ids=_ids(WIDE))
+def test_rref_matches_oracle_hypothesis(pm):
+    field = make_field(*pm)
+
+    @settings(
+        max_examples=40,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_matrices(field))
+    def check(case):
+        rows, ncols = case
+        assert rref(rows, field) == rref_oracle(rows, field)
+        assert_nullspace(rows, field, ncols)
+
+    check()
+
+
+# -- hull through the Gram matrix -----------------------------------------------
+
+
+def _self_orthogonal_rows(field):
+    """Rows of a self-orthogonal code over GF(2), GF(3), GF(4), GF(5) or GF(9)."""
+    if field.q == 2:
+        return [[1, 1, 1, 1, 0, 0], [0, 0, 1, 1, 1, 1]]
+    if field.q == 3:
+        return [[1, 1, 1, 0], [0, 1, 2, 1]]  # the tetracode, self-dual
+    if field.q == 5:
+        return [[1, 2, 0, 0], [0, 0, 1, 3]]
+    # GF(4): 1 + w^2 + w^4 = 0; GF(9): 1 + i^2 = 0 for i = g^2
+    w = field.generator() if field.p == 2 else field.generator() ** 2
+    return [[field.one, w, w * w, field.zero]] if field.p == 2 else [[field.one, w, field.zero]]
+
+
+@pytest.mark.parametrize("pm", HULL, ids=_ids(HULL))
+def test_hull_is_intersection_with_dual(pm):
+    field = make_field(*pm)
+    rng = random.Random(7 * field.q)
+    codes = [from_rows(field, _self_orthogonal_rows(field))]
+    codes.append(from_rows(field, [[field.one if i == j else field.zero for j in range(4)] for i in range(2)]))
+    for _ in range(25):
+        n = rng.randrange(1, 8)
+        codes.append(from_rows(field, random_matrix(field, rng.randrange(1, n + 1), n, rng)))
+    kinds = set()
+    for code in codes:
+        h = hull(code)
+        assert h == intersect(code, dual(code))
+        assert hull_dim(code) == h.k
+        gram = [[dot(u, v, field) for v in code.generator] for u in code.generator]
+        assert h.k == code.k - len(rref_oracle(gram, field)[0])
+        assert is_lcd(code) == (h.k == 0)
+        assert hull(h) == h  # a hull is self-orthogonal
+        kinds.add("lcd" if h.k == 0 else "self-orthogonal" if h == code else "other")
+    assert {"lcd", "self-orthogonal"} <= kinds
+
+
+def test_hull_of_zero_code():
+    field = make_field(3, 2)
+    zero = LinearCode(field, 4, ())
+    assert hull(zero) == zero and hull_dim(zero) == 0
+
+
+# -- scalar restriction ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("pm", WITH_SUBFIELDS, ids=_ids(WITH_SUBFIELDS))
+def test_restriction_is_set_intersection(pm):
+    field = make_field(*pm)
+    rng = random.Random(field.q)
+    for s in [d for d in range(1, field.m) if field.m % d == 0]:
+        sub, _, project = subfield(field, s)
+        for _ in range(4):
+            n = rng.randrange(1, 4)
+            code = from_rows(field, random_matrix(field, rng.randrange(1, min(n, 2) + 1), n, rng))
+            r = restrict_to_subfield(code, s)
+            assert r.base is sub
+            inside = {
+                tuple(project[x].index for x in w)
+                for w in code.codewords()
+                if all(x in project for x in w)
+            }
+            assert {tuple(x.index for x in w) for w in r.codewords()} == inside
+            if s == 1:
+                assert restrict_to_prime_subfield(code) == r
+
+
+# -- invariants under python -O -------------------------------------------------
+
+
+def test_construction_invariants_raise_under_optimize():
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = textwrap.dedent(
+        """
+        assert False, "this line must vanish under -O"
+        import walshcodes.constructions as cs
+        from walshcodes.algebra import make_field
+        from walshcodes.errors import InvariantViolated
+
+        field = make_field(2, 4)
+        ds = cs.defining_set(field, [field.from_index(i) for i in (3, 5, 7, 9, 11)])
+        good = field.frobenius
+
+        def corrupted(a, t=1):
+            # the first element of every non-identity Frobenius row becomes 0
+            return field.zero if t and a is ds.elements[0] else good(a, t)
+
+        field.frobenius = corrupted
+        try:
+            cs.dual_second_closed_form(ds)
+        except InvariantViolated as ex:
+            print("frobenius:", ex)
+        del field.frobenius
+
+        other = make_field(3, 4)
+        other.power_basis = lambda: [other.one] * other.m
+        try:
+            cs._relative_coords(other, 2)
+        except InvariantViolated as ex:
+            print("basis:", ex)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["frobenius", "basis"], proc.stdout
