@@ -1,7 +1,8 @@
 """Exact-arithmetic linear codes from p-ary functions and defining sets.
 
-Everything numerical here is exact: finite-field elements are
-coefficient vectors over F_p, Walsh coefficients and character values
+Everything numerical here is exact: finite-field elements are canonical
+indices with one table-driven arithmetic (their coefficient vectors over
+F_p are a view), Walsh coefficients and character values
 live in Z[zeta_p], and every identity is checked as an equality of
 canonical forms with zero tolerance.
 """

@@ -1,10 +1,13 @@
 """Exact arithmetic for F_{p^m} and for the cyclotomic ring Z[zeta_p].
 
-Field elements are coefficient vectors over F_p with respect to the power
-basis of a monic irreducible modulus; all p^m elements are interned at
-construction in canonical order (index = sum c_i p^i, so the zero element
-comes first and the constant coefficient is least significant).  Every
-code construction in this package indexes coordinates by that order.
+A field element is its canonical index: the coefficient vector over F_p
+with respect to the power basis of a monic irreducible modulus, read as
+index = sum c_i p^i, so the zero element comes first and the constant
+coefficient is least significant.  All p^m elements are interned at
+construction in that order, and every code construction in this package
+indexes coordinates by it.  Arithmetic is :class:`IndexArith` on indices,
+one instance per field, shared by the element operators and the
+elimination kernel in :mod:`codes`.
 
 Cyclotomic integers carry Walsh coefficients, Gauss sums and character
 values exactly; complex floats are a display-only view.
@@ -12,6 +15,7 @@ values exactly; complex floats are a display-only view.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -68,6 +72,16 @@ def _poly_mod(num, den, p):
     return _poly_trim(num)
 
 
+def _poly_mul(a, b, p):
+    """Product of two polynomials over F_p, unreduced."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _poly_trim([c % p for c in out])
+
+
 def _poly_is_divisible(num, den, p) -> bool:
     return len(_poly_mod(num, den, p)) == 0
 
@@ -108,7 +122,9 @@ def _digits(n: int, p: int, width: int) -> tuple[int, ...]:
 
 
 class FieldElement:
-    """Element of F_{p^m}, coefficients w.r.t. the power basis of the modulus."""
+    """Element of F_{p^m}: its canonical index, with the coefficient vector
+    over the power basis of the modulus as a read-only view.  Arithmetic goes
+    through the field's :class:`IndexArith` on indices."""
 
     __slots__ = ("field", "coeffs", "index")
 
@@ -133,45 +149,31 @@ class FieldElement:
 
     def __add__(self, other):
         f = self.field
-        a, b = self.coeffs, self._co(other)
-        return f._by_coeffs[tuple((x + y) % f.p for x, y in zip(a, b))]
+        return f.elements[f.arith.add(self.index, f.index_of(other))]
 
     def __sub__(self, other):
         f = self.field
-        a, b = self.coeffs, self._co(other)
-        return f._by_coeffs[tuple((x - y) % f.p for x, y in zip(a, b))]
+        ar = f.arith
+        return f.elements[ar.add(self.index, ar.neg(f.index_of(other)))]
 
     def __neg__(self):
         f = self.field
-        return f._by_coeffs[tuple((-x) % f.p for x in self.coeffs)]
+        return f.elements[f.arith.neg(self.index)]
 
     def __mul__(self, other):
         f = self.field
-        if isinstance(other, int):
-            other = other % f.p
-            return f._by_coeffs[tuple((x * other) % f.p for x in self.coeffs)]
-        return f._mul_elem(self, other)
+        return f.elements[f.arith.mul(self.index, f.index_of(other))]
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * self.field._inverse(self._as_elem(other))
+        f = self.field
+        ar = f.arith
+        return f.elements[ar.mul(self.index, ar.inv(f.index_of(other)))]
 
     def __pow__(self, e: int):
         return self.field._pow(self, e)
-
-    def _co(self, other):
-        return self._as_elem(other).coeffs
-
-    def _as_elem(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise ValueError("elements from different fields")
-            return other
-        if isinstance(other, int):
-            return self.field.scalar(other)
-        raise TypeError(f"cannot coerce {other!r} into field element")
 
     def is_zero(self) -> bool:
         return self.index == 0
@@ -201,44 +203,16 @@ class Field:
         self.m = m
         self.q = p ** m
         self.modulus = modulus
-        self._build_elements()
+        self.elements: list[FieldElement] = [
+            FieldElement(self, _digits(idx, p, m), idx) for idx in range(self.q)
+        ]
+        self.zero = self.elements[0]
+        self.one = self.elements[1]
         self._trace_ints: list[int] | None = None
         self._trace_dual: list[int] | None = None
         self._generator: FieldElement | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._zech: list[int] | None = None
-
-    # -- construction ------------------------------------------------------
-
-    def _build_elements(self):
-        p, m = self.p, self.m
-        # reduction of x^k for k in [m, 2m-2]
-        red = []
-        cur = tuple((-c) % p for c in self.modulus[:m])  # x^m
-        for _ in range(m, 2 * m - 1):
-            red.append(cur)
-            nxt = [0] * m
-            for i, c in enumerate(cur):
-                if c == 0:
-                    continue
-                if i + 1 < m:
-                    nxt[i + 1] = (nxt[i + 1] + c) % p
-                else:
-                    hi = red[0]
-                    for j in range(m):
-                        nxt[j] = (nxt[j] + c * hi[j]) % p
-            cur = tuple(nxt)
-        self._reduction = red
-        self.elements: list[FieldElement] = []
-        self._by_coeffs: dict[tuple[int, ...], FieldElement] = {}
-        for idx in range(self.q):
-            coeffs = _digits(idx, p, m)
-            e = FieldElement(self, coeffs, idx)
-            self.elements.append(e)
-            self._by_coeffs[coeffs] = e
-        self.zero = self.elements[0]
-        self.one = self.elements[1]
 
     def __repr__(self):
         return f"Field(p={self.p}, m={self.m}, modulus={list(self.modulus)})"
@@ -259,8 +233,10 @@ class Field:
             if any(v[self.m:]):
                 raise ValueError("coefficient vector longer than the degree")
             v = v[: self.m]
-        v += [0] * (self.m - len(v))
-        return self._by_coeffs[tuple(v)]
+        idx = 0
+        for c in reversed(v):
+            idx = idx * self.p + c
+        return self.elements[idx]
 
     def from_index(self, idx: int) -> FieldElement:
         return self.elements[idx]
@@ -269,49 +245,55 @@ class Field:
         """Embed an integer as an element of the prime subfield."""
         return self.elements[c % self.p]
 
+    def index_of(self, x: FieldElement | int) -> int:
+        """Canonical index of an element of this field; an int is a
+        prime-field scalar, whose index is its value mod p."""
+        if isinstance(x, FieldElement):
+            if x.field is not self:
+                raise ValueError("elements from different fields")
+            return x.index
+        if isinstance(x, int):
+            return x % self.p
+        raise TypeError(f"cannot coerce {x!r} into field element")
+
     def power_basis(self) -> list[FieldElement]:
         """1, x, ..., x^(m-1): the F_p-basis every coordinate map uses."""
         return [self.elements[self.p ** i] for i in range(self.m)]
 
-    # -- arithmetic kernels ---------------------------------------------------
+    # -- arithmetic tables ----------------------------------------------------
 
-    def _mul_elem(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        p, m = self.p, self.m
-        ac, bc = a.coeffs, b.coeffs
-        conv = [0] * (2 * m - 1)
-        for i, x in enumerate(ac):
-            if x == 0:
-                continue
-            for j, y in enumerate(bc):
-                conv[i + j] += x * y
-        out = [c % p for c in conv[:m]]
-        for k in range(m, 2 * m - 1):
-            c = conv[k] % p
-            if c == 0:
-                continue
-            row = self._reduction[k - m]
-            for j in range(m):
-                out[j] = (out[j] + c * row[j]) % p
-        return self._by_coeffs[tuple(out)]
+    @cached_property
+    def arith(self) -> "IndexArith":
+        """The field's arithmetic on canonical indices, built on first use."""
+        return IndexArith(self)
 
     def _linear_indices(self, images: Sequence[FieldElement]) -> list[int]:
         """Index of L(e) for every element e, for the F_p-linear map L with
-        L(x^j) = images[j]; built digit by digit in q additions."""
-        out = [self.zero]
+        L(x^j) = images[j]; built digit by digit in q additions of coefficient
+        vectors, so that it needs none of the tables it helps to build."""
+        p, elements = self.p, self.elements
+        out = [0]
         for img in images:
             size = len(out)
-            step = self.zero
-            for _ in range(1, self.p):
-                step = step + img
-                out.extend(v + step for v in out[:size])
-        return [v.index for v in out]
+            step = [0] * self.m
+            for _ in range(1, p):
+                step = [(s + y) % p for s, y in zip(step, img.coeffs)]
+                moves = [(i, y, p ** i) for i, y in enumerate(step) if y]
+                for v in out[:size]:
+                    co = elements[v].coeffs
+                    u = v + sum(((co[i] + y) % p - co[i]) * w for i, y, w in moves)
+                    out.append(elements[u].index)  # one int object, shared with the element
+        return out
 
     def _pow_tables(self) -> tuple[list[int], list[int]]:
         """exp[k] = index of g^k for k < q - 1 and log[index of g^k] = k, for
-        the generator g, walked through the F_p-linear map x -> g*x."""
+        the generator g, walked through the F_p-linear map x -> g*x, whose
+        basis images x^j * g are reduced by the modulus."""
         if self._exp is None:
-            g = self.generator()
-            times_g = self._linear_indices([self._mul_elem(b, g) for b in self.power_basis()])
+            g = self.generator().coeffs
+            times_g = self._linear_indices(
+                [self.element(_poly_mod((0,) * j + g, self.modulus, self.p)) for j in range(self.m)]
+            )
             exp = [0] * (self.q - 1)
             log = [0] * self.q
             cur = 1
@@ -322,20 +304,6 @@ class Field:
             self._exp, self._log = exp, log
         return self._exp, self._log
 
-    def _zech_table(self) -> list[int]:
-        """Zech logarithms: zech[k] = log(1 + g^k) for k < q - 1, and -1 where
-        1 + g^k = 0.  Then a + b = a * (1 + b/a) has log(a + b) =
-        log(a) + zech[log(b) - log(a)] (Huber, IEEE TIT 1990)."""
-        if self._zech is None:
-            exp, log = self._pow_tables()
-            p = self.p
-            zech = []
-            for e in exp:
-                one_plus = e - e % p + (e + 1) % p  # add 1 to the constant digit
-                zech.append(log[one_plus] if one_plus else -1)
-            self._zech = zech
-        return self._zech
-
     def _pow(self, a: FieldElement, e: int) -> FieldElement:
         if a.index == 0:
             if e < 0:
@@ -344,11 +312,6 @@ class Field:
         exp, log = self._pow_tables()
         return self.elements[exp[log[a.index] * e % (self.q - 1)]]
 
-    def _inverse(self, a: FieldElement) -> FieldElement:
-        if a.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        return self._pow(a, -1)
-
     def frobenius(self, a: FieldElement, t: int = 1) -> FieldElement:
         return self._pow(a, self.p ** (t % self.m))
 
@@ -356,22 +319,24 @@ class Field:
         """Multiplicative generator of smallest canonical index (cached).
 
         A candidate a generates F_q^* exactly when a^((q-1)/r) != 1 for every
-        prime r dividing q - 1.  These powers are taken by square-and-multiply,
-        since the exp/log tables behind :meth:`_pow` need the generator."""
+        prime r dividing q - 1.  These powers are taken by square-and-multiply
+        on coefficient vectors, since the tables behind :meth:`_pow` and
+        :attr:`arith` need the generator."""
+        p, modulus = self.p, self.modulus
 
         def power_is_one(a, e):
-            result = self.one
+            result = (1,)
             while e:
                 if e & 1:
-                    result = self._mul_elem(result, a)
-                a = self._mul_elem(a, a)
+                    result = _poly_mod(_poly_mul(result, a, p), modulus, p)
+                a = _poly_mod(_poly_mul(a, a, p), modulus, p)
                 e >>= 1
-            return result == self.one
+            return result == (1,)
 
         if self._generator is None:
             cofactors = [(self.q - 1) // r for r in _prime_factors(self.q - 1)]
             for a in self.elements[1:]:
-                if not any(power_is_one(a, c) for c in cofactors):
+                if not any(power_is_one(a.coeffs, c) for c in cofactors):
                     self._generator = a
                     break
         return self._generator
@@ -396,7 +361,7 @@ class Field:
         basis; b -> v_b is F_p-linear and bijective."""
         if self._trace_dual is None:
             basis = self.power_basis()
-            gram = [[self.trace_int(self._mul_elem(ei, ej)) for ei in basis] for ej in basis]
+            gram = [[self.trace_int(ei * ej) for ei in basis] for ej in basis]
             self._trace_dual = self._linear_indices([self.element(col) for col in gram])
         return self._trace_dual
 
@@ -405,6 +370,110 @@ class Field:
         avoids a field multiplication in transform-heavy loops."""
         vb = self.elements[self.trace_dual_indices()[b.index]].coeffs
         return sum(x * y for x, y in zip(a.coeffs, vb)) % self.p
+
+
+class IndexArith:
+    """Arithmetic of one field on canonical indices; :attr:`Field.arith`
+    holds the one instance of each field.
+
+    Over F_p the index is the value and the arithmetic is mod p.  Over
+    F_{p^m} products and inverses read the field's exp/log tables; sums are
+    the XOR of indices when p = 2 and go through Zech logarithms when p is
+    odd: zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0, so that a + b =
+    a * (1 + b/a) has log(a + b) = log(a) + zech[log(b) - log(a)] (Huber,
+    IEEE TIT 1990).  Every table has O(q) entries.
+
+    A row operation first turns the pivot row into a ``prepared`` list of
+    (column, value) pairs of its nonzero entries, the value being a log
+    over F_{p^m}, so that each row it updates costs one pass over them."""
+
+    __slots__ = ("p", "prime", "even", "n1", "exp", "log", "zech")
+
+    def __init__(self, field: Field):
+        self.p = field.p
+        self.prime = field.m == 1
+        self.even = field.p == 2
+        self.n1 = field.q - 1
+        if not self.prime:
+            self.exp, self.log = exp, log = field._pow_tables()
+            if not self.even:
+                p = field.p
+                self.zech = zech = []
+                for e in exp:
+                    one_plus = e - e % p + (e + 1) % p  # add 1 to the constant digit
+                    zech.append(log[one_plus] if one_plus else -1)
+
+    def add(self, a: int, b: int) -> int:
+        if self.prime:
+            return (a + b) % self.p
+        if self.even:
+            return a ^ b
+        if not a or not b:
+            return a or b
+        log = self.log
+        la = log[a]
+        z = self.zech[(log[b] - la) % self.n1]
+        return self.exp[(la + z) % self.n1] if z >= 0 else 0
+
+    def mul(self, a: int, b: int) -> int:
+        if self.prime:
+            return a * b % self.p
+        if not a or not b:
+            return 0
+        log = self.log
+        return self.exp[(log[a] + log[b]) % self.n1]
+
+    def neg(self, a: int) -> int:
+        if self.prime:
+            return -a % self.p
+        if self.even or not a:
+            return a
+        return self.exp[(self.log[a] + self.n1 // 2) % self.n1]  # -1 = g^((q-1)/2)
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inverse of zero field element")
+        if self.prime:
+            return pow(a, -1, self.p)
+        return self.exp[-self.log[a] % self.n1]
+
+    def scale(self, row: list[int], a: int) -> list[int]:
+        if self.prime:
+            p = self.p
+            return [x * a % p for x in row]
+        exp, log, n1 = self.exp, self.log, self.n1
+        la = log[a]
+        return [exp[(la + log[x]) % n1] if x else 0 for x in row]
+
+    def prepare(self, row: Sequence[int]) -> list[tuple[int, int]]:
+        if self.prime:
+            return [(j, x) for j, x in enumerate(row) if x]
+        log = self.log
+        return [(j, log[x]) for j, x in enumerate(row) if x]
+
+    def axpy(self, row: list[int], f: int, prepared: list[tuple[int, int]]) -> None:
+        """row += f * (the prepared row), in place; f != 0."""
+        if self.prime:
+            p = self.p
+            for j, y in prepared:
+                row[j] = (row[j] + f * y) % p
+            return
+        exp, log, n1 = self.exp, self.log, self.n1
+        lf = log[f]
+        if self.even:
+            for j, ly in prepared:
+                row[j] ^= exp[(lf + ly) % n1]
+            return
+        zech = self.zech
+        for j, ly in prepared:
+            lc = (lf + ly) % n1
+            x = row[j]
+            if x:
+                lx = log[x]
+                z = zech[(lc - lx) % n1]
+                row[j] = exp[(lx + z) % n1] if z >= 0 else 0
+            else:
+                row[j] = exp[lc]
 
 
 def make_field(p: int, m: int, modulus: Sequence[int] | None = None) -> Field:
@@ -526,7 +595,7 @@ def subfield(ctx: Field, s: int) -> tuple[Field, dict, dict]:
         for c in sub.modulus:
             if c:
                 acc = acc + power * c
-            power = ctx._mul_elem(power, cand)
+            power = power * cand
         if acc.is_zero():
             root = cand
             break
@@ -538,7 +607,7 @@ def subfield(ctx: Field, s: int) -> tuple[Field, dict, dict]:
         for c in e.coeffs:
             if c:
                 img = img + power * c
-            power = ctx._mul_elem(power, root)
+            power = power * root
         embed[e] = img
     project = {img: e for e, img in embed.items()}
     assert len(project) == sub.q, "subfield embedding must be injective"

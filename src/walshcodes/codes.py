@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import Field, FieldElement, make_field, subfield
+from .algebra import Field, FieldElement, IndexArith, make_field, subfield
 from .errors import EmptyLength, NotASubfield, RaggedRows, TooLarge, ZeroCode
 
 DEFAULT_GUARD = 2 ** 22
@@ -29,98 +29,18 @@ def enumeration_guard(override: int | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the elimination kernel, on canonical element indices
+# elimination on canonical element indices
 # ---------------------------------------------------------------------------
 #
 # Matrices are lists of index lists: FieldElement rows become indices once on
-# entry (_indices) and FieldElement tuples once on exit (_elements).  Over
-# F_p the index is the value.  Over F_{p^m} products and inverses read the
-# field's exp/log tables; sums are the XOR of indices when p = 2 and go
-# through the field's Zech logarithms when p is odd.  Every table has O(q)
-# entries.
-
-
-class _Arith:
-    """Arithmetic of one field on canonical indices.
-
-    A row operation first turns the pivot row into a ``prepared`` list of
-    (column, value) pairs of its nonzero entries, the value being a log
-    over F_{p^m}, so that each row it updates costs one pass over them."""
-
-    __slots__ = ("p", "prime", "even", "n1", "exp", "log", "zech")
-
-    def __init__(self, field: Field):
-        self.p = field.p
-        self.prime = field.m == 1
-        self.even = field.p == 2
-        self.n1 = field.q - 1
-        if not self.prime:
-            self.exp, self.log = field._pow_tables()
-            self.zech = None if self.even else field._zech_table()
-
-    def neg(self, a: int) -> int:
-        if self.prime:
-            return -a % self.p
-        if self.even or not a:
-            return a
-        return self.exp[(self.log[a] + self.n1 // 2) % self.n1]  # -1 = g^((q-1)/2)
-
-    def inv(self, a: int) -> int:
-        if self.prime:
-            return pow(a, -1, self.p)
-        return self.exp[-self.log[a] % self.n1]
-
-    def scale(self, row: list[int], a: int) -> list[int]:
-        if self.prime:
-            p = self.p
-            return [x * a % p for x in row]
-        exp, log, n1 = self.exp, self.log, self.n1
-        la = log[a]
-        return [exp[(la + log[x]) % n1] if x else 0 for x in row]
-
-    def prepare(self, row: Sequence[int]) -> list[tuple[int, int]]:
-        if self.prime:
-            return [(j, x) for j, x in enumerate(row) if x]
-        log = self.log
-        return [(j, log[x]) for j, x in enumerate(row) if x]
-
-    def axpy(self, row: list[int], f: int, prepared: list[tuple[int, int]]) -> None:
-        """row += f * (the prepared row), in place; f != 0."""
-        if self.prime:
-            p = self.p
-            for j, y in prepared:
-                row[j] = (row[j] + f * y) % p
-            return
-        exp, log, n1 = self.exp, self.log, self.n1
-        lf = log[f]
-        if self.even:
-            for j, ly in prepared:
-                row[j] ^= exp[(lf + ly) % n1]
-            return
-        zech = self.zech
-        for j, ly in prepared:
-            lc = (lf + ly) % n1
-            x = row[j]
-            if x:
-                lx = log[x]
-                z = zech[(lc - lx) % n1]
-                row[j] = exp[(lx + z) % n1] if z >= 0 else 0
-            else:
-                row[j] = exp[lc]
+# entry (_indices) and FieldElement tuples once on exit (_elements); the
+# arithmetic in between is the field's IndexArith (Field.arith).
 
 
 def _indices(rows: Iterable[Sequence[FieldElement | int]], field: Field) -> list[list[int]]:
     """Index lists of FieldElement rows; ints are prime-field scalars."""
-    return [
-        [x.index if type(x) is FieldElement and x.field is field else _index(x, field) for x in row]
-        for row in rows
-    ]
-
-
-def _index(x: FieldElement | int, field: Field) -> int:
-    if isinstance(x, FieldElement):
-        raise ValueError("elements from different fields")
-    return x % field.p
+    index_of = field.index_of
+    return [[index_of(x) for x in row] for row in rows]
 
 
 def _elements(rows: Iterable[Sequence[int]], field: Field) -> list[tuple[FieldElement, ...]]:
@@ -128,7 +48,7 @@ def _elements(rows: Iterable[Sequence[int]], field: Field) -> list[tuple[FieldEl
     return [tuple(map(elements.__getitem__, row)) for row in rows]
 
 
-def _rref(mat: list[list[int]], ar: _Arith) -> tuple[list[list[int]], list[int]]:
+def _rref(mat: list[list[int]], ar: IndexArith) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form of an index matrix, in place; returns
     (the nonzero rows, pivot columns)."""
     nrows = len(mat)
@@ -154,7 +74,7 @@ def _rref(mat: list[list[int]], ar: _Arith) -> tuple[list[list[int]], list[int]]
     return mat[:r], pivots
 
 
-def _nullspace(mat: list[list[int]], ar: _Arith, n: int) -> list[list[int]]:
+def _nullspace(mat: list[list[int]], ar: IndexArith, n: int) -> list[list[int]]:
     """Basis of {v : mat @ v = 0}, one vector per free column."""
     red, pivots = _rref(mat, ar)
     pivot_set = set(pivots)
@@ -170,24 +90,24 @@ def _nullspace(mat: list[list[int]], ar: _Arith, n: int) -> list[list[int]]:
     return basis
 
 
-def _dual(mat: list[list[int]], ar: _Arith, n: int) -> list[list[int]]:
+def _dual(mat: list[list[int]], ar: IndexArith, n: int) -> list[list[int]]:
     """RREF generator of the dual of the row space of mat, in F^n."""
     return _rref(_nullspace(mat, ar, n), ar)[0]
 
 
 def rref(rows: Sequence[Sequence[FieldElement]], field: Field):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
-    red, pivots = _rref(_indices(rows, field), _Arith(field))
+    red, pivots = _rref(_indices(rows, field), field.arith)
     return _elements(red, field), pivots
 
 
 def nullspace(rows: Sequence[Sequence[FieldElement]], field: Field, n: int):
     """Basis of {v : rows @ v = 0} in F^n, one vector per free column."""
-    return _elements(_nullspace(_indices(rows, field), _Arith(field), n), field)
+    return _elements(_nullspace(_indices(rows, field), field.arith, n), field)
 
 
 def matrix_rank(rows: Sequence[Sequence[FieldElement]], field: Field) -> int:
-    return len(_rref(_indices(rows, field), _Arith(field))[0])
+    return len(_rref(_indices(rows, field), field.arith)[0])
 
 
 class LinearCode:
@@ -247,7 +167,7 @@ class LinearCode:
         if len(word) != self.n:
             return False
         mat = _indices(self.generator + (tuple(word),), self.base)
-        return len(_rref(mat, _Arith(self.base))[0]) == self.k
+        return len(_rref(mat, self.base.arith)[0]) == self.k
 
 
 def from_rows(
@@ -268,7 +188,7 @@ def from_rows(
         n = length
     if n is None or n <= 0:
         raise EmptyLength("a code needs positive length")
-    red, _ = _rref(mat, _Arith(base))
+    red, _ = _rref(mat, base.arith)
     return LinearCode(base, n, _elements(red, base), provenance)
 
 
@@ -288,13 +208,13 @@ def full_code(base: Field, n: int) -> LinearCode:
 def dual(code: LinearCode) -> LinearCode:
     """Nullspace of the generator as an [n, n-k] code."""
     base = code.base
-    red = _dual(_indices(code.generator, base), _Arith(base), code.n)
+    red = _dual(_indices(code.generator, base), base.arith, code.n)
     return LinearCode(base, code.n, _elements(red, base), provenance="dual")
 
 
 def sum_code(a: LinearCode, b: LinearCode) -> LinearCode:
     _check_same_space(a, b)
-    red, _ = _rref(_indices(a.generator + b.generator, a.base), _Arith(a.base))
+    red, _ = _rref(_indices(a.generator + b.generator, a.base), a.base.arith)
     return LinearCode(a.base, a.n, _elements(red, a.base))
 
 
@@ -302,12 +222,12 @@ def intersect(a: LinearCode, b: LinearCode) -> LinearCode:
     """A cap B = (A^perp + B^perp)^perp."""
     _check_same_space(a, b)
     base, n = a.base, a.n
-    ar = _Arith(base)
+    ar = base.arith
     perps = _dual(_indices(a.generator, base), ar, n) + _dual(_indices(b.generator, base), ar, n)
     return LinearCode(base, n, _elements(_dual(perps, ar, n), base), provenance="dual")
 
 
-def _gram(code: LinearCode, ar: _Arith) -> tuple[list[list[int]], list[list[int]]]:
+def _gram(code: LinearCode, ar: IndexArith) -> tuple[list[list[int]], list[list[int]]]:
     """The generator G as index rows and the k x k matrix G G^T, whose row a
     is the sum over columns j of G[a][j] times column j."""
     g = _indices(code.generator, code.base)
@@ -326,7 +246,7 @@ def hull(code: LinearCode) -> LinearCode:
     """C cap C^perp = {x G : G G^T x^T = 0}, since the rows of G are
     independent: the kernel of the k x k Gram matrix mapped through G."""
     base = code.base
-    ar = _Arith(base)
+    ar = base.arith
     g, gram = _gram(code, ar)
     rows = [ar.prepare(row) for row in g]
     words = []
@@ -342,7 +262,7 @@ def hull(code: LinearCode) -> LinearCode:
 
 def hull_dim(code: LinearCode) -> int:
     """k - rank(G G^T); zero exactly for LCD codes (Massey 1992)."""
-    ar = _Arith(code.base)
+    ar = code.base.arith
     _, gram = _gram(code, ar)
     return code.k - len(_rref(gram, ar)[0])
 
@@ -474,13 +394,13 @@ def restrict_to_subfield(code: LinearCode, s: int) -> LinearCode:
     sub, embed, _ = subfield(big, s)
     theta = [embed[b].index for b in sub.power_basis()]
     p, n = big.p, code.n
-    ar = _Arith(big)
+    ar = big.arith
     expanded = []
     for row in _dual(_indices(code.generator, big), ar, n):
         # h_i * theta^t at column i*s + t; constraint tau reads coefficient tau
         prods = [x for hs in zip(*(ar.scale(row, t) for t in theta)) for x in hs]
         expanded.extend(map(list, zip(*(big.elements[x].coeffs for x in prods))))
-    solution = _nullspace(expanded, _Arith(make_field(p, 1)), n * s)
+    solution = _nullspace(expanded, make_field(p, 1).arith, n * s)
     # c_i as a subfield element has the index sum_t c_it p^t, by Horner
     words = []
     for v in solution:
@@ -488,7 +408,7 @@ def restrict_to_subfield(code: LinearCode, s: int) -> LinearCode:
         for t in range(s - 2, -1, -1):
             word = [w * p + c for w, c in zip(word, v[t::s])]
         words.append(word)
-    red, _ = _rref(words, _Arith(sub))
+    red, _ = _rref(words, sub.arith)
     tag = "prime-restriction" if s == 1 else "subfield-restriction"
     return LinearCode(sub, n, _elements(red, sub), provenance=tag)
 

@@ -14,6 +14,7 @@ codewords always pass, while unrelated words may or may not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from .algebra import (
@@ -24,7 +25,7 @@ from .algebra import (
     legendre,
     subfield,
 )
-from .codes import LinearCode, dual, from_rows, min_distance, weight_distribution
+from .codes import WeightDistribution, from_rows, weight_distribution
 from .constructions import (
     DefiningSet,
     first_codeword,
@@ -39,12 +40,14 @@ from .errors import (
     AlphaOutsidePrimeField,
     EvenCharacteristicOnly,
     HypothesisFailed,
+    InvariantViolated,
     NonIntegerSum,
     NotBent,
     NotInDual,
     NotPN,
     OddCharacteristic,
     WrongCodomain,
+    ZeroCode,
 )
 from .functions import (
     BentClass,
@@ -546,75 +549,57 @@ def weight_from_walsh_even(
 # APN / AB / PN diagnostics
 # ---------------------------------------------------------------------------
 
-def _binary_dual_distance(code: LinearCode, guard: int | None = None) -> int:
-    """Dual distance of a binary code: the least number of generator
-    columns XOR-ing to zero.  Searched directly up to 5 (the range the
-    diagnostics assert), with plain dual enumeration as the fallback."""
-    cols = []
-    for j in range(code.n):
-        v = 0
-        for i, row in enumerate(code.generator):
-            if not row[j].is_zero():
-                v |= 1 << i
-        cols.append(v)
-    n = len(cols)
-    if any(v == 0 for v in cols):
-        return 1
-    if len(set(cols)) < n:
-        return 2
-    colset = {}
-    for i, v in enumerate(cols):
-        colset.setdefault(v, []).append(i)
-    pair_xor: dict[int, list[tuple[int, int]]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = cols[i] ^ cols[j]
-            if x in colset and any(k not in (i, j) for k in colset[x]):
-                return 3
-            pair_xor.setdefault(x, []).append((i, j))
-    for x, pairs in pair_xor.items():
-        for a in range(len(pairs)):
-            for b in range(a + 1, len(pairs)):
-                if not set(pairs[a]) & set(pairs[b]):
-                    return 4
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                x = cols[i] ^ cols[j] ^ cols[k]
-                for pair in pair_xor.get(x, ()):
-                    if not set(pair) & {i, j, k}:
-                        return 5
-    return min_distance(dual(code), guard)
+def _dual_distance(dist: WeightDistribution, q: int) -> int:
+    """Least nonzero weight of the dual code, by the MacWilliams identity
+    B_j = (1/|C|) sum_w A_w K_j(w) with the Krawtchouk values
+    K_j(w) = sum_i (-1)^i (q-1)^(j-i) C(w, i) C(n-w, j-i), in integers."""
+    n = dist.n
+    for j in range(1, n + 1):
+        total = sum(
+            a * sum((-1) ** i * (q - 1) ** (j - i) * comb(w, i) * comb(n - w, j - i)
+                    for i in range(j + 1))
+            for w, a in dist.counts.items()
+        )
+        b, r = divmod(total, dist.size)
+        if r or b < 0:
+            raise InvariantViolated(f"MacWilliams gives B_{j} = {total}/{dist.size}, not a count")
+        if b:
+            return j
+    raise ZeroCode("minimum distance of the zero code is undefined")
 
 
 def apn_ab_dual_diagnostics(f: ParyFunction, guard: int | None = None) -> dict:
     """Dual-distance and characteristic-set diagnostics of the punctured
-    function code; in characteristic 2 the dual distance sits in [3, 5],
-    hitting 5 exactly for APN maps, and almost-bent maps show the
-    three-valued characteristic set."""
+    function code of a binary map with f(0) = 0.  A dual word of weight 3
+    or 4 is a zero sum of f over the points of a zero sum of 3 or 4 distinct
+    nonzero x, so the map is APN exactly when d_perp >= 5 (d_perp = 5 once
+    m >= 4); almost-bent maps show the three-valued characteristic set."""
     field = f.field
     if field.p != 2:
         raise OddCharacteristic("the diagnostics are stated for binary maps")
+    if not f(field.zero).is_zero():
+        raise HypothesisFailed("the diagnostics assume f(0) = 0")
     m = field.m
     code = first_generic(f, include_zero=False)
-    d_perp = _binary_dual_distance(code, guard)
+    dist = weight_distribution(code, guard)
+    d_perp = _dual_distance(dist, code.base.q)
     du = differential_uniformity(f)
-    is_apn = d_perp == 5
-    assert is_apn == (du == 2), "dual distance 5 must coincide with uniformity 2"
-    charset = weight_distribution(code, guard).nonzero_weights()
+    is_apn = d_perp >= 5
+    if is_apn != (du == 2):
+        raise InvariantViolated(f"d_perp = {d_perp} disagrees with differential uniformity {du}")
+    charset = dist.nonzero_weights()
     three_valued = {1 << (m - 1)}
     if m % 2 == 1:
         delta = 1 << ((m - 1) // 2)
         three_valued |= {(1 << (m - 1)) - delta, (1 << (m - 1)) + delta}
     is_ab = m % 2 == 1 and charset == three_valued
-    hypothesis_ok = code.k == 2 * m and 3 <= d_perp <= 5
     return {
         "d_perp": d_perp,
         "differential_uniformity": du,
         "is_apn": is_apn,
         "characteristic_set": charset,
         "is_ab": is_ab,
-        "hypothesis_ok": hypothesis_ok,
+        "hypothesis_ok": code.k == 2 * m,
     }
 
 

@@ -420,52 +420,26 @@ def suite_ding(seed: int = DEFAULT_SEED) -> dict:
 # necessary conditions and characters
 # ---------------------------------------------------------------------------
 
-def _first_nc_instance(f, label, variants, rng, instances):
+def _nc_instance(f, code, membership, tag, label, variants, rng, instances):
+    """Every dual word of the code passes each necessary-condition variant,
+    and a random non-member fails it within 3000 draws."""
     field = f.field
-    code = first_generic(f)
     dl = dual(code)
     prime = code.base
     words = [[c.as_prime_int() for c in w] for w in dl.codewords()]
     for variant in variants:
-        ok = all(dual_membership_first(f, w, variant).holds for w in words)
+        ok = all(membership(f, w, variant).holds for w in words)
         witness = False
         for _ in range(3000):
             w = [rng.randrange(field.p) for _ in range(code.n)]
             if dl.contains([prime.scalar(c) for c in w]):
                 continue
-            if not dual_membership_first(f, w, variant).holds:
+            if not membership(f, w, variant).holds:
                 witness = True
                 break
         instances.append(
             {
-                "instance": f"{label} first:{variant}",
-                "passed": ok and witness,
-                "dual_words": len(words),
-                "non_member_witness": witness,
-            }
-        )
-
-
-def _second_nc_instance(f, label, variants, rng, instances):
-    field = f.field
-    ds = make_image_set(f)
-    code = second_generic(ds)
-    dl = dual(code)
-    prime = code.base
-    words = [[c.as_prime_int() for c in w] for w in dl.codewords()]
-    for variant in variants:
-        ok = all(dual_membership_second(f, w, variant).holds for w in words)
-        witness = False
-        for _ in range(3000):
-            w = [rng.randrange(field.p) for _ in range(code.n)]
-            if dl.contains([prime.scalar(c) for c in w]):
-                continue
-            if not dual_membership_second(f, w, variant).holds:
-                witness = True
-                break
-        instances.append(
-            {
-                "instance": f"{label} second:{variant}",
+                "instance": f"{label} {tag}:{variant}",
                 "passed": ok and witness,
                 "dual_words": len(words),
                 "non_member_witness": witness,
@@ -518,9 +492,12 @@ def suite_nc_all(seed: int = DEFAULT_SEED) -> dict:
 
     generic_variants = [v for v in FIRST_VARIANTS if not v.endswith("scalar")]
     for e in (2, 6):
-        _first_nc_instance(_monomial(f9, e), f"x^{e}/GF(9)", generic_variants, rng, instances)
+        f = _monomial(f9, e)
+        _nc_instance(f, first_generic(f), dual_membership_first, "first", f"x^{e}/GF(9)",
+                     generic_variants, rng, instances)
     gold = parse_function(f16, "g*x^3")
-    _first_nc_instance(gold, "g*x^3/GF(16)", list(FIRST_VARIANTS), rng, instances)
+    _nc_instance(gold, first_generic(gold), dual_membership_first, "first", "g*x^3/GF(16)",
+                 list(FIRST_VARIANTS), rng, instances)
 
     # odd characteristic scalar hypotheses are unsatisfiable: homogeneous
     # maps have odd trace forms, whose real spectra cannot be bent
@@ -532,8 +509,12 @@ def suite_nc_all(seed: int = DEFAULT_SEED) -> dict:
         pass
     instances.append({"instance": "odd-p scalar variants are vacuous", "passed": vacuous})
 
-    _second_nc_instance(_monomial(f9, 2), "x^2/GF(9)", ["wrb-generic", "delta-value"], rng, instances)
-    _second_nc_instance(gold, "g*x^3/GF(16)", list(SECOND_VARIANTS), rng, instances)
+    for f, label, variants in (
+        (_monomial(f9, 2), "x^2/GF(9)", ["wrb-generic", "delta-value"]),
+        (gold, "g*x^3/GF(16)", list(SECOND_VARIANTS)),
+    ):
+        _nc_instance(f, second_generic(make_image_set(f)), dual_membership_second, "second", label,
+                     variants, rng, instances)
 
     _first_hull_instance(_monomial(f9, 2), "x^2/GF(9)", generic_variants, instances)
     _first_hull_instance(gold, "g*x^3/GF(16)", list(FIRST_VARIANTS), instances)

@@ -107,6 +107,15 @@ def test_verify_single_instance_apn(capsys):
     assert report["instances"][0]["d_perp"] == 5
 
 
+def test_verify_apn_small_field_and_nonzero_constant(capsys):
+    # x^3 over GF(8) is APN with a one-dimensional dual: d_perp = 7
+    assert run(["verify", "apn-ab", "--field", "p=2,m=3", "--fn", "x^3"]) == 0
+    inst = json.loads(capsys.readouterr().out)["instances"][0]
+    assert inst["d_perp"] == 7 and inst["is_apn"] is True
+    assert run(["verify", "apn-ab", "--field", "p=2,m=4", "--fn", "x^3+1"]) == 2
+    assert "f(0) = 0" in capsys.readouterr().err
+
+
 def test_verify_failure_exit_code(capsys):
     # the Frobenius map is linear: the diagnostics flag the hypothesis
     assert run(["verify", "apn-ab", "--field", "p=2,m=4", "--fn", "x^2"]) == 1

@@ -510,6 +510,54 @@ def test_apn_odd_characteristic_rejected():
         apn_ab_dual_diagnostics(parse_function(F9, "x^2"))
 
 
+def test_apn_nonzero_at_zero_rejected():
+    with pytest.raises(HypothesisFailed):
+        apn_ab_dual_diagnostics(parse_function(F16, "x^3+1"))
+
+
+def test_apn_x3_f8_dual_distance_seven():
+    rep = apn_ab_dual_diagnostics(parse_function(make_field(2, 3), "x^3"))
+    assert rep["d_perp"] == 7
+    assert rep["is_apn"] and rep["differential_uniformity"] == 2
+    assert rep["hypothesis_ok"] and rep["is_ab"]
+
+
+def dual_distance_oracle(code):
+    """min_distance(dual(code)) of a binary code, as the least number of
+    generator columns XOR-ing to zero: searched directly up to 5, by dual
+    enumeration beyond (only small duals get there)."""
+    cols = [sum(1 << i for i, row in enumerate(code.generator) if row[j]) for j in range(code.n)]
+    n = len(cols)
+    if 0 in cols:
+        return 1
+    if len(set(cols)) < n:
+        return 2
+    pair_xor = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair_xor.setdefault(cols[i] ^ cols[j], []).append((i, j))
+    if any(cols[k] in pair_xor and any(k not in pair for pair in pair_xor[cols[k]]) for k in range(n)):
+        return 3
+    if any(not set(a) & set(b) for pairs in pair_xor.values() for a in pairs for b in pairs):
+        return 4
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if any(not set(pair) & {i, j, k} for pair in pair_xor.get(cols[i] ^ cols[j] ^ cols[k], ())):
+                    return 5
+    return min_distance(dual(code))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_apn_dual_distance_matches_column_search(m):
+    field = make_field(2, m)
+    for spec in ("x^3", "x^5", "x^7", "g*x^3+x", f"x^{field.q - 2}"):
+        f = parse_function(field, spec).with_codomain(m)
+        rep = apn_ab_dual_diagnostics(f)
+        assert rep["d_perp"] == dual_distance_oracle(first_generic(f, include_zero=False)), spec
+        assert rep["is_apn"] == (rep["differential_uniformity"] == 2), spec
+
+
 def test_pn_bounds_f9_f25():
     for p, lo, hi in ((3, 4, 8), (5, 16, 24)):
         field = make_field(p, 2)

@@ -4,6 +4,11 @@ The FieldElement `rref` that the kernel replaced lives here, unchanged, as
 the oracle: the kernel must return the same rows and pivots.  Duals,
 nullspaces, hulls and scalar restrictions are checked against it and
 against the identities they must satisfy.
+
+The FieldElement operators that `rref_oracle` uses now run on the same
+index tables as the kernel (`Field.arith`), so the oracle's independence
+rests on tests/test_spectra_tables.py, which checks every operator against
+coefficient arithmetic.
 """
 
 import os

@@ -1,8 +1,12 @@
-"""Differential tests of the table-driven spectral path.
+"""Differential tests of the table-driven arithmetic and spectral path.
 
 Each fast route is compared with the reference it replaced, which lives
-here as a test oracle: the O(q^2) Walsh loop, square-and-multiply powers,
-the Frobenius-sum trace and the order-counting generator search.
+here as a test oracle: the coefficient arithmetic of F_{p^m} (the product
+is the polynomial convolution reduced by the modulus), the O(q^2) Walsh
+loop, square-and-multiply powers, the Frobenius-sum trace and the
+order-counting generator search.  The element operators and the elimination
+kernel share one set of index tables, so this file is also what makes the
+oracle of tests/test_elimination.py independent.
 """
 
 import os
@@ -10,6 +14,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -32,6 +37,7 @@ def _prime_powers(limit):
 
 
 SMALL = _prime_powers(27)
+WIDE = [(2, 8), (3, 5), (5, 3)]
 UP_TO_1024 = _prime_powers(2 ** 10)
 
 
@@ -56,6 +62,56 @@ def walsh_oracle(f):
     return coeffs
 
 
+@lru_cache(maxsize=None)
+def _reduction(field):
+    """x^k mod the modulus, as coefficient vectors, for k in [m, 2m-2]."""
+    p, m = field.p, field.m
+    red = []
+    cur = tuple((-c) % p for c in field.modulus[:m])  # x^m
+    for _ in range(m, 2 * m - 1):
+        red.append(cur)
+        nxt = [0] * m
+        for i, c in enumerate(cur):
+            if c == 0:
+                continue
+            if i + 1 < m:
+                nxt[i + 1] = (nxt[i + 1] + c) % p
+            else:
+                hi = red[0]
+                for j in range(m):
+                    nxt[j] = (nxt[j] + c * hi[j]) % p
+        cur = tuple(nxt)
+    return red
+
+
+def mul_oracle(field, a, b):
+    """The coefficient convolution, reduced by the modulus."""
+    p, m = field.p, field.m
+    conv = [0] * (2 * m - 1)
+    for i, x in enumerate(a.coeffs):
+        if x == 0:
+            continue
+        for j, y in enumerate(b.coeffs):
+            conv[i + j] += x * y
+    out = [c % p for c in conv[:m]]
+    for k in range(m, 2 * m - 1):
+        c = conv[k] % p
+        if c == 0:
+            continue
+        row = _reduction(field)[k - m]
+        for j in range(m):
+            out[j] = (out[j] + c * row[j]) % p
+    return field.element(out)
+
+
+def add_oracle(field, a, b):
+    return field.element([x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def neg_oracle(field, a):
+    return field.element([-x for x in a.coeffs])
+
+
 def pow_oracle(field, a, e):
     """Square-and-multiply over the coefficient convolution."""
     if e < 0:
@@ -66,8 +122,8 @@ def pow_oracle(field, a, e):
     result = field.one
     while e:
         if e & 1:
-            result = field._mul_elem(result, a)
-        a = field._mul_elem(a, a)
+            result = mul_oracle(field, result, a)
+        a = mul_oracle(field, a, a)
         e >>= 1
     return result
 
@@ -77,10 +133,71 @@ def generator_oracle(field):
     for e in field.elements[1:]:
         x, order = e, 1
         while x != field.one:
-            x = field._mul_elem(x, e)
+            x = mul_oracle(field, x, e)
             order += 1
         if order == field.q - 1:
             return e
+
+
+# -- element arithmetic -----------------------------------------------------------
+
+
+def _assert_same_arithmetic(field, a, b, k):
+    """Every operator on the pair (a, b) and on a with the int k."""
+    assert a + b == add_oracle(field, a, b), (a, b)
+    assert a - b == add_oracle(field, a, neg_oracle(field, b)), (a, b)
+    assert -a == neg_oracle(field, a), a
+    assert a * b == mul_oracle(field, a, b), (a, b)
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        assert a / b == mul_oracle(field, a, pow_oracle(field, b, -1)), (a, b)
+    kk = field.scalar(k)
+    assert a + k == k + a == add_oracle(field, a, kk), (a, k)
+    assert a - k == add_oracle(field, a, neg_oracle(field, kk)), (a, k)
+    assert a * k == k * a == mul_oracle(field, a, kk), (a, k)
+    if k % field.p:
+        assert a / k == mul_oracle(field, a, pow_oracle(field, kk, -1)), (a, k)
+    for e in (-1, 0, 1, 2, field.p, field.q):
+        if not (a.is_zero() and e < 0):
+            assert a ** e == pow_oracle(field, a, e), (a, e)
+
+
+@pytest.mark.parametrize("pm", SMALL, ids=_ids(SMALL))
+def test_operators_match_coefficient_arithmetic(pm):
+    field = make_field(*pm)
+    for a in field.elements:
+        for b in field.elements:
+            _assert_same_arithmetic(field, a, b, a.index - b.index)
+
+
+@pytest.mark.parametrize("pm", WIDE, ids=_ids(WIDE))
+def test_operators_match_coefficient_arithmetic_hypothesis(pm):
+    field = make_field(*pm)
+    index = st.integers(0, field.q - 1)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(index, index, st.integers(-3 * field.p, 3 * field.p))
+    def check(i, j, k):
+        _assert_same_arithmetic(field, field.elements[i], field.elements[j], k)
+
+    check()
+
+
+def test_operators_reject_foreign_operands():
+    a, b = make_field(2, 2).one, make_field(2, 3).one
+    for op in (
+        lambda x, y: x + y,
+        lambda x, y: x - y,
+        lambda x, y: x * y,
+        lambda x, y: x / y,
+    ):
+        with pytest.raises(ValueError):
+            op(a, b)
+        for junk in (1.5, "x", None):
+            with pytest.raises(TypeError):
+                op(a, junk)
 
 
 # -- Walsh transform --------------------------------------------------------------
@@ -101,7 +218,7 @@ def test_fwht_matches_quadratic_loop(pm):
         _assert_same_spectrum(ParyFunction(field, table, 1))
 
 
-@pytest.mark.parametrize("pm", [(2, 8), (3, 5), (5, 3)], ids=["GF(2^8)", "GF(3^5)", "GF(5^3)"])
+@pytest.mark.parametrize("pm", WIDE, ids=_ids(WIDE))
 def test_fwht_matches_quadratic_loop_hypothesis(pm):
     field = make_field(*pm)
 
@@ -270,6 +387,26 @@ def test_invariants_raise_under_optimize():
             fn.classify_bent(spectrum)
         except InvariantViolated as ex:
             print("gauss:", ex)
+
+        import walshcodes.conditions as cd
+        from walshcodes.codes import WeightDistribution
+
+        cube = fn.parse_function(make_field(2, 4), "x^3")
+        good_du = cd.differential_uniformity
+        cd.differential_uniformity = lambda f: 4
+        try:
+            cd.apn_ab_dual_diagnostics(cube)
+        except InvariantViolated as ex:
+            print("apn:", ex)
+        cd.differential_uniformity = good_du
+
+        cd.weight_distribution = lambda code, guard=None: WeightDistribution(
+            {0: 1, 3: code.size() - 1}, code.n, code.size()
+        )
+        try:
+            cd.apn_ab_dual_diagnostics(cube)
+        except InvariantViolated as ex:
+            print("macwilliams:", ex)
         """
     )
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -278,5 +415,5 @@ def test_invariants_raise_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["parseval", "gauss"], proc.stdout
+    assert [line.split(":")[0] for line in lines] == ["parseval", "gauss", "apn", "macwilliams"], proc.stdout
     assert "Parseval" in lines[0]
