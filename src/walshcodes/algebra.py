@@ -16,6 +16,7 @@ values exactly; complex floats are a display-only view.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -613,6 +614,37 @@ def subfield(ctx: Field, s: int) -> tuple[Field, dict, dict]:
     assert len(project) == sub.q, "subfield embedding must be injective"
     _SUBFIELD_CACHE[key] = (sub, embed, project)
     return _SUBFIELD_CACHE[key]
+
+
+# ---------------------------------------------------------------------------
+# the p-ary fast Walsh-Hadamard transform
+# ---------------------------------------------------------------------------
+
+def _fwht(layers: list[list[int]], p: int, m: int) -> list[list[int]]:
+    """F(u) = sum over v of N(v) zeta^(-<v, u>) for every u in F_p^m, for
+    N(v) in Z[zeta_p] given as ``layers[e][v]``, the coefficient of zeta^e.
+
+    The result has the same layout; nothing is canonicalised, so
+    ``F[e][u]`` sums N over the v with -<v, u> = e, layer by layer.
+    Vectors are indexed like the field elements, digit i of the index
+    being coordinate i.  Each of the m passes transforms the top digit of
+    the index and moves it to the bottom (constant geometry), so after m
+    passes the digits are back in place.  Multiplying by zeta^(-k) rotates
+    a coefficient vector, so a pass is p^2 (p - 1) additions of lists of
+    length p^(m-1)."""
+    q = p ** m
+    n = q // p
+    for _ in range(m):
+        blocks = [[layer[x * n:(x + 1) * n] for x in range(p)] for layer in layers]
+        new = [[0] * q for _ in range(p)]
+        for u in range(p):
+            for e in range(p):
+                acc = blocks[e][0]
+                for x in range(1, p):
+                    acc = list(map(add, acc, blocks[(e + u * x) % p][x]))
+                new[e][u::p] = acc
+        layers = new
+    return layers
 
 
 # ---------------------------------------------------------------------------

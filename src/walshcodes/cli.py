@@ -171,7 +171,7 @@ def cmd_build(args) -> int:
 def cmd_analyze(args) -> int:
     code = _build_code(args)
     report: dict = {"parameters": [code.n, code.k]}
-    # with --weights, one enumeration gives both the table and d
+    # with --weights, one transform gives both the table and d
     wd = weight_distribution(code, args.guard) if args.weights else None
     if wd is not None:
         report["parameters"].append(min(wd.nonzero_weights()) if code.k else None)
@@ -275,7 +275,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--defining-set", help="path to a defining-set JSON file")
         p.add_argument("--no-zero", action="store_true", help="puncture at x = 0")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--guard", type=int, default=None, help="codeword enumeration cap")
+        p.add_argument("--guard", type=int, default=None, help="codeword cap of weight queries")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", help="write output to this path instead of stdout")
 

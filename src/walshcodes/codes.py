@@ -6,17 +6,21 @@ Duals come from nullspace computation rather than literal Gram-Schmidt;
 over finite fields self-orthogonal vectors break orthogonalization while
 the nullspace achieves the same O(n^3) bound.
 
-All weight queries are exhaustive enumerations guarded by a configurable
-codeword cap.
+Hamming weights come from one p-ary fast Walsh-Hadamard transform of the
+multiset of generator columns, which counts the zero coordinates of every
+codeword at once; only the complete weight enumerator over a non-prime
+alphabet enumerates codewords.  Every weight query is guarded by a
+configurable cap on the number of codewords.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import Field, FieldElement, IndexArith, make_field, subfield
-from .errors import EmptyLength, NotASubfield, RaggedRows, TooLarge, ZeroCode
+from .algebra import Field, FieldElement, IndexArith, _fwht, make_field, subfield
+from .errors import EmptyLength, InvariantViolated, NotASubfield, RaggedRows, TooLarge, ZeroCode
 
 DEFAULT_GUARD = 2 ** 22
 
@@ -145,10 +149,14 @@ class LinearCode:
     def size(self) -> int:
         return self.base.q ** self.k
 
-    def codewords(self, guard: int | None = None) -> Iterator[tuple[FieldElement, ...]]:
+    def _check_guard(self, guard: int | None = None) -> None:
+        """Raise TooLarge when the code has more codewords than the guard."""
         cap = enumeration_guard(guard)
         if self.size() > cap:
             raise TooLarge(f"{self.size()} codewords exceed the guard {cap}")
+
+    def codewords(self, guard: int | None = None) -> Iterator[tuple[FieldElement, ...]]:
+        self._check_guard(guard)
         zero = tuple([self.base.zero] * self.n)
 
         def span(rows):
@@ -277,7 +285,7 @@ def _check_same_space(a: LinearCode, b: LinearCode):
 
 
 # ---------------------------------------------------------------------------
-# weight queries (exhaustive, exact)
+# weight queries (exact, by one transform of the column multiset)
 # ---------------------------------------------------------------------------
 
 class WeightDistribution:
@@ -286,8 +294,8 @@ class WeightDistribution:
     def __init__(self, counts: dict[int, int], n: int, size: int):
         self.counts = dict(sorted(counts.items()))
         self.n = n
-        assert self.counts.get(0) == 1
-        assert sum(self.counts.values()) == size
+        if self.counts.get(0) != 1 or sum(self.counts.values()) != size:
+            raise InvariantViolated(f"{self.counts} is not the weight distribution of {size} words")
         self.size = size
 
     def __eq__(self, other):
@@ -316,8 +324,8 @@ class CompleteWeightEnumerator:
     def __init__(self, counts: dict[tuple[int, ...], int], n: int, size: int):
         self.counts = dict(counts)
         self.n = n
-        assert all(sum(comp) == n for comp in counts)
-        assert sum(counts.values()) == size
+        if any(sum(comp) != n for comp in counts) or sum(counts.values()) != size:
+            raise InvariantViolated(f"the compositions do not describe {size} words of length {n}")
 
     def __eq__(self, other):
         if isinstance(other, dict):
@@ -337,37 +345,74 @@ class CompleteWeightEnumerator:
         return dict(sorted(out.items()))
 
 
+def _column_transform(code: LinearCode, guard: int | None) -> list[list[int]]:
+    """The p-ary FWHT of the column multiset N, over F_p^(sk) for the
+    alphabet F_Q, Q = p^s.
+
+    A word x in F_Q^k has the index sum_i x_i Q^i, so its p-ary digits are
+    the F_p-coordinates of its entries.  Column j and each y in F_Q^* with
+    leading digit 1 (one per F_p^*-orbit, r = (Q-1)/(p-1) of them) add one
+    to N at the functional x -> Tr_{Q/p}(y <x, g_j>), whose coordinates are
+    the Gram contractions of the y g_ij.  Layer e of the result at x counts
+    the pairs (j, y) with -Tr(y <x, g_j>) = e; at s = 1 the only y is 1."""
+    code._check_guard(guard)
+    base = code.base
+    p, q = base.p, base.q
+    mul, dual = base.arith.mul, base.trace_dual_indices()
+    reps = [y for t in range(base.m) for y in range(p ** t, 2 * p ** t)]
+    rows = _indices(code.generator, base)
+    counts = [0] * code.size()
+    for col in zip(*rows) if rows else [()] * code.n:
+        for y in reps:
+            v = 0
+            for g in reversed(col):
+                v = v * q + dual[mul(y, g)]
+            counts[v] += 1
+    layers = [counts] + [[0] * len(counts) for _ in range(p - 1)]
+    return _fwht(layers, p, base.m * code.k)
+
+
 def weight_distribution(code: LinearCode, guard: int | None = None) -> WeightDistribution:
-    counts: dict[int, int] = {}
-    for word in code.codewords(guard):
-        w = sum(1 for x in word if not x.is_zero())
-        counts[w] = counts.get(w, 0) + 1
-    return WeightDistribution(counts, code.n, code.size())
+    """A_w for every w.  Layer 0 of the column transform at x is
+    r z + r0 (n - z) for the z zero coordinates of xG: y <x, g_j> has
+    trace zero for every y when <x, g_j> = 0, and for r0 = (Q/p - 1)/(p - 1)
+    of the r representatives otherwise.  So z = (layer 0 - r0 n) / (Q/p)."""
+    base, n = code.base, code.n
+    step = base.q // base.p
+    r0 = (step - 1) // (base.p - 1)
+    counts = {}
+    for value, c in Counter(_column_transform(code, guard)[0]).items():
+        z, rem = divmod(value - r0 * n, step)
+        if rem:
+            raise InvariantViolated(f"transform value {value} leaves remainder {rem} mod {step}")
+        counts[n - z] = c
+    return WeightDistribution(counts, n, code.size())
 
 
 def complete_weight_enumerator(
     code: LinearCode, guard: int | None = None
 ) -> CompleteWeightEnumerator:
-    counts: dict[tuple[int, ...], int] = {}
-    q = code.base.q
-    for word in code.codewords(guard):
-        comp = [0] * q
-        for x in word:
-            comp[x.index] += 1
-        key = tuple(comp)
-        counts[key] = counts.get(key, 0) + 1
+    """Codeword counts by composition.  Over a prime alphabet, layer e of the
+    column transform at x counts the j with <-x, g_j> = e, so the p layers
+    at x are the composition of (-x)G, and x -> -x permutes the code.  Over
+    F_{p^s}, s > 1, every codeword is enumerated."""
+    if code.base.m == 1:
+        counts = Counter(zip(*_column_transform(code, guard)))
+    else:
+        counts = Counter()
+        q = code.base.q
+        for word in code.codewords(guard):
+            comp = [0] * q
+            for x in word:
+                comp[x.index] += 1
+            counts[tuple(comp)] += 1
     return CompleteWeightEnumerator(counts, code.n, code.size())
 
 
 def min_distance(code: LinearCode, guard: int | None = None) -> int:
     if code.k == 0:
         raise ZeroCode("minimum distance of the zero code is undefined")
-    best = code.n + 1
-    for word in code.codewords(guard):
-        w = sum(1 for x in word if not x.is_zero())
-        if 0 < w < best:
-            best = w
-    return best
+    return min(weight_distribution(code, guard).nonzero_weights())
 
 
 def is_mds(code: LinearCode, guard: int | None = None) -> bool:

@@ -379,19 +379,6 @@ def dual_character_second(f: ParyFunction) -> CodeCharacter:
     return CodeCharacter(field.p, tuple(factors), exps, "second:delta-value")
 
 
-def defining_set_character(ds: DefiningSet) -> CodeCharacter:
-    from .constructions import second_generic
-
-    if ds.base_degree != 1:
-        raise WrongCodomain("characters need a prime-base code")
-    field = ds.field
-    factors = _second_delta_factors(ds.elements, field)
-    exps = _factor_exponents(factors, field.p)
-    code = second_generic(ds)
-    assert code.contains([code.base.scalar(t) for t in exps])
-    return CodeCharacter(field.p, tuple(factors), exps, "defining-set:delta")
-
-
 # ---------------------------------------------------------------------------
 # weight formulas
 # ---------------------------------------------------------------------------
@@ -570,16 +557,22 @@ def _dual_distance(dist: WeightDistribution, q: int) -> int:
 
 def apn_ab_dual_diagnostics(f: ParyFunction, guard: int | None = None) -> dict:
     """Dual-distance and characteristic-set diagnostics of the punctured
-    function code of a binary map with f(0) = 0.  A dual word of weight 3
-    or 4 is a zero sum of f over the points of a zero sum of 3 or 4 distinct
-    nonzero x, so the map is APN exactly when d_perp >= 5 (d_perp = 5 once
-    m >= 4); almost-bent maps show the three-valued characteristic set."""
+    function code of a binary map on F_{2^m}, m >= 3, with f(0) = 0.  A dual
+    word of weight 3 or 4 is a zero sum of f over the points of a zero sum
+    of 3 or 4 distinct nonzero x, so the map is APN exactly when
+    d_perp >= 5 (d_perp = 5 once m >= 4); almost-bent maps show the
+    three-valued characteristic set."""
     field = f.field
     if field.p != 2:
         raise OddCharacteristic("the diagnostics are stated for binary maps")
+    m = field.m
+    if m < 3:
+        raise HypothesisFailed(
+            f"the diagnostics need m >= 3, got m = {m}: "
+            "the punctured code of length 2^m - 1 has a zero dual"
+        )
     if not f(field.zero).is_zero():
         raise HypothesisFailed("the diagnostics assume f(0) = 0")
-    m = field.m
     code = first_generic(f, include_zero=False)
     dist = weight_distribution(code, guard)
     d_perp = _dual_distance(dist, code.base.q)

@@ -11,14 +11,17 @@ function off the exponents e.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
-from operator import add, mul
+from itertools import repeat
+from operator import mul
 from typing import Callable, Sequence
 
 from .algebra import (
     CyclotomicInt,
     Field,
     FieldElement,
+    _fwht,
     gauss_sum_power,
 )
 from .errors import (
@@ -323,37 +326,13 @@ def walsh_transform(f: ParyFunction) -> WalshSpectrum:
         raise WrongCodomain("Walsh transform needs a prime-valued function")
     field = f.field
     p = field.p
-    layers = _fwht(f.exponents(), p, field.m)
+    fints = f.exponents()
+    layers = _fwht([[int(v == e) for v in fints] for e in range(p)], p, field.m)
     coeffs = [CyclotomicInt(p, [layer[u] for layer in layers]) for u in field.trace_dual_indices()]
     spectrum = WalshSpectrum(field, coeffs, f)
     if spectrum.parseval_sum() != CyclotomicInt.from_int(p, field.q ** 2):
         raise InvariantViolated("Parseval failed: the Walsh spectrum is wrong")
     return spectrum
-
-
-def _fwht(fints: Sequence[int], p: int, m: int) -> list[list[int]]:
-    """F(u) = sum over x of zeta^(f(x) - <x, u>) for every u in F_p^m.
-
-    ``layers[e][u]`` is the coefficient of zeta^e in F(u), indexed like the
-    field elements.  Each of the m passes transforms the top digit of the
-    index and moves it to the bottom (constant geometry), so after m passes
-    the digits are back in place.  Multiplying by zeta^(-k) rotates a
-    coefficient vector, so a pass is p^2 (p - 1) additions of lists of
-    length q/p."""
-    q = len(fints)
-    n = q // p
-    layers = [[int(v == e) for v in fints] for e in range(p)]
-    for _ in range(m):
-        blocks = [[layer[x * n:(x + 1) * n] for x in range(p)] for layer in layers]
-        new = [[0] * q for _ in range(p)]
-        for u in range(p):
-            for e in range(p):
-                acc = blocks[e][0]
-                for x in range(1, p):
-                    acc = list(map(add, acc, blocks[(e + u * x) % p][x]))
-                new[e][u::p] = acc
-        layers = new
-    return layers
 
 
 class BentKind(enum.Enum):
@@ -476,11 +455,12 @@ def differential_uniformity(f: ParyFunction) -> int:
     if f.codomain_degree != f.field.m:
         raise WrongCodomain("differential uniformity needs an F_q -> F_q map")
     field = f.field
+    add = field.arith.add
+    table = [v.index for v in f.table]
+    negated = [field.arith.neg(v) for v in table]
+    xs = range(field.q)
     best = 0
-    for a in field.elements[1:]:
-        counts: dict[int, int] = {}
-        for x in field.elements:
-            b = f(x + a) - f(x)
-            counts[b.index] = counts.get(b.index, 0) + 1
-        best = max(best, max(counts.values()))
+    for a in xs[1:]:
+        shifted = [table[y] for y in map(add, xs, repeat(a))]
+        best = max(best, *Counter(map(add, shifted, negated)).values())
     return best

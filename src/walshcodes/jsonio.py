@@ -7,7 +7,7 @@ canonical coefficient lists.
 
 from __future__ import annotations
 
-from .algebra import Field, FieldElement, make_field
+from .algebra import Field, make_field
 from .codes import CompleteWeightEnumerator, LinearCode, WeightDistribution
 from .conditions import MembershipVerdict
 from .constructions import DefiningSet
@@ -20,10 +20,6 @@ def field_to_json(field: Field) -> dict:
 
 def field_from_json(obj: dict) -> Field:
     return make_field(obj["p"], obj["m"], obj.get("poly"))
-
-
-def element_to_json(e: FieldElement) -> list[int]:
-    return list(e.coeffs)
 
 
 def code_to_json(code: LinearCode) -> dict:

@@ -116,6 +116,14 @@ def test_verify_apn_small_field_and_nonzero_constant(capsys):
     assert "f(0) = 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_verify_apn_refuses_m_below_three(capsys, m):
+    assert run(["verify", "apn-ab", "--field", f"p=2,m={m}", "--fn", "x^3"]) == 2
+    err = capsys.readouterr().err
+    assert f"the diagnostics need m >= 3, got m = {m}" in err
+    assert "zero code" not in err
+
+
 def test_verify_failure_exit_code(capsys):
     # the Frobenius map is linear: the diagnostics flag the hypothesis
     assert run(["verify", "apn-ab", "--field", "p=2,m=4", "--fn", "x^2"]) == 1
@@ -163,26 +171,34 @@ def test_guard_must_be_positive(capsys):
 
 
 def test_analyze_weights_enumerates_once(monkeypatch, capsys):
+    """analyze computes the weight enumerator once, by one column transform,
+    and lists no codeword."""
+    from walshcodes import codes
     from walshcodes.codes import LinearCode
 
-    calls = []
-    codewords = LinearCode.codewords
+    calls, listed = [], []
+    transform, codewords = codes._column_transform, LinearCode.codewords
 
-    def counted(self, guard=None):
-        calls.append(self.k)
+    def counted(code, guard=None):
+        calls.append(code.k)
+        return transform(code, guard)
+
+    def listing(self, guard=None):
+        listed.append(self.k)
         return codewords(self, guard)
 
-    monkeypatch.setattr(LinearCode, "codewords", counted)
+    monkeypatch.setattr(codes, "_column_transform", counted)
+    monkeypatch.setattr(LinearCode, "codewords", listing)
     argv = ["analyze", "first", "--field", "p=2,m=4", "--fn", "x^3", "--weights"]
     assert run(argv) == 0
     out = json.loads(capsys.readouterr().out)
-    assert len(calls) == 1
+    assert len(calls) == 1 and not listed
     assert out["parameters"] == [16, 8, 4]
     assert min(e["w"] for e in out["weights"] if e["w"] > 0) == 4
     calls.clear()
     assert run(argv[:-1]) == 0
     assert json.loads(capsys.readouterr().out)["parameters"] == [16, 8, 4]
-    assert len(calls) == 1
+    assert len(calls) == 1 and not listed
 
 
 def test_invariant_violation_exit_code(monkeypatch, capsys):

@@ -22,7 +22,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from walshcodes.algebra import CyclotomicInt, is_prime, make_field, trace
-from walshcodes.functions import ParyFunction, classify_bent, parse_function, walsh_transform
+from walshcodes.functions import (
+    ParyFunction,
+    classify_bent,
+    differential_uniformity,
+    parse_function,
+    walsh_transform,
+)
 
 
 def _prime_powers(limit):
@@ -353,6 +359,58 @@ def test_with_codomain_skips_only_implied_checks():
         parse_function(field, "x^3").with_codomain(2)
 
 
+# -- differential uniformity ----------------------------------------------------------
+
+
+def differential_uniformity_oracle(f):
+    """max over a != 0, b of #{x : f(x+a) - f(x) = b}, on FieldElements."""
+    field = f.field
+    best = 0
+    for a in field.elements[1:]:
+        counts = {}
+        for x in field.elements:
+            b = f(x + a) - f(x)
+            counts[b.index] = counts.get(b.index, 0) + 1
+        best = max(best, max(counts.values()))
+    return best
+
+
+@pytest.mark.parametrize("pm", SMALL, ids=_ids(SMALL))
+def test_differential_uniformity_matches_element_loop(pm):
+    field = make_field(*pm)
+    rng = random.Random(field.q + 1)
+    tables = [[rng.choice(field.elements) for _ in range(field.q)] for _ in range(4)]
+    tables += [[x ** e for x in field.elements] for e in (2, 3, field.q - 2)]
+    for table in tables:
+        f = ParyFunction(field, table, field.m)
+        assert differential_uniformity(f) == differential_uniformity_oracle(f)
+
+
+@pytest.mark.parametrize(
+    "pm,spec,uniformity",
+    [
+        ((2, 4), "x^3", 2),
+        ((2, 5), "x^3", 2),
+        ((2, 5), "x^5", 2),
+        ((2, 5), "x^7", 2),
+        ((2, 5), "x^13", 2),
+        ((2, 5), "x^30", 2),
+        ((2, 5), "g^3*x^5+g^7*x", 2),
+        ((2, 6), "x^3", 2),
+        ((3, 2), "x^2", 1),
+        ((3, 3), "x^2", 1),
+        ((5, 2), "x^2", 1),
+        ((2, 4), "x^3+1", 2),
+        ((2, 4), "x^5", 4),
+        ((2, 4), "x^2", 16),
+    ],
+)
+def test_differential_uniformity_of_suite_maps(pm, spec, uniformity):
+    field = make_field(*pm)
+    f = parse_function(field, spec).with_codomain(field.m)
+    assert differential_uniformity(f) == differential_uniformity_oracle(f) == uniformity
+
+
 # -- invariants under python -O --------------------------------------------------------
 
 
@@ -407,6 +465,31 @@ def test_invariants_raise_under_optimize():
             cd.apn_ab_dual_diagnostics(cube)
         except InvariantViolated as ex:
             print("macwilliams:", ex)
+
+        import walshcodes.codes as cs
+
+        good_fwht = cs._fwht
+
+        def zero_word_off_by_one(layers, p, m):
+            out = good_fwht(layers, p, m)
+            out[0][0] -= 1
+            return out
+
+        cs._fwht = zero_word_off_by_one
+        try:
+            cs.weight_distribution(cs.full_code(make_field(2, 1), 3))
+        except InvariantViolated as ex:
+            print("weights:", ex)
+        cs._fwht = lambda layers, p, m: [[v + 1 for v in out] for out in good_fwht(layers, p, m)]
+        try:
+            cs.weight_distribution(cs.full_code(make_field(2, 2), 2))
+        except InvariantViolated as ex:
+            print("remainder:", ex)
+        cs._fwht = good_fwht
+        try:
+            cs.CompleteWeightEnumerator({(1, 0): 1}, 2, 1)
+        except InvariantViolated as ex:
+            print("cwe:", ex)
         """
     )
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -415,5 +498,7 @@ def test_invariants_raise_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["parseval", "gauss", "apn", "macwilliams"], proc.stdout
+    assert [line.split(":")[0] for line in lines] == [
+        "parseval", "gauss", "apn", "macwilliams", "weights", "remainder", "cwe"
+    ], proc.stdout
     assert "Parseval" in lines[0]
