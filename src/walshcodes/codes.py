@@ -8,9 +8,9 @@ the nullspace achieves the same O(n^3) bound.
 
 Hamming weights come from one p-ary fast Walsh-Hadamard transform of the
 multiset of generator columns, which counts the zero coordinates of every
-codeword at once; only the complete weight enumerator over a non-prime
-alphabet enumerates codewords.  Every weight query is guarded by a
-configurable cap on the number of codewords.
+codeword at once; the complete weight enumerator enumerates codewords.
+Every weight query is guarded by a configurable cap on the number of
+codewords.
 """
 
 from __future__ import annotations
@@ -353,8 +353,8 @@ def _column_transform(code: LinearCode, guard: int | None) -> list[list[int]]:
     the F_p-coordinates of its entries.  Column j and each y in F_Q^* with
     leading digit 1 (one per F_p^*-orbit, r = (Q-1)/(p-1) of them) add one
     to N at the functional x -> Tr_{Q/p}(y <x, g_j>), whose coordinates are
-    the Gram contractions of the y g_ij.  Layer e of the result at x counts
-    the pairs (j, y) with -Tr(y <x, g_j>) = e; at s = 1 the only y is 1."""
+    the Gram contractions of the y g_ij.  Layer 0 of the result at x counts
+    the pairs (j, y) with Tr(y <x, g_j>) = 0; at s = 1 the only y is 1."""
     code._check_guard(guard)
     base = code.base
     p, q = base.p, base.q
@@ -392,20 +392,15 @@ def weight_distribution(code: LinearCode, guard: int | None = None) -> WeightDis
 def complete_weight_enumerator(
     code: LinearCode, guard: int | None = None
 ) -> CompleteWeightEnumerator:
-    """Codeword counts by composition.  Over a prime alphabet, layer e of the
-    column transform at x counts the j with <-x, g_j> = e, so the p layers
-    at x are the composition of (-x)G, and x -> -x permutes the code.  Over
-    F_{p^s}, s > 1, every codeword is enumerated."""
-    if code.base.m == 1:
-        counts = Counter(zip(*_column_transform(code, guard)))
-    else:
-        counts = Counter()
-        q = code.base.q
-        for word in code.codewords(guard):
-            comp = [0] * q
-            for x in word:
-                comp[x.index] += 1
-            counts[tuple(comp)] += 1
+    """Codeword counts by composition, by enumerating every codeword."""
+    counts: dict[tuple[int, ...], int] = {}
+    q = code.base.q
+    for word in code.codewords(guard):
+        comp = [0] * q
+        for x in word:
+            comp[x.index] += 1
+        key = tuple(comp)
+        counts[key] = counts.get(key, 0) + 1
     return CompleteWeightEnumerator(counts, code.n, code.size())
 
 

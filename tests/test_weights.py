@@ -69,16 +69,6 @@ def min_distance_oracle(code):
     return best
 
 
-def cwe_oracle(code):
-    counts = {}
-    for word in code.codewords():
-        comp = [0] * code.base.q
-        for x in word:
-            comp[x.index] += 1
-        counts[tuple(comp)] = counts.get(tuple(comp), 0) + 1
-    return counts
-
-
 def assert_same_weights(code):
     assert weight_distribution(code).counts == weight_distribution_oracle(code)
     if code.k:
@@ -88,8 +78,6 @@ def assert_same_weights(code):
     else:
         with pytest.raises(ZeroCode):
             min_distance(code)
-    if code.base.m == 1:
-        assert complete_weight_enumerator(code).counts == cwe_oracle(code)
 
 
 def random_code(field, n, k, rng, zero_cols=0, repeats=0):
