@@ -15,8 +15,8 @@ values exactly; complex floats are a display-only view.
 
 from __future__ import annotations
 
-from functools import cached_property
-from operator import add
+from functools import cache, cached_property
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -344,15 +344,19 @@ class Field:
 
     # -- trace machinery -------------------------------------------------------
 
-    def trace_int(self, a: FieldElement) -> int:
-        """Absolute trace Tr_{q/p}(a) as an integer in [0, p).
+    def trace_table(self) -> list[int]:
+        """Tr_{q/p} of every element, by index, as integers in [0, p) (cached).
 
         The table is the linear functional Tr(a) = sum_i a_i Tr(x^i), so only
         the m basis traces go through the Frobenius sum of :func:`trace`."""
         if self._trace_ints is None:
             # an element of the prime subfield has its value as its index
             self._trace_ints = self._linear_indices([trace(self, b) for b in self.power_basis()])
-        return self._trace_ints[a.index]
+        return self._trace_ints
+
+    def trace_int(self, a: FieldElement) -> int:
+        """Absolute trace Tr_{q/p}(a) as an integer in [0, p)."""
+        return (self._trace_ints or self.trace_table())[a.index]
 
     def trace_dual_indices(self) -> list[int]:
         """For each b, the index of the coefficient vector v_b with
@@ -499,17 +503,19 @@ def make_field(p: int, m: int, modulus: Sequence[int] | None = None) -> Field:
         if not _modulus_is_irreducible(mod, p, m):
             raise ReducibleModulus(f"{list(modulus)} factors over GF({p})")
     else:
-        mod = None
-        for idx in range(p ** m):
-            cand = _digits(idx, p, m) + (1,)
-            if _modulus_is_irreducible(cand, p, m):
-                mod = cand
-                break
-        assert mod is not None
+        mod = _least_irreducible(p, m)
     key = (p, m, mod)
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = Field(p, m, mod)
     return _FIELD_CACHE[key]
+
+
+@cache
+def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
+    """The lexicographically smallest monic irreducible of degree m over F_p,
+    searched once per (p, m); one exists for every m."""
+    candidates = (_digits(idx, p, m) + (1,) for idx in range(p ** m))
+    return next(c for c in candidates if _modulus_is_irreducible(c, p, m))
 
 
 def parse_field_spec(spec: str) -> Field:
@@ -560,7 +566,8 @@ def trace_kernel(ctx: Field) -> list[FieldElement]:
     set of values alpha^p - alpha, which the kernel equals exactly."""
     kernel = [e for e in ctx.elements if ctx.trace_int(e) == 0]
     image = {ctx._pow(a, ctx.p) - a for a in ctx.elements}
-    assert set(kernel) == image, "trace kernel mismatch with alpha^p - alpha"
+    if set(kernel) != image:
+        raise InvariantViolated("the trace kernel differs from the set of alpha^p - alpha")
     return kernel
 
 
@@ -600,7 +607,8 @@ def subfield(ctx: Field, s: int) -> tuple[Field, dict, dict]:
         if acc.is_zero():
             root = cand
             break
-    assert root is not None, "irreducible subfield modulus must split in ctx"
+    if root is None:
+        raise InvariantViolated(f"the modulus of F_{ctx.p}^{s} has no root in {ctx!r}")
     embed: dict[FieldElement, FieldElement] = {}
     for e in sub.elements:
         img = ctx.zero
@@ -611,7 +619,8 @@ def subfield(ctx: Field, s: int) -> tuple[Field, dict, dict]:
             power = power * root
         embed[e] = img
     project = {img: e for e, img in embed.items()}
-    assert len(project) == sub.q, "subfield embedding must be injective"
+    if len(project) != sub.q:
+        raise InvariantViolated(f"the embedding of F_{ctx.p}^{s} into {ctx!r} is not injective")
     _SUBFIELD_CACHE[key] = (sub, embed, project)
     return _SUBFIELD_CACHE[key]
 
@@ -631,9 +640,20 @@ def _fwht(layers: list[list[int]], p: int, m: int) -> list[list[int]]:
     the index and moves it to the bottom (constant geometry), so after m
     passes the digits are back in place.  Multiplying by zeta^(-k) rotates
     a coefficient vector, so a pass is p^2 (p - 1) additions of lists of
-    length p^(m-1)."""
+    length p^(m-1).
+
+    At p = 2, Z[zeta_2] = Z: ``layers`` is the one integer list N, and a
+    pass is the (a + b, a - b) butterflies of the Walsh-Hadamard transform."""
     q = p ** m
     n = q // p
+    if p == 2:
+        (w,) = layers
+        for _ in range(m):
+            lo, hi = w[:n], w[n:]
+            w = [0] * q
+            w[0::2] = map(add, lo, hi)
+            w[1::2] = map(sub, lo, hi)
+        return [w]
     for _ in range(m):
         blocks = [[layer[x * n:(x + 1) * n] for x in range(p)] for layer in layers]
         new = [[0] * q for _ in range(p)]

@@ -354,7 +354,8 @@ def _column_transform(code: LinearCode, guard: int | None) -> list[list[int]]:
     leading digit 1 (one per F_p^*-orbit, r = (Q-1)/(p-1) of them) add one
     to N at the functional x -> Tr_{Q/p}(y <x, g_j>), whose coordinates are
     the Gram contractions of the y g_ij.  Layer 0 of the result at x counts
-    the pairs (j, y) with Tr(y <x, g_j>) = 0; at s = 1 the only y is 1."""
+    the pairs (j, y) with Tr(y <x, g_j>) = 0; at s = 1 the only y is 1.
+    At p = 2 the transform is the one list W = layer 0 - layer 1."""
     code._check_guard(guard)
     base = code.base
     p, q = base.p, base.q
@@ -368,20 +369,26 @@ def _column_transform(code: LinearCode, guard: int | None) -> list[list[int]]:
             for g in reversed(col):
                 v = v * q + dual[mul(y, g)]
             counts[v] += 1
-    layers = [counts] + [[0] * len(counts) for _ in range(p - 1)]
-    return _fwht(layers, p, base.m * code.k)
+    zero_layers = [[0] * len(counts) for _ in range(p - 1)] if p > 2 else []
+    return _fwht([counts] + zero_layers, p, base.m * code.k)
 
 
 def weight_distribution(code: LinearCode, guard: int | None = None) -> WeightDistribution:
     """A_w for every w.  Layer 0 of the column transform at x is
     r z + r0 (n - z) for the z zero coordinates of xG: y <x, g_j> has
     trace zero for every y when <x, g_j> = 0, and for r0 = (Q/p - 1)/(p - 1)
-    of the r representatives otherwise.  So z = (layer 0 - r0 n) / (Q/p)."""
+    of the r representatives otherwise.  So z = (layer 0 - r0 n) / (Q/p).
+    At p = 2 the transform is W = layer 0 - layer 1, and the two layers sum
+    to n r, so layer 0 = (n r + W) / 2."""
     base, n = code.base, code.n
     step = base.q // base.p
     r0 = (step - 1) // (base.p - 1)
     counts = {}
     for value, c in Counter(_column_transform(code, guard)[0]).items():
+        if base.p == 2:
+            value, odd = divmod(n * (base.q - 1) + value, 2)
+            if odd:
+                raise InvariantViolated(f"n r + W = {2 * value + 1} is odd, so W is no layer difference")
         z, rem = divmod(value - r0 * n, step)
         if rem:
             raise InvariantViolated(f"transform value {value} leaves remainder {rem} mod {step}")

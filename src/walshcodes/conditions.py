@@ -345,7 +345,8 @@ def _factor_exponents(factors, p) -> tuple[int, ...]:
         e = next(
             (i for i in range(p) if fac == CyclotomicInt.zeta_power(p, i)), None
         )
-        assert e is not None, "delta factor must be a root of unity"
+        if e is None:
+            raise InvariantViolated(f"delta factor {fac!r} is not a p-th root of unity")
         exps.append(e)
     return tuple(exps)
 
@@ -354,16 +355,15 @@ def dual_character_first(
     f: ParyFunction, variant: str, include_zero: bool = True
 ) -> CodeCharacter:
     """Character of the ambient space whose kernel contains the dual of the
-    function code; containment is asserted by checking the coefficient row
+    function code; containment is checked by testing that the coefficient row
     is itself a codeword."""
     field = f.field
     _, factors = _first_delta_factors(f, variant, include_zero)
     exps = _factor_exponents(factors, field.p)
     code = first_generic(f, include_zero)
     prime = code.base
-    assert code.contains([prime.scalar(t) for t in exps]), (
-        "character row must lie in the code, else the dual escapes the kernel"
-    )
+    if not code.contains([prime.scalar(t) for t in exps]):
+        raise InvariantViolated("the character row is not a codeword, so the dual escapes its kernel")
     return CodeCharacter(field.p, tuple(factors), exps, f"first:{variant}")
 
 
@@ -375,7 +375,8 @@ def dual_character_second(f: ParyFunction) -> CodeCharacter:
     factors = _second_delta_factors(ds.elements, field)
     exps = _factor_exponents(factors, field.p)
     code = second_generic(ds)
-    assert code.contains([code.base.scalar(t) for t in exps])
+    if not code.contains([code.base.scalar(t) for t in exps]):
+        raise InvariantViolated("the character row is not a codeword, so the dual escapes its kernel")
     return CodeCharacter(field.p, tuple(factors), exps, "second:delta-value")
 
 

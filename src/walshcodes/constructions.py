@@ -437,7 +437,8 @@ def make_trace_zero_set(ctx: Field) -> DefiningSet:
         if t.is_zero():
             chosen.append(z)
     expected = (ctx.p ** s + 1) * (ctx.p ** (s - 1) - 1)
-    assert len(chosen) == expected, "trace-zero set has the wrong size"
+    if len(chosen) != expected:
+        raise InvariantViolated(f"the trace-zero set has {len(chosen)} elements, not {expected}")
     return DefiningSet(ctx, 1, tuple(chosen), provenance="trace-zero")
 
 
@@ -477,7 +478,8 @@ def make_cyclotomic_set(ctx: Field, base_degree: int, second_class: bool = False
         reps = coset_reps(non_cubes)
         expected = 2 * (r - 1) // (3 * (q - 1))
         tag = "cyclotomic-second"
-    assert len(reps) == expected, "coset count does not match the class size"
+    if len(reps) != expected:
+        raise InvariantViolated(f"{len(reps)} coset representatives, not the class size {expected}")
     return DefiningSet(ctx, s, tuple(reps), provenance=tag)
 
 

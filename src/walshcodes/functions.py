@@ -1,11 +1,18 @@
 """Truth-table functions on F_{p^m}, exact Walsh spectra and bentness.
 
+The function mini-language is evaluated on index lists: each syntax node
+is evaluated once over the whole field, constants are folded, and a
+truth table holds the index of each value beside the interned element.
+
 The Walsh transform of a prime-valued function lands in Z[zeta_p] and is
-computed coefficient-exactly by a p-ary fast Walsh-Hadamard transform;
-Parseval is verified before a spectrum is returned.  Bent classification
-searches for a single global sign making every coefficient
-sign * G^m * zeta^e with G the quadratic Gauss sum, and reads the dual
-function off the exponents e.
+computed coefficient-exactly by a p-ary fast Walsh-Hadamard transform.
+A spectrum keeps its coefficients as p - 1 canonical integer layers (at
+p = 2 the transform runs on one +/-1 list and the spectrum is one integer
+list); :class:`~walshcodes.algebra.CyclotomicInt` objects are built only
+when a caller asks for them.  Parseval is verified on the layers before a
+spectrum is returned.  Bent classification looks each coefficient up
+among the 2p values sign * G^m * zeta^e, with G the quadratic Gauss sum,
+requires one global sign, and reads the dual function off the exponents e.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
+from math import gcd
 from operator import mul
 from typing import Callable, Sequence
 
@@ -37,24 +45,45 @@ EXPONENT_CAP = 10 ** 6
 
 
 class ParyFunction:
-    """Function F_{p^m} -> F_{p^s} stored as a truth table in canonical order."""
+    """Function F_{p^m} -> F_{p^s} stored as a truth table in canonical order.
 
-    __slots__ = ("field", "codomain_degree", "table")
+    ``indices`` holds the index of the value at each point and ``table``
+    the same values as the field's interned elements."""
+
+    __slots__ = ("field", "codomain_degree", "table", "indices")
 
     def __init__(self, field: Field, table: Sequence[FieldElement], codomain_degree: int | None = None):
         table = tuple(table)
+        self._set(field, tuple(v.index for v in table), table, codomain_degree)
+
+    @classmethod
+    def from_indices(
+        cls, field: Field, indices: Sequence[int], codomain_degree: int | None = None
+    ) -> "ParyFunction":
+        """The function whose value at the element of index i has index
+        ``indices[i]``."""
+        out = cls.__new__(cls)
+        indices = tuple(indices)
+        out._set(field, indices, tuple(map(field.elements.__getitem__, indices)), codomain_degree)
+        return out
+
+    def _set(self, field, indices, table, codomain_degree):
         if len(table) != field.q:
             raise ValueError(f"table needs {field.q} entries, got {len(table)}")
         if codomain_degree is None:
-            codomain_degree = _smallest_codomain(field, table)
+            codomain_degree = next(
+                s for s in range(1, field.m + 1)
+                if field.m % s == 0 and _outside_subfield(field, indices, s) is None
+            )
         else:
-            sub_q = field.p ** codomain_degree
-            for v in table:
-                if field._pow(v, sub_q) != v:
-                    raise ValueError(f"table value {v!r} outside F_{field.p}^{codomain_degree}")
+            # v^(p^s) = v exactly for the v in F_{p^gcd(s, m)}
+            bad = _outside_subfield(field, indices, gcd(codomain_degree, field.m))
+            if bad is not None:
+                raise ValueError(f"table value {table[bad]!r} outside F_{field.p}^{codomain_degree}")
         self.field = field
         self.codomain_degree = codomain_degree
         self.table = table
+        self.indices = indices
 
     def __call__(self, x: FieldElement) -> FieldElement:
         return self.table[x.index]
@@ -85,16 +114,17 @@ class ParyFunction:
         Values in F_{p^d} satisfy v^(p^s) = v whenever d divides s, so the
         per-value check is skipped in that case."""
         if s % self.codomain_degree:
-            return ParyFunction(self.field, self.table, s)
+            return ParyFunction.from_indices(self.field, self.indices, s)
         out = ParyFunction.__new__(ParyFunction)
-        out.field, out.codomain_degree, out.table = self.field, s, self.table
+        out.field, out.codomain_degree, out.table, out.indices = self.field, s, self.table, self.indices
         return out
 
     def exponents(self) -> tuple[int, ...]:
-        """Values as integers in [0, p); requires a prime-valued function."""
+        """Values as integers in [0, p); requires a prime-valued function.
+        An element of the prime subfield has its value as its index."""
         if self.codomain_degree != 1:
             raise WrongCodomain("function is not prime-valued")
-        return tuple(v.as_prime_int() for v in self.table)
+        return self.indices
 
     def is_affine(self) -> bool:
         """True when x -> f(x) - f(0) is additive (checked exhaustively)."""
@@ -106,14 +136,19 @@ class ParyFunction:
         return True
 
 
-def _smallest_codomain(field: Field, table) -> int:
-    for s in range(1, field.m + 1):
-        if field.m % s != 0:
-            continue
-        sub_q = field.p ** s
-        if all(field._pow(v, sub_q) == v for v in table):
-            return s
-    return field.m
+def _outside_subfield(field: Field, indices: Sequence[int], d: int) -> int | None:
+    """Position of the first value outside F_{p^d}, d dividing m, or None.
+
+    The prime subfield holds the indices below p; a nonzero g^k lies in
+    F_{p^d} exactly when k (p^d - 1) = 0 mod q - 1."""
+    if d == field.m:
+        return None
+    if d == 1:
+        p = field.p
+        return next((i for i, v in enumerate(indices) if v >= p), None)
+    log = field._pow_tables()[1]  # log[0] = 0 keeps zero in every subfield
+    step = (field.q - 1) // (field.p ** d - 1)
+    return next((i for i, v in enumerate(indices) if log[v] % step), None)
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +167,6 @@ def _smallest_codomain(field: Field, table) -> int:
 # = tr(c*x^((3^i+1)/2)) name the two bent families used in the test grids.
 
 _TOKEN_CHARS = set("+-*^(),")
-
-
-def _combine(a, b, op):
-    if op == "+":
-        return lambda x: a(x) + b(x)
-    if op == "-":
-        return lambda x: a(x) - b(x)
-    return lambda x: a(x) * b(x)
 
 
 def _tokenize(spec: str) -> list[str]:
@@ -170,6 +197,11 @@ def _tokenize(spec: str) -> list[str]:
 
 
 class _Parser:
+    """Recursive descent that evaluates each node once, over the whole
+    field, as soon as it is parsed.  A node's value is an int, the index of
+    a constant, or a list of q indices, its value at every point in
+    canonical order; constant subexpressions are folded on the way."""
+
     def __init__(self, field: Field, tokens: list[str]):
         self.field = field
         self.tokens = tokens
@@ -197,26 +229,27 @@ class _Parser:
         node = self.term()
         while self.peek() in ("+", "-"):
             op = self.take()
-            node = _combine(node, self.term(), op)
+            rhs = self.term()
+            if op == "-":
+                rhs = self._pointwise(self.field.arith.neg, rhs)
+            node = self._pointwise(self.field.arith.add, node, rhs)
         return node
 
     def term(self):
         node = self.factor()
         while self.peek() == "*":
             self.take()
-            node = _combine(node, self.factor(), "*")
+            node = self._product(node, self.factor())
         return node
 
     def factor(self):
         if self.peek() == "-":
             self.take()
-            inner = self.factor()
-            return lambda x: -inner(x)
+            return self._pointwise(self.field.arith.neg, self.factor())
         node = self.atom()
         if self.peek() == "^":
             self.take()
-            e = self.integer()
-            node = (lambda a, ee: lambda x: a(x) ** ee)(node, e)
+            node = self._power(node, self.integer())
         return node
 
     def integer(self) -> int:
@@ -232,13 +265,11 @@ class _Parser:
         field = self.field
         tok = self.take()
         if tok.isdigit():
-            val = field.scalar(int(tok))
-            return lambda x: val
+            return int(tok) % field.p  # the index of a prime-field scalar is its value
         if tok == "x":
-            return lambda x: x
+            return list(range(field.q))
         if tok == "g":
-            gen = field.generator()
-            return lambda x: gen
+            return field.generator().index
         if tok == "(":
             node = self.expr()
             self.take(")")
@@ -247,35 +278,67 @@ class _Parser:
             self.take("(")
             inner = self.expr()
             self.take(")")
-            return self._trace_of(inner)
+            return self._trace(inner)
         if tok == "quadratic":
             c, i = self._family_args()
-            e = field.p ** i + 1
-            return self._trace_of(lambda x: c * x ** e)
+            return self._trace(self._product(c, self._power(list(range(field.q)), field.p ** i + 1)))
         if tok == "ternary_half":
             if field.p != 3:
                 raise ParseError("ternary_half needs characteristic 3")
             c, i = self._family_args()
-            e = (3 ** i + 1) // 2
-            return self._trace_of(lambda x: c * x ** e)
+            return self._trace(self._product(c, self._power(list(range(field.q)), (3 ** i + 1) // 2)))
         if tok.isidentifier():
             raise UndefinedSymbol(f"unknown symbol {tok!r}")
         raise ParseError(f"unexpected token {tok!r}")
 
-    def _trace_of(self, inner):
-        elements, trace_int = self.field.elements, self.field.trace_int
-        return lambda x: elements[trace_int(inner(x))]
-
     def _family_args(self):
         self.take("(")
-        c_node = self.expr()
+        c = self.expr()
         self.take(",")
         i = self.integer()
         self.take(")")
-        c = c_node(self.field.zero)
-        if c != c_node(self.field.one):
-            raise ParseError("family coefficient must be a constant")
+        if not isinstance(c, int):
+            # the coefficient is its value at 0, and must agree at 1
+            if c[0] != c[1]:
+                raise ParseError("family coefficient must be a constant")
+            c = c[0]
         return c, i
+
+    # -- node values ---------------------------------------------------------
+
+    def _pointwise(self, fn, *nodes):
+        """fn applied at every point; a constant stays a constant."""
+        if all(isinstance(a, int) for a in nodes):
+            return fn(*nodes)
+        q = self.field.q
+        return list(map(fn, *(repeat(a, q) if isinstance(a, int) else a for a in nodes)))
+
+    def _product(self, a, b):
+        """a * b; a product with a constant is one log-add pass."""
+        arith = self.field.arith
+        if isinstance(a, int):
+            a, b = b, a
+        if isinstance(b, int):
+            if isinstance(a, int):
+                return arith.mul(a, b)
+            return arith.scale(a, b) if b else [0] * len(a)
+        return list(map(arith.mul, a, b))
+
+    def _power(self, a, e: int):
+        """a^e for e >= 0, with 0^0 = 1, in one pass over the exp/log tables."""
+        field = self.field
+        if isinstance(a, int):
+            return field._pow(field.elements[a], e).index
+        if e == 0:
+            return [1] * len(a)
+        exp, log = field._pow_tables()
+        n1 = field.q - 1
+        k = e % n1
+        return [exp[log[v] * k % n1] if v else 0 for v in a]
+
+    def _trace(self, a):
+        table = self.field.trace_table()
+        return table[a] if isinstance(a, int) else list(map(table.__getitem__, a))
 
 
 def parse_function(field: Field, spec: str) -> ParyFunction:
@@ -284,7 +347,7 @@ def parse_function(field: Field, spec: str) -> ParyFunction:
     if not tokens:
         raise ParseError("empty function spec")
     node = _Parser(field, tokens).parse()
-    return ParyFunction(field, [node(x) for x in field.elements])
+    return ParyFunction.from_indices(field, [node] * field.q if isinstance(node, int) else node)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +355,27 @@ def parse_function(field: Field, spec: str) -> ParyFunction:
 # ---------------------------------------------------------------------------
 
 class WalshSpectrum:
-    """Exact Walsh coefficients of a prime-valued function, indexed by b."""
+    """Exact Walsh coefficients of a prime-valued function, indexed by b.
 
-    __slots__ = ("field", "coefficients", "source")
+    ``layers[e][b]`` is the coefficient of zeta^e in chi_hat(b) in canonical
+    form: c_{p-1} = 0 is left out, so there are p - 1 integer lists, and at
+    p = 2 the one list holds the integer spectrum.  :attr:`coefficients`
+    and item access build :class:`CyclotomicInt` objects on first use."""
 
-    def __init__(self, field: Field, coefficients: Sequence[CyclotomicInt], source: ParyFunction):
+    __slots__ = ("field", "layers", "source", "_coefficients")
+
+    def __init__(self, field: Field, layers: Sequence[list[int]], source: ParyFunction):
         self.field = field
-        self.coefficients = tuple(coefficients)
+        self.layers = tuple(layers)
         self.source = source
+        self._coefficients = None
+
+    @property
+    def coefficients(self) -> tuple[CyclotomicInt, ...]:
+        if self._coefficients is None:
+            p = self.field.p
+            self._coefficients = tuple(CyclotomicInt(p, c) for c in zip(*self.layers))
+        return self._coefficients
 
     def __getitem__(self, b: FieldElement) -> CyclotomicInt:
         return self.coefficients[b.index]
@@ -309,27 +385,31 @@ class WalshSpectrum:
 
     def parseval_sum(self) -> CyclotomicInt:
         """Sum over b of |chi_hat(b)|^2; coefficient d of zeta^d is
-        sum_i <column i, column i - d> over the coefficient columns."""
-        p = self.field.p
-        cols = list(zip(*(c.coeffs for c in self.coefficients)))
-        return CyclotomicInt(
-            p, [sum(sum(map(mul, cols[i], cols[(i - d) % p])) for i in range(p)) for d in range(p)]
-        )
+        sum_i <layer i, layer i - d>, layer p - 1 being zero."""
+        p, layers = self.field.p, self.layers
+        pairs = [[(i, (i - d) % p) for i in range(p - 1) if (i - d) % p < p - 1] for d in range(p)]
+        return CyclotomicInt(p, [sum(sum(map(mul, layers[i], layers[j])) for i, j in ij) for ij in pairs])
 
 
 def walsh_transform(f: ParyFunction) -> WalshSpectrum:
     """chi_hat(b) = sum over x of zeta^(f(x) - Tr(bx)), exactly.
 
     Tr(bx) = <x, v_b> with v_b the Gram contraction of b, so chi_hat(b) is
-    the p-ary Walsh-Hadamard transform of zeta^f read at v_b."""
+    the p-ary Walsh-Hadamard transform of zeta^f read at v_b.  At p = 2,
+    zeta^f = (-1)^f is one integer list."""
     if f.codomain_degree != 1:
         raise WrongCodomain("Walsh transform needs a prime-valued function")
     field = f.field
     p = field.p
     fints = f.exponents()
-    layers = _fwht([[int(v == e) for v in fints] for e in range(p)], p, field.m)
-    coeffs = [CyclotomicInt(p, [layer[u] for layer in layers]) for u in field.trace_dual_indices()]
-    spectrum = WalshSpectrum(field, coeffs, f)
+    dual = field.trace_dual_indices()
+    if p == 2:
+        (w,) = _fwht([[1 - 2 * v for v in fints]], 2, field.m)
+        layers = [list(map(w.__getitem__, dual))]
+    else:
+        *layers, last = _fwht([[int(v == e) for v in fints] for e in range(p)], p, field.m)
+        layers = [[layer[u] - last[u] for u in dual] for layer in layers]
+    spectrum = WalshSpectrum(field, layers, f)
     if spectrum.parseval_sum() != CyclotomicInt.from_int(p, field.q ** 2):
         raise InvariantViolated("Parseval failed: the Walsh spectrum is wrong")
     return spectrum
@@ -364,42 +444,38 @@ class BentClass:
 def classify_bent(spectrum: WalshSpectrum) -> BentClass:
     field = spectrum.field
     p, m, q = field.p, field.m, field.q
-    target = CyclotomicInt.from_int(p, q)
-    for c in spectrum.coefficients:
-        if c.abs_squared() != target:
-            return BentClass(BentKind.NOT_BENT)
     if p == 2:
         # real spectrum: the dual carries the sign, epsilon = unit = 1
-        exps = []
-        for c in spectrum.coefficients:
-            v = c.as_int()
-            if v * v != q:
-                raise InvariantViolated(f"bent coefficient {v} does not square to {q}")
-            exps.append(0 if v > 0 else 1)
-        dual = ParyFunction(field, [field.scalar(e) for e in exps], 1)
+        (w,) = spectrum.layers
+        if any(v * v != q for v in w):
+            return BentClass(BentKind.NOT_BENT)
+        dual = ParyFunction.from_indices(field, [int(v < 0) for v in w], 1)
         return BentClass(BentKind.REGULAR, 1, "1", dual)
-    gm = gauss_sum_power(p, m)
-    candidates = [gm * CyclotomicInt.zeta_power(p, e) for e in range(p)]
-    signs = []
-    exps = []
-    for c in spectrum.coefficients:
-        found = None
-        for e, cand in enumerate(candidates):
-            if c == cand:
-                found = (1, e)
-                break
-            if c == -cand:
-                found = (-1, e)
-                break
-        if found is None:
-            raise InvariantViolated(f"bent coefficient {c!r} is not +/- G^m * zeta^e")
-        signs.append(found[0])
-        exps.append(found[1])
-    if len(set(signs)) != 1:
+    # sign and exponent of each of the 2p values +/- G^m zeta^e, by its
+    # canonical coefficients without c_{p-1}; zeta^e rotates them by e
+    gm = gauss_sum_power(p, m).coeffs
+    bent_values = {}
+    for e in range(p):
+        c = CyclotomicInt(p, gm[-e:] + gm[:-e]).coeffs[:-1]
+        bent_values[c] = (1, e)
+        bent_values[tuple(-a for a in c)] = (-1, e)
+    coeffs = list(zip(*spectrum.layers))
+    hits = list(map(bent_values.get, coeffs))
+    if None in hits:
+        # |c|^2 decides between NOT_BENT, which wins wherever it occurs, and a
+        # broken invariant
+        target = CyclotomicInt.from_int(p, q)
+        stray = [c for c, hit in zip(coeffs, hits) if hit is None]
+        if any(CyclotomicInt(p, c).abs_squared() != target for c in stray):
+            return BentClass(BentKind.NOT_BENT)
+        first = CyclotomicInt(p, stray[0])
+        raise InvariantViolated(f"bent coefficient {first!r} is not +/- G^m * zeta^e")
+    signs = {sign for sign, _ in hits}
+    if len(signs) != 1:
         return BentClass(BentKind.NON_WEAKLY_REGULAR)
-    epsilon = signs[0]
+    (epsilon,) = signs
     unit = _unit_tag(p, m, epsilon)
-    dual = ParyFunction(field, [field.scalar(e) for e in exps], 1)
+    dual = ParyFunction.from_indices(field, [e for _, e in hits], 1)
     kind = BentKind.REGULAR if unit == "1" else BentKind.WEAKLY_REGULAR
     return BentClass(kind, epsilon, unit, dual)
 
@@ -456,7 +532,7 @@ def differential_uniformity(f: ParyFunction) -> int:
         raise WrongCodomain("differential uniformity needs an F_q -> F_q map")
     field = f.field
     add = field.arith.add
-    table = [v.index for v in f.table]
+    table = f.indices
     negated = [field.arith.neg(v) for v in table]
     xs = range(field.q)
     best = 0

@@ -37,6 +37,28 @@ def test_default_modulus_f9_is_x2_plus_1():
     assert make_field(3, 2, [1, 0, 1]) is make_field(3, 2)
 
 
+def test_default_modulus_is_searched_once(monkeypatch):
+    from walshcodes import algebra
+
+    calls = []
+    check = algebra._modulus_is_irreducible
+
+    def counted(modulus, p, m):
+        calls.append(modulus)
+        return check(modulus, p, m)
+
+    monkeypatch.setattr(algebra, "_modulus_is_irreducible", counted)
+    first = make_field(7, 3)
+    calls.clear()
+    assert make_field(7, 3) is first
+    assert calls == []
+    # an explicit modulus is still validated on every call
+    assert make_field(7, 3, first.modulus) is first
+    assert calls
+    with pytest.raises(ReducibleModulus):
+        make_field(7, 3, [0, 0, 0, 1])
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(ReducibleModulus):
         make_field(3, 2, [2, 0, 1])  # x^2 + 2 has the root 1

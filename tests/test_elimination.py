@@ -312,6 +312,18 @@ def test_construction_invariants_raise_under_optimize():
             cs._relative_coords(other, 2)
         except InvariantViolated as ex:
             print("basis:", ex)
+
+        f16 = make_field(2, 4)
+        f16._pow = lambda a, e: f16.zero
+        try:
+            cs.make_trace_zero_set(f16)
+        except InvariantViolated as ex:
+            print("trace-zero:", ex)
+        try:
+            cs.make_cyclotomic_set(f16, 1)
+        except InvariantViolated as ex:
+            print("cyclotomic:", ex)
+        del f16._pow
         """
     )
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -320,4 +332,6 @@ def test_construction_invariants_raise_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["frobenius", "basis"], proc.stdout
+    assert [line.split(":")[0] for line in lines] == [
+        "frobenius", "basis", "trace-zero", "cyclotomic"
+    ], proc.stdout

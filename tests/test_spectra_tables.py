@@ -3,8 +3,9 @@
 Each fast route is compared with the reference it replaced, which lives
 here as a test oracle: the coefficient arithmetic of F_{p^m} (the product
 is the polynomial convolution reduced by the modulus), the O(q^2) Walsh
-loop, square-and-multiply powers, the Frobenius-sum trace and the
-order-counting generator search.  The element operators and the elimination
+loop, the two-layer binary FWHT, the per-coefficient bent classification,
+the closure evaluator of the function mini-language, square-and-multiply
+powers, the Frobenius-sum trace and the order-counting generator search.  The element operators and the elimination
 kernel share one set of index tables, so this file is also what makes the
 oracle of tests/test_elimination.py independent.
 """
@@ -15,15 +16,23 @@ import subprocess
 import sys
 import textwrap
 from functools import lru_cache
+from operator import add
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from walshcodes.algebra import CyclotomicInt, is_prime, make_field, trace
+from walshcodes.algebra import CyclotomicInt, _fwht, gauss_sum_power, is_prime, make_field, trace
+from walshcodes.errors import ExponentOverflow, InvariantViolated, ParseError, UndefinedSymbol
 from walshcodes.functions import (
+    EXPONENT_CAP,
+    BentClass,
+    BentKind,
     ParyFunction,
+    WalshSpectrum,
+    _tokenize,
+    _unit_tag,
     classify_bent,
     differential_uniformity,
     parse_function,
@@ -66,6 +75,195 @@ def walsh_oracle(f):
             counts[(fints[x.index] - field.trace_bilinear(b, x)) % p] += 1
         coeffs.append(CyclotomicInt(p, counts))
     return coeffs
+
+
+def fwht_oracle(layers, p, m):
+    """The layered p-ary FWHT for every p, p = 2 included, where it moves the
+    two layers of zeta^0 and zeta^1 through every pass."""
+    q = p ** m
+    n = q // p
+    for _ in range(m):
+        blocks = [[layer[x * n:(x + 1) * n] for x in range(p)] for layer in layers]
+        new = [[0] * q for _ in range(p)]
+        for u in range(p):
+            for e in range(p):
+                acc = blocks[e][0]
+                for x in range(1, p):
+                    acc = list(map(add, acc, blocks[(e + u * x) % p][x]))
+                new[e][u::p] = acc
+        layers = new
+    return layers
+
+
+def classify_oracle(spectrum, gauss=gauss_sum_power):
+    """The per-coefficient loops: |c|^2 = q for every c, then a search of
+    the 2p values +/- G^m zeta^e for each c in turn."""
+    field = spectrum.field
+    p, m, q = field.p, field.m, field.q
+    target = CyclotomicInt.from_int(p, q)
+    for c in spectrum.coefficients:
+        if c.abs_squared() != target:
+            return BentClass(BentKind.NOT_BENT)
+    if p == 2:
+        exps = [0 if c.as_int() > 0 else 1 for c in spectrum.coefficients]
+        dual = ParyFunction(field, [field.scalar(e) for e in exps], 1)
+        return BentClass(BentKind.REGULAR, 1, "1", dual)
+    gm = gauss(p, m)
+    candidates = [gm * CyclotomicInt.zeta_power(p, e) for e in range(p)]
+    signs, exps = [], []
+    for c in spectrum.coefficients:
+        found = None
+        for e, cand in enumerate(candidates):
+            if c == cand:
+                found = (1, e)
+                break
+            if c == -cand:
+                found = (-1, e)
+                break
+        if found is None:
+            raise InvariantViolated(f"bent coefficient {c!r} is not +/- G^m * zeta^e")
+        signs.append(found[0])
+        exps.append(found[1])
+    if len(set(signs)) != 1:
+        return BentClass(BentKind.NON_WEAKLY_REGULAR)
+    unit = _unit_tag(p, m, signs[0])
+    kind = BentKind.REGULAR if unit == "1" else BentKind.WEAKLY_REGULAR
+    return BentClass(kind, signs[0], unit, ParyFunction(field, [field.scalar(e) for e in exps], 1))
+
+
+def _combine(a, b, op):
+    if op == "+":
+        return lambda x: a(x) + b(x)
+    if op == "-":
+        return lambda x: a(x) - b(x)
+    return lambda x: a(x) * b(x)
+
+
+class ClosureParser:
+    """The per-point evaluator: each node of the mini-language becomes a
+    closure over field elements, called once per point."""
+
+    def __init__(self, field, tokens):
+        self.field = field
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self, expected=None):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of function spec")
+        if expected is not None and tok != expected:
+            raise ParseError(f"expected {expected!r}, found {tok!r}")
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        node = self.expr()
+        if self.peek() is not None:
+            raise ParseError(f"trailing input {self.peek()!r}")
+        return node
+
+    def expr(self):
+        node = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            node = _combine(node, self.term(), op)
+        return node
+
+    def term(self):
+        node = self.factor()
+        while self.peek() == "*":
+            self.take()
+            node = _combine(node, self.factor(), "*")
+        return node
+
+    def factor(self):
+        if self.peek() == "-":
+            self.take()
+            inner = self.factor()
+            return lambda x: -inner(x)
+        node = self.atom()
+        if self.peek() == "^":
+            self.take()
+            e = self.integer()
+            node = (lambda a, ee: lambda x: a(x) ** ee)(node, e)
+        return node
+
+    def integer(self):
+        tok = self.take()
+        if not tok.isdigit():
+            raise ParseError(f"expected integer, found {tok!r}")
+        val = int(tok)
+        if val > EXPONENT_CAP:
+            raise ExponentOverflow(f"exponent {val} exceeds cap {EXPONENT_CAP}")
+        return val
+
+    def atom(self):
+        field = self.field
+        tok = self.take()
+        if tok.isdigit():
+            val = field.scalar(int(tok))
+            return lambda x: val
+        if tok == "x":
+            return lambda x: x
+        if tok == "g":
+            gen = field.generator()
+            return lambda x: gen
+        if tok == "(":
+            node = self.expr()
+            self.take(")")
+            return node
+        if tok == "tr":
+            self.take("(")
+            inner = self.expr()
+            self.take(")")
+            return self._trace_of(inner)
+        if tok == "quadratic":
+            c, i = self._family_args()
+            e = field.p ** i + 1
+            return self._trace_of(lambda x: c * x ** e)
+        if tok == "ternary_half":
+            if field.p != 3:
+                raise ParseError("ternary_half needs characteristic 3")
+            c, i = self._family_args()
+            e = (3 ** i + 1) // 2
+            return self._trace_of(lambda x: c * x ** e)
+        if tok.isidentifier():
+            raise UndefinedSymbol(f"unknown symbol {tok!r}")
+        raise ParseError(f"unexpected token {tok!r}")
+
+    def _trace_of(self, inner):
+        elements, trace_int = self.field.elements, self.field.trace_int
+        return lambda x: elements[trace_int(inner(x))]
+
+    def _family_args(self):
+        self.take("(")
+        c_node = self.expr()
+        self.take(",")
+        i = self.integer()
+        self.take(")")
+        c = c_node(self.field.zero)
+        if c != c_node(self.field.one):
+            raise ParseError("family coefficient must be a constant")
+        return c, i
+
+
+def parse_oracle(field, spec):
+    """(truth table, codomain degree) from the closure evaluator, the
+    degree being the least s dividing m with v^(p^s) = v for every value."""
+    tokens = _tokenize(spec)
+    if not tokens:
+        raise ParseError("empty function spec")
+    node = ClosureParser(field, tokens).parse()
+    table = tuple(node(x) for x in field.elements)
+    degree = next(
+        s for s in range(1, field.m + 1)
+        if field.m % s == 0 and all(field._pow(v, field.p ** s) == v for v in table)
+    )
+    return table, degree
 
 
 @lru_cache(maxsize=None)
@@ -211,8 +409,22 @@ def test_operators_reject_foreign_operands():
 
 def _assert_same_spectrum(f):
     spectrum = walsh_transform(f)
-    assert spectrum.coefficients == tuple(walsh_oracle(f))
+    oracle = walsh_oracle(f)
+    # the layers are the canonical coefficients without c_{p-1}
+    assert spectrum.layers == tuple([c.coeffs[e] for c in oracle] for e in range(f.field.p - 1))
+    assert spectrum.coefficients == tuple(oracle)
     return spectrum
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_binary_fwht_is_the_difference_of_the_two_layer_transform(m):
+    rng = random.Random(m)
+    q = 2 ** m
+    signs = [rng.choice((1, -1)) for _ in range(q)]
+    counts = [rng.randrange(5) for _ in range(q)]
+    for values in (signs, counts):
+        even, odd = fwht_oracle([values, [0] * q], 2, m)
+        assert _fwht([list(values)], 2, m) == [[a - b for a, b in zip(even, odd)]]
 
 
 @pytest.mark.parametrize("pm", SMALL, ids=_ids(SMALL))
@@ -255,6 +467,86 @@ def test_classification_from_fwht_spectrum(pm, spec, bent):
     q = CyclotomicInt.from_int(field.p, field.q)
     assert all(c.abs_squared() == q for c in walsh_oracle(spectrum.source)) == bent
     assert (classify_bent(spectrum).kind.value != "not_bent") == bent
+
+
+def _flip_signs(spectrum, points):
+    """The spectrum with the coefficients at the given indices negated."""
+    layers = [list(layer) for layer in spectrum.layers]
+    for layer in layers:
+        for b in points:
+            layer[b] = -layer[b]
+    return WalshSpectrum(spectrum.field, layers, spectrum.source)
+
+
+CLASSIFY_CASES = [
+    ((2, 4), "tr(g*x^3)"),
+    ((2, 4), "tr(g^3*x^3)"),
+    ((2, 6), "tr(g*x^3) + tr(x)"),
+    ((2, 5), "tr(x^3)"),
+    ((3, 3), "tr(x^2)"),
+    ((3, 3), "ternary_half(g,1) + tr(g^4*x)"),
+    ((3, 3), "tr(x^4) + tr(g*x)"),
+    ((3, 4), "tr(g*x^2) + tr(x^3)"),
+    ((3, 6), "tr(g^7*x^98)"),
+    ((5, 2), "tr(x^2)"),
+    ((5, 2), "quadratic(g^3,1)"),
+    ((5, 3), "quadratic(g^3,1)"),
+    ((5, 2), "tr(x^3)"),
+    ((7, 2), "tr(g*x^2) + tr(g^5*x)"),
+    ((7, 1), "tr(3*x^2)"),
+    ((7, 2), "tr(x^4)"),
+]
+
+
+@pytest.mark.parametrize("pm,spec", CLASSIFY_CASES, ids=[f"{pm}-{spec}" for pm, spec in CLASSIFY_CASES])
+def test_classification_matches_per_coefficient_loops(pm, spec):
+    field = make_field(*pm)
+    spectrum = walsh_transform(parse_function(field, spec))
+    cls = classify_bent(spectrum)
+    assert cls == classify_oracle(spectrum)
+    # a sign flip at some b breaks weak regularity at odd p, and a wrong
+    # absolute value anywhere makes the spectrum not bent
+    variants = [_flip_signs(spectrum, range(0, field.q, 3)), _flip_signs(spectrum, [field.q - 1])]
+    broken = [list(layer) for layer in spectrum.layers]
+    broken[0][field.q // 2] += field.p
+    variants.append(WalshSpectrum(field, broken, spectrum.source))
+    for other in variants:
+        assert classify_bent(other) == classify_oracle(other)
+    if cls.kind is not BentKind.NOT_BENT and field.p > 2:
+        assert classify_bent(variants[0]).kind is BentKind.NON_WEAKLY_REGULAR
+    assert classify_bent(variants[2]).kind is BentKind.NOT_BENT
+
+
+def test_non_weakly_regular_ternary_monomial():
+    # Helleseth-Kholosha: Tr(xi^7 x^98) over GF(3^6) is bent, not weakly regular
+    spectrum = walsh_transform(parse_function(make_field(3, 6), "tr(g^7*x^98)"))
+    assert classify_bent(spectrum).kind is BentKind.NON_WEAKLY_REGULAR
+
+
+def test_wrong_gauss_sum_keeps_not_bent_first(monkeypatch):
+    """With a wrong G^m every bent coefficient misses the table: a bent
+    spectrum breaks the invariant, and a not-bent one is still NOT_BENT."""
+    from walshcodes import functions
+
+    def unit_gauss(p, m):
+        return CyclotomicInt.from_int(p, 1)
+
+    monkeypatch.setattr(functions, "gauss_sum_power", unit_gauss)
+    field = make_field(5, 2)
+    for spec, bent in (("tr(x^2)", True), ("tr(x^3)", False)):
+        spectrum = walsh_transform(parse_function(field, spec))
+        if bent:
+            for classify in (classify_bent, lambda s: classify_oracle(s, unit_gauss)):
+                with pytest.raises(InvariantViolated):
+                    classify(spectrum)
+        else:
+            assert classify_bent(spectrum) == classify_oracle(spectrum, unit_gauss)
+            assert classify_bent(spectrum).kind is BentKind.NOT_BENT
+    # bent everywhere but at the last b: NOT_BENT still wins
+    layers = [list(layer) for layer in walsh_transform(parse_function(field, "tr(x^2)")).layers]
+    layers[0][-1] += field.p
+    late = WalshSpectrum(field, layers, None)
+    assert classify_bent(late) == classify_oracle(late, unit_gauss) == BentClass(BentKind.NOT_BENT)
 
 
 # -- powers, traces, generator ------------------------------------------------------
@@ -338,6 +630,53 @@ def test_parsed_tables_match_frobenius_evaluation(pm):
         cases["ternary_half(g,1)"] = lambda x: (g * pow_oracle(field, x, 2)).trace()
     for spec, fn in cases.items():
         assert parse_function(field, spec).table == tuple(_oracle_table(field, fn)), spec
+
+
+GRAMMAR_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2), (3, 3)]
+
+GRAMMAR_SPECS = [
+    # atoms, constants and powers, 0^0 = 1 included
+    "x", "0", "1", "7", "g", "x^0", "0^0", "g^0", "x^1", "x^2", "x^5", "x^26", "x^1000000",
+    "(x+1)^0", "2^3", "g^5", "g^5*g^3", "x^2^3",
+    # unary and binary minus
+    "-x", "--x", "-x^2", "x-1", "1-x-x", "x - -1", "x*-1", "-g*x", "x-x", "-(x+g)",
+    # sums, products and parentheses
+    "2*x^2 + g*x + 1", "((x))", "(x+1)^3", "(x+g)*(x-g)", "x*x*x - x^3", "(g^2*x + 1)*(x + g)",
+    "g^5*x*g^3", "x*g^7*g^2", "3*x + 4*x", "(g + 1)^2 * x",
+    # traces, nested and of constants
+    "tr(x)", "tr(1)", "tr(g)", "tr(tr(x))", "tr(x*tr(g*x))", "tr(g*x^3) + tr(g^5*x)",
+    "tr(x^2 + 1)", "tr(g^2*x^3 - x)", "tr(-x) - tr(x)", "tr((x+1)^2) * tr(x)",
+    # the named families; the coefficient is read at x = 0 and x = 1
+    "quadratic(1,1)", "quadratic(g^2,1)", "quadratic(g*g^3,2)", "quadratic(tr(g),0)",
+    "quadratic(2,3) + tr(x)", "quadratic(x^2+x,1)", "ternary_half(g^2,1)", "ternary_half(1,3)",
+    "ternary_half(g,1) - quadratic(g,1)",
+    # errors, in the order they are detected
+    "", "x^", "x +", "(x", "x)", "y", "x $", "3x", "tr x", "tr(x", "tr()", "x^-1", "x^g",
+    "quadratic(1)", "quadratic(1,x)", "quadratic(x,1)", "quadratic(x,1", "quadratic(x,1000001)",
+    "x^1000001", "ternary_half(x,1)", "ternary_half(1,1000001)", "foo(x)", "x + ^",
+]
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except (ParseError, UndefinedSymbol, ExponentOverflow) as ex:
+        return type(ex), str(ex)
+
+
+@pytest.mark.parametrize("pm", GRAMMAR_FIELDS, ids=_ids(GRAMMAR_FIELDS))
+def test_parse_matches_closure_evaluator(pm):
+    field = make_field(*pm)
+    for spec in GRAMMAR_SPECS:
+        def new():
+            f = parse_function(field, spec)
+            return f.table, f.codomain_degree
+
+        got, want = _outcome(new), _outcome(lambda: parse_oracle(field, spec))
+        assert got == want, spec
+    # prime values by index: an element of the prime subfield has its value as index
+    f = parse_function(field, "tr(g*x^2) + x^0")
+    assert f.exponents() == tuple(v.as_prime_int() for v in f.table)
 
 
 def test_with_codomain_skips_only_implied_checks():
@@ -490,6 +829,35 @@ def test_invariants_raise_under_optimize():
             cs.CompleteWeightEnumerator({(1, 0): 1}, 2, 1)
         except InvariantViolated as ex:
             print("cwe:", ex)
+
+        import walshcodes.algebra as al
+
+        f16 = make_field(2, 4)
+        f16.trace_int = lambda e: 0
+        try:
+            al.trace_kernel(f16)
+        except InvariantViolated as ex:
+            print("kernel:", ex)
+        del f16.trace_int
+
+        f4 = make_field(2, 2)
+        good_modulus = f4.modulus
+        f4.modulus = (1, 1, 0, 1)  # irreducible of degree 3: no root in GF(16)
+        try:
+            al.subfield(f16, 2)
+        except InvariantViolated as ex:
+            print("root:", ex)
+        f4.modulus = (0, 1, 1)  # x^2 + x: the root 0 collapses the embedding
+        try:
+            al.subfield(f16, 2)
+        except InvariantViolated as ex:
+            print("embedding:", ex)
+        f4.modulus = good_modulus
+
+        try:
+            cd._factor_exponents([CyclotomicInt.from_int(3, 2)], 3)
+        except InvariantViolated as ex:
+            print("root of unity:", ex)
         """
     )
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -499,6 +867,7 @@ def test_invariants_raise_under_optimize():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
-        "parseval", "gauss", "apn", "macwilliams", "weights", "remainder", "cwe"
+        "parseval", "gauss", "apn", "macwilliams", "weights", "remainder", "cwe",
+        "kernel", "root", "embedding", "root of unity",
     ], proc.stdout
     assert "Parseval" in lines[0]
