@@ -5,9 +5,10 @@ here as a test oracle: the coefficient arithmetic of F_{p^m} (the product
 is the polynomial convolution reduced by the modulus), the O(q^2) Walsh
 loop, the two-layer binary FWHT, the per-coefficient bent classification,
 the closure evaluator of the function mini-language, square-and-multiply
-powers, the Frobenius-sum trace and the order-counting generator search.  The element operators and the elimination
-kernel share one set of index tables, so this file is also what makes the
-oracle of tests/test_elimination.py independent.
+powers, the Frobenius-sum trace and the order-counting generator search.
+The element operators and the elimination kernel share one set of index
+tables, so this file is also what makes the oracle of
+tests/test_elimination.py independent.
 """
 
 import os
@@ -498,7 +499,9 @@ CLASSIFY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("pm,spec", CLASSIFY_CASES, ids=[f"{pm}-{spec}" for pm, spec in CLASSIFY_CASES])
+@pytest.mark.parametrize(
+    "pm,spec", CLASSIFY_CASES, ids=[f"GF({p}^{m})-{spec.replace(' ', '')}" for (p, m), spec in CLASSIFY_CASES]
+)
 def test_classification_matches_per_coefficient_loops(pm, spec):
     field = make_field(*pm)
     spectrum = walsh_transform(parse_function(field, spec))
@@ -650,7 +653,7 @@ GRAMMAR_SPECS = [
     "quadratic(1,1)", "quadratic(g^2,1)", "quadratic(g*g^3,2)", "quadratic(tr(g),0)",
     "quadratic(2,3) + tr(x)", "quadratic(x^2+x,1)", "ternary_half(g^2,1)", "ternary_half(1,3)",
     "ternary_half(g,1) - quadratic(g,1)",
-    # errors, in the order they are detected
+    # errors; where a spec has several, the first one detected is reported
     "", "x^", "x +", "(x", "x)", "y", "x $", "3x", "tr x", "tr(x", "tr()", "x^-1", "x^g",
     "quadratic(1)", "quadratic(1,x)", "quadratic(x,1)", "quadratic(x,1", "quadratic(x,1000001)",
     "x^1000001", "ternary_half(x,1)", "ternary_half(1,1000001)", "foo(x)", "x + ^",
