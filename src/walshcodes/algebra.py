@@ -209,8 +209,11 @@ class Field:
         ]
         self.zero = self.elements[0]
         self.one = self.elements[1]
-        self._trace_ints: list[int] | None = None
         self._trace_dual: list[int] | None = None
+        # per-subfield data, keyed by the subfield degree s and built on first use
+        self._subfields: dict[int, tuple] = {}
+        self._traces: dict[int, list[int]] = {}
+        self._coordinates: dict[int, list[int]] = {}
         self._generator: FieldElement | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
@@ -313,6 +316,14 @@ class Field:
         exp, log = self._pow_tables()
         return self.elements[exp[log[a.index] * e % (self.q - 1)]]
 
+    def power_indices(self, indices: Iterable[int], e: int) -> list[int]:
+        """The index of v^e for every index v, for e >= 1, in one pass over
+        the exp/log tables."""
+        exp, log = self._pow_tables()
+        n1 = self.q - 1
+        k = e % n1
+        return [exp[log[v] * k % n1] if v else 0 for v in indices]
+
     def frobenius(self, a: FieldElement, t: int = 1) -> FieldElement:
         return self._pow(a, self.p ** (t % self.m))
 
@@ -344,19 +355,52 @@ class Field:
 
     # -- trace machinery -------------------------------------------------------
 
-    def trace_table(self) -> list[int]:
-        """Tr_{q/p} of every element, by index, as integers in [0, p) (cached).
+    def trace_table(self, s: int = 1) -> list[int]:
+        """Tr_{q/p^s} of every element, by index, as the index of its value in
+        the subfield F_{p^s} of :func:`subfield` (cached per s); at s = 1 the
+        values are the integers in [0, p).
 
-        The table is the linear functional Tr(a) = sum_i a_i Tr(x^i), so only
+        The table is the F_p-linear map Tr(a) = sum_i a_i Tr(x^i), so only
         the m basis traces go through the Frobenius sum of :func:`trace`."""
-        if self._trace_ints is None:
-            # an element of the prime subfield has its value as its index
-            self._trace_ints = self._linear_indices([trace(self, b) for b in self.power_basis()])
-        return self._trace_ints
+        table = self._traces.get(s)
+        if table is None:
+            values = [trace(self, b, s) for b in self.power_basis()]
+            if s > 1:
+                project = subfield(self, s)[2]
+                values = [self.elements[project[v].index] for v in values]
+            # a subfield index is carried by the element of this field with the same digits
+            table = self._traces[s] = self._linear_indices(values)
+        return table
 
     def trace_int(self, a: FieldElement) -> int:
         """Absolute trace Tr_{q/p}(a) as an integer in [0, p)."""
-        return (self._trace_ints or self.trace_table())[a.index]
+        return (self._traces.get(1) or self.trace_table())[a.index]
+
+    def coordinate_table(self, s: int) -> list[int]:
+        """The coordinates (c_0, ..., c_{m/s-1}) of every element over the
+        subfield F_{p^s} in the basis 1, x, ..., x^(m/s-1), by index, packed
+        as the index sum_j c_j p^(s j), with c_j an index in the subfield of
+        :func:`subfield` (cached per s).  At s = 1 the table is the identity:
+        the index digits are the coordinates.
+
+        The element with packed coordinates k is F_p-linear in the digits of
+        k, digit j s + t standing for theta^t x^j with theta the root behind
+        the subfield's power basis, so the table inverts one
+        :meth:`_linear_indices`; it raises InvariantViolated if that map is
+        not a bijection."""
+        table = self._coordinates.get(s)
+        if table is None:
+            sub, embed, _ = subfield(self, s)
+            x = self.power_basis()[min(1, self.m - 1)]
+            theta = [embed[t] for t in sub.power_basis()]
+            elements = self._linear_indices([t * self._pow(x, j) for j in range(self.m // s) for t in theta])
+            if len(set(elements)) != self.q:
+                raise InvariantViolated(f"the relative basis of F_{self.p}^{self.m} over F_{self.p}^{s} is singular")
+            table = [0] * self.q
+            for k, a in enumerate(elements):
+                table[a] = k
+            self._coordinates[s] = table
+        return table
 
     def trace_dual_indices(self) -> list[int]:
         """For each b, the index of the coefficient vector v_b with
@@ -442,7 +486,9 @@ class IndexArith:
             return pow(a, -1, self.p)
         return self.exp[-self.log[a] % self.n1]
 
-    def scale(self, row: list[int], a: int) -> list[int]:
+    def scale(self, row: Sequence[int], a: int) -> list[int]:
+        if not a:
+            return [0] * len(row)
         if self.prime:
             p = self.p
             return [x * a % p for x in row]
@@ -547,10 +593,16 @@ def format_field_spec(field: Field) -> str:
     return f"p={field.p},m={field.m},poly={','.join(map(str, field.modulus))}"
 
 
+def _check_subfield(ctx: Field, s: int) -> None:
+    """Raise NotASubfield unless s, the degree of a subfield F_{p^s}, is a
+    positive integer dividing m."""
+    if not isinstance(s, int) or s < 1 or ctx.m % s:
+        raise NotASubfield(f"subfield degree {s!r} is not a positive divisor of m={ctx.m}")
+
+
 def trace(ctx: Field, x: FieldElement, s: int = 1) -> FieldElement:
     """Relative trace Tr_{p^m/p^s}(x) = sum of x^(p^(s*i)); lies in F_{p^s}."""
-    if ctx.m % s != 0:
-        raise NotASubfield(f"s={s} does not divide m={ctx.m}")
+    _check_subfield(ctx, s)
     acc = ctx.zero
     power = x
     for _ in range(ctx.m // s):
@@ -575,26 +627,21 @@ def trace_kernel(ctx: Field) -> list[FieldElement]:
 # subfields
 # ---------------------------------------------------------------------------
 
-_SUBFIELD_CACHE: dict[tuple, tuple] = {}
-
-
 def subfield(ctx: Field, s: int) -> tuple[Field, dict, dict]:
     """The subfield F_{p^s} of ctx as a standalone field plus embedding maps.
 
     Returns ``(sub, embed, project)`` where ``embed[e]`` is the image in ctx
     of the subfield element e and ``project`` inverts it on the image.  The
     embedding sends the power-basis root of sub's modulus to its smallest
-    canonical root inside ctx, so it is deterministic.
+    canonical root inside ctx, so it is deterministic.  Cached on ctx.
     """
-    if ctx.m % s != 0:
-        raise NotASubfield(f"s={s} does not divide m={ctx.m}")
-    key = (id(ctx), s)
-    if key in _SUBFIELD_CACHE:
-        return _SUBFIELD_CACHE[key]
+    _check_subfield(ctx, s)
+    if s in ctx._subfields:
+        return ctx._subfields[s]
     if s == ctx.m:
         ident = {e: e for e in ctx.elements}
-        _SUBFIELD_CACHE[key] = (ctx, ident, dict(ident))
-        return _SUBFIELD_CACHE[key]
+        ctx._subfields[s] = (ctx, ident, dict(ident))
+        return ctx._subfields[s]
     sub = make_field(ctx.p, s)
     root = None
     for cand in ctx.elements:
@@ -621,8 +668,8 @@ def subfield(ctx: Field, s: int) -> tuple[Field, dict, dict]:
     project = {img: e for e, img in embed.items()}
     if len(project) != sub.q:
         raise InvariantViolated(f"the embedding of F_{ctx.p}^{s} into {ctx!r} is not injective")
-    _SUBFIELD_CACHE[key] = (sub, embed, project)
-    return _SUBFIELD_CACHE[key]
+    ctx._subfields[s] = (sub, embed, project)
+    return ctx._subfields[s]
 
 
 # ---------------------------------------------------------------------------

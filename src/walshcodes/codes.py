@@ -19,8 +19,8 @@ import os
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import Field, FieldElement, IndexArith, _fwht, make_field, subfield
-from .errors import EmptyLength, InvariantViolated, NotASubfield, RaggedRows, TooLarge, ZeroCode
+from .algebra import Field, FieldElement, IndexArith, _check_subfield, _fwht, make_field, subfield
+from .errors import EmptyLength, InvariantViolated, RaggedRows, TooLarge, ZeroCode
 
 DEFAULT_GUARD = 2 ** 22
 
@@ -185,7 +185,13 @@ def from_rows(
     provenance: str | None = None,
 ) -> LinearCode:
     """Span of the given rows; dependent rows are dropped by the RREF."""
-    mat = _indices(rows, base)
+    return _from_indices(base, _indices(rows, base), n, provenance)
+
+
+def _from_indices(
+    base: Field, mat: list[list[int]], n: int | None = None, provenance: str | None = None
+) -> LinearCode:
+    """Span of the rows of an index matrix over base, reduced in place."""
     if mat:
         lengths = {len(r) for r in mat}
         if len(lengths) != 1:
@@ -235,44 +241,48 @@ def intersect(a: LinearCode, b: LinearCode) -> LinearCode:
     return LinearCode(base, n, _elements(_dual(perps, ar, n), base), provenance="dual")
 
 
-def _gram(code: LinearCode, ar: IndexArith) -> tuple[list[list[int]], list[list[int]]]:
-    """The generator G as index rows and the k x k matrix G G^T, whose row a
-    is the sum over columns j of G[a][j] times column j."""
-    g = _indices(code.generator, code.base)
-    columns = [ar.prepare(col) for col in zip(*g)]
-    gram = []
-    for u in g:
-        row = [0] * len(g)
+def _pairing(rows: list[list[int]], cols: list[list[int]], ar: IndexArith) -> list[list[int]]:
+    """The matrix of inner products <u, v> for u in rows (down) and v in cols
+    (across): row u is the sum over positions j of u_j times column j."""
+    columns = [ar.prepare(col) for col in zip(*cols)]
+    out = []
+    for u in rows:
+        row = [0] * len(cols)
         for x, col in zip(u, columns):
             if x:
                 ar.axpy(row, x, col)
-        gram.append(row)
-    return g, gram
+        out.append(row)
+    return out
 
 
-def hull(code: LinearCode) -> LinearCode:
-    """C cap C^perp = {x G : G G^T x^T = 0}, since the rows of G are
-    independent: the kernel of the k x k Gram matrix mapped through G."""
-    base = code.base
-    ar = base.arith
-    g, gram = _gram(code, ar)
-    rows = [ar.prepare(row) for row in g]
+def _orthogonal_span(checks: list[list[int]], gens: list[list[int]], ar: IndexArith, n: int) -> list[list[int]]:
+    """The words x G of the span of the rows of G = gens that are orthogonal
+    to every row of checks: x runs over the kernel of <checks, gens>."""
+    rows = [ar.prepare(g) for g in gens]
     words = []
-    for x in _nullspace(gram, ar, code.k):
-        word = [0] * code.n
+    for x in _nullspace(_pairing(checks, gens, ar), ar, len(gens)):
+        word = [0] * n
         for xi, row in zip(x, rows):
             if xi:
                 ar.axpy(word, xi, row)
         words.append(word)
-    red, _ = _rref(words, ar)
-    return LinearCode(base, code.n, _elements(red, base), provenance="hull")
+    return words
+
+
+def hull(code: LinearCode) -> LinearCode:
+    """C cap C^perp = {x G : G G^T x^T = 0}: the kernel of the k x k Gram
+    matrix mapped through G."""
+    base = code.base
+    g = _indices(code.generator, base)
+    return _from_indices(base, _orthogonal_span(g, g, base.arith, code.n), code.n, "hull")
 
 
 def hull_dim(code: LinearCode) -> int:
-    """k - rank(G G^T); zero exactly for LCD codes (Massey 1992)."""
+    """k - rank(G G^T), since the rows of G are independent; zero exactly for
+    LCD codes (Massey 1992)."""
     ar = code.base.arith
-    _, gram = _gram(code, ar)
-    return code.k - len(_rref(gram, ar)[0])
+    g = _indices(code.generator, code.base)
+    return code.k - len(_rref(_pairing(g, g, ar), ar)[0])
 
 
 def is_lcd(code: LinearCode) -> bool:
@@ -434,10 +444,9 @@ def restrict_to_subfield(code: LinearCode, s: int) -> LinearCode:
     sum_i h_i c_i, solved over F_p for the n*s unknowns c_it.
     """
     big = code.base
+    _check_subfield(big, s)
     if s == big.m:
         return code
-    if big.m % s != 0:
-        raise NotASubfield(f"s={s} does not divide m={big.m}")
     sub, embed, _ = subfield(big, s)
     theta = [embed[b].index for b in sub.power_basis()]
     p, n = big.p, code.n

@@ -11,18 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
-from .algebra import Field, FieldElement, make_field, subfield, trace
-from .codes import (
-    LinearCode,
-    dual,
-    from_rows,
-    intersect,
-    matrix_rank,
-    nullspace,
-    restrict_to_prime_subfield,
-    restrict_to_subfield,
-    rref,
-)
+from .algebra import Field, FieldElement, _check_subfield, subfield
+from .codes import LinearCode, _elements, _from_indices, _nullspace, _orthogonal_span, _pairing, _rref
 from .errors import (
     AlphaZero,
     BadAlpha,
@@ -37,7 +27,6 @@ from .errors import (
     InvariantViolated,
     MinusOneNotSquare,
     NeedDistinctAlphas,
-    NotASubfield,
     NotIndependent,
     OddCharacteristic,
     OddK,
@@ -60,16 +49,16 @@ class DefiningSet:
     provenance: str = dc_field(default="", compare=False)
 
     def __post_init__(self):
-        if self.field.m % self.base_degree != 0:
-            raise NotASubfield(
-                f"base degree {self.base_degree} does not divide {self.field.m}"
-            )
+        _check_subfield(self.field, self.base_degree)
         for d in self.elements:
             if d.field is not self.field:
                 raise ValueError("defining element outside the ambient field")
 
     def __len__(self):
         return len(self.elements)
+
+    def indices(self) -> list[int]:
+        return [d.index for d in self.elements]
 
 
 def defining_set(
@@ -79,6 +68,37 @@ def defining_set(
     provenance: str = "explicit",
 ) -> DefiningSet:
     return DefiningSet(ctx, base_degree, tuple(elements), provenance)
+
+
+# ---------------------------------------------------------------------------
+# index matrices over the alphabet F_{p^s}
+# ---------------------------------------------------------------------------
+#
+# Over F_Q, Q = p^s, the b = m/s powers x^j of the root x of the modulus are a
+# basis of F_q.  For a sequence (d_i) the trace rows Tr_{q/Q}(x^j d_i) are
+# codewords, one per basis element, and the coordinate rows c_j(d_i) turn
+# sum_i c_i d_i = 0 into b equations over F_Q.  Both are read from the
+# field's tables; the elimination kernel of codes takes the index rows as
+# they are.
+
+def _trace_rows(ctx: Field, s: int, indices: Sequence[int]) -> list[list[int]]:
+    """Tr_{q/p^s}(x^j d) for j < m/s (down) and each index d (across), as
+    indices of the subfield F_{p^s}."""
+    table, scale = ctx.trace_table(s), ctx.arith.scale
+    return [[table[v] for v in scale(indices, ctx.p ** j)] for j in range(ctx.m // s)]
+
+
+def _coordinate_rows(ctx: Field, s: int, indices: Sequence[int]) -> list[list[int]]:
+    """The coordinates c_j(d) over F_{p^s} for j < m/s (down) and each index
+    d (across)."""
+    table, size = ctx.coordinate_table(s), ctx.p ** s
+    packed = [table[v] for v in indices]
+    return [[v // size ** j % size for v in packed] for j in range(ctx.m // s)]
+
+
+def _span(ctx: Field, s: int, indices: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+    """RREF rows and pivot columns of the coordinate matrix over F_{p^s}."""
+    return _rref(_coordinate_rows(ctx, s, indices), subfield(ctx, s)[0].arith)
 
 
 # ---------------------------------------------------------------------------
@@ -94,20 +114,29 @@ def first_points(ctx: Field, include_zero: bool = True) -> list[FieldElement]:
     return list(ctx.elements) if include_zero else list(ctx.elements[1:])
 
 
+def _first_columns(f: ParyFunction, include_zero: bool) -> tuple[list[int], list[int]]:
+    """Indices of the points x_i and of the values f(x_i), in point order."""
+    _require_self_map(f)
+    start = 0 if include_zero else 1
+    return list(range(start, f.field.q)), list(f.indices[start:])
+
+
+def _first_traces(f: ParyFunction, include_zero: bool) -> list[list[int]]:
+    """The codewords of (a, b) = (x^j, 0), then of (0, x^j), for j < m."""
+    points, values = _first_columns(f, include_zero)
+    return _trace_rows(f.field, 1, values) + _trace_rows(f.field, 1, points)
+
+
+def _first_coordinates(f: ParyFunction, include_zero: bool) -> list[list[int]]:
+    """The 2m x n coordinate matrix over F_p of (x_i), then of (f(x_i))."""
+    points, values = _first_columns(f, include_zero)
+    return _coordinate_rows(f.field, 1, points) + _coordinate_rows(f.field, 1, values)
+
+
 def first_generic(f: ParyFunction, include_zero: bool = True) -> LinearCode:
     """Code {(Tr(a f(x) + b x))_x : a, b in F_q} over F_p; length q or q-1."""
-    _require_self_map(f)
-    ctx = f.field
-    points = first_points(ctx, include_zero)
-    prime = make_field(ctx.p, 1)
-    basis = ctx.power_basis()
-    rows = []
-    for e in basis:
-        rows.append([prime.scalar(ctx.trace_bilinear(e, f(x))) for x in points])
-    for e in basis:
-        rows.append([prime.scalar(ctx.trace_bilinear(e, x)) for x in points])
     tag = "function-code" if include_zero else "punctured-function-code"
-    return from_rows(prime, rows, provenance=tag)
+    return _from_indices(subfield(f.field, 1)[0], _first_traces(f, include_zero), provenance=tag)
 
 
 def first_codeword(
@@ -119,76 +148,40 @@ def first_codeword(
 ) -> tuple[int, ...]:
     """Coordinates Tr(a f(x) + b x) (or Tr(a f(x) - b x) with minus=True)
     as integers in [0, p), in canonical point order."""
-    _require_self_map(f)
+    points, values = _first_columns(f, include_zero)
     ctx = f.field
+    table, scale = ctx.trace_table(), ctx.arith.scale
     sign = -1 if minus else 1
-    out = []
-    for x in first_points(ctx, include_zero):
-        val = ctx.trace_bilinear(a, f(x)) + sign * ctx.trace_bilinear(b, x)
-        out.append(val % ctx.p)
-    return tuple(out)
+    pairs = zip(scale(values, ctx.index_of(a)), scale(points, ctx.index_of(b)))
+    return tuple((table[u] + sign * table[v]) % ctx.p for u, v in pairs)
 
 
 def dual_first_closed_form(f: ParyFunction, include_zero: bool = True) -> LinearCode:
-    """Dual of the function code as span-duals intersected with F_p^n.
-
-    Builds the length-q words (x_i) and (f(x_i)), takes their duals over
-    F_q, intersects, and restricts scalars to the prime field.
-    """
-    _require_self_map(f)
-    ctx = f.field
-    points = first_points(ctx, include_zero)
-    l1 = from_rows(ctx, [points])
-    l2 = from_rows(ctx, [[f(x) for x in points]])
-    inter = intersect(dual(l1), dual(l2))
-    out = restrict_to_prime_subfield(inter)
-    return LinearCode(out.base, out.n, out.generator, provenance="closed-form-dual")
+    """Dual of the function code: the c in F_p^n with sum_i c_i x_i = 0 and
+    sum_i c_i f(x_i) = 0, the nullspace over F_p of the 2m x n coordinate
+    matrix of (x_i) and (f(x_i))."""
+    coords = _first_coordinates(f, include_zero)
+    prime = subfield(f.field, 1)[0]
+    n = len(coords[0])
+    return _from_indices(prime, _nullspace(coords, prime.arith, n), n, "closed-form-dual")
 
 
 def first_hull_map_matrix(f: ParyFunction, include_zero: bool = True):
     """Matrix over F_p of (a, b) -> (sum_i c_i x_i, sum_i c_i f(x_i)) with
     c = the codeword of (a, b); the hull of the function code is the kernel."""
-    _require_self_map(f)
-    ctx = f.field
-    p, m = ctx.p, ctx.m
-    points = first_points(ctx, include_zero)
-    basis = ctx.power_basis()
-    columns = []
-    for slot in range(2):
-        for e in basis:
-            a = e if slot == 0 else ctx.zero
-            b = e if slot == 1 else ctx.zero
-            s1 = ctx.zero
-            s2 = ctx.zero
-            for x in points:
-                c = (ctx.trace_bilinear(a, f(x)) + ctx.trace_bilinear(b, x)) % p
-                if c:
-                    s1 = s1 + x * c
-                    s2 = s2 + f(x) * c
-            columns.append(tuple(s1.coeffs) + tuple(s2.coeffs))
-    # transpose into a (2m x 2m) row matrix over F_p
-    prime = make_field(p, 1)
-    rows = []
-    for r in range(2 * m):
-        rows.append([prime.scalar(columns[cidx][r]) for cidx in range(2 * m)])
-    return rows, prime
+    prime = subfield(f.field, 1)[0]
+    rows = _pairing(_first_coordinates(f, include_zero), _first_traces(f, include_zero), prime.arith)
+    return _elements(rows, prime), prime
 
 
 def hull_first_kernel(f: ParyFunction, include_zero: bool = True) -> LinearCode:
-    """Hull of the function code as the kernel of the pairing map."""
-    ctx = f.field
-    rows, prime = first_hull_map_matrix(f, include_zero)
-    kernel = nullspace(rows, prime, 2 * ctx.m)
-    words = []
-    for vec in kernel:
-        a = ctx.element([v.as_prime_int() for v in vec[: ctx.m]])
-        b = ctx.element([v.as_prime_int() for v in vec[ctx.m :]])
-        words.append([prime.scalar(c) for c in first_codeword(f, a, b, include_zero)])
-    n = len(first_points(ctx, include_zero))
-    if not words:
-        return LinearCode(prime, n, (), provenance="hull-kernel")
-    code = from_rows(prime, words, provenance="hull-kernel")
-    return code
+    """Hull of the function code as the kernel of the pairing map, mapped
+    through (a, b) -> the codeword of (a, b)."""
+    prime = subfield(f.field, 1)[0]
+    traces = _first_traces(f, include_zero)
+    n = len(traces[0])
+    words = _orthogonal_span(_first_coordinates(f, include_zero), traces, prime.arith, n)
+    return _from_indices(prime, words, n, "hull-kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -197,130 +190,52 @@ def hull_first_kernel(f: ParyFunction, include_zero: bool = True) -> LinearCode:
 
 def second_generic(ds: DefiningSet) -> LinearCode:
     """Code {(Tr(x d_1), ..., Tr(x d_n)) : x ambient} over F_{p^s}."""
-    ctx = ds.field
-    s = ds.base_degree
-    sub, _, project = subfield(ctx, s)
-    basis = ctx.power_basis()
-    rows = []
-    for e in basis:
-        rows.append([project[trace(ctx, e * d, s)] for d in ds.elements])
-    code = from_rows(sub, rows, n=len(ds.elements) or None, provenance=f"defining-set:{ds.provenance}")
-    return code
+    ctx, s = ds.field, ds.base_degree
+    rows = _trace_rows(ctx, s, ds.indices())
+    return _from_indices(subfield(ctx, s)[0], rows, len(ds), f"defining-set:{ds.provenance}")
 
 
 def second_codeword(ds: DefiningSet, x: FieldElement) -> tuple[FieldElement, ...]:
-    ctx = ds.field
-    _, _, project = subfield(ctx, ds.base_degree)
-    return tuple(project[trace(ctx, x * d, ds.base_degree)] for d in ds.elements)
+    ctx, s = ds.field, ds.base_degree
+    sub, table = subfield(ctx, s)[0], ctx.trace_table(s)
+    return tuple(sub.elements[table[v]] for v in ctx.arith.scale(ds.indices(), ctx.index_of(x)))
 
 
 def dual_second_closed_form(ds: DefiningSet) -> LinearCode:
-    """Dual of the defining-set code: solutions of sum c_i d_i = 0 with
-    c_i in the base subfield; verified identical across Frobenius powers
-    of the defining row."""
-    ctx = ds.field
-    s = ds.base_degree
-    result = None
-    for j in range(ctx.m // s):
-        row = [ctx.frobenius(d, s * j) for d in ds.elements]
-        span = from_rows(ctx, [row], n=len(ds.elements) or None)
-        restricted = restrict_to_subfield(dual(span), s)
-        if result is None:
-            result = restricted
-        elif restricted != result:
+    """Dual of the defining-set code: the c in F_{p^s}^n with sum c_i d_i = 0,
+    the nullspace of the coordinate matrix of D over F_{p^s}.
+
+    x -> x^(p^s) is F_{p^s}-linear and bijective, so every Frobenius power
+    (d_i^(p^(s j))) has the same solutions, and its coordinate matrix the
+    same RREF; InvariantViolated is raised where it does not."""
+    ctx, s = ds.field, ds.base_degree
+    indices = ds.indices()
+    red, _ = _span(ctx, s, indices)
+    for j in range(1, ctx.m // s):
+        if _span(ctx, s, ctx.power_indices(indices, ctx.p ** (s * j)))[0] != red:
             raise InvariantViolated(f"the dual from Frobenius power {j} of the defining row differs")
-    return LinearCode(result.base, result.n, result.generator, provenance="closed-form-dual")
-
-
-# relative F_q-coordinates of ambient elements, cached per (field, s)
-_REL_COORDS_CACHE: dict = {}
-
-
-def _relative_coords(ctx: Field, s: int):
-    key = (id(ctx), s)
-    if key in _REL_COORDS_CACHE:
-        return _REL_COORDS_CACHE[key]
-    sub, embed, _ = subfield(ctx, s)
-    b = ctx.m // s
-    prime = make_field(ctx.p, 1)
-    theta = [embed[e] for e in sub.power_basis()]
-    x = ctx.power_basis()[min(1, ctx.m - 1)]
-    basis_elems = []
-    for j in range(b):
-        xj = ctx._pow(x, j)
-        for t in range(s):
-            basis_elems.append(theta[t] * xj)
-    # invert the m x m change-of-basis matrix over F_p
-    aug = []
-    for r in range(ctx.m):
-        row = [prime.scalar(be.coeffs[r]) for be in basis_elems]
-        row += [prime.one if r == c else prime.zero for c in range(ctx.m)]
-        aug.append(row)
-    red, pivots = rref(aug, prime)
-    if pivots != list(range(ctx.m)):
-        raise InvariantViolated(f"the relative basis of F_{ctx.p}^{ctx.m} over F_{ctx.p}^{s} is singular")
-    inv = [row[ctx.m :] for row in red]
-
-    def coords(y: FieldElement) -> tuple[FieldElement, ...]:
-        u = [
-            sum(inv[r][c].as_prime_int() * y.coeffs[c] for c in range(ctx.m)) % ctx.p
-            for r in range(ctx.m)
-        ]
-        return tuple(sub.element(u[j * s : (j + 1) * s]) for j in range(b))
-
-    _REL_COORDS_CACHE[key] = (sub, coords)
-    return _REL_COORDS_CACHE[key]
+    sub = subfield(ctx, s)[0]
+    return _from_indices(sub, _nullspace(red, sub.arith, len(ds)), len(ds), "closed-form-dual")
 
 
 def dimension_via_span(ds: DefiningSet) -> int:
     """Base-field rank of the defining sequence; equals dim of its code."""
-    sub, coords = _relative_coords(ds.field, ds.base_degree)
-    if not ds.elements:
-        return 0
-    rows = [list(coords(d)) for d in ds.elements]
-    return matrix_rank(rows, sub)
+    return len(_span(ds.field, ds.base_degree, ds.indices())[0])
 
 
 def standard_form_generator(ds: DefiningSet):
     """Front-load an independent spanning prefix and express every element
     over it: the resulting (I_k | P) matrix generates the code in standard
-    form.  Returns (matrix rows over the base field, reordering)."""
-    sub, coords = _relative_coords(ds.field, ds.base_degree)
-    chosen: list[int] = []
-    chosen_rows: list[list[FieldElement]] = []
-    for i, d in enumerate(ds.elements):
-        cand = chosen_rows + [list(coords(d))]
-        if matrix_rank(cand, sub) > len(chosen_rows):
-            chosen.append(i)
-            chosen_rows.append(list(coords(d)))
-    k = len(chosen)
-    if k == 0:
+    form.  Returns (matrix rows over the base field, reordering).
+
+    Both come from the RREF of the coordinate matrix: its pivots are the
+    first elements independent of those before them, and each of its
+    columns holds the coefficients of that element over the pivots."""
+    red, chosen = _span(ds.field, ds.base_degree, ds.indices())
+    if not chosen:
         raise CannotFrontLoad("the defining set spans dimension 0")
-    order = chosen + [i for i in range(len(ds.elements)) if i not in chosen]
-    # solve coords(d_i) over the chosen basis
-    cols = []
-    for i in order:
-        target = list(coords(ds.elements[i]))
-        combo = _solve_combination(chosen_rows, target, sub)
-        cols.append(combo)
-    matrix = [tuple(cols[c][r] for c in range(len(order))) for r in range(k)]
-    return matrix, order
-
-
-def _solve_combination(basis_rows, target, field):
-    """Coefficients expressing target as a combination of basis_rows."""
-    k = len(basis_rows)
-    width = len(target)
-    aug = []
-    for c in range(width):
-        aug.append([basis_rows[r][c] for r in range(k)] + [target[c]])
-    red, pivots = rref(aug, field)
-    combo = [field.zero] * k
-    for row, pc in zip(red, pivots):
-        if pc == k:
-            raise ValueError("target outside the span")
-        combo[pc] = row[k]
-    return combo
+    order = chosen + sorted(set(range(len(ds))) - set(chosen))
+    return _elements([[row[i] for i in order] for row in red], subfield(ds.field, ds.base_degree)[0]), order
 
 
 def code_to_defining_set(code: LinearCode, ctx: Field) -> DefiningSet:
@@ -347,36 +262,23 @@ def code_to_defining_set(code: LinearCode, ctx: Field) -> DefiningSet:
 
 
 def second_hull_map_matrix(ds: DefiningSet):
-    """Matrix over F_p of x -> sum_d Tr(x d) d; the hull of the code is its
-    kernel (evaluated through the codeword map)."""
-    ctx = ds.field
-    p, m = ctx.p, ctx.m
-    s = ds.base_degree
-    prime = make_field(p, 1)
-    columns = []
-    for e in ctx.power_basis():
-        acc = ctx.zero
-        for d in ds.elements:
-            t = trace(ctx, e * d, s)
-            acc = acc + t * d
-        columns.append(acc.coeffs)
-    rows = [[prime.scalar(columns[c][r]) for c in range(m)] for r in range(m)]
-    return rows, prime
+    """Matrix over the alphabet F_{p^s} of the F_{p^s}-linear map
+    x -> sum_d Tr(x d) d in the basis x^j, j < m/s: entry (r, c) is
+    coordinate r of sum_i Tr(x^c d_i) d_i.  The hull of the code is its
+    kernel mapped through the codeword map.  Returns (rows, alphabet)."""
+    ctx, s = ds.field, ds.base_degree
+    sub, indices = subfield(ctx, s)[0], ds.indices()
+    rows = _pairing(_coordinate_rows(ctx, s, indices), _trace_rows(ctx, s, indices), sub.arith)
+    return _elements(rows, sub), sub
 
 
 def hull_second_kernel(ds: DefiningSet) -> LinearCode:
-    ctx = ds.field
-    rows, prime = second_hull_map_matrix(ds)
-    kernel = nullspace(rows, prime, ctx.m)
-    sub, _, _ = subfield(ctx, ds.base_degree)
-    words = []
-    for vec in kernel:
-        x = ctx.element([v.as_prime_int() for v in vec])
-        words.append(list(second_codeword(ds, x)))
-    n = len(ds.elements)
-    if not words:
-        return LinearCode(sub, n, (), provenance="hull-kernel")
-    return from_rows(sub, words, provenance="hull-kernel")
+    """Hull of the defining-set code as the kernel of the pairing map, mapped
+    through x -> the codeword of x."""
+    ctx, s = ds.field, ds.base_degree
+    sub, indices = subfield(ctx, s)[0], ds.indices()
+    checks, traces = _coordinate_rows(ctx, s, indices), _trace_rows(ctx, s, indices)
+    return _from_indices(sub, _orthogonal_span(checks, traces, sub.arith, len(ds)), len(ds), "hull-kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +290,9 @@ def make_skew_set(ctx: Field) -> DefiningSet:
     -D and {0} partition the field; |D| = (q-1)/2."""
     if ctx.p == 2:
         raise EvenCharacteristic("x = -x in characteristic 2")
-    chosen = [x for x in ctx.elements[1:] if x.index < (-x).index]
-    return DefiningSet(ctx, 1, tuple(chosen), provenance="skew")
+    neg = ctx.arith.neg
+    chosen = tuple(ctx.elements[x] for x in range(1, ctx.q) if x < neg(x))
+    return DefiningSet(ctx, 1, chosen, provenance="skew")
 
 
 def make_preimage_set(f: ParyFunction, b: FieldElement) -> DefiningSet:
@@ -403,7 +306,7 @@ def make_preimage_set(f: ParyFunction, b: FieldElement) -> DefiningSet:
 def make_image_set(f: ParyFunction) -> DefiningSet:
     """{f(x) : x} minus 0, de-duplicated, in canonical order."""
     _require_self_map(f)
-    seen = sorted({f(x).index for x in f.field.elements} - {0})
+    seen = sorted(set(f.indices) - {0})
     if not seen:
         raise EmptySet("the image contains only zero")
     ds = tuple(f.field.elements[i] for i in seen)
@@ -413,29 +316,25 @@ def make_image_set(f: ParyFunction) -> DefiningSet:
 def image_set_points(f: ParyFunction) -> list[FieldElement]:
     """Canonical preimage representatives aligned with make_image_set:
     the smallest preimage of each defining element."""
-    ds = make_image_set(f)
-    points = []
-    for d in ds.elements:
-        points.append(next(x for x in f.field.elements if f(x) == d))
-    return points
+    first: dict[int, int] = {}
+    for x, v in enumerate(f.indices):
+        first.setdefault(v, x)
+    return [f.field.elements[first[d.index]] for d in make_image_set(f).elements]
 
 
 def make_trace_zero_set(ctx: Field) -> DefiningSet:
-    """{z != 0 : Tr_{p^s/p}(z^(p^s + 1)) = 0} for m = 2s, s > 1."""
+    """{z != 0 : Tr_{p^s/p}(z^(p^s + 1)) = 0} for m = 2s, s > 1.
+
+    The norm z^(p^s + 1) lies in F_{p^s}; its trace is read from the
+    subfield's trace table."""
     if ctx.m % 2 != 0 or ctx.m // 2 <= 1:
         raise BadDegree("need even degree m = 2s with s > 1")
     s = ctx.m // 2
-    e = ctx.p ** s + 1
-    chosen = []
-    for z in ctx.elements[1:]:
-        y = ctx._pow(z, e)
-        t = ctx.zero
-        power = y
-        for _ in range(s):
-            t = t + power
-            power = ctx._pow(power, ctx.p)
-        if t.is_zero():
-            chosen.append(z)
+    sub, embed, _ = subfield(ctx, s)
+    sub_trace = sub.trace_table()
+    trace_at = {embed[y].index: sub_trace[y.index] for y in sub.elements}
+    norms = ctx.power_indices(range(1, ctx.q), ctx.p ** s + 1)
+    chosen = [ctx.elements[z] for z, y in enumerate(norms, 1) if trace_at.get(y) == 0]
     expected = (ctx.p ** s + 1) * (ctx.p ** (s - 1) - 1)
     if len(chosen) != expected:
         raise InvariantViolated(f"the trace-zero set has {len(chosen)} elements, not {expected}")
@@ -445,48 +344,38 @@ def make_trace_zero_set(ctx: Field) -> DefiningSet:
 def make_cyclotomic_set(ctx: Field, base_degree: int, second_class: bool = False) -> DefiningSet:
     """Representatives of F_q^*-cosets inside the cubic-residue subgroup of
     the ambient multiplicative group (first class), or inside the union of
-    the two non-residue classes (second class)."""
+    the two non-residue classes (second class), the least index of each.
+
+    With g the generator, F_q^* is generated by g^c for c = (r-1)/(q-1), so
+    two elements share a coset exactly when their logs agree mod c, and 3
+    divides c, so the cubes (log = 0 mod 3) are unions of cosets."""
     s = base_degree
-    if ctx.m % s != 0:
-        raise NotASubfield(f"base degree {s} does not divide {ctx.m}")
+    _check_subfield(ctx, s)
     q = ctx.p ** s
     b = ctx.m // s
     r = ctx.q
     if q % 3 != 2 or b % 2 != 0 or r <= 4:
         raise BadParameters("need q = 2 mod 3, even extension degree, q^b > 4")
-    cubes = {ctx._pow(x, 3) for x in ctx.elements[1:]}
-    sub, embed, _ = subfield(ctx, s)
-    scalars = [embed[e] for e in sub.elements[1:]]
-
-    def coset_reps(pool):
-        reps = []
-        seen = set()
-        for x in sorted(pool, key=lambda e: e.index):
-            if x in seen:
-                continue
-            reps.append(x)
-            for lam in scalars:
-                seen.add(lam * x)
-        return reps
-
+    _, log = ctx._pow_tables()
+    c = (r - 1) // (q - 1)
+    reps: dict[int, int] = {}
+    for z in range(1, r):
+        coset = log[z] % c
+        if (coset % 3 != 0) == second_class and coset not in reps:
+            reps[coset] = z
     if not second_class:
-        reps = coset_reps(cubes)
         expected = (r - 1) // (3 * (q - 1))
         tag = "cyclotomic-first"
     else:
-        non_cubes = [x for x in ctx.elements[1:] if x not in cubes]
-        reps = coset_reps(non_cubes)
         expected = 2 * (r - 1) // (3 * (q - 1))
         tag = "cyclotomic-second"
     if len(reps) != expected:
         raise InvariantViolated(f"{len(reps)} coset representatives, not the class size {expected}")
-    return DefiningSet(ctx, s, tuple(reps), provenance=tag)
+    return DefiningSet(ctx, s, tuple(ctx.elements[z] for z in reps.values()), provenance=tag)
 
 
 def _check_independent(ctx: Field, ds: Sequence[FieldElement], base_degree: int):
-    sub, coords = _relative_coords(ctx, base_degree)
-    rows = [list(coords(d)) for d in ds]
-    if matrix_rank(rows, sub) != len(ds):
+    if len(_span(ctx, base_degree, [ctx.index_of(d) for d in ds])[0]) != len(ds):
         raise NotIndependent("defining elements must be linearly independent")
 
 

@@ -321,7 +321,7 @@ class _Parser:
         if isinstance(b, int):
             if isinstance(a, int):
                 return arith.mul(a, b)
-            return arith.scale(a, b) if b else [0] * len(a)
+            return arith.scale(a, b)
         return list(map(arith.mul, a, b))
 
     def _power(self, a, e: int):
@@ -331,10 +331,7 @@ class _Parser:
             return field._pow(field.elements[a], e).index
         if e == 0:
             return [1] * len(a)
-        exp, log = field._pow_tables()
-        n1 = field.q - 1
-        k = e % n1
-        return [exp[log[v] * k % n1] if v else 0 for v in a]
+        return field.power_indices(a, e)
 
     def _trace(self, a):
         table = self.field.trace_table()

@@ -56,6 +56,23 @@ def test_defining_set_roundtrip_via_file(tmp_path, capsys):
     assert code == 0 and out["parameters"][:2] == [2, 1]
 
 
+@pytest.mark.parametrize("generator", ["cyclotomic:base=0", "lcd:k=2,base=0", "cyclotomic:base=-1"])
+def test_base_degree_below_one_is_config_error(capsys, generator):
+    assert run(["build", "second", "--field", "p=2,m=4", "--generator", generator]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "positive divisor" in err
+
+
+@pytest.mark.parametrize("base_degree", [0, "2", 2.0])
+def test_defining_set_file_with_bad_base_degree(tmp_path, capsys, base_degree):
+    path = tmp_path / "ds.json"
+    obj = {"field": {"p": 2, "m": 4}, "base_degree": base_degree, "elements": [[1, 0, 0, 0]]}
+    path.write_text(json.dumps(obj))
+    assert run(["build", "second", "--field", "p=2,m=4", "--defining-set", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "positive divisor" in err
+
+
 def test_analyze_weights_csv(capsys):
     code = run(
         [

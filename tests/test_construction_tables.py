@@ -1,0 +1,472 @@
+"""Differential tests of the two generic constructions on index tables.
+
+The FieldElement routes that the table-driven constructions replaced live
+here as oracles: the Frobenius-sum trace of every entry, the closed-form
+duals as span duals over F_q intersected and restricted to the alphabet
+(once per Frobenius power of the defining row), the hull maps summed
+element by element, the change-of-basis inversion behind the relative
+coordinates, the one-element-at-a-time standard form, the search for the
+first preimage of each image value and the defining-set generators'
+Frobenius and coset loops.  Each is compared with the library over
+GF(4) ... GF(125), base degrees 1, 2 and 3.
+"""
+
+import random
+
+import pytest
+
+from walshcodes.algebra import make_field, subfield, trace
+from walshcodes.codes import (
+    LinearCode,
+    dual,
+    from_rows,
+    full_code,
+    intersect,
+    matrix_rank,
+    nullspace,
+    restrict_to_prime_subfield,
+    restrict_to_subfield,
+    rref,
+)
+from walshcodes.constructions import (
+    DefiningSet,
+    defining_set,
+    dimension_via_span,
+    dual_first_closed_form,
+    dual_second_closed_form,
+    first_codeword,
+    first_generic,
+    first_hull_map_matrix,
+    first_points,
+    hull_first_kernel,
+    hull_second_kernel,
+    image_set_points,
+    make_cyclotomic_set,
+    make_image_set,
+    make_lcd_set,
+    make_trace_zero_set,
+    second_codeword,
+    second_generic,
+    second_hull_map_matrix,
+    standard_form_generator,
+)
+from walshcodes.errors import BadParameters, CannotFrontLoad, NotASubfield
+from walshcodes.functions import ParyFunction
+
+FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (2, 5), (3, 3), (7, 2), (2, 6), (3, 4), (5, 3)]
+# (p, m, s) for every base degree s in {1, 2, 3} dividing m
+TOWERS = [(p, m, s) for p, m in FIELDS for s in (1, 2, 3) if m % s == 0]
+
+
+def _ids(items):
+    return ["GF(%d^%d)" % item[:2] + (f"/s={item[2]}" if len(item) > 2 else "") for item in items]
+
+
+# -- oracles --------------------------------------------------------------------
+
+
+def trace_oracle(field, x, s=1):
+    """Tr_{q/p^s}(x) = x + x^(p^s) + ... + x^(p^(s(m/s - 1))), element by element."""
+    acc = field.zero
+    power = x
+    for _ in range(field.m // s):
+        acc = acc + power
+        power = power ** (field.p ** s)
+    return acc
+
+
+def trace_int_oracle(field, x):
+    return trace_oracle(field, x).as_prime_int()
+
+
+def first_generic_oracle(f, include_zero=True):
+    ctx = f.field
+    points = first_points(ctx, include_zero)
+    prime = make_field(ctx.p, 1)
+    basis = ctx.power_basis()
+    rows = [[prime.scalar(trace_int_oracle(ctx, e * f(x))) for x in points] for e in basis]
+    rows += [[prime.scalar(trace_int_oracle(ctx, e * x)) for x in points] for e in basis]
+    return from_rows(prime, rows)
+
+
+def first_codeword_oracle(f, a, b, include_zero=True, minus=False):
+    ctx = f.field
+    sign = -1 if minus else 1
+    return tuple(
+        (trace_int_oracle(ctx, a * f(x)) + sign * trace_int_oracle(ctx, b * x)) % ctx.p
+        for x in first_points(ctx, include_zero)
+    )
+
+
+def dual_first_oracle(f, include_zero=True):
+    """The span duals of (x_i) and (f(x_i)) over F_q, intersected, restricted to F_p."""
+    ctx = f.field
+    points = first_points(ctx, include_zero)
+    l1 = from_rows(ctx, [points])
+    l2 = from_rows(ctx, [[f(x) for x in points]])
+    return restrict_to_prime_subfield(intersect(dual(l1), dual(l2)))
+
+
+def first_hull_map_oracle(f, include_zero=True):
+    """Column (a, b) of the pairing map is (sum c_i x_i, sum c_i f(x_i)) for
+    the codeword c of (a, b), summed as field elements."""
+    ctx = f.field
+    points = first_points(ctx, include_zero)
+    columns = []
+    for slot in range(2):
+        for e in ctx.power_basis():
+            a = e if slot == 0 else ctx.zero
+            b = e if slot == 1 else ctx.zero
+            s1 = s2 = ctx.zero
+            for x, c in zip(points, first_codeword_oracle(f, a, b, include_zero)):
+                if c:
+                    s1 = s1 + x * c
+                    s2 = s2 + f(x) * c
+            columns.append(s1.coeffs + s2.coeffs)
+    return [[col[r] for col in columns] for r in range(2 * ctx.m)]
+
+
+def hull_first_oracle(f, include_zero=True):
+    ctx = f.field
+    prime = make_field(ctx.p, 1)
+    rows = [[prime.scalar(v) for v in row] for row in first_hull_map_oracle(f, include_zero)]
+    words = []
+    for vec in nullspace(rows, prime, 2 * ctx.m):
+        a = ctx.element([v.as_prime_int() for v in vec[: ctx.m]])
+        b = ctx.element([v.as_prime_int() for v in vec[ctx.m :]])
+        words.append([prime.scalar(c) for c in first_codeword_oracle(f, a, b, include_zero)])
+    n = len(first_points(ctx, include_zero))
+    return from_rows(prime, words) if words else LinearCode(prime, n, ())
+
+
+def second_codeword_oracle(ds, x):
+    _, _, project = subfield(ds.field, ds.base_degree)
+    return tuple(project[trace_oracle(ds.field, x * d, ds.base_degree)] for d in ds.elements)
+
+
+def second_generic_oracle(ds):
+    sub = subfield(ds.field, ds.base_degree)[0]
+    rows = [second_codeword_oracle(ds, e) for e in ds.field.power_basis()]
+    return from_rows(sub, rows, n=len(ds.elements) or None)
+
+
+def dual_second_oracle(ds):
+    """The span dual of each Frobenius power of the defining row over F_q,
+    restricted to F_{p^s}; every power must give the same code."""
+    ctx, s = ds.field, ds.base_degree
+    results = set()
+    for j in range(ctx.m // s):
+        row = [ctx.frobenius(d, s * j) for d in ds.elements]
+        results.add(restrict_to_subfield(dual(from_rows(ctx, [row])), s))
+    assert len(results) == 1
+    return results.pop()
+
+
+def second_hull_map_oracle(ds):
+    """The m x m matrix over F_p of x -> sum_d Tr(x d) d, summed as elements."""
+    ctx, s = ds.field, ds.base_degree
+    columns = []
+    for e in ctx.power_basis():
+        acc = ctx.zero
+        for d in ds.elements:
+            acc = acc + trace_oracle(ctx, e * d, s) * d
+        columns.append(acc.coeffs)
+    return [[col[r] for col in columns] for r in range(ctx.m)]
+
+
+def hull_second_oracle(ds):
+    ctx = ds.field
+    prime = make_field(ctx.p, 1)
+    sub = subfield(ctx, ds.base_degree)[0]
+    rows = [[prime.scalar(v) for v in row] for row in second_hull_map_oracle(ds)]
+    words = [list(second_codeword_oracle(ds, ctx.element([v.as_prime_int() for v in vec])))
+             for vec in nullspace(rows, prime, ctx.m)]
+    return from_rows(sub, words) if words else LinearCode(sub, len(ds), ())
+
+
+def relative_coords_oracle(ctx, s):
+    """Coordinates over F_{p^s} in the basis 1, x, ..., x^(m/s-1), by inverting
+    the m x m change of basis to theta^t x^j over F_p."""
+    sub, embed, _ = subfield(ctx, s)
+    b = ctx.m // s
+    prime = make_field(ctx.p, 1)
+    theta = [embed[e] for e in sub.power_basis()]
+    x = ctx.power_basis()[min(1, ctx.m - 1)]
+    basis_elems = [theta[t] * x ** j for j in range(b) for t in range(s)]
+    aug = []
+    for r in range(ctx.m):
+        row = [prime.scalar(be.coeffs[r]) for be in basis_elems]
+        row += [prime.one if r == c else prime.zero for c in range(ctx.m)]
+        aug.append(row)
+    red, pivots = rref(aug, prime)
+    assert pivots == list(range(ctx.m))
+    inv = [row[ctx.m :] for row in red]
+
+    def coords(y):
+        u = [sum(inv[r][c].as_prime_int() * y.coeffs[c] for c in range(ctx.m)) % ctx.p for r in range(ctx.m)]
+        return tuple(sub.element(u[j * s : (j + 1) * s]) for j in range(b))
+
+    return sub, coords
+
+
+def solve_combination_oracle(basis_rows, target, field):
+    k = len(basis_rows)
+    aug = [[basis_rows[r][c] for r in range(k)] + [target[c]] for c in range(len(target))]
+    red, pivots = rref(aug, field)
+    combo = [field.zero] * k
+    for row, pc in zip(red, pivots):
+        assert pc != k, "target outside the span"
+        combo[pc] = row[k]
+    return combo
+
+
+def standard_form_oracle(ds):
+    """Greedy independent prefix by one rank per element, then every element
+    solved over it."""
+    sub, coords = relative_coords_oracle(ds.field, ds.base_degree)
+    chosen, chosen_rows = [], []
+    for i, d in enumerate(ds.elements):
+        if matrix_rank(chosen_rows + [list(coords(d))], sub) > len(chosen_rows):
+            chosen.append(i)
+            chosen_rows.append(list(coords(d)))
+    if not chosen:
+        return None
+    order = chosen + [i for i in range(len(ds)) if i not in chosen]
+    cols = [solve_combination_oracle(chosen_rows, list(coords(ds.elements[i])), sub) for i in order]
+    return [tuple(cols[c][r] for c in range(len(order))) for r in range(len(chosen))], order
+
+
+def image_set_points_oracle(f):
+    return [next(x for x in f.field.elements if f(x) == d) for d in make_image_set(f).elements]
+
+
+def trace_zero_oracle(ctx):
+    s = ctx.m // 2
+    chosen = []
+    for z in ctx.elements[1:]:
+        t = ctx.zero
+        power = z ** (ctx.p ** s + 1)
+        for _ in range(s):
+            t = t + power
+            power = power ** ctx.p
+        if t.is_zero():
+            chosen.append(z)
+    return tuple(chosen)
+
+
+def cyclotomic_oracle(ctx, s, second_class):
+    cubes = {x ** 3 for x in ctx.elements[1:]}
+    pool = [x for x in ctx.elements[1:] if (x in cubes) != second_class]
+    sub, embed, _ = subfield(ctx, s)
+    scalars = [embed[e] for e in sub.elements[1:]]
+    reps, seen = [], set()
+    for x in sorted(pool, key=lambda e: e.index):
+        if x not in seen:
+            reps.append(x)
+            seen.update(lam * x for lam in scalars)
+    return tuple(reps)
+
+
+# -- inputs ------------------------------------------------------------------------
+
+
+def functions_of(field, rng):
+    """Monomials, the zero map, a constant and random tables."""
+    out = [ParyFunction.from_callable(field, lambda x, e=e: x ** e, field.m) for e in (1, 2, 3)]
+    out.append(ParyFunction.from_callable(field, lambda x: field.zero, field.m))
+    out.append(ParyFunction.from_callable(field, lambda x: field.one, field.m))
+    for _ in range(2):
+        out.append(ParyFunction(field, [field.elements[rng.randrange(field.q)] for _ in range(field.q)], field.m))
+    return out
+
+
+def defining_sets_of(field, s, rng):
+    """Random sequences with repeated and zero elements, a relative basis
+    (trivial dual), an LCD set (trivial hull) in characteristic 2, and a
+    single zero."""
+    b = field.m // s
+    out = []
+    for _ in range(6):
+        n = rng.randrange(1, 2 * b + 3)
+        els = [field.elements[rng.randrange(field.q)] for _ in range(n)]
+        els += [els[0], field.zero]
+        rng.shuffle(els)
+        out.append(DefiningSet(field, s, tuple(els)))
+    out.append(DefiningSet(field, s, tuple(field.power_basis()[:b])))
+    out.append(DefiningSet(field, s, (field.zero,)))
+    if field.p == 2 and b % 2 == 0:
+        out.append(make_lcd_set(field, field.power_basis()[:b], s))
+    return out
+
+
+# -- tables -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pms", TOWERS, ids=_ids(TOWERS))
+def test_trace_table_matches_frobenius_sum(pms):
+    p, m, s = pms
+    field = make_field(p, m)
+    sub, _, project = subfield(field, s)
+    table = field.trace_table(s)
+    assert [sub.elements[t] for t in table] == [project[trace_oracle(field, x, s)] for x in field.elements]
+    assert [sub.elements[t] for t in table] == [project[trace(field, x, s)] for x in field.elements]
+
+
+@pytest.mark.parametrize("pms", TOWERS, ids=_ids(TOWERS))
+def test_coordinate_table_matches_change_of_basis(pms):
+    p, m, s = pms
+    field = make_field(p, m)
+    sub, coords = relative_coords_oracle(field, s)
+    size = p ** s
+    table = field.coordinate_table(s)
+    for x in field.elements:
+        assert tuple(sub.elements[table[x.index] // size ** j % size] for j in range(m // s)) == coords(x)
+    if s == 1:
+        assert table == list(range(field.q))
+
+
+# -- the first construction ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("pm", FIELDS, ids=_ids(FIELDS))
+def test_first_construction_matches_oracles(pm):
+    field = make_field(*pm)
+    rng = random.Random(field.q)
+    for f in functions_of(field, rng):
+        for include_zero in (True, False):
+            code = first_generic(f, include_zero)
+            assert code == first_generic_oracle(f, include_zero)
+            assert dual_first_closed_form(f, include_zero) == dual_first_oracle(f, include_zero)
+            rows, prime = first_hull_map_matrix(f, include_zero)
+            assert [[v.as_prime_int() for v in row] for row in rows] == first_hull_map_oracle(f, include_zero)
+            assert prime is make_field(field.p, 1)
+            assert hull_first_kernel(f, include_zero) == hull_first_oracle(f, include_zero)
+            for a, b in ((field.zero, field.zero), (field.zero, field.one), (field.one, field.zero)) + tuple(
+                (field.elements[rng.randrange(field.q)], field.elements[rng.randrange(field.q)]) for _ in range(3)
+            ):
+                for minus in (False, True):
+                    assert first_codeword(f, a, b, include_zero, minus) == first_codeword_oracle(
+                        f, a, b, include_zero, minus
+                    )
+
+
+def test_first_construction_meets_empty_kernels():
+    # the code of x^5 over GF(9) is LCD, with and without the zero point
+    f9 = make_field(3, 2)
+    f = ParyFunction.from_callable(f9, lambda x: x ** 5, 2)
+    for include_zero in (True, False):
+        kernel = hull_first_kernel(f, include_zero)
+        assert kernel.k == 0 and kernel == hull_first_oracle(f, include_zero)
+    # over GF(4) x^3 is 1 off zero, and its punctured code is the full space
+    f4 = make_field(2, 2)
+    g = ParyFunction.from_callable(f4, lambda x: x ** 3, 2)
+    assert first_generic(g, include_zero=False) == full_code(make_field(2, 1), 3)
+    assert dual_first_closed_form(g, include_zero=False).k == 0
+
+
+# -- the second construction -------------------------------------------------------
+
+
+@pytest.mark.parametrize("pms", TOWERS, ids=_ids(TOWERS))
+def test_second_construction_matches_oracles(pms):
+    p, m, s = pms
+    field = make_field(p, m)
+    rng = random.Random(field.q * 10 + s)
+    kinds = set()
+    for ds in defining_sets_of(field, s, rng):
+        code = second_generic(ds)
+        assert code == second_generic_oracle(ds)
+        closed = dual_second_closed_form(ds)
+        assert closed == dual_second_oracle(ds) == dual(code)
+        assert dimension_via_span(ds) == code.k
+        hull_code = hull_second_kernel(ds)
+        assert hull_code == hull_second_oracle(ds)
+        kinds.update({"trivial dual" if closed.k == 0 else "dual", "trivial hull" if hull_code.k == 0 else "hull"})
+        rows, sub = second_hull_map_matrix(ds)
+        assert sub is code.base and len(rows) == m // s
+        oracle_rows = second_hull_map_oracle(ds)
+        if s == 1:
+            assert [[v.index for v in row] for row in rows] == oracle_rows
+        # the map is F_{p^s}-linear: its F_p-rank is s times its F_{p^s}-rank
+        assert matrix_rank(oracle_rows, make_field(p, 1)) == s * matrix_rank(rows, sub)
+        for x in [field.zero, field.one] + [field.elements[rng.randrange(field.q)] for _ in range(3)]:
+            assert second_codeword(ds, x) == second_codeword_oracle(ds, x)
+    assert {"trivial dual", "dual", "trivial hull"} <= kinds
+
+
+@pytest.mark.parametrize("pms", TOWERS, ids=_ids(TOWERS))
+def test_standard_form_matches_greedy_solve(pms):
+    p, m, s = pms
+    field = make_field(p, m)
+    rng = random.Random(field.q * 10 + s + 1)
+    for ds in defining_sets_of(field, s, rng):
+        expected = standard_form_oracle(ds)
+        if expected is None:
+            with pytest.raises(CannotFrontLoad):
+                standard_form_generator(ds)
+        else:
+            assert standard_form_generator(ds) == expected
+
+
+def test_empty_defining_set_has_no_span():
+    field = make_field(2, 4)
+    ds = defining_set(field, [])
+    assert dimension_via_span(ds) == 0
+    with pytest.raises(CannotFrontLoad):
+        standard_form_generator(ds)
+
+
+# -- generators ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pm", FIELDS, ids=_ids(FIELDS))
+def test_image_set_points_match_first_preimage_search(pm):
+    field = make_field(*pm)
+    for f in functions_of(field, random.Random(field.q + 2)):
+        if any(f.indices):
+            assert image_set_points(f) == image_set_points_oracle(f)
+
+
+@pytest.mark.parametrize("pm", [(2, 4), (3, 4), (2, 6), (5, 4), (2, 8)], ids=_ids([(2, 4), (3, 4), (2, 6), (5, 4), (2, 8)]))
+def test_trace_zero_set_matches_frobenius_loop(pm):
+    field = make_field(*pm)
+    assert make_trace_zero_set(field).elements == trace_zero_oracle(field)
+
+
+CYCLOTOMIC = [(2, 4, 1), (5, 2, 1), (2, 6, 1), (2, 6, 3), (2, 8, 1), (11, 2, 1)]
+
+
+@pytest.mark.parametrize("pms", CYCLOTOMIC, ids=_ids(CYCLOTOMIC))
+def test_cyclotomic_sets_match_coset_loop(pms):
+    p, m, s = pms
+    field = make_field(p, m)
+    for second_class in (False, True):
+        ds = make_cyclotomic_set(field, s, second_class)
+        assert ds.elements == cyclotomic_oracle(field, s, second_class)
+        assert ds.base_degree == s
+
+
+# -- subfield degrees ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("s", [0, -1, 3])
+def test_subfield_degree_must_be_a_positive_divisor(s):
+    field = make_field(2, 4)
+    code = from_rows(field, [[field.one, field.zero]])
+    for call in (
+        lambda: subfield(field, s),
+        lambda: trace(field, field.one, s),
+        lambda: restrict_to_subfield(code, s),
+        lambda: DefiningSet(field, s, (field.one,)),
+        lambda: make_cyclotomic_set(field, s),
+        lambda: make_lcd_set(field, field.power_basis()[:2], s),
+        lambda: field.trace_table(s),
+        lambda: field.coordinate_table(s),
+    ):
+        with pytest.raises(NotASubfield):
+            call()
+
+
+def test_cyclotomic_rejects_small_fields_after_the_degree_check():
+    with pytest.raises(BadParameters):
+        make_cyclotomic_set(make_field(2, 2), 1)
