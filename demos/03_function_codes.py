@@ -57,7 +57,7 @@ for ai in range(3):
 print("mismatches:", mismatch)
 
 print("\n--- a necessary condition for dual membership ---")
-some_dual_word = [c.as_prime_int() for c in next(iter(nullspace_dual.codewords()))]
+some_dual_word = next(iter(nullspace_dual.codewords()))
 verdict = dual_membership_first(f, some_dual_word, "delta-value")
 print("zero word verdict:", verdict.holds, "| conjugation-fixed:", verdict.imaginary_zero)
 

@@ -415,8 +415,9 @@ class Field:
         return self._trace_dual
 
     def trace_bilinear(self, a: FieldElement, b: FieldElement) -> int:
-        """Tr_{q/p}(a*b) in [0, p) via the cached Gram contraction of b;
-        avoids a field multiplication in transform-heavy loops."""
+        """Tr_{q/p}(a*b) in [0, p), read from the cached Gram contraction of
+        b.  The weight formulas call it on elements; no transform does: the
+        Walsh and column transforms read trace_dual_indices directly."""
         vb = self.elements[self.trace_dual_indices()[b.index]].coeffs
         return sum(x * y for x, y in zip(a.coeffs, vb)) % self.p
 

@@ -1,14 +1,20 @@
 """Linear-code core over F_p or a subfield alphabet F_q.
 
-Generator matrices are kept in reduced row echelon form, which doubles as
-the canonical form: two codes are equal iff their RREF generators are.
+A code stores ``rows``, its generator in reduced row echelon form as tuples
+of canonical indices of the alphabet, which doubles as the canonical form:
+two codes are equal iff their rows are; ``generator`` is the FieldElement
+view.  At the edge of this module (``from_rows``, ``contains``, ``rref``,
+``nullspace``, ``matrix_rank``) an int entry is a canonical index of the
+alphabet, in [0, q), never a scalar mod p; other non-elements raise
+ValueError.
 Duals come from nullspace computation rather than literal Gram-Schmidt;
 over finite fields self-orthogonal vectors break orthogonalization while
 the nullspace achieves the same O(n^3) bound.
 
 Hamming weights come from one p-ary fast Walsh-Hadamard transform of the
 multiset of generator columns, which counts the zero coordinates of every
-codeword at once; the complete weight enumerator enumerates codewords.
+codeword at once; the complete weight enumerator enumerates codewords, as
+tuples of alphabet indices.
 Every weight query is guarded by a configurable cap on the number of
 codewords.
 """
@@ -36,15 +42,22 @@ def enumeration_guard(override: int | None = None) -> int:
 # elimination on canonical element indices
 # ---------------------------------------------------------------------------
 #
-# Matrices are lists of index lists: FieldElement rows become indices once on
-# entry (_indices) and FieldElement tuples once on exit (_elements); the
-# arithmetic in between is the field's IndexArith (Field.arith).
+# Matrices are lists of index lists, and the arithmetic on them is the
+# field's IndexArith (Field.arith).  Rows given at the edge become indices
+# once (_indices); rref and nullspace hand FieldElement rows back (_elements).
+
+
+def _index(x: FieldElement | int, field: Field) -> int:
+    """The canonical index of an entry given at the edge of this module."""
+    if isinstance(x, FieldElement) and x.field is field:
+        return x.index
+    if isinstance(x, int) and not isinstance(x, bool) and 0 <= x < field.q:
+        return x
+    raise ValueError(f"{x!r} is neither an element nor a canonical index of GF({field.p}^{field.m})")
 
 
 def _indices(rows: Iterable[Sequence[FieldElement | int]], field: Field) -> list[list[int]]:
-    """Index lists of FieldElement rows; ints are prime-field scalars."""
-    index_of = field.index_of
-    return [[index_of(x) for x in row] for row in rows]
+    return [[_index(x, field) for x in row] for row in rows]
 
 
 def _elements(rows: Iterable[Sequence[int]], field: Field) -> list[tuple[FieldElement, ...]]:
@@ -66,7 +79,8 @@ def _rref(mat: list[list[int]], ar: IndexArith) -> tuple[list[list[int]], list[i
         else:
             continue
         mat[r], mat[i] = mat[i], mat[r]
-        mat[r] = ar.scale(mat[r], ar.inv(mat[r][c]))
+        if mat[r][c] != 1:
+            mat[r] = ar.scale(mat[r], ar.inv(mat[r][c]))
         prepared = ar.prepare(mat[r])
         for i, row in enumerate(mat):
             if row[c] and i != r:
@@ -99,35 +113,45 @@ def _dual(mat: list[list[int]], ar: IndexArith, n: int) -> list[list[int]]:
     return _rref(_nullspace(mat, ar, n), ar)[0]
 
 
-def rref(rows: Sequence[Sequence[FieldElement]], field: Field):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
+def rref(rows: Sequence[Sequence[FieldElement | int]], field: Field):
+    """Reduced row echelon form; returns (FieldElement rows, pivot_columns)."""
     red, pivots = _rref(_indices(rows, field), field.arith)
     return _elements(red, field), pivots
 
 
-def nullspace(rows: Sequence[Sequence[FieldElement]], field: Field, n: int):
-    """Basis of {v : rows @ v = 0} in F^n, one vector per free column."""
+def nullspace(rows: Sequence[Sequence[FieldElement | int]], field: Field, n: int):
+    """Basis of {v : rows @ v = 0} in F^n as FieldElement rows, one vector
+    per free column."""
     return _elements(_nullspace(_indices(rows, field), field.arith, n), field)
 
 
-def matrix_rank(rows: Sequence[Sequence[FieldElement]], field: Field) -> int:
+def matrix_rank(rows: Sequence[Sequence[FieldElement | int]], field: Field) -> int:
     return len(_rref(_indices(rows, field), field.arith)[0])
 
 
 class LinearCode:
-    """An [n, k] linear code with canonical RREF generator."""
+    """An [n, k] linear code; ``rows`` is its RREF generator as a tuple of
+    index tuples over the alphabet ``base``."""
 
-    __slots__ = ("base", "n", "generator", "provenance")
+    __slots__ = ("base", "n", "rows", "provenance", "_generator")
 
-    def __init__(self, base: Field, n: int, generator, provenance: str | None = None):
+    def __init__(self, base: Field, n: int, rows, provenance: str | None = None):
         self.base = base
         self.n = n
-        self.generator = tuple(tuple(row) for row in generator)
+        self.rows = tuple(tuple(row) for row in rows)
         self.provenance = provenance
+        self._generator = None
+
+    @property
+    def generator(self) -> tuple[tuple[FieldElement, ...], ...]:
+        """The rows as FieldElement tuples, built on first use."""
+        if self._generator is None:
+            self._generator = tuple(_elements(self.rows, self.base))
+        return self._generator
 
     @property
     def k(self) -> int:
-        return len(self.generator)
+        return len(self.rows)
 
     def __repr__(self):
         return f"LinearCode([{self.n}, {self.k}] over GF({self.base.p}^{self.base.m}))"
@@ -135,14 +159,10 @@ class LinearCode:
     def __eq__(self, other):
         if not isinstance(other, LinearCode):
             return NotImplemented
-        return (
-            self.base == other.base
-            and self.n == other.n
-            and self.generator == other.generator
-        )
+        return self.base == other.base and self.n == other.n and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.base, self.n, self.generator))
+        return hash((self.base, self.n, self.rows))
 
     # -- enumeration ---------------------------------------------------------
 
@@ -155,27 +175,35 @@ class LinearCode:
         if self.size() > cap:
             raise TooLarge(f"{self.size()} codewords exceed the guard {cap}")
 
-    def codewords(self, guard: int | None = None) -> Iterator[tuple[FieldElement, ...]]:
+    def codewords(self, guard: int | None = None) -> Iterator[tuple[int, ...]]:
+        """Every codeword sum_i c_i g_i as a tuple of alphabet indices, with
+        c_0 running fastest through the alphabet in index order, then c_1,
+        and so on; the first word is zero."""
         self._check_guard(guard)
-        zero = tuple([self.base.zero] * self.n)
+        ar, q = self.base.arith, self.base.q
+        zero = (0,) * self.n
 
         def span(rows):
             if not rows:
                 yield zero
                 return
-            head = rows[0]
-            scaled = [tuple(c * x for x in head) for c in self.base.elements]
+            scaled = [ar.scale(rows[0], c) for c in range(q)]
             for w in span(rows[1:]):
                 for sv in scaled:
-                    yield tuple(a + b for a, b in zip(w, sv))
+                    yield tuple(map(ar.add, w, sv))
 
-        return span(list(self.generator))
+        return span(self.rows)
 
-    def contains(self, word: Sequence[FieldElement]) -> bool:
+    def contains(self, word: Sequence[FieldElement | int]) -> bool:
         if len(word) != self.n:
             return False
-        mat = _indices(self.generator + (tuple(word),), self.base)
+        mat = _matrix(self) + _indices([word], self.base)
         return len(_rref(mat, self.base.arith)[0]) == self.k
+
+
+def _matrix(code: LinearCode) -> list[list[int]]:
+    """A copy of the code's rows for the in-place kernel."""
+    return [list(row) for row in code.rows]
 
 
 def from_rows(
@@ -202,8 +230,7 @@ def _from_indices(
         n = length
     if n is None or n <= 0:
         raise EmptyLength("a code needs positive length")
-    red, _ = _rref(mat, base.arith)
-    return LinearCode(base, n, _elements(red, base), provenance)
+    return LinearCode(base, n, _rref(mat, base.arith)[0], provenance)
 
 
 def zero_code(base: Field, n: int) -> LinearCode:
@@ -213,23 +240,17 @@ def zero_code(base: Field, n: int) -> LinearCode:
 
 
 def full_code(base: Field, n: int) -> LinearCode:
-    rows = [
-        tuple(base.one if j == i else base.zero for j in range(n)) for i in range(n)
-    ]
-    return LinearCode(base, n, rows)
+    return LinearCode(base, n, [[int(j == i) for j in range(n)] for i in range(n)])
 
 
 def dual(code: LinearCode) -> LinearCode:
     """Nullspace of the generator as an [n, n-k] code."""
-    base = code.base
-    red = _dual(_indices(code.generator, base), base.arith, code.n)
-    return LinearCode(base, code.n, _elements(red, base), provenance="dual")
+    return LinearCode(code.base, code.n, _dual(_matrix(code), code.base.arith, code.n), provenance="dual")
 
 
 def sum_code(a: LinearCode, b: LinearCode) -> LinearCode:
     _check_same_space(a, b)
-    red, _ = _rref(_indices(a.generator + b.generator, a.base), a.base.arith)
-    return LinearCode(a.base, a.n, _elements(red, a.base))
+    return LinearCode(a.base, a.n, _rref(_matrix(a) + _matrix(b), a.base.arith)[0])
 
 
 def intersect(a: LinearCode, b: LinearCode) -> LinearCode:
@@ -237,8 +258,8 @@ def intersect(a: LinearCode, b: LinearCode) -> LinearCode:
     _check_same_space(a, b)
     base, n = a.base, a.n
     ar = base.arith
-    perps = _dual(_indices(a.generator, base), ar, n) + _dual(_indices(b.generator, base), ar, n)
-    return LinearCode(base, n, _elements(_dual(perps, ar, n), base), provenance="dual")
+    perps = _dual(_matrix(a), ar, n) + _dual(_matrix(b), ar, n)
+    return LinearCode(base, n, _dual(perps, ar, n), provenance="dual")
 
 
 def _pairing(rows: list[list[int]], cols: list[list[int]], ar: IndexArith) -> list[list[int]]:
@@ -272,16 +293,14 @@ def _orthogonal_span(checks: list[list[int]], gens: list[list[int]], ar: IndexAr
 def hull(code: LinearCode) -> LinearCode:
     """C cap C^perp = {x G : G G^T x^T = 0}: the kernel of the k x k Gram
     matrix mapped through G."""
-    base = code.base
-    g = _indices(code.generator, base)
+    base, g = code.base, code.rows
     return _from_indices(base, _orthogonal_span(g, g, base.arith, code.n), code.n, "hull")
 
 
 def hull_dim(code: LinearCode) -> int:
     """k - rank(G G^T), since the rows of G are independent; zero exactly for
     LCD codes (Massey 1992)."""
-    ar = code.base.arith
-    g = _indices(code.generator, code.base)
+    ar, g = code.base.arith, code.rows
     return code.k - len(_rref(_pairing(g, g, ar), ar)[0])
 
 
@@ -371,7 +390,7 @@ def _column_transform(code: LinearCode, guard: int | None) -> list[list[int]]:
     p, q = base.p, base.q
     mul, dual = base.arith.mul, base.trace_dual_indices()
     reps = [y for t in range(base.m) for y in range(p ** t, 2 * p ** t)]
-    rows = _indices(code.generator, base)
+    rows = code.rows
     counts = [0] * code.size()
     for col in zip(*rows) if rows else [()] * code.n:
         for y in reps:
@@ -415,7 +434,7 @@ def complete_weight_enumerator(
     for word in code.codewords(guard):
         comp = [0] * q
         for x in word:
-            comp[x.index] += 1
+            comp[x] += 1
         key = tuple(comp)
         counts[key] = counts.get(key, 0) + 1
     return CompleteWeightEnumerator(counts, code.n, code.size())
@@ -452,7 +471,7 @@ def restrict_to_subfield(code: LinearCode, s: int) -> LinearCode:
     p, n = big.p, code.n
     ar = big.arith
     expanded = []
-    for row in _dual(_indices(code.generator, big), ar, n):
+    for row in _dual(_matrix(code), ar, n):
         # h_i * theta^t at column i*s + t; constraint tau reads coefficient tau
         prods = [x for hs in zip(*(ar.scale(row, t) for t in theta)) for x in hs]
         expanded.extend(map(list, zip(*(big.elements[x].coeffs for x in prods))))
@@ -464,9 +483,8 @@ def restrict_to_subfield(code: LinearCode, s: int) -> LinearCode:
         for t in range(s - 2, -1, -1):
             word = [w * p + c for w, c in zip(word, v[t::s])]
         words.append(word)
-    red, _ = _rref(words, sub.arith)
     tag = "prime-restriction" if s == 1 else "subfield-restriction"
-    return LinearCode(sub, n, _elements(red, sub), provenance=tag)
+    return LinearCode(sub, n, _rref(words, sub.arith)[0], provenance=tag)
 
 
 def restrict_to_prime_subfield(code: LinearCode) -> LinearCode:

@@ -297,15 +297,12 @@ def hull_membership_first(
 
 
 def hull_membership_second(f: ParyFunction, x: FieldElement, variant: str) -> MembershipVerdict:
-    ds = make_image_set(f)
-    word = [c.as_prime_int() for c in second_codeword(ds, x)]
-    v = dual_membership_second(f, word, variant)
+    v = dual_membership_second(f, second_codeword(make_image_set(f), x), variant)
     return MembershipVerdict(f"hull-{v.variant}", v.holds, v.lhs, v.rhs, v.imaginary_zero)
 
 
 def hull_membership_defining_set(ds: DefiningSet, x: FieldElement) -> MembershipVerdict:
-    word = [c.as_prime_int() for c in second_codeword(ds, x)]
-    v = dual_membership_defining_set(ds, word)
+    v = dual_membership_defining_set(ds, second_codeword(ds, x))
     return MembershipVerdict(f"hull-{v.variant}", v.holds, v.lhs, v.rhs, v.imaginary_zero)
 
 
@@ -360,9 +357,7 @@ def dual_character_first(
     field = f.field
     _, factors = _first_delta_factors(f, variant, include_zero)
     exps = _factor_exponents(factors, field.p)
-    code = first_generic(f, include_zero)
-    prime = code.base
-    if not code.contains([prime.scalar(t) for t in exps]):
+    if not first_generic(f, include_zero).contains(exps):
         raise InvariantViolated("the character row is not a codeword, so the dual escapes its kernel")
     return CodeCharacter(field.p, tuple(factors), exps, f"first:{variant}")
 
@@ -374,8 +369,7 @@ def dual_character_second(f: ParyFunction) -> CodeCharacter:
     ds = make_image_set(f)
     factors = _second_delta_factors(ds.elements, field)
     exps = _factor_exponents(factors, field.p)
-    code = second_generic(ds)
-    if not code.contains([code.base.scalar(t) for t in exps]):
+    if not second_generic(ds).contains(exps):
         raise InvariantViolated("the character row is not a codeword, so the dual escapes its kernel")
     return CodeCharacter(field.p, tuple(factors), exps, "second:delta-value")
 
@@ -619,8 +613,7 @@ def pn_bounds_check(f: ParyFunction, guard: int | None = None) -> dict:
     if not f(field.zero).is_zero():
         raise NotPN("the bounds assume f(0) = 0")
     code = first_generic(f, include_zero=False)
-    ones = [code.base.one] * code.n
-    extension = from_rows(code.base, list(code.generator) + [ones])
+    extension = from_rows(code.base, code.rows + ((1,) * code.n,))
     weights = weight_distribution(code, guard).nonzero_weights()
     ext_weights = weight_distribution(extension, guard).nonzero_weights()
     return {

@@ -144,16 +144,14 @@ def first_codeword(
     a: FieldElement,
     b: FieldElement,
     include_zero: bool = True,
-    minus: bool = False,
 ) -> tuple[int, ...]:
-    """Coordinates Tr(a f(x) + b x) (or Tr(a f(x) - b x) with minus=True)
-    as integers in [0, p), in canonical point order."""
+    """Coordinates Tr(a f(x) + b x) as indices of F_p, the integers in
+    [0, p), in canonical point order."""
     points, values = _first_columns(f, include_zero)
     ctx = f.field
     table, scale = ctx.trace_table(), ctx.arith.scale
-    sign = -1 if minus else 1
     pairs = zip(scale(values, ctx.index_of(a)), scale(points, ctx.index_of(b)))
-    return tuple((table[u] + sign * table[v]) % ctx.p for u, v in pairs)
+    return tuple((table[u] + table[v]) % ctx.p for u, v in pairs)
 
 
 def dual_first_closed_form(f: ParyFunction, include_zero: bool = True) -> LinearCode:
@@ -195,10 +193,10 @@ def second_generic(ds: DefiningSet) -> LinearCode:
     return _from_indices(subfield(ctx, s)[0], rows, len(ds), f"defining-set:{ds.provenance}")
 
 
-def second_codeword(ds: DefiningSet, x: FieldElement) -> tuple[FieldElement, ...]:
-    ctx, s = ds.field, ds.base_degree
-    sub, table = subfield(ctx, s)[0], ctx.trace_table(s)
-    return tuple(sub.elements[table[v]] for v in ctx.arith.scale(ds.indices(), ctx.index_of(x)))
+def second_codeword(ds: DefiningSet, x: FieldElement) -> tuple[int, ...]:
+    """Coordinates Tr_{q/p^s}(x d_i) as indices of F_{p^s}, in set order."""
+    ctx, table = ds.field, ds.field.trace_table(ds.base_degree)
+    return tuple(table[v] for v in ctx.arith.scale(ds.indices(), ctx.index_of(x)))
 
 
 def dual_second_closed_form(ds: DefiningSet) -> LinearCode:
@@ -249,16 +247,10 @@ def code_to_defining_set(code: LinearCode, ctx: Field) -> DefiningSet:
     k = code.k
     if ctx.m < k:
         raise DimensionTooLarge(f"need m >= k, got m={ctx.m} < k={k}")
-    alphas = ctx.power_basis()[:k]
-    ds = []
-    for i in range(code.n):
-        d = ctx.zero
-        for j in range(k):
-            c = code.generator[j][i].as_prime_int()
-            if c:
-                d = d + alphas[j] * c
-        ds.append(d)
-    return DefiningSet(ctx, 1, tuple(ds), provenance="code-realization")
+    # the element with coordinates (c_0, ..., c_{k-1}) has index sum_j c_j p^j
+    p, rows = ctx.p, code.rows
+    ds = tuple(ctx.elements[sum(row[i] * p ** j for j, row in enumerate(rows))] for i in range(code.n))
+    return DefiningSet(ctx, 1, ds, provenance="code-realization")
 
 
 def second_hull_map_matrix(ds: DefiningSet):

@@ -1,8 +1,9 @@
 """JSON wire formats.
 
-Codes serialize with generator entries as canonical element indices;
-defining sets carry coefficient vectors; cyclotomic integers are their
-canonical coefficient lists.
+Codes serialize with generator entries as canonical element indices,
+their stored rows; defining sets carry coefficient vectors; cyclotomic
+integers are their canonical coefficient lists.  Rows that are not lists
+of lists of ints raise ValueError.
 """
 
 from __future__ import annotations
@@ -22,20 +23,26 @@ def field_from_json(obj: dict) -> Field:
     return make_field(obj["p"], obj["m"], obj.get("poly"))
 
 
+def _int_rows(rows, what: str) -> list:
+    """rows, checked to be a list of lists of ints."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) and all(type(x) is int for x in r) for r in rows):
+        raise ValueError(f"{what} must be a list of lists of integers")
+    return rows
+
+
 def code_to_json(code: LinearCode) -> dict:
     return {
         "alphabet": field_to_json(code.base),
         "n": code.n,
         "k": code.k,
-        "generator": [[e.index for e in row] for row in code.generator],
+        "generator": [list(row) for row in code.rows],
     }
 
 
 def code_from_json(obj: dict) -> LinearCode:
-    base = field_from_json(obj["alphabet"])
-    rows = [[base.from_index(i) for i in row] for row in obj["generator"]]
     from .codes import from_rows, zero_code
 
+    base, rows = field_from_json(obj["alphabet"]), _int_rows(obj["generator"], "generator")
     if not rows:
         return zero_code(base, obj["n"])
     return from_rows(base, rows, n=obj["n"])
@@ -52,7 +59,7 @@ def defining_set_to_json(ds: DefiningSet) -> dict:
 
 def defining_set_from_json(obj: dict) -> DefiningSet:
     field = field_from_json(obj["field"])
-    els = tuple(field.element(c) for c in obj["elements"])
+    els = tuple(field.element(c) for c in _int_rows(obj["elements"], "defining-set elements"))
     return DefiningSet(
         field, obj.get("base_degree", 1), els, obj.get("provenance", "json")
     )

@@ -56,6 +56,15 @@ def test_defining_set_roundtrip_via_file(tmp_path, capsys):
     assert code == 0 and out["parameters"][:2] == [2, 1]
 
 
+@pytest.mark.parametrize("elements", [[[1.5, 0]], [5], [[1, 0], "x"]])
+def test_malformed_defining_set_file_is_config_error(tmp_path, capsys, elements):
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps({"field": {"p": 3, "m": 2}, "elements": elements}))
+    assert run(["build", "second", "--field", F9_SPEC, "--defining-set", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "list of lists of integers" in err
+
+
 @pytest.mark.parametrize("generator", ["cyclotomic:base=0", "lcd:k=2,base=0", "cyclotomic:base=-1"])
 def test_base_degree_below_one_is_config_error(capsys, generator):
     assert run(["build", "second", "--field", "p=2,m=4", "--generator", generator]) == 2

@@ -57,6 +57,20 @@ def test_from_rows_basic():
     assert (c.n, c.k) == (2, 2)
 
 
+@pytest.mark.parametrize("field", [F3, F9], ids=["GF(3)", "GF(9)"])
+def test_ints_at_the_edge_are_canonical_indices(field):
+    code = from_rows(field, [[1, field.q - 1, 0]])
+    assert code.rows == ((1, field.q - 1, 0),)
+    assert code.contains(field.arith.scale(code.rows[0], 2))
+    for bad in (-1, field.q, True, 1.0, "1"):
+        with pytest.raises(ValueError):
+            from_rows(field, [[1, bad, 0]])
+        with pytest.raises(ValueError):
+            code.contains([1, bad, 0])
+    with pytest.raises(ValueError):
+        code.contains([make_field(2, 1).one, 0, 0])
+
+
 def test_from_rows_dependent_row_dropped():
     # (2,1) = 2*(1,2) mod 3
     c = from_rows(F3, [[1, 2], [2, 1]])
@@ -107,11 +121,11 @@ def test_dual_against_exhaustive_orthogonality():
             w
             for w in _all_words(F3, 4)
             if all(
-                sum((a * b).as_prime_int() for a, b in zip(w, cw)) % 3 == 0
+                sum(a.index * b for a, b in zip(w, cw)) % 3 == 0
                 for cw in c.codewords()
             )
         ]
-        assert sorted(tuple(x.index for x in w) for w in d.codewords()) == sorted(
+        assert sorted(d.codewords()) == sorted(
             tuple(x.index for x in w) for w in brute
         )
 
@@ -218,11 +232,11 @@ def test_restrict_is_set_intersection():
         code = from_rows(F9, rows)
         r = restrict_to_prime_subfield(code)
         prime_words = {
-            tuple(x.index for x in w)
+            w
             for w in code.codewords()
-            if all(x.in_prime_subfield() for x in w)
+            if all(F9.elements[x].in_prime_subfield() for x in w)
         }
-        assert {tuple(x.index for x in w) for w in r.codewords()} == prime_words
+        assert set(r.codewords()) == prime_words
 
 
 def test_matrix_rank_helper():

@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from walshcodes import jsonio
 from walshcodes.algebra import make_field
 from walshcodes.codes import complete_weight_enumerator, from_rows, weight_distribution
@@ -29,6 +31,25 @@ def test_code_roundtrip():
             code = from_rows(field, rows)
             obj = json.loads(json.dumps(jsonio.code_to_json(code)))
             assert jsonio.code_from_json(obj) == code
+
+
+def test_code_from_json_passes_index_rows_through():
+    obj = {"alphabet": {"p": 2, "m": 2}, "n": 3, "generator": [[1, 2, 3]]}
+    code = jsonio.code_from_json(obj)
+    assert code.rows == ((1, 2, 3),) and jsonio.code_to_json(code)["generator"] == [[1, 2, 3]]
+
+
+@pytest.mark.parametrize("rows", [[[1, -1]], [[1, 2]], [[1, True]], [[1, 0.5]], [[1, "1"]], [5], "11"])
+def test_code_from_json_rejects_entries_that_are_not_indices(rows):
+    obj = {"alphabet": {"p": 2, "m": 1}, "n": 2, "generator": rows}
+    with pytest.raises(ValueError):
+        jsonio.code_from_json(obj)
+
+
+@pytest.mark.parametrize("elements", [[[1.5, 0]], [5], [[1, 0], "x"], [[1, True]], "11"])
+def test_defining_set_from_json_rejects_malformed_elements(elements):
+    with pytest.raises(ValueError):
+        jsonio.defining_set_from_json({"field": {"p": 3, "m": 2}, "elements": elements})
 
 
 def test_zero_code_roundtrip():

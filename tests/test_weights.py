@@ -2,12 +2,15 @@
 
 Hamming weights come from one p-ary Walsh-Hadamard transform of the
 multiset of generator columns (codes._column_transform).  The reference it
-replaced lives here as the oracle: every codeword listed by
-LinearCode.codewords() as a tuple of FieldElements, its nonzero entries
-counted one by one.
+replaced lives here as the oracle: every codeword spanned from the
+FieldElement view of the generator with the element operators
+(codewords_oracle), its nonzero entries counted one by one.  The same
+oracle checks LinearCode.codewords(), which adds index rows with the
+field's IndexArith, and the complete weight enumerator built on it.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -52,27 +55,54 @@ def _ids(fields):
 # -- oracles --------------------------------------------------------------------
 
 
-def weight_distribution_oracle(code):
+def codewords_oracle(code):
+    """Every codeword as a tuple of FieldElements: the span of code.generator
+    with the element operators, the first row's coefficient running fastest."""
+    zero = tuple([code.base.zero] * code.n)
+
+    def span(rows):
+        if not rows:
+            yield zero
+            return
+        head = rows[0]
+        scaled = [tuple(c * x for x in head) for c in code.base.elements]
+        for w in span(rows[1:]):
+            for sv in scaled:
+                yield tuple(a + b for a, b in zip(w, sv))
+
+    return span(list(code.generator))
+
+
+def weight_distribution_oracle(words):
     counts = {}
-    for word in code.codewords():
+    for word in words:
         w = sum(1 for x in word if not x.is_zero())
         counts[w] = counts.get(w, 0) + 1
     return dict(sorted(counts.items()))
 
 
-def min_distance_oracle(code):
-    best = code.n + 1
-    for word in code.codewords():
-        w = sum(1 for x in word if not x.is_zero())
-        if 0 < w < best:
-            best = w
-    return best
+def cwe_oracle(words, q):
+    counts = Counter()
+    for word in words:
+        comp = [0] * q
+        for x in word:
+            comp[x.index] += 1
+        counts[tuple(comp)] += 1
+    return dict(counts)
 
 
-def assert_same_weights(code):
-    assert weight_distribution(code).counts == weight_distribution_oracle(code)
+def assert_matches_enumeration(code):
+    words = list(codewords_oracle(code))
+    # codewords() gives the oracle's words in the same order, so the same multiset
+    assert list(code.codewords()) == [tuple(x.index for x in w) for w in words]
+    if code.base.q <= 27:
+        # a composition has Q entries, so at the wide alphabets this check alone
+        # would take longer than the rest of the file
+        assert complete_weight_enumerator(code).counts == cwe_oracle(words, code.base.q)
+    weights = weight_distribution_oracle(words)
+    assert weight_distribution(code).counts == weights
     if code.k:
-        d = min_distance_oracle(code)
+        d = min(w for w in weights if w)
         assert min_distance(code) == d
         assert is_mds(code) == (d == code.n - code.k + 1)
     else:
@@ -94,6 +124,16 @@ def random_code(field, n, k, rng, zero_cols=0, repeats=0):
     return from_rows(field, [list(r) for r in zip(*cols)], n=length)
 
 
+@pytest.mark.parametrize("pm", [(2, 2), (2, 3), (3, 2)], ids=_ids([(2, 2), (2, 3), (3, 2)]))
+def test_codewords_are_members(pm):
+    # over F_Q an index >= p is an element outside the prime field, not a scalar mod p
+    field = make_field(*pm)
+    rng = random.Random(field.q)
+    for k in range(4):
+        code = random_code(field, k + 2, k, rng, zero_cols=1)
+        assert all(code.contains(w) for w in code.codewords())
+
+
 # -- random codes over every small alphabet ---------------------------------------
 
 
@@ -107,10 +147,10 @@ def test_random_codes_match_enumeration(pm):
     for trial in range(12):
         k = trial % (kmax + 1)
         n = rng.randrange(max(k, 1), k + 5)
-        assert_same_weights(random_code(field, n, k, rng, zero_cols=trial % 3, repeats=trial % 2 * 2))
+        assert_matches_enumeration(random_code(field, n, k, rng, zero_cols=trial % 3, repeats=trial % 2 * 2))
     for n in range(1, kmax + 1):
-        assert_same_weights(full_code(field, n))
-    assert_same_weights(zero_code(field, 3))
+        assert_matches_enumeration(full_code(field, n))
+    assert_matches_enumeration(zero_code(field, 3))
 
 
 @pytest.mark.parametrize("pm", WIDE, ids=_ids(WIDE))
@@ -121,7 +161,7 @@ def test_random_codes_match_enumeration_hypothesis(pm):
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.integers(0, 2), st.integers(1, 3), st.randoms(use_true_random=False))
     def check(k, n, rng):
-        assert_same_weights(random_code(field, n, min(k, n), rng, zero_cols=rng.randrange(2), repeats=1))
+        assert_matches_enumeration(random_code(field, n, min(k, n), rng, zero_cols=rng.randrange(2), repeats=1))
 
     check()
 
@@ -138,7 +178,7 @@ def test_function_codes(pm, spec, include_zero):
     code = first_generic(parse_function(field, spec).with_codomain(field.m), include_zero)
     for c in (code, dual(code), hull(code)):
         if c.size() <= 4096:
-            assert_same_weights(c)
+            assert_matches_enumeration(c)
 
 
 def test_defining_set_codes():
@@ -155,7 +195,7 @@ def test_defining_set_codes():
     for code in codes:
         for c in (code, dual(code), hull(code)):
             if c.size() <= 4096:
-                assert_same_weights(c)
+                assert_matches_enumeration(c)
 
 
 # -- the guard -------------------------------------------------------------------------
