@@ -15,8 +15,9 @@ values exactly; complex floats are a display-only view.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import cache, cached_property
-from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -677,6 +678,29 @@ def subfield(ctx: Field, s: int) -> tuple[Field, dict, dict]:
 # the p-ary fast Walsh-Hadamard transform
 # ---------------------------------------------------------------------------
 
+# bytes per packed field -> the unsigned array typecode of that size; the
+# sizes of 'I' and 'L' vary by platform, so they are read, not assumed
+_FIELD_TYPECODES = {array(t).itemsize: t for t in "BHILQ"}
+
+
+def _pack(values: Sequence[int], typecode: str) -> int:
+    """One int whose fixed-width field i, counted from the least significant
+    end, is ``values[i]`` (two's complement for a signed typecode)."""
+    fields = array(typecode, values)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return int.from_bytes(fields, "little")
+
+
+def _unpack(word: int, typecode: str, q: int) -> list[int]:
+    """The q fields of ``word``, the inverse of :func:`_pack`."""
+    fields = array(typecode)
+    fields.frombytes(word.to_bytes(q * fields.itemsize, "little"))
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields.tolist()
+
+
 def _fwht(layers: list[list[int]], p: int, m: int) -> list[list[int]]:
     """F(u) = sum over v of N(v) zeta^(-<v, u>) for every u in F_p^m, for
     N(v) in Z[zeta_p] given as ``layers[e][v]``, the coefficient of zeta^e.
@@ -684,35 +708,88 @@ def _fwht(layers: list[list[int]], p: int, m: int) -> list[list[int]]:
     The result has the same layout; nothing is canonicalised, so
     ``F[e][u]`` sums N over the v with -<v, u> = e, layer by layer.
     Vectors are indexed like the field elements, digit i of the index
-    being coordinate i.  Each of the m passes transforms the top digit of
-    the index and moves it to the bottom (constant geometry), so after m
-    passes the digits are back in place.  Multiplying by zeta^(-k) rotates
-    a coefficient vector, so a pass is p^2 (p - 1) additions of lists of
-    length p^(m-1).
+    being coordinate i.
+
+    Each layer is packed into one int of q fixed-width fields, field v
+    holding entry v, and pass i transforms digit i of every index in
+    place on whole ints: with t the bit offset of one step in digit i and
+    M the mask of the fields whose digit i is 0, block x of a layer is
+    (layer >> x t) & M, and output digit u of layer e is the sum over x of
+    block x of layer e + u x, shifted up by u t.  A pass is p^2
+    extractions and p^2 (p - 1) additions of ints.  The field width is the
+    fewest bytes (1, 2, 4 or 8) that hold the input's total mass, the sum
+    of every |entry|, which bounds every partial sum, so no field carries
+    into the next.  Negative entries at odd p are shifted up by one
+    constant first, which adds that constant times q to every output.
 
     At p = 2, Z[zeta_2] = Z: ``layers`` is the one integer list N, and a
-    pass is the (a + b, a - b) butterflies of the Walsh-Hadamard transform."""
+    pass is the (a + b, a - b) butterflies of the Walsh-Hadamard transform.
+    Every field then holds its value plus the bias 2^(w-1) of a w-bit field
+    (one more bit goes into the width for it): (a + B) + (b + B) - B and
+    (a + B) - (b + B) + B stay in [0, 2^w), so the packed sums are exact,
+    and XOR with the bias word converts to and from two's complement."""
     q = p ** m
-    n = q // p
     if p == 2:
         (w,) = layers
-        for _ in range(m):
-            lo, hi = w[:n], w[n:]
-            w = [0] * q
-            w[0::2] = map(add, lo, hi)
-            w[1::2] = map(sub, lo, hi)
-        return [w]
-    for _ in range(m):
-        blocks = [[layer[x * n:(x + 1) * n] for x in range(p)] for layer in layers]
-        new = [[0] * q for _ in range(p)]
-        for u in range(p):
-            for e in range(p):
+        mass = sum(map(abs, w))
+    else:
+        low = min(0, *map(min, layers))
+        if low:
+            layers = [[v - low for v in layer] for layer in layers]
+        mass = sum(map(sum, layers))
+    bits = mass.bit_length() + (p == 2)
+    width = next((b for b in sorted(_FIELD_TYPECODES) if 8 * b >= bits), None)
+    if width is None:
+        raise OverflowError(f"a total mass of {mass} does not fit a packed field")
+    typecode = _FIELD_TYPECODES[width]
+    if p == 2:
+        typecode = typecode.lower()
+        return [_unpack(_binary_passes(_pack(w, typecode), width, m), typecode, q)]
+    words = _odd_passes([_pack(layer, typecode) for layer in layers], width, p, m)
+    out = [_unpack(word, typecode, q) for word in words]
+    return [[v + low * q for v in layer] for layer in out] if low else out
+
+
+def _digit_word(field: bytes, p: int, stride: int, q: int) -> int:
+    """``field`` in every field whose index has digit 0 at weight
+    ``stride``, zero in the others."""
+    run = field * stride
+    return int.from_bytes((run + bytes(len(run) * (p - 1))) * (q // (p * stride)), "little")
+
+
+def _binary_passes(word: int, width: int, m: int) -> int:
+    """The m butterfly passes on 2^m packed two's complement fields.
+
+    The bias words are built from bytes where they are needed, not kept
+    across the passes, which holds one full-width int fewer at the peak."""
+    q = 1 << m
+    bias = bytes(width - 1) + b"\x80"
+    word ^= int.from_bytes(bias * q, "little")
+    for i in range(m):
+        t, mask = 8 * width << i, _digit_word(b"\xff" * width, 2, 1 << i, q)
+        # lo + d and lo - d are a + b and a - b, biased
+        d = ((word >> t) & mask) - _digit_word(bias, 2, 1 << i, q)
+        word &= mask
+        word = (word + d) | ((word - d) << t)
+    return word ^ int.from_bytes(bias * q, "little")
+
+
+def _odd_passes(words: list[int], width: int, p: int, m: int) -> list[int]:
+    """The m passes on p layers of p^m packed unsigned fields."""
+    q = p ** m
+    for i in range(m):
+        t, mask = 8 * width * p ** i, _digit_word(b"\xff" * width, p, p ** i, q)
+        blocks = [[(word >> x * t) & mask for x in range(p)] for word in words]
+        words = []
+        for e in range(p):
+            word = 0
+            for u in range(p):
                 acc = blocks[e][0]
                 for x in range(1, p):
-                    acc = list(map(add, acc, blocks[(e + u * x) % p][x]))
-                new[e][u::p] = acc
-        layers = new
-    return layers
+                    acc += blocks[(e + u * x) % p][x]
+                word |= acc << u * t
+            words.append(word)
+    return words
 
 
 # ---------------------------------------------------------------------------

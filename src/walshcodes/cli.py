@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import jsonio
 from .algebra import parse_field_spec
@@ -300,9 +301,16 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: each of its
+    actions reads the terminal size as it is added, which costs about as
+    much as a small command."""
+    return make_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.guard is not None and args.guard < 1:
             raise ConfigError("the enumeration guard must be at least 1")

@@ -215,6 +215,16 @@ def _check_scalar_hypothesis(f: ParyFunction):
         raise HypothesisFailed("f does not respect prime-field scalar multiplication")
 
 
+def _prime_word(word: Sequence[int], p: int) -> list[int]:
+    """The entries of a word over F_p, each an int in [0, p), as at the
+    edge of :mod:`codes`; anything else raises ``ValueError``."""
+    word = list(word)
+    for c in word:
+        if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < p:
+            raise ValueError(f"{c!r} is not a canonical index of GF({p})")
+    return word
+
+
 def dual_membership_first(
     f: ParyFunction,
     word: Sequence[int],
@@ -227,7 +237,7 @@ def dual_membership_first(
     points = first_points(field, include_zero)
     if len(word) != len(points):
         raise ValueError("word length does not match the coordinate count")
-    word = [c % field.p for c in word]
+    word = _prime_word(word, field.p)
     if variant.startswith("wrb"):
         ctx = _wrb_context_first(f, variant)
         if variant.endswith("scalar"):
@@ -251,7 +261,7 @@ def dual_membership_second(
     points = image_set_points(f)
     if len(word) != len(ds.elements):
         raise ValueError("word length does not match the defining set")
-    word = [c % field.p for c in word]
+    word = _prime_word(word, field.p)
     if variant == "wrb-scalar":
         ctx = _WrbContext(f, plain_trace_form(f), "Tr(f(x))")
         _check_scalar_hypothesis(f)
@@ -273,7 +283,7 @@ def dual_membership_defining_set(ds: DefiningSet, word: Sequence[int]) -> Member
     if ds.base_degree != 1:
         raise WrongCodomain("membership conditions need a prime-base code")
     field = ds.field
-    word = [c % field.p for c in word]
+    word = _prime_word(word, field.p)
     factors = _second_delta_factors(ds.elements, field)
     lhs, rhs = _product_of_factors(factors, word, field.p)
     return _verdict("defining-set:delta", lhs, rhs)
@@ -321,7 +331,7 @@ class CodeCharacter:
     domain: str
 
     def evaluate(self, word: Sequence[int]) -> CyclotomicInt:
-        lhs, _ = _product_of_factors(self.factors, [c % self.p for c in word], self.p)
+        lhs, _ = _product_of_factors(self.factors, _prime_word(word, self.p), self.p)
         return lhs
 
     def is_trivial(self) -> bool:
@@ -333,7 +343,7 @@ class CodeCharacter:
         return self.exponents
 
     def in_kernel(self, word: Sequence[int]) -> bool:
-        return sum(t * (c % self.p) for t, c in zip(self.exponents, word)) % self.p == 0
+        return sum(t * c for t, c in zip(self.exponents, _prime_word(word, self.p))) % self.p == 0
 
 
 def _factor_exponents(factors, p) -> tuple[int, ...]:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from walshcodes import cli
 from walshcodes.cli import main
 
 F9_SPEC = "p=3,m=2"
@@ -237,3 +242,36 @@ def test_invariant_violation_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suite", broken)
     assert run(["verify", "ding"]) == 4
     assert "invariant violated: Parseval failed" in capsys.readouterr().err
+
+
+ONE_PROCESS = [
+    ["build", "first", "--field", "p=2,m=3", "--fn", "x^3"],
+    ["analyze", "first", "--field", F9_SPEC, "--fn", "x^2", "--weights", "--cwe"],
+    ["verify", "apn-ab", "--field", "p=2,m=3", "--fn", "x^3"],
+    ["verify", "ding", "--guard", "0"],
+    ["analyze", "first", "--field"],
+]
+
+
+def test_one_parser_serves_every_call_of_a_process(monkeypatch, capsys):
+    """main builds its parser once per process, and a run of calls in one
+    process prints what each argv prints in a fresh interpreter, a usage
+    error (SystemExit(2)) included."""
+
+    def status_and_stdout(argv):
+        try:
+            status = main(argv)
+        except SystemExit as ex:
+            status = ex.code
+        return status, capsys.readouterr().out
+
+    status_and_stdout(["verify", "ding", "--guard", "0"])
+    monkeypatch.setattr(cli, "make_parser", lambda: pytest.fail("the parser was built again"))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    script = "import sys; from walshcodes.cli import main; sys.exit(main(sys.argv[1:]))"
+    fresh = [subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
+             for argv in ONE_PROCESS]
+    for _ in range(2):
+        for argv, run_alone in zip(ONE_PROCESS, fresh):
+            assert status_and_stdout(argv) == (run_alone.returncode, run_alone.stdout), argv
+    assert [r.returncode for r in fresh] == [0, 0, 0, 2, 2]

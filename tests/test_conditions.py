@@ -296,6 +296,26 @@ def test_single_support_word_fails_value_variant():
     assert not dual_membership_first(f, word, "delta-value").holds
 
 
+@pytest.mark.parametrize("entry", [3, -3, True, 1.0, "1"], ids=["3", "-3", "True", "1.0", "str"])
+def test_word_entries_must_be_prime_field_indices(entry):
+    """Over GF(9) an entry of a word over F_3 is an int in [0, 3); 3 and -3
+    are not read as 0 mod 3, nor True as 1, as at the edge of codes."""
+    f = monomial(F9, 2)
+    ds = make_image_set(f)
+    ch = dual_character_first(f, "delta-value")
+    calls = [
+        lambda w: dual_membership_first(f, w, "delta-value"),
+        lambda w: dual_membership_second(f, w[:len(ds.elements)], "delta-value"),
+        lambda w: dual_membership_defining_set(ds, w[:len(ds.elements)]),
+        ch.evaluate,
+        ch.in_kernel,
+    ]
+    for call in calls:
+        call([0] * 9)
+        with pytest.raises(ValueError):
+            call([entry] * 9)
+
+
 def test_scalar_variants_unsatisfiable_in_odd_characteristic():
     # prime-scalar homogeneity forces an odd trace form, which cannot be
     # bent, so the hypothesis check must always trip for odd p

@@ -3,7 +3,8 @@
 Each fast route is compared with the reference it replaced, which lives
 here as a test oracle: the coefficient arithmetic of F_{p^m} (the product
 is the polynomial convolution reduced by the modulus), the O(q^2) Walsh
-loop, the two-layer binary FWHT, the per-coefficient bent classification,
+loop, the list passes of the FWHT (layered, and the binary butterflies)
+that the packed-int kernel replaced, the per-coefficient bent classification,
 the closure evaluator of the function mini-language, square-and-multiply
 powers, the Frobenius-sum trace and the order-counting generator search.
 The element operators and the elimination kernel share one set of index
@@ -17,7 +18,7 @@ import subprocess
 import sys
 import textwrap
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,19 @@ def fwht_oracle(layers, p, m):
                 new[e][u::p] = acc
         layers = new
     return layers
+
+
+def binary_fwht_oracle(w, m):
+    """The (a + b, a - b) butterflies of the binary Walsh-Hadamard transform
+    on one integer list, one list pass per digit (constant geometry)."""
+    q = 2 ** m
+    n = q // 2
+    for _ in range(m):
+        lo, hi = w[:n], w[n:]
+        w = [0] * q
+        w[0::2] = map(add, lo, hi)
+        w[1::2] = map(sub, lo, hi)
+    return w
 
 
 def classify_oracle(spectrum, gauss=gauss_sum_power):
@@ -426,6 +440,94 @@ def test_binary_fwht_is_the_difference_of_the_two_layer_transform(m):
     for values in (signs, counts):
         even, odd = fwht_oracle([values, [0] * q], 2, m)
         assert _fwht([list(values)], 2, m) == [[a - b for a, b in zip(even, odd)]]
+
+
+# at m = 1 a transform is about p^3 additions, so the large primes are left out
+KERNEL = [(p, m) for p, m in _prime_powers(3 ** 5) if m > 1 or p < 40]
+KERNEL += [(p, 0) for p in (2, 3, 5, 7)]
+EDGE_FIELDS = [(2, 3), (2, 6), (3, 3), (5, 2)]
+SIGNED_FIELDS = [(2, 1), (2, 4), (2, 9), (3, 1), (3, 4), (5, 2), (7, 2)]
+
+
+def _assert_kernel_matches_oracles(layers, p, m):
+    got = _fwht([list(layer) for layer in layers], p, m)
+    if p == 2:
+        (w,) = layers
+        assert got == [binary_fwht_oracle(list(w), m)]
+        even, odd = fwht_oracle([list(w), [0] * len(w)], 2, m)
+        assert got == [[a - b for a, b in zip(even, odd)]]
+    else:
+        assert got == fwht_oracle([list(layer) for layer in layers], p, m)
+
+
+def _spread(rng, total, q):
+    """q non-negative ints that sum to total, at random points."""
+    cuts = sorted(rng.randrange(total + 1) for _ in range(q - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+@pytest.mark.parametrize("pm", KERNEL, ids=_ids(KERNEL))
+def test_packed_fwht_matches_list_passes(pm):
+    p, m = pm
+    q = p ** m
+    rng = random.Random(q * p)
+    for bound in (1, 3, 1000):
+        if p == 2:
+            layers = [[rng.randint(-bound, bound) for _ in range(q)]]
+        else:
+            layers = [[rng.randint(0, bound) for _ in range(q)] for _ in range(p)]
+        _assert_kernel_matches_oracles(layers, p, m)
+
+
+@pytest.mark.parametrize("pm", EDGE_FIELDS, ids=_ids(EDGE_FIELDS))
+@pytest.mark.parametrize("bits", [8, 16, 32])
+def test_packed_fwht_on_both_sides_of_each_width_switch(pm, bits):
+    """The width holds the total mass (one more bit at p = 2 for the bias),
+    so a total one below a power of two fits fields that one more cannot;
+    spreading the mass over one layer makes the extreme output field the
+    total itself, where a too narrow field would carry into its neighbour."""
+    p, m = pm
+    q = p ** m
+    rng = random.Random(bits * q)
+    edge = 2 ** (bits - 1 if p == 2 else bits)
+    for total in (edge - 1, edge):
+        w = _spread(rng, total, q)
+        if p == 2:
+            _assert_kernel_matches_oracles([w], p, m)
+            _assert_kernel_matches_oracles([[-v for v in w]], p, m)
+            _assert_kernel_matches_oracles([[rng.choice((1, -1)) * v for v in w]], p, m)
+        else:
+            for e in (0, p - 1):
+                layers = [[0] * q for _ in range(p)]
+                layers[e] = w
+                _assert_kernel_matches_oracles(layers, p, m)
+
+
+def test_packed_fwht_refuses_masses_past_eight_byte_fields():
+    _assert_kernel_matches_oracles([[2 ** 63 - 1, 0]], 2, 1)
+    _assert_kernel_matches_oracles([[2 ** 64 - 1, 0, 0], [0] * 3, [0] * 3], 3, 1)
+    with pytest.raises(OverflowError):
+        _fwht([[2 ** 62, -(2 ** 62)]], 2, 1)
+    with pytest.raises(OverflowError):
+        _fwht([[2 ** 63, 2 ** 63, 0], [0] * 3, [0] * 3], 3, 1)
+
+
+@pytest.mark.parametrize("pm", SIGNED_FIELDS, ids=_ids(SIGNED_FIELDS))
+def test_packed_fwht_on_signed_and_zero_layers(pm):
+    """The all-(-1) list at p = 2, whose F(0) = -q is the most negative
+    output its mass allows, all-zero layers at odd p, and negative entries
+    at odd p, which the kernel shifts up by one constant before packing."""
+    p, m = pm
+    q = p ** m
+    rng = random.Random(q)
+    if p == 2:
+        _assert_kernel_matches_oracles([[-1] * q], p, m)
+        _assert_kernel_matches_oracles([[0] * q], p, m)
+        _assert_kernel_matches_oracles([[rng.randint(-300, 300) for _ in range(q)]], p, m)
+    else:
+        assert _fwht([[0] * q for _ in range(p)], p, m) == [[0] * q for _ in range(p)]
+        _assert_kernel_matches_oracles([[rng.randint(-300, 300) for _ in range(q)] for _ in range(p)], p, m)
+        _assert_kernel_matches_oracles([[-1] * q for _ in range(p)], p, m)
 
 
 @pytest.mark.parametrize("pm", SMALL, ids=_ids(SMALL))
