@@ -417,8 +417,9 @@ class Field:
 
     def trace_bilinear(self, a: FieldElement, b: FieldElement) -> int:
         """Tr_{q/p}(a*b) in [0, p), read from the cached Gram contraction of
-        b.  The weight formulas call it on elements; no transform does: the
-        Walsh and column transforms read trace_dual_indices directly."""
+        b.  The brute-force weight references call it on elements; no
+        transform or weight formula does: they read trace_dual_indices or
+        the trace table directly."""
         vb = self.elements[self.trace_dual_indices()[b.index]].coeffs
         return sum(x * y for x, y in zip(a.coeffs, vb)) % self.p
 

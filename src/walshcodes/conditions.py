@@ -1,5 +1,12 @@
 """Walsh-transform membership conditions, character kernels, and the
-closed-form weight formulas, all over exact cyclotomic arithmetic.
+closed-form weight formulas, all exact.
+
+Every factor of a membership product is a sign times a fixed power times a
+p-th root of unity, so a condition is integer arithmetic on exponents mod p:
+a delta factor chi_{g_i}(1) + 1 - q is zeta^(e_i) with e_i one trace-table
+read, and a weakly regular bent factor chi_dual(y) * eps G^m is
+eps eps' (p*)^m zeta^(e(y)) by the classification of the dual.  The
+cyclotomic values in Z[zeta_p] are built once, for the verdict.
 
 Product identities of the form prod = (p^m / (eps * sqrt(p*)^m))^t are
 checked with denominators cleared: both sides are multiplied by
@@ -13,24 +20,17 @@ codewords always pass, while unrelated words may or may not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Sequence
 
-from .algebra import (
-    CyclotomicInt,
-    Field,
-    FieldElement,
-    gauss_sum_power,
-    legendre,
-    subfield,
-)
+from .algebra import CyclotomicInt, FieldElement, legendre, p_star, subfield
 from .codes import WeightDistribution, from_rows, weight_distribution
 from .constructions import (
     DefiningSet,
     first_codeword,
     first_generic,
-    first_points,
     image_set_points,
     make_image_set,
     second_codeword,
@@ -93,121 +93,98 @@ def _verdict(variant: str, lhs: CyclotomicInt, rhs: CyclotomicInt) -> Membership
     return MembershipVerdict(variant, lhs == rhs, lhs, rhs, lhs == lhs.conjugate())
 
 
+def _delta_verdict(variant: str, p: int, word: Sequence[int], exponents: Sequence[int]) -> MembershipVerdict:
+    """prod_i (zeta^(e_i))^(c_i) = 1, as zeta^(sum_i c_i e_i)."""
+    e = sum(c * t for c, t in zip(word, exponents))
+    return _verdict(variant, CyclotomicInt.zeta_power(p, e), CyclotomicInt.from_int(p, 1))
+
+
 def respects_prime_scalars(f: ParyFunction) -> bool:
     """f(a x) = a f(x) for every prime-field scalar a, checked exhaustively."""
     field = f.field
-    for a in range(field.p):
-        s = field.scalar(a)
-        for x in field.elements:
-            if f(s * x) != s * f(x):
-                return False
-    return True
+    scale, values = field.arith.scale, f.indices
+    return all(
+        [values[v] for v in scale(range(field.q), a)] == scale(values, a) for a in range(field.p)
+    )
 
 
 def shifted_trace_form(f: ParyFunction) -> ParyFunction:
     """x -> Tr(f(x) - x) as a prime-valued function."""
     field = f.field
-    return ParyFunction(field, [field.scalar(field.trace_int(f(x) - x)) for x in field.elements], 1)
+    p, tr = field.p, field.trace_table()
+    return ParyFunction.from_indices(field, [(tr[v] - tr[x]) % p for x, v in enumerate(f.indices)], 1)
 
 
 def plain_trace_form(f: ParyFunction) -> ParyFunction:
     """x -> Tr(f(x)) as a prime-valued function."""
-    field = f.field
-    return ParyFunction(field, [field.scalar(field.trace_int(f(x))) for x in field.elements], 1)
+    tr = f.field.trace_table()
+    return ParyFunction.from_indices(f.field, [tr[v] for v in f.indices], 1)
 
 
 class _WrbContext:
-    """Classified trace form of f plus everything the product identities
-    need: the dual spectrum and the exact sqrt(p*)^m representative."""
+    """Classified trace form g of f and the classification of its dual,
+    whose spectrum is chi_dual(y) = eps' G^m zeta^(e(y)); each factor
+    chi_dual(y) * eps G^m of the product identities is then
+    eps eps' (p*)^m zeta^(e(y)), with (p*)^m read as q at p = 2."""
 
-    def __init__(self, f: ParyFunction, g: ParyFunction, label: str):
-        self.field = f.field
+    def __init__(self, g: ParyFunction, label: str):
+        field = g.field
         cls = classify_bent(walsh_transform(g))
         if not cls.is_weakly_regular():
             raise HypothesisFailed(f"{label} is not weakly regular bent ({cls.kind.value})")
-        self.cls = cls
-        self.dual_spectrum = walsh_transform(cls.dual)
-        p, m = self.field.p, self.field.m
-        if p == 2:
-            self.gm = CyclotomicInt.from_int(2, 1 << (m // 2))
-        else:
-            self.gm = gauss_sum_power(p, m)
-        self.eps_gm = self.gm if cls.epsilon == 1 else -self.gm
+        dual = classify_bent(walsh_transform(cls.dual))
+        if not dual.is_weakly_regular():
+            raise InvariantViolated(f"the dual of {label} is not weakly regular bent ({dual.kind.value})")
+        self.p, self.q, self.mul = field.p, field.q, field.arith.mul
+        self.sign = cls.epsilon * dual.epsilon
+        self.power = field.q if field.p == 2 else p_star(field.p) ** field.m
+        self.exponents = dual.dual.indices
+
+    def _sides(self, k: int, e: int) -> tuple[CyclotomicInt, CyclotomicInt]:
+        """(eps eps' (p*)^m)^k zeta^e and q^k."""
+        coeffs = [0] * self.p
+        coeffs[e % self.p] = self.sign ** k * self.power ** k
+        return CyclotomicInt(self.p, coeffs), CyclotomicInt.from_int(self.p, self.q ** k)
 
     def scalar_product(self, points, word) -> tuple[CyclotomicInt, CyclotomicInt]:
         """Cleared sides of prod_i chi_dual(c_i x_i) = (p^m/(eps G^m))^n."""
-        field = self.field
-        n = len(points)
-        lhs = CyclotomicInt.from_int(field.p, 1)
-        for c, x in zip(word, points):
-            lhs = lhs * self.dual_spectrum[x * c]
-        lhs = lhs * self.eps_gm ** n
-        rhs = CyclotomicInt.from_int(field.p, field.q) ** n
-        return lhs, rhs
+        mul, exps = self.mul, self.exponents
+        return self._sides(len(points), sum(exps[mul(x, c)] for c, x in zip(word, points)))
 
     def generic_product(self, points, word) -> tuple[CyclotomicInt, CyclotomicInt]:
         """Cleared sides of prod_i chi_dual(x_i)^(c_i) = (p^m/(eps G^m))^sum(c)."""
-        field = self.field
-        total = sum(word)
-        lhs = CyclotomicInt.from_int(field.p, 1)
-        for c, x in zip(word, points):
-            if c:
-                lhs = lhs * self.dual_spectrum[x] ** c
-        lhs = lhs * self.eps_gm ** total
-        rhs = CyclotomicInt.from_int(field.p, field.q) ** total
-        return lhs, rhs
+        exps = self.exponents
+        return self._sides(sum(word), sum(c * exps[x] for c, x in zip(word, points)))
 
 
-def _delta_factor(field: Field, special_point: FieldElement, special_value: int) -> CyclotomicInt:
-    """chi_hat_{g_i}(1) + 1 - q for the function equal to Tr(x) everywhere
-    except g_i(special_point) = special_value, computed literally."""
-    p = field.p
-    counts = [0] * p
-    for y in field.elements:
-        g = special_value if y == special_point else field.trace_int(y)
-        counts[(g - field.trace_int(y)) % p] += 1
-    chi = CyclotomicInt(p, counts)
-    return chi + CyclotomicInt.from_int(p, 1 - field.q)
-
-
-def _first_delta_factors(f: ParyFunction, variant: str, include_zero: bool):
+def _first_exponents(f: ParyFunction, variant: str, include_zero: bool) -> list[int]:
+    """e_i with delta factor zeta^(e_i) at each point x_i: the factor sums q
+    terms of a function that differs from Tr only at x_i, where it takes
+    Tr(f(x_i)), Tr(f(x_i)) + Tr(x_i) or 2 Tr(x_i), so e_i is that value
+    minus Tr(x_i)."""
     field = f.field
-    points = first_points(field, include_zero)
-    factors = []
-    for x in points:
-        if variant == "delta-diff":
-            special = field.trace_int(f(x))
-        elif variant == "delta-value":
-            special = (field.trace_int(f(x)) + field.trace_int(x)) % field.p
-        elif variant == "delta-point":
-            special = (2 * field.trace_int(x)) % field.p
-        else:
-            raise ValueError(f"unknown delta variant {variant!r}")
-        factors.append(_delta_factor(field, x, special))
-    return points, factors
+    p, tr = field.p, field.trace_table()
+    points = range(0 if include_zero else 1, field.q)
+    if variant == "delta-diff":
+        return [(tr[f.indices[x]] - tr[x]) % p for x in points]
+    if variant == "delta-value":
+        return [tr[f.indices[x]] for x in points]
+    if variant == "delta-point":
+        return [tr[x] for x in points]
+    raise ValueError(f"unknown delta variant {variant!r}")
 
 
-def _second_delta_factors(elements: Sequence[FieldElement], field: Field):
-    """Factors zeta^{Tr(d_i)} through the one-point-modified trace form."""
-    factors = []
-    for d in elements:
-        special = (field.trace_int(d) + field.trace_int(d)) % field.p
-        factors.append(_delta_factor(field, d, special))
-    return factors
-
-
-def _product_of_factors(factors, word, p) -> tuple[CyclotomicInt, CyclotomicInt]:
-    lhs = CyclotomicInt.from_int(p, 1)
-    for fac, c in zip(factors, word):
-        if c:
-            lhs = lhs * fac ** c
-    return lhs, CyclotomicInt.from_int(p, 1)
+def _second_exponents(ds: DefiningSet) -> list[int]:
+    """Tr(d_i): the delta factor of the one-point-modified trace form taking
+    2 Tr(d_i) at d_i."""
+    tr = ds.field.trace_table()
+    return [tr[d] for d in ds.indices()]
 
 
 def _wrb_context_first(f: ParyFunction, variant: str) -> _WrbContext:
     if "shifted" in variant:
-        return _WrbContext(f, shifted_trace_form(f), "Tr(f(x) - x)")
-    return _WrbContext(f, plain_trace_form(f), "Tr(f(x))")
+        return _WrbContext(shifted_trace_form(f), "Tr(f(x) - x)")
+    return _WrbContext(plain_trace_form(f), "Tr(f(x))")
 
 
 def _check_scalar_hypothesis(f: ParyFunction):
@@ -215,10 +192,12 @@ def _check_scalar_hypothesis(f: ParyFunction):
         raise HypothesisFailed("f does not respect prime-field scalar multiplication")
 
 
-def _prime_word(word: Sequence[int], p: int) -> list[int]:
-    """The entries of a word over F_p, each an int in [0, p), as at the
+def _prime_word(word: Sequence[int], p: int, n: int) -> list[int]:
+    """The n entries of a word over F_p, each an int in [0, p), as at the
     edge of :mod:`codes`; anything else raises ``ValueError``."""
     word = list(word)
+    if len(word) != n:
+        raise ValueError(f"a word of length {len(word)} for {n} coordinates")
     for c in word:
         if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < p:
             raise ValueError(f"{c!r} is not a canonical index of GF({p})")
@@ -234,10 +213,8 @@ def dual_membership_first(
     """Necessary condition for a word to lie in the dual of the function
     code; the variant picks the proposition being applied."""
     field = f.field
-    points = first_points(field, include_zero)
-    if len(word) != len(points):
-        raise ValueError("word length does not match the coordinate count")
-    word = _prime_word(word, field.p)
+    points = range(0 if include_zero else 1, field.q)
+    word = _prime_word(word, field.p, len(points))
     if variant.startswith("wrb"):
         ctx = _wrb_context_first(f, variant)
         if variant.endswith("scalar"):
@@ -246,9 +223,7 @@ def dual_membership_first(
         else:
             lhs, rhs = ctx.generic_product(points, word)
         return _verdict(f"first:{variant}", lhs, rhs)
-    _, factors = _first_delta_factors(f, variant, include_zero)
-    lhs, rhs = _product_of_factors(factors, word, field.p)
-    return _verdict(f"first:{variant}", lhs, rhs)
+    return _delta_verdict(f"first:{variant}", field.p, word, _first_exponents(f, variant, include_zero))
 
 
 def dual_membership_second(
@@ -258,22 +233,18 @@ def dual_membership_second(
     defining set {f(x) : x} minus zero."""
     field = f.field
     ds = make_image_set(f)
-    points = image_set_points(f)
-    if len(word) != len(ds.elements):
-        raise ValueError("word length does not match the defining set")
-    word = _prime_word(word, field.p)
+    word = _prime_word(word, field.p, len(ds))
+    if variant == "delta-value":
+        return _delta_verdict("second:delta-value", field.p, word, _second_exponents(ds))
+    if variant not in ("wrb-scalar", "wrb-generic"):
+        raise ValueError(f"unknown variant {variant!r}")
+    ctx = _WrbContext(plain_trace_form(f), "Tr(f(x))")
+    points = [x.index for x in image_set_points(f)]
     if variant == "wrb-scalar":
-        ctx = _WrbContext(f, plain_trace_form(f), "Tr(f(x))")
         _check_scalar_hypothesis(f)
         lhs, rhs = ctx.scalar_product(points, word)
-    elif variant == "wrb-generic":
-        ctx = _WrbContext(f, plain_trace_form(f), "Tr(f(x))")
-        lhs, rhs = ctx.generic_product(points, word)
-    elif variant == "delta-value":
-        factors = _second_delta_factors(ds.elements, field)
-        lhs, rhs = _product_of_factors(factors, word, field.p)
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        lhs, rhs = ctx.generic_product(points, word)
     return _verdict(f"second:{variant}", lhs, rhs)
 
 
@@ -282,11 +253,8 @@ def dual_membership_defining_set(ds: DefiningSet, word: Sequence[int]) -> Member
     to an arbitrary prime-base defining set."""
     if ds.base_degree != 1:
         raise WrongCodomain("membership conditions need a prime-base code")
-    field = ds.field
-    word = _prime_word(word, field.p)
-    factors = _second_delta_factors(ds.elements, field)
-    lhs, rhs = _product_of_factors(factors, word, field.p)
-    return _verdict("defining-set:delta", lhs, rhs)
+    word = _prime_word(word, ds.field.p, len(ds))
+    return _delta_verdict("defining-set:delta", ds.field.p, word, _second_exponents(ds))
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +271,17 @@ def hull_membership_first(
 ) -> MembershipVerdict:
     word = first_codeword(f, a, b, include_zero)
     v = dual_membership_first(f, word, variant, include_zero)
-    return MembershipVerdict(f"hull-{v.variant}", v.holds, v.lhs, v.rhs, v.imaginary_zero)
+    return replace(v, variant=f"hull-{v.variant}")
 
 
 def hull_membership_second(f: ParyFunction, x: FieldElement, variant: str) -> MembershipVerdict:
     v = dual_membership_second(f, second_codeword(make_image_set(f), x), variant)
-    return MembershipVerdict(f"hull-{v.variant}", v.holds, v.lhs, v.rhs, v.imaginary_zero)
+    return replace(v, variant=f"hull-{v.variant}")
 
 
 def hull_membership_defining_set(ds: DefiningSet, x: FieldElement) -> MembershipVerdict:
     v = dual_membership_defining_set(ds, second_codeword(ds, x))
-    return MembershipVerdict(f"hull-{v.variant}", v.holds, v.lhs, v.rhs, v.imaginary_zero)
+    return replace(v, variant=f"hull-{v.variant}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +290,20 @@ def hull_membership_defining_set(ds: DefiningSet, x: FieldElement) -> Membership
 
 @dataclass(frozen=True)
 class CodeCharacter:
-    """Additive character c -> prod factor_i^{c_i} with per-coordinate
-    factors chi_{g_i}(1)+1-q; its kernel contains the dual code."""
+    """Additive character c -> zeta^(sum t_i c_i), the product of the
+    per-coordinate factors chi_{g_i}(1)+1-q = zeta^(t_i) raised to c_i; its
+    kernel contains the dual code."""
 
     p: int
-    factors: tuple[CyclotomicInt, ...]
     exponents: tuple[int, ...]
     domain: str
 
+    def _exponent(self, word: Sequence[int]) -> int:
+        word = _prime_word(word, self.p, len(self.exponents))
+        return sum(t * c for t, c in zip(self.exponents, word)) % self.p
+
     def evaluate(self, word: Sequence[int]) -> CyclotomicInt:
-        lhs, _ = _product_of_factors(self.factors, _prime_word(word, self.p), self.p)
-        return lhs
+        return CyclotomicInt.zeta_power(self.p, self._exponent(word))
 
     def is_trivial(self) -> bool:
         return all(t == 0 for t in self.exponents)
@@ -343,19 +314,7 @@ class CodeCharacter:
         return self.exponents
 
     def in_kernel(self, word: Sequence[int]) -> bool:
-        return sum(t * c for t, c in zip(self.exponents, _prime_word(word, self.p))) % self.p == 0
-
-
-def _factor_exponents(factors, p) -> tuple[int, ...]:
-    exps = []
-    for fac in factors:
-        e = next(
-            (i for i in range(p) if fac == CyclotomicInt.zeta_power(p, i)), None
-        )
-        if e is None:
-            raise InvariantViolated(f"delta factor {fac!r} is not a p-th root of unity")
-        exps.append(e)
-    return tuple(exps)
+        return self._exponent(word) == 0
 
 
 def dual_character_first(
@@ -364,24 +323,20 @@ def dual_character_first(
     """Character of the ambient space whose kernel contains the dual of the
     function code; containment is checked by testing that the coefficient row
     is itself a codeword."""
-    field = f.field
-    _, factors = _first_delta_factors(f, variant, include_zero)
-    exps = _factor_exponents(factors, field.p)
+    exps = tuple(_first_exponents(f, variant, include_zero))
     if not first_generic(f, include_zero).contains(exps):
         raise InvariantViolated("the character row is not a codeword, so the dual escapes its kernel")
-    return CodeCharacter(field.p, tuple(factors), exps, f"first:{variant}")
+    return CodeCharacter(f.field.p, exps, f"first:{variant}")
 
 
 def dual_character_second(f: ParyFunction) -> CodeCharacter:
     from .constructions import second_generic
 
-    field = f.field
     ds = make_image_set(f)
-    factors = _second_delta_factors(ds.elements, field)
-    exps = _factor_exponents(factors, field.p)
+    exps = tuple(_second_exponents(ds))
     if not second_generic(ds).contains(exps):
         raise InvariantViolated("the character row is not a codeword, so the dual escapes its kernel")
-    return CodeCharacter(field.p, tuple(factors), exps, "second:delta-value")
+    return CodeCharacter(f.field.p, exps, "second:delta-value")
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +353,17 @@ def weight_via_walsh_sum(psi: ParyFunction, a: FieldElement, b: FieldElement) ->
     if not psi(field.zero).is_zero():
         raise HypothesisFailed("Psi(0) = 0 is required")
     p, q = field.p, field.q
+    tr, scale = field.trace_table(), field.arith.scale
+    # t(x) = Tr(a Psi(x)) - Tr(b x); the omega-th character sum counts omega t(x)
+    t = Counter(
+        (tr[u] - tr[v]) % p
+        for u, v in zip(scale(psi.indices, field.index_of(a)), scale(range(q), field.index_of(b)))
+    )
     total = CyclotomicInt.zero(p)
     for omega in range(p):
-        aw = a * omega
-        bw = b * omega
         counts = [0] * p
-        for x in field.elements:
-            e = (field.trace_bilinear(aw, psi(x)) - field.trace_bilinear(bw, x)) % p
-            counts[e] += 1
+        for e, n in t.items():
+            counts[omega * e % p] += n
         total = total + CyclotomicInt(p, counts)
     if not total.is_rational():
         raise NonIntegerSum(f"Walsh sum {total!r} is not rational")
@@ -423,13 +381,15 @@ def weight_via_character_sum(ds: DefiningSet, x: FieldElement) -> int:
     qbase = p ** ds.base_degree
     _, embed, _ = subfield(field, ds.base_degree)
     n = len(ds.elements)
+    tr, scale = field.trace_table(), field.arith.scale
+    xd = scale(ds.indices(), field.index_of(x))
     total = CyclotomicInt.zero(p)
     for y_small, y in embed.items():
         if y_small.is_zero():
             continue
         counts = [0] * p
-        for d in ds.elements:
-            counts[field.trace_int(y * x * d)] += 1
+        for v in scale(xd, y.index):
+            counts[tr[v]] += 1
         total = total + CyclotomicInt(p, counts)
     if not total.is_rational():
         raise NonIntegerSum(f"character sum {total!r} is not rational")
@@ -514,13 +474,14 @@ def weight_from_walsh_even(
     field = g.field
     if field.p != 2:
         raise OddCharacteristic("this weight formula is for characteristic 2")
+    word = _prime_word(word, 2, len(points))
     cls = classify_bent(walsh_transform(g))
     if cls.kind.value == "not_bent":
         raise NotBent("the trace form must be bent")
     spec = walsh_transform(cls.dual)
     alpha = 1
     for c, x in zip(word, points):
-        if c % 2:
+        if c:
             alpha *= spec[x].as_int()
     a2 = alpha * alpha
     if a2 == 0 or a2 & (a2 - 1):

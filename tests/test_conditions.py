@@ -3,10 +3,12 @@ from collections import Counter
 
 import pytest
 
-from walshcodes.algebra import make_field
+from walshcodes.algebra import CyclotomicInt, gauss_sum_power, is_prime, make_field
 from walshcodes.codes import dual, from_rows, hull, min_distance, weight_distribution
 from walshcodes.conditions import (
     FIRST_VARIANTS,
+    SECOND_VARIANTS,
+    MembershipVerdict,
     apn_ab_dual_diagnostics,
     bent_codeword_weight,
     dual_character_first,
@@ -29,6 +31,7 @@ from walshcodes.constructions import (
     defining_set,
     first_codeword,
     first_generic,
+    first_points,
     image_set_points,
     make_fixed_hull_set,
     make_image_set,
@@ -296,24 +299,43 @@ def test_single_support_word_fails_value_variant():
     assert not dual_membership_first(f, word, "delta-value").holds
 
 
-@pytest.mark.parametrize("entry", [3, -3, True, 1.0, "1"], ids=["3", "-3", "True", "1.0", "str"])
-def test_word_entries_must_be_prime_field_indices(entry):
-    """Over GF(9) an entry of a word over F_3 is an int in [0, 3); 3 and -3
-    are not read as 0 mod 3, nor True as 1, as at the edge of codes."""
+BAD_WORDS = {
+    "3": lambda n, p: [3] * n,
+    "-3": lambda n, p: [-3] * n,
+    "True": lambda n, p: [True] * n,
+    "1.0": lambda n, p: [1.0] * n,
+    "str": lambda n, p: ["1"] * n,
+    "p": lambda n, p: [p] * n,
+    "one-entry": lambda n, p: [0],
+    "short": lambda n, p: [0] * (n - 1),
+    "long": lambda n, p: [0] * 20,
+}
+
+
+@pytest.mark.parametrize("bad_word", list(BAD_WORDS.values()), ids=list(BAD_WORDS))
+def test_word_entries_must_be_prime_field_indices(bad_word):
+    """A word over F_p has one int in [0, p) per coordinate: 3 and -3 are
+    not read as 0 mod 3, True not as 1, an entry of 2 not as even at p = 2,
+    and a word of the wrong length is not truncated or padded, as at the
+    edge of codes."""
     f = monomial(F9, 2)
     ds = make_image_set(f)
     ch = dual_character_first(f, "delta-value")
+    quad = boolean_quadratic(F16)
+    support = list(make_preimage_set(quad, F16.one).elements)
     calls = [
-        lambda w: dual_membership_first(f, w, "delta-value"),
-        lambda w: dual_membership_second(f, w[:len(ds.elements)], "delta-value"),
-        lambda w: dual_membership_defining_set(ds, w[:len(ds.elements)]),
-        ch.evaluate,
-        ch.in_kernel,
+        (9, 3, lambda w: dual_membership_first(f, w, "delta-value")),
+        (9, 3, lambda w: dual_membership_first(f, w, "wrb-plain-generic")),
+        (4, 3, lambda w: dual_membership_second(f, w, "delta-value")),
+        (4, 3, lambda w: dual_membership_defining_set(ds, w)),
+        (9, 3, ch.evaluate),
+        (9, 3, ch.in_kernel),
+        (6, 2, lambda w: weight_from_walsh_even(quad, support, w)),
     ]
-    for call in calls:
-        call([0] * 9)
+    for n, p, call in calls:
+        call([0] * n)
         with pytest.raises(ValueError):
-            call([entry] * 9)
+            call(bad_word(n, p))
 
 
 def test_scalar_variants_unsatisfiable_in_odd_characteristic():
@@ -600,9 +622,256 @@ def test_trace_forms():
     for x in F9.elements:
         assert g1(x) == (f(x) - x).trace()
         assert g2(x) == f(x).trace()
+    # the index passes against the element loops they replaced
+    for pm in ((3, 2), (2, 4), (5, 2), (3, 3), (7, 1)):
+        field = make_field(*pm)
+        maps = _differential_functions(field, random.Random(sum(pm))) + [
+            monomial(field, 1),
+            ParyFunction.from_callable(field, lambda x: x + field.one, field.m),
+        ]
+        for f in maps:
+            assert shifted_trace_form(f) == trace_form_oracle(f, True)
+            assert plain_trace_form(f) == trace_form_oracle(f, False)
+            assert respects_prime_scalars(f) == respects_prime_scalars_oracle(f)
 
 
 def test_verdict_imaginary_zero_tracks_conjugation():
     f = monomial(F9, 2)
     v = dual_membership_first(f, [0] * 9, "delta-diff")
     assert v.imaginary_zero == (v.lhs == v.lhs.conjugate())
+
+
+# --- the literal route, kept as the oracle of the exponent route -------------------------
+
+
+def delta_factor_oracle(field, special_point, special_value):
+    """chi_hat_{g_i}(1) + 1 - q for the function equal to Tr(x) everywhere
+    except g_i(special_point) = special_value, computed literally."""
+    p = field.p
+    counts = [0] * p
+    for y in field.elements:
+        g = special_value if y == special_point else field.trace_int(y)
+        counts[(g - field.trace_int(y)) % p] += 1
+    return CyclotomicInt(p, counts) + CyclotomicInt.from_int(p, 1 - field.q)
+
+
+def first_delta_factors_oracle(f, variant, include_zero):
+    field = f.field
+    factors = []
+    for x in first_points(field, include_zero):
+        if variant == "delta-diff":
+            special = field.trace_int(f(x))
+        elif variant == "delta-value":
+            special = (field.trace_int(f(x)) + field.trace_int(x)) % field.p
+        elif variant == "delta-point":
+            special = (2 * field.trace_int(x)) % field.p
+        else:
+            raise ValueError(f"unknown delta variant {variant!r}")
+        factors.append(delta_factor_oracle(field, x, special))
+    return factors
+
+
+def second_delta_factors_oracle(ds):
+    field = ds.field
+    return [delta_factor_oracle(field, d, (2 * field.trace_int(d)) % field.p) for d in ds.elements]
+
+
+def product_oracle(factors, word, p):
+    lhs = CyclotomicInt.from_int(p, 1)
+    for fac, c in zip(factors, word):
+        if c:
+            lhs = lhs * fac ** c
+    return lhs, CyclotomicInt.from_int(p, 1)
+
+
+def factor_exponents_oracle(factors, p):
+    """The e with factor == zeta^e, for factors that must be roots of unity."""
+    exps = []
+    for fac in factors:
+        (e,) = [i for i in range(p) if fac == CyclotomicInt.zeta_power(p, i)]
+        exps.append(e)
+    return tuple(exps)
+
+
+def trace_form_oracle(f, shifted):
+    field = f.field
+    return ParyFunction(
+        field, [field.scalar(field.trace_int(f(x) - x if shifted else f(x))) for x in field.elements], 1
+    )
+
+
+def respects_prime_scalars_oracle(f):
+    field = f.field
+    return all(f(field.scalar(a) * x) == field.scalar(a) * f(x) for a in range(field.p) for x in field.elements)
+
+
+class WrbOracle:
+    """The dual spectrum of the classified trace form and the products over
+    it in Z[zeta_p], with the exact G^m of gauss_sum_power."""
+
+    def __init__(self, g, label):
+        field = g.field
+        cls = classify_bent(walsh_transform(g))
+        if not cls.is_weakly_regular():
+            raise HypothesisFailed(f"{label} is not weakly regular bent ({cls.kind.value})")
+        self.field = field
+        self.dual_spectrum = walsh_transform(cls.dual)
+        p, m = field.p, field.m
+        gm = CyclotomicInt.from_int(2, 1 << (m // 2)) if p == 2 else gauss_sum_power(p, m)
+        self.eps_gm = gm if cls.epsilon == 1 else -gm
+
+    def scalar_product(self, points, word):
+        """Cleared sides of prod_i chi_dual(c_i x_i) = (p^m/(eps G^m))^n."""
+        p, q = self.field.p, self.field.q
+        lhs = CyclotomicInt.from_int(p, 1)
+        for c, x in zip(word, points):
+            lhs = lhs * self.dual_spectrum[x * c]
+        return lhs * self.eps_gm ** len(points), CyclotomicInt.from_int(p, q) ** len(points)
+
+    def generic_product(self, points, word):
+        """Cleared sides of prod_i chi_dual(x_i)^(c_i) = (p^m/(eps G^m))^sum(c)."""
+        p, q = self.field.p, self.field.q
+        lhs = CyclotomicInt.from_int(p, 1)
+        for c, x in zip(word, points):
+            if c:
+                lhs = lhs * self.dual_spectrum[x] ** c
+        return lhs * self.eps_gm ** sum(word), CyclotomicInt.from_int(p, q) ** sum(word)
+
+
+def verdict_oracle(variant, sides):
+    lhs, rhs = sides
+    return MembershipVerdict(variant, lhs == rhs, lhs, rhs, lhs == lhs.conjugate())
+
+
+def wrb_oracle(f, shifted):
+    """The oracle context, or the HypothesisFailed its construction raises."""
+    try:
+        return WrbOracle(trace_form_oracle(f, shifted), "Tr(f(x) - x)" if shifted else "Tr(f(x))")
+    except HypothesisFailed as ex:
+        return ex
+
+
+def wrb_sides_oracle(ctx, f, variant, points, word):
+    if isinstance(ctx, HypothesisFailed):
+        raise ctx
+    if variant.endswith("scalar"):
+        if not respects_prime_scalars_oracle(f):
+            raise HypothesisFailed("f does not respect prime-field scalar multiplication")
+        return ctx.scalar_product(points, word)
+    return ctx.generic_product(points, word)
+
+
+def outcome(call):
+    """A verdict, or the type and message of the HypothesisFailed raised."""
+    try:
+        return call()
+    except HypothesisFailed as ex:
+        return type(ex), str(ex)
+
+
+def _random_self_map(field, rng):
+    table = [field.elements[rng.randrange(field.q)] for _ in range(field.q)]
+    table[0] = field.zero
+    return ParyFunction(field, table, field.m)
+
+
+def _words(code, rng, count=4):
+    """The zero word, dual rows, random dual words and random non-members."""
+    dl = dual(code)
+    p, n = code.base.p, code.n
+    words = [[0] * n] + [list(r) for r in rng.sample(dl.rows, min(count, len(dl.rows)))]
+    for _ in range(count):
+        w = [0] * n
+        for row in dl.rows:
+            c = rng.randrange(p)
+            w = [(a + c * b) % p for a, b in zip(w, row)]
+        words.append(w)
+    while len(words) < 3 * count + 1:
+        w = [rng.randrange(p) for _ in range(n)]
+        if not dl.contains(w):
+            words.append(w)
+    return words
+
+
+def _differential_functions(field, rng):
+    """A weakly regular bent trace form where the field has one, a map whose
+    trace form is not bent, and a random map with f(0) = 0."""
+    if field.p == 2:
+        maps = [parse_function(field, "g*x^3"), parse_function(field, "x^3")]
+    else:
+        maps = [parse_function(field, "x^2"), parse_function(field, "x^4")]
+    return [fn.with_codomain(field.m) for fn in maps] + [_random_self_map(field, rng)]
+
+
+DIFFERENTIAL_FIELDS = [(3, 2), (2, 4), (5, 2), (3, 3), (7, 1), (2, 6)]
+
+
+@pytest.mark.parametrize("pm", DIFFERENTIAL_FIELDS, ids=[f"GF({p}^{m})" for p, m in DIFFERENTIAL_FIELDS])
+def test_membership_verdicts_match_the_cyclotomic_oracle(pm):
+    """Every MembershipVerdict field, every variant, against the literal
+    q-term delta factors and the products over the dual spectrum."""
+    field = make_field(*pm)
+    rng = random.Random(1000 * pm[0] + pm[1])
+    wrb_held = 0
+    for f in _differential_functions(field, rng):
+        contexts = {shifted: wrb_oracle(f, shifted) for shifted in (True, False)}
+        for include_zero in (True, False):
+            points = first_points(field, include_zero)
+            words = _words(first_generic(f, include_zero), rng)
+            for variant in FIRST_VARIANTS:
+                if variant.startswith("delta"):
+                    factors = first_delta_factors_oracle(f, variant, include_zero)
+                    assert dual_character_first(f, variant, include_zero).exponents == factor_exponents_oracle(
+                        factors, field.p
+                    )
+                for w in words:
+                    got = outcome(lambda: dual_membership_first(f, w, variant, include_zero))
+                    if variant.startswith("delta"):
+                        want = verdict_oracle(f"first:{variant}", product_oracle(factors, w, field.p))
+                    else:
+                        ctx = contexts["shifted" in variant]
+                        want = outcome(lambda: verdict_oracle(
+                            f"first:{variant}", wrb_sides_oracle(ctx, f, variant, points, w)
+                        ))
+                        wrb_held += isinstance(got, MembershipVerdict) and got.holds
+                    assert got == want, (f, variant, include_zero, w)
+
+        ds = make_image_set(f)
+        points = image_set_points(f)
+        factors = second_delta_factors_oracle(ds)
+        assert dual_character_second(f).exponents == factor_exponents_oracle(factors, field.p)
+        for w in _words(second_generic(ds), rng):
+            for variant in SECOND_VARIANTS:
+                got = outcome(lambda: dual_membership_second(f, w, variant))
+                if variant == "delta-value":
+                    want = verdict_oracle("second:delta-value", product_oracle(factors, w, field.p))
+                else:
+                    want = outcome(lambda: verdict_oracle(
+                        f"second:{variant}", wrb_sides_oracle(contexts[False], f, variant, points, w)
+                    ))
+                assert got == want, (f, variant, w)
+            want = verdict_oracle("defining-set:delta", product_oracle(factors, w, field.p))
+            assert dual_membership_defining_set(ds, w) == want
+
+    others = [field.elements[i] for i in rng.sample(range(1, field.q), min(6, field.q - 1))]
+    ds = defining_set(field, others)
+    factors = second_delta_factors_oracle(ds)
+    for w in _words(second_generic(ds), rng):
+        want = verdict_oracle("defining-set:delta", product_oracle(factors, w, field.p))
+        assert dual_membership_defining_set(ds, w) == want
+    assert wrb_held > 0
+
+
+SMALL_FIELDS = [(p, m) for p in range(2, 28) if is_prime(p) for m in range(1, 5) if p ** m <= 27]
+
+
+@pytest.mark.parametrize("pm", SMALL_FIELDS, ids=[f"GF({p}^{m})" for p, m in SMALL_FIELDS])
+def test_delta_factor_is_zeta_to_special_minus_trace(pm):
+    """The literal q-term factor is zeta^(special - Tr(point)) at every point
+    and for every special value: the identity behind the exponent route."""
+    field = make_field(*pm)
+    p = field.p
+    for x in field.elements:
+        for special in range(p):
+            want = CyclotomicInt.zeta_power(p, special - field.trace_int(x))
+            assert delta_factor_oracle(field, x, special) == want

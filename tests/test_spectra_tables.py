@@ -959,10 +959,21 @@ def test_invariants_raise_under_optimize():
             print("embedding:", ex)
         f4.modulus = good_modulus
 
+        good_classify = cd.classify_bent
+        classified = []
+
+        def dual_not_bent(spectrum):
+            classified.append(spectrum)
+            if len(classified) == 1:
+                return good_classify(spectrum)
+            return fn.BentClass(fn.BentKind.NOT_BENT)
+
+        cd.classify_bent = dual_not_bent
         try:
-            cd._factor_exponents([CyclotomicInt.from_int(3, 2)], 3)
+            cd.dual_membership_first(fn.parse_function(make_field(3, 2), "x^2"), [0] * 9, "wrb-plain-generic")
         except InvariantViolated as ex:
-            print("root of unity:", ex)
+            print("dual not wrb:", ex)
+        cd.classify_bent = good_classify
         """
     )
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -973,6 +984,6 @@ def test_invariants_raise_under_optimize():
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "parseval", "gauss", "apn", "macwilliams", "weights", "remainder", "cwe",
-        "kernel", "root", "embedding", "root of unity",
+        "kernel", "root", "embedding", "dual not wrb",
     ], proc.stdout
     assert "Parseval" in lines[0]
