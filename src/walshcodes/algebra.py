@@ -705,8 +705,9 @@ def _unpack(word: int, typecode: str, q: int) -> list[int]:
 def _fwht(layers: list[list[int]], p: int, m: int) -> list[list[int]]:
     """F(u) = sum over v of N(v) zeta^(-<v, u>) for every u in F_p^m, for
     N(v) in Z[zeta_p] given as ``layers[e][v]``, the coefficient of zeta^e.
+    At odd p fewer than p layers may be given, the missing ones being zero.
 
-    The result has the same layout; nothing is canonicalised, so
+    The result has p layers in the same layout; nothing is canonicalised, so
     ``F[e][u]`` sums N over the v with -<v, u> = e, layer by layer.
     Vectors are indexed like the field elements, digit i of the index
     being coordinate i.
@@ -721,7 +722,8 @@ def _fwht(layers: list[list[int]], p: int, m: int) -> list[list[int]]:
     fewest bytes (1, 2, 4 or 8) that hold the input's total mass, the sum
     of every |entry|, which bounds every partial sum, so no field carries
     into the next.  Negative entries at odd p are shifted up by one
-    constant first, which adds that constant times q to every output.
+    constant first, which adds that constant times q to every output; a
+    missing layer is then that constant in every field.
 
     At p = 2, Z[zeta_2] = Z: ``layers`` is the one integer list N, and a
     pass is the (a + b, a - b) butterflies of the Walsh-Hadamard transform.
@@ -737,7 +739,8 @@ def _fwht(layers: list[list[int]], p: int, m: int) -> list[list[int]]:
         low = min(0, *map(min, layers))
         if low:
             layers = [[v - low for v in layer] for layer in layers]
-        mass = sum(map(sum, layers))
+        missing = p - len(layers)
+        mass = sum(map(sum, layers)) - missing * low * q
     bits = mass.bit_length() + (p == 2)
     width = next((b for b in sorted(_FIELD_TYPECODES) if 8 * b >= bits), None)
     if width is None:
@@ -746,7 +749,8 @@ def _fwht(layers: list[list[int]], p: int, m: int) -> list[list[int]]:
     if p == 2:
         typecode = typecode.lower()
         return [_unpack(_binary_passes(_pack(w, typecode), width, m), typecode, q)]
-    words = _odd_passes([_pack(layer, typecode) for layer in layers], width, p, m)
+    pad = int.from_bytes((-low).to_bytes(width, "little") * q, "little") if low else 0
+    words = _odd_passes([_pack(layer, typecode) for layer in layers] + [pad] * missing, width, p, m)
     out = [_unpack(word, typecode, q) for word in words]
     return [[v + low * q for v in layer] for layer in out] if low else out
 
@@ -967,6 +971,9 @@ def quadratic_gauss_sum(p: int) -> CyclotomicInt:
     return g
 
 
+@cache
 def gauss_sum_power(p: int, m: int) -> CyclotomicInt:
-    """G^m where G is the quadratic Gauss sum of F_p."""
+    """G^m where G is the quadratic Gauss sum of F_p, computed (and G's
+    square checked) once per (p, m); the one instance is shared by every
+    caller, and nothing mutates a CyclotomicInt."""
     return quadratic_gauss_sum(p) ** m

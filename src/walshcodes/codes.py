@@ -9,7 +9,10 @@ alphabet, in [0, q), never a scalar mod p; other non-elements raise
 ValueError.
 Duals come from nullspace computation rather than literal Gram-Schmidt;
 over finite fields self-orthogonal vectors break orthogonalization while
-the nullspace achieves the same O(n^3) bound.
+the nullspace achieves the same O(n^3) bound in one elimination: reduced
+from the right, a matrix's kernel basis is already the RREF of the dual
+(see _nullspace), and the kernel of the Gram matrix mapped through an RREF
+generator is already the RREF of the hull.
 
 Hamming weights come from one p-ary fast Walsh-Hadamard transform of the
 multiset of generator columns, which counts the zero coordinates of every
@@ -81,9 +84,10 @@ def _rref(mat: list[list[int]], ar: IndexArith) -> tuple[list[list[int]], list[i
         mat[r], mat[i] = mat[i], mat[r]
         if mat[r][c] != 1:
             mat[r] = ar.scale(mat[r], ar.inv(mat[r][c]))
-        prepared = ar.prepare(mat[r])
-        for i, row in enumerate(mat):
-            if row[c] and i != r:
+        targets = [row for i, row in enumerate(mat) if row[c] and i != r]
+        if targets:
+            prepared = ar.prepare(mat[r])
+            for row in targets:
                 ar.axpy(row, ar.neg(row[c]), prepared)
         pivots.append(c)
         r += 1
@@ -92,41 +96,73 @@ def _rref(mat: list[list[int]], ar: IndexArith) -> tuple[list[list[int]], list[i
     return mat[:r], pivots
 
 
-def _nullspace(mat: list[list[int]], ar: IndexArith, n: int) -> list[list[int]]:
-    """Basis of {v : mat @ v = 0}, one vector per free column."""
-    red, pivots = _rref(mat, ar)
-    pivot_set = set(pivots)
+def _nullspace(mat: Sequence[Sequence[int]], ar: IndexArith, n: int) -> list[list[int]]:
+    """RREF basis of {v : mat @ v = 0} for rows of length n, one vector per
+    free column of the right-to-left elimination; mat is left as it is.
+
+    mat is reduced from the right: _rref of reversed copies of its rows, its
+    pivot c being column n - 1 - c.  Reduced row i then ends in a 1 at its pivot
+    p_i, and every other row is 0 there, so the vector of a free column f
+    is e_f - sum_i R[i][f] e_(p_i), and R[i][f] != 0 only for f < p_i: it
+    leads with the 1 at f, where every other vector is 0."""
+    red, pivots = _rref([list(reversed(row)) for row in mat], ar)
+    pivot_set = {n - 1 - c for c in pivots}
     basis = []
     for fc in range(n):
         if fc in pivot_set:
             continue
         v = [0] * n
         v[fc] = 1
-        for row, pc in zip(red, pivots):
-            v[pc] = ar.neg(row[fc])
+        for row, c in zip(red, pivots):
+            x = row[n - 1 - fc]
+            if x:
+                v[n - 1 - c] = ar.neg(x)
         basis.append(v)
     return basis
 
 
-def _dual(mat: list[list[int]], ar: IndexArith, n: int) -> list[list[int]]:
-    """RREF generator of the dual of the row space of mat, in F^n."""
-    return _rref(_nullspace(mat, ar, n), ar)[0]
+def _width(mat: list[list[int]], n: int | None = None) -> int | None:
+    """The common length of the rows of mat, or n when there are none;
+    RaggedRows when the lengths differ, or differ from a declared n."""
+    if not mat:
+        return n
+    lengths = {len(r) for r in mat}
+    if len(lengths) != 1:
+        raise RaggedRows(f"row lengths {sorted(lengths)}")
+    length = lengths.pop()
+    if n is not None and n != length:
+        raise RaggedRows(f"declared n={n} but rows have length {length}")
+    return length
+
+
+def _matrix_of(
+    rows: Sequence[Sequence[FieldElement | int]], field: Field, n: int | None = None
+) -> list[list[int]]:
+    """The index matrix of rows given at the edge, all of one length (n if
+    declared)."""
+    mat = _indices(rows, field)
+    _width(mat, n)
+    return mat
 
 
 def rref(rows: Sequence[Sequence[FieldElement | int]], field: Field):
     """Reduced row echelon form; returns (FieldElement rows, pivot_columns)."""
-    red, pivots = _rref(_indices(rows, field), field.arith)
+    red, pivots = _rref(_matrix_of(rows, field), field.arith)
     return _elements(red, field), pivots
 
 
 def nullspace(rows: Sequence[Sequence[FieldElement | int]], field: Field, n: int):
-    """Basis of {v : rows @ v = 0} in F^n as FieldElement rows, one vector
-    per free column."""
-    return _elements(_nullspace(_indices(rows, field), field.arith, n), field)
+    """Basis of {v : rows @ v = 0} in F^n as FieldElement rows, for rows of
+    length n; it is in reduced row echelon form.
+
+    The rows are reduced from the right, so the basis has one vector per
+    free column of that elimination, which leads with a 1 at its free
+    column, where every other vector is 0 (see _nullspace)."""
+    return _elements(_nullspace(_matrix_of(rows, field, n), field.arith, n), field)
 
 
 def matrix_rank(rows: Sequence[Sequence[FieldElement | int]], field: Field) -> int:
-    return len(_rref(_indices(rows, field), field.arith)[0])
+    return len(_rref(_matrix_of(rows, field), field.arith)[0])
 
 
 class LinearCode:
@@ -220,14 +256,7 @@ def _from_indices(
     base: Field, mat: list[list[int]], n: int | None = None, provenance: str | None = None
 ) -> LinearCode:
     """Span of the rows of an index matrix over base, reduced in place."""
-    if mat:
-        lengths = {len(r) for r in mat}
-        if len(lengths) != 1:
-            raise RaggedRows(f"row lengths {sorted(lengths)}")
-        length = lengths.pop()
-        if n is not None and n != length:
-            raise RaggedRows(f"declared n={n} but rows have length {length}")
-        n = length
+    n = _width(mat, n)
     if n is None or n <= 0:
         raise EmptyLength("a code needs positive length")
     return LinearCode(base, n, _rref(mat, base.arith)[0], provenance)
@@ -245,7 +274,7 @@ def full_code(base: Field, n: int) -> LinearCode:
 
 def dual(code: LinearCode) -> LinearCode:
     """Nullspace of the generator as an [n, n-k] code."""
-    return LinearCode(code.base, code.n, _dual(_matrix(code), code.base.arith, code.n), provenance="dual")
+    return LinearCode(code.base, code.n, _nullspace(code.rows, code.base.arith, code.n), provenance="dual")
 
 
 def sum_code(a: LinearCode, b: LinearCode) -> LinearCode:
@@ -258,8 +287,8 @@ def intersect(a: LinearCode, b: LinearCode) -> LinearCode:
     _check_same_space(a, b)
     base, n = a.base, a.n
     ar = base.arith
-    perps = _dual(_matrix(a), ar, n) + _dual(_matrix(b), ar, n)
-    return LinearCode(base, n, _dual(perps, ar, n), provenance="dual")
+    perps = _nullspace(a.rows, ar, n) + _nullspace(b.rows, ar, n)
+    return LinearCode(base, n, _nullspace(perps, ar, n), provenance="dual")
 
 
 def _pairing(rows: list[list[int]], cols: list[list[int]], ar: IndexArith) -> list[list[int]]:
@@ -278,7 +307,11 @@ def _pairing(rows: list[list[int]], cols: list[list[int]], ar: IndexArith) -> li
 
 def _orthogonal_span(checks: list[list[int]], gens: list[list[int]], ar: IndexArith, n: int) -> list[list[int]]:
     """The words x G of the span of the rows of G = gens that are orthogonal
-    to every row of checks: x runs over the kernel of <checks, gens>."""
+    to every row of checks: x runs over the kernel of <checks, gens>.
+
+    That kernel basis X is in RREF (see _nullspace), so when G is too, with
+    pivots P, the word of the row of X that leads at f leads at P_f and is
+    0 at every other P_f': the words are the RREF of their span."""
     rows = [ar.prepare(g) for g in gens]
     words = []
     for x in _nullspace(_pairing(checks, gens, ar), ar, len(gens)):
@@ -292,9 +325,9 @@ def _orthogonal_span(checks: list[list[int]], gens: list[list[int]], ar: IndexAr
 
 def hull(code: LinearCode) -> LinearCode:
     """C cap C^perp = {x G : G G^T x^T = 0}: the kernel of the k x k Gram
-    matrix mapped through G."""
+    matrix mapped through G, already in RREF since G is."""
     base, g = code.base, code.rows
-    return _from_indices(base, _orthogonal_span(g, g, base.arith, code.n), code.n, "hull")
+    return LinearCode(base, code.n, _orthogonal_span(g, g, base.arith, code.n), "hull")
 
 
 def hull_dim(code: LinearCode) -> int:
@@ -398,8 +431,7 @@ def _column_transform(code: LinearCode, guard: int | None) -> list[list[int]]:
             for g in reversed(col):
                 v = v * q + dual[mul(y, g)]
             counts[v] += 1
-    zero_layers = [[0] * len(counts) for _ in range(p - 1)] if p > 2 else []
-    return _fwht([counts] + zero_layers, p, base.m * code.k)
+    return _fwht([counts], p, base.m * code.k)
 
 
 def weight_distribution(code: LinearCode, guard: int | None = None) -> WeightDistribution:
@@ -471,7 +503,7 @@ def restrict_to_subfield(code: LinearCode, s: int) -> LinearCode:
     p, n = big.p, code.n
     ar = big.arith
     expanded = []
-    for row in _dual(_matrix(code), ar, n):
+    for row in _nullspace(code.rows, ar, n):
         # h_i * theta^t at column i*s + t; constraint tau reads coefficient tau
         prods = [x for hs in zip(*(ar.scale(row, t) for t in theta)) for x in hs]
         expanded.extend(map(list, zip(*(big.elements[x].coeffs for x in prods))))

@@ -161,7 +161,7 @@ def dual_first_closed_form(f: ParyFunction, include_zero: bool = True) -> Linear
     coords = _first_coordinates(f, include_zero)
     prime = subfield(f.field, 1)[0]
     n = len(coords[0])
-    return _from_indices(prime, _nullspace(coords, prime.arith, n), n, "closed-form-dual")
+    return LinearCode(prime, n, _nullspace(coords, prime.arith, n), "closed-form-dual")
 
 
 def first_hull_map_matrix(f: ParyFunction, include_zero: bool = True):
@@ -213,7 +213,7 @@ def dual_second_closed_form(ds: DefiningSet) -> LinearCode:
         if _span(ctx, s, ctx.power_indices(indices, ctx.p ** (s * j)))[0] != red:
             raise InvariantViolated(f"the dual from Frobenius power {j} of the defining row differs")
     sub = subfield(ctx, s)[0]
-    return _from_indices(sub, _nullspace(red, sub.arith, len(ds)), len(ds), "closed-form-dual")
+    return LinearCode(sub, len(ds), _nullspace(red, sub.arith, len(ds)), "closed-form-dual")
 
 
 def dimension_via_span(ds: DefiningSet) -> int:

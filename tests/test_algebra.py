@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import walshcodes.algebra as algebra
 from walshcodes.algebra import (
     CyclotomicInt,
     cyclo_canonicalize,
@@ -20,6 +21,7 @@ from walshcodes.errors import (
     DegreeMismatch,
     EvenCharacteristic,
     FieldTooLarge,
+    InvariantViolated,
     NotASubfield,
     NotPrime,
     ReducibleModulus,
@@ -195,6 +197,18 @@ def test_gauss_sum_power_consistency():
     for p in (3, 5, 7):
         g = gauss_sum_power(p, 1)
         assert gauss_sum_power(p, 3) == g * g * g
+
+
+def test_gauss_sum_power_is_computed_and_checked_once_per_field(monkeypatch):
+    gauss_sum_power.cache_clear()
+    monkeypatch.setattr(algebra, "p_star", lambda p: p + 1)
+    with pytest.raises(InvariantViolated):  # the first computation squares G
+        gauss_sum_power(5, 2)
+    monkeypatch.undo()
+    g = gauss_sum_power(5, 2)
+    assert gauss_sum_power(5, 2) is g
+    assert g == cyclo_canonicalize(5, [1, 2, 0, 0, 2]) ** 2  # test_gauss_sum_p5's G, squared
+    assert gauss_sum_power(3, 1) is gauss_sum_power(3, 1) == CyclotomicInt(3, [1, 2, 0])
 
 
 def test_even_characteristic_rejected():

@@ -5,6 +5,11 @@ the oracle: the kernel must return the same rows and pivots.  Duals,
 nullspaces, hulls and scalar restrictions are checked against it and
 against the identities they must satisfy.
 
+`dual_oracle` is the two-elimination dual the kernel replaced: a left-to-
+right RREF, one kernel vector per free column, and a second RREF of that
+basis.  The kernel reduces once, from the right, and its nullspace basis,
+duals and hulls must equal the oracle's RREF row for row.
+
 The FieldElement operators that `rref_oracle` uses now run on the same
 index tables as the kernel (`Field.arith`), so the oracle's independence
 rests on tests/test_spectra_tables.py, which checks every operator against
@@ -22,6 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import walshcodes.codes as codes_module
 from walshcodes.algebra import is_prime, make_field, subfield
 from walshcodes.codes import (
     LinearCode,
@@ -37,6 +43,15 @@ from walshcodes.codes import (
     restrict_to_subfield,
     rref,
 )
+from walshcodes.constructions import (
+    defining_set,
+    dual_first_closed_form,
+    dual_second_closed_form,
+    first_generic,
+    second_generic,
+)
+from walshcodes.errors import RaggedRows
+from walshcodes.functions import ParyFunction
 
 
 def _prime_powers(limit):
@@ -90,6 +105,22 @@ def rref_oracle(rows, field):
         if r == nrows:
             break
     return [tuple(row) for row in mat[:r]], pivots
+
+
+def dual_oracle(rows, field, n):
+    """RREF basis of {v in F^n : rows @ v = 0} by two eliminations: one
+    kernel vector per free column of the left-to-right RREF, reduced again."""
+    red, pivots = rref_oracle(rows, field)
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [field.zero] * n
+        v[fc] = field.one
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return rref_oracle(basis, field)[0]
 
 
 def dot(u, v, field):
@@ -209,6 +240,162 @@ def test_rref_matches_oracle_hypothesis(pm):
         assert_nullspace(rows, field, ncols)
 
     check()
+
+
+# -- one elimination per dual and hull, against the two-elimination oracle ------
+
+
+def _hull_oracle(generator, field, n):
+    """C cap C^perp = (C^perp + C)^perp, by the oracle."""
+    return dual_oracle(dual_oracle(generator, field, n) + list(generator), field, n)
+
+
+def _assert_matches_dual_oracle(rows, field, n):
+    """nullspace, dual and hull of rows (of length n) against the oracle; the
+    hull's rows are their own RREF."""
+    assert nullspace(rows, field, n) == dual_oracle(rows, field, n)
+    code = from_rows(field, rows, n)
+    assert list(dual(code).generator) == dual_oracle(code.generator, field, n)
+    h = hull(code)
+    assert list(h.generator) == _hull_oracle(code.generator, field, n)
+    assert list(h.generator) == rref_oracle(h.generator, field)[0]
+
+
+def _unitriangular(field, n, rng):
+    """An n x n matrix of rank n: ones on the diagonal, random above it."""
+    return [
+        [field.one if j == i else field.elements[rng.randrange(field.q)] if j > i else field.zero for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("pm", SMALL, ids=_ids(SMALL))
+def test_duals_and_hulls_match_the_dual_oracle(pm):
+    """Zero rows and columns, k = 0 (no rows, or only zero rows), k = n, and
+    random full-rank and rank-deficient matrices."""
+    field = make_field(*pm)
+    rng = random.Random(200 + field.q)
+    for rows in matrix_cases(field, rng) + [_unitriangular(field, 5, rng), _unitriangular(field, 1, rng)]:
+        _assert_matches_dual_oracle(rows, field, len(rows[0]) if rows else 3)
+    for _ in range(6):
+        n = rng.randrange(1, 8)
+        a = from_rows(field, deficient_matrix(field, rng.randrange(1, 5), n, rng.randrange(0, n + 1), rng), n)
+        for b in (
+            from_rows(field, deficient_matrix(field, rng.randrange(1, 5), n, rng.randrange(0, n + 1), rng), n),
+            dual(a),
+            LinearCode(field, n, ()),
+        ):
+            expected = dual_oracle(dual_oracle(a.generator, field, n) + dual_oracle(b.generator, field, n), field, n)
+            assert list(intersect(a, b).generator) == expected
+
+
+@pytest.mark.parametrize("pm", WIDE, ids=_ids(WIDE))
+def test_duals_and_hulls_match_the_dual_oracle_hypothesis(pm):
+    field = make_field(*pm)
+
+    @settings(
+        max_examples=30,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_matrices(field))
+    def check(case):
+        rows, ncols = case
+        _assert_matches_dual_oracle(rows, field, ncols)
+
+    check()
+
+
+@pytest.mark.parametrize("pm", SMALL, ids=_ids(SMALL))
+def test_closed_form_duals_match_the_dual_oracle(pm):
+    field = make_field(*pm)
+    prime = make_field(field.p, 1)
+    rng = random.Random(300 + field.q)
+    tables = [[field.zero] * field.q, list(field.elements)]
+    tables += [[field.elements[rng.randrange(field.q)] for _ in range(field.q)] for _ in range(2)]
+    for table in tables:
+        f = ParyFunction(field, table, field.m)
+        for include_zero in (True, False):
+            code = first_generic(f, include_zero)
+            got = dual_first_closed_form(f, include_zero)
+            assert got.base is prime
+            assert list(got.generator) == dual_oracle(code.generator, prime, code.n)
+    for s in [d for d in range(1, field.m + 1) if field.m % d == 0]:
+        sub = subfield(field, s)[0]
+        sets = [[field.zero] * 3, [field.one]]  # k = 0, and k = n = 1
+        sets += [[field.elements[rng.randrange(field.q)] for _ in range(rng.randrange(1, 9))] for _ in range(4)]
+        for elements in sets:
+            ds = defining_set(field, elements, s)
+            code = second_generic(ds)
+            got = dual_second_closed_form(ds)
+            assert got.base is sub
+            assert list(got.generator) == dual_oracle(code.generator, sub, code.n)
+
+
+@pytest.mark.parametrize("pm", [pm for pm in SMALL if pm[1] > 1], ids=_ids([pm for pm in SMALL if pm[1] > 1]))
+def test_restriction_is_the_rref_of_the_set_intersection(pm):
+    field = make_field(*pm)
+    rng = random.Random(400 + field.q)
+    for s in [d for d in range(1, field.m) if field.m % d == 0]:
+        sub, _, project = subfield(field, s)
+        for _ in range(3):
+            n = rng.randrange(1, 4)
+            rows = deficient_matrix(field, rng.randrange(1, 3), n, rng.randrange(0, min(n, 2) + 1), rng)
+            code = from_rows(field, rows, n)
+            inside = [
+                [project[field.elements[x]] for x in w]
+                for w in code.codewords()
+                if all(field.elements[x] in project for x in w)
+            ]
+            assert list(restrict_to_subfield(code, s).generator) == rref_oracle(inside, sub)[0]
+
+
+def test_one_rref_per_dual_and_none_after_the_gram_kernel(monkeypatch):
+    """A dual is one elimination; the hull reduces only its k x k Gram
+    matrix.  The Frobenius checks of dual_second_closed_form reduce through
+    constructions' own reference to the kernel, which is not counted."""
+    shapes = []
+    kernel = codes_module._rref
+
+    def counting(mat, ar):
+        shapes.append((len(mat), len(mat[0]) if mat else 0))
+        return kernel(mat, ar)
+
+    monkeypatch.setattr(codes_module, "_rref", counting)
+    field = make_field(3, 2)
+    rng = random.Random(5)
+    f = ParyFunction(field, [field.elements[rng.randrange(field.q)] for _ in range(field.q)], field.m)
+    ds = defining_set(field, [field.elements[rng.randrange(1, field.q)] for _ in range(7)])
+    for code in (from_rows(field, random_matrix(field, 3, 7, rng)), first_generic(f), second_generic(ds)):
+        shapes.clear()
+        dual(code)
+        assert len(shapes) == 1
+        shapes.clear()
+        hull(code)
+        assert shapes == [(code.k, code.k)]
+    shapes.clear()
+    dual_first_closed_form(f)
+    assert len(shapes) == 1
+    shapes.clear()
+    dual_second_closed_form(ds)
+    assert len(shapes) == 1
+
+
+def test_ragged_rows_raise_at_the_edge():
+    field = make_field(3, 1)
+    with pytest.raises(RaggedRows):
+        nullspace([[1, 0, 1, 2, 2]], field, 3)
+    with pytest.raises(RaggedRows):
+        nullspace([[1, 0, 1]], field, 5)
+    for rows in ([[1, 0], [1, 1, 1]], [[1, 1, 1], [1, 0]]):
+        with pytest.raises(RaggedRows):
+            rref(rows, field)
+        with pytest.raises(RaggedRows):
+            matrix_rank(rows, field)
+        with pytest.raises(RaggedRows):
+            nullspace(rows, field, 3)
 
 
 # -- hull through the Gram matrix -----------------------------------------------

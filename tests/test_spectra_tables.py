@@ -530,6 +530,26 @@ def test_packed_fwht_on_signed_and_zero_layers(pm):
         _assert_kernel_matches_oracles([[-1] * q for _ in range(p)], p, m)
 
 
+PADDED_FIELDS = [(3, 1), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)]
+
+
+@pytest.mark.parametrize("pm", PADDED_FIELDS, ids=_ids(PADDED_FIELDS))
+def test_fwht_of_fewer_layers_is_the_zero_padded_transform(pm):
+    """The first j layers alone, for j = 1..p, give the transform of the p
+    layers with the rest zero, with and without negative entries (which the
+    kernel shifts up, so a missing layer is packed as the shift)."""
+    p, m = pm
+    q = p ** m
+    rng = random.Random(q + p)
+    for low in (0, -1, -300):
+        layers = [[rng.randint(low, 300) for _ in range(q)] for _ in range(p)]
+        layers[0][rng.randrange(q)] = low
+        for j in range(1, p + 1):
+            padded = [list(layer) for layer in layers[:j]] + [[0] * q for _ in range(p - j)]
+            got = _fwht([list(layer) for layer in layers[:j]], p, m)
+            assert got == _fwht(padded, p, m) == fwht_oracle(padded, p, m)
+
+
 @pytest.mark.parametrize("pm", SMALL, ids=_ids(SMALL))
 def test_fwht_matches_quadratic_loop(pm):
     field = make_field(*pm)
