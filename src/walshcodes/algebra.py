@@ -712,25 +712,15 @@ def _fwht(layers: list[list[int]], p: int, m: int) -> list[list[int]]:
     Vectors are indexed like the field elements, digit i of the index
     being coordinate i.
 
-    Each layer is packed into one int of q fixed-width fields, field v
-    holding entry v, and pass i transforms digit i of every index in
-    place on whole ints: with t the bit offset of one step in digit i and
-    M the mask of the fields whose digit i is 0, block x of a layer is
-    (layer >> x t) & M, and output digit u of layer e is the sum over x of
-    block x of layer e + u x, shifted up by u t.  A pass is p^2
-    extractions and p^2 (p - 1) additions of ints.  The field width is the
-    fewest bytes (1, 2, 4 or 8) that hold the input's total mass, the sum
-    of every |entry|, which bounds every partial sum, so no field carries
-    into the next.  Negative entries at odd p are shifted up by one
-    constant first, which adds that constant times q to every output; a
-    missing layer is then that constant in every field.
-
-    At p = 2, Z[zeta_2] = Z: ``layers`` is the one integer list N, and a
-    pass is the (a + b, a - b) butterflies of the Walsh-Hadamard transform.
-    Every field then holds its value plus the bias 2^(w-1) of a w-bit field
-    (one more bit goes into the width for it): (a + B) + (b + B) - B and
-    (a + B) - (b + B) + B stay in [0, 2^w), so the packed sums are exact,
-    and XOR with the bias word converts to and from two's complement."""
+    This is the list interface of the packed passes below, for inputs of
+    any size: the field width is the fewest bytes (1, 2, 4 or 8) that hold
+    the input's total mass, the sum of every |entry|, which bounds every
+    partial sum, so no field carries into the next.  Negative entries at
+    odd p are shifted up by one constant first, which adds that constant
+    times q to every output; a missing layer is then that constant in
+    every field.  At p = 2, Z[zeta_2] = Z: ``layers`` is the one integer
+    list N, and one more bit goes into the width for the bias of
+    :func:`_binary_passes`."""
     q = p ** m
     if p == 2:
         (w,) = layers
@@ -741,18 +731,61 @@ def _fwht(layers: list[list[int]], p: int, m: int) -> list[list[int]]:
             layers = [[v - low for v in layer] for layer in layers]
         missing = p - len(layers)
         mass = sum(map(sum, layers)) - missing * low * q
-    bits = mass.bit_length() + (p == 2)
-    width = next((b for b in sorted(_FIELD_TYPECODES) if 8 * b >= bits), None)
-    if width is None:
-        raise OverflowError(f"a total mass of {mass} does not fit a packed field")
+    width = _field_width(mass.bit_length() + (p == 2))
     typecode = _FIELD_TYPECODES[width]
     if p == 2:
         typecode = typecode.lower()
-        return [_unpack(_binary_passes(_pack(w, typecode), width, m), typecode, q)]
+        bias = _bias_word(width, q)
+        return [_unpack(_binary_passes(_pack(w, typecode) ^ bias, width, m) ^ bias, typecode, q)]
     pad = int.from_bytes((-low).to_bytes(width, "little") * q, "little") if low else 0
     words = _odd_passes([_pack(layer, typecode) for layer in layers] + [pad] * missing, width, p, m)
     out = [_unpack(word, typecode, q) for word in words]
     return [[v + low * q for v in layer] for layer in out] if low else out
+
+
+def _character_fwht(values: Sequence[int], at: Iterable[int], p: int, m: int) -> list[list[int]]:
+    """The transform F of N with N(at[x]) = zeta^(values[x]) for x < q, for
+    values in [0, p) and ``at`` a permutation of range(q), as its p - 1
+    canonical layers F_e - F_{p-1}, e < p - 1 (at p = 2 the one integer
+    list F_0 - F_1).
+
+    The input words are packed straight from ``values``: one pass writes a
+    1 into field at[x] of indicator word values[x], so the total mass is q.
+    Every canonical coefficient lies in [-q, q], so a field holds q and a
+    sign bit.  At odd p the passes run on the p indicator words and the
+    layers are formed on the packed output with the bias word B of
+    :func:`_bias_word`: F_e + B - F_{p-1} keeps every field in
+    [B - q, B + q], and XOR with B turns it into two's complement.  At p = 2
+    they run on ind_0 - ind_1 + B, the biased +/-1 word.  Each layer is then
+    unpacked as signed in one call."""
+    q = p ** m
+    width = _field_width(q.bit_length() + 1)
+    indicators = [bytearray(q * width) for _ in range(p)]
+    for v, u in zip(values, map(width.__mul__, at)):
+        indicators[v][u] = 1
+    words = [int.from_bytes(word, "little") for word in indicators]
+    bias = _bias_word(width, q)
+    if p == 2:
+        zero, one = words
+        out = [_binary_passes(zero - one + bias, width, m) ^ bias]
+    else:
+        *words, last = _odd_passes(words, width, p, m)
+        out = [(word + bias - last) ^ bias for word in words]
+    signed = _FIELD_TYPECODES[width].lower()
+    return [_unpack(word, signed, q) for word in out]
+
+
+def _field_width(bits: int) -> int:
+    """The fewest bytes, 1, 2, 4 or 8, of a packed field of ``bits`` bits."""
+    width = next((b for b in sorted(_FIELD_TYPECODES) if 8 * b >= bits), None)
+    if width is None:
+        raise OverflowError(f"{bits}-bit values do not fit a packed field")
+    return width
+
+
+def _bias_word(width: int, q: int) -> int:
+    """2^(8 width - 1), the top bit, in each of q fields."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * q, "little")
 
 
 def _digit_word(field: bytes, p: int, stride: int, q: int) -> int:
@@ -763,24 +796,40 @@ def _digit_word(field: bytes, p: int, stride: int, q: int) -> int:
 
 
 def _binary_passes(word: int, width: int, m: int) -> int:
-    """The m butterfly passes on 2^m packed two's complement fields.
+    """The m (a + b, a - b) butterfly passes on 2^m packed fields of
+    ``width`` bytes, each holding its value plus the bias B = 2^(8 width - 1).
 
-    The bias words are built from bytes where they are needed, not kept
-    across the passes, which holds one full-width int fewer at the peak."""
+    Field v of pass i pairs with field v + 2^i: with t the bit offset of
+    that step and M the mask of the fields whose digit i is 0, lo + d and
+    lo - d, for lo = word & M and d = ((word >> t) & M) - B per field, are
+    (a + B) + (b + B) - B and (a + B) - (b + B) + B.  While the values stay
+    in [-B, B) every biased field stays in [0, 2^(8 width)), so the packed
+    sums are exact; XOR with :func:`_bias_word` converts to and from two's
+    complement.  The mask and bias words are built from bytes where they
+    are needed, not kept across the passes, which holds one full-width int
+    fewer at the peak."""
     q = 1 << m
     bias = bytes(width - 1) + b"\x80"
-    word ^= int.from_bytes(bias * q, "little")
     for i in range(m):
         t, mask = 8 * width << i, _digit_word(b"\xff" * width, 2, 1 << i, q)
-        # lo + d and lo - d are a + b and a - b, biased
         d = ((word >> t) & mask) - _digit_word(bias, 2, 1 << i, q)
         word &= mask
         word = (word + d) | ((word - d) << t)
-    return word ^ int.from_bytes(bias * q, "little")
+    return word
 
 
 def _odd_passes(words: list[int], width: int, p: int, m: int) -> list[int]:
-    """The m passes on p layers of p^m packed unsigned fields."""
+    """The m passes on p layers of p^m packed unsigned fields of ``width``
+    bytes, ``words[e]`` holding the coefficient of zeta^e at vector v in
+    field v, counted from the least significant end.
+
+    Pass i transforms digit i of every index in place on whole ints: with t
+    the bit offset of one step in digit i and M the mask of the fields whose
+    digit i is 0, block x of a layer is (layer >> x t) & M, and output digit
+    u of layer e is the sum over x of block x of layer e + u x, shifted up
+    by u t.  A pass is p^2 extractions and p^2 (p - 1) additions of ints.
+    The caller picks a width that holds the total mass of the input, which
+    bounds every partial sum, so no field carries into the next."""
     q = p ** m
     for i in range(m):
         t, mask = 8 * width * p ** i, _digit_word(b"\xff" * width, p, p ** i, q)

@@ -181,10 +181,15 @@ def _second_exponents(ds: DefiningSet) -> list[int]:
     return [tr[d] for d in ds.indices()]
 
 
-def _wrb_context_first(f: ParyFunction, variant: str) -> _WrbContext:
-    if "shifted" in variant:
-        return _WrbContext(shifted_trace_form(f), "Tr(f(x) - x)")
-    return _WrbContext(plain_trace_form(f), "Tr(f(x))")
+def _wrb_context(f: ParyFunction, shifted: bool) -> _WrbContext:
+    """The context of the trace form Tr(f(x) - x) or Tr(f(x)), built once
+    per function and form and kept in ``f._derived``."""
+    label = "Tr(f(x) - x)" if shifted else "Tr(f(x))"
+    ctx = f._derived.get(label)
+    if ctx is None:
+        g = shifted_trace_form(f) if shifted else plain_trace_form(f)
+        ctx = f._derived[label] = _WrbContext(g, label)
+    return ctx
 
 
 def _check_scalar_hypothesis(f: ParyFunction):
@@ -216,7 +221,7 @@ def dual_membership_first(
     points = range(0 if include_zero else 1, field.q)
     word = _prime_word(word, field.p, len(points))
     if variant.startswith("wrb"):
-        ctx = _wrb_context_first(f, variant)
+        ctx = _wrb_context(f, "shifted" in variant)
         if variant.endswith("scalar"):
             _check_scalar_hypothesis(f)
             lhs, rhs = ctx.scalar_product(points, word)
@@ -238,7 +243,7 @@ def dual_membership_second(
         return _delta_verdict("second:delta-value", field.p, word, _second_exponents(ds))
     if variant not in ("wrb-scalar", "wrb-generic"):
         raise ValueError(f"unknown variant {variant!r}")
-    ctx = _WrbContext(plain_trace_form(f), "Tr(f(x))")
+    ctx = _wrb_context(f, shifted=False)
     points = [x.index for x in image_set_points(f)]
     if variant == "wrb-scalar":
         _check_scalar_hypothesis(f)

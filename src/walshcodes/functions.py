@@ -5,11 +5,11 @@ is evaluated once over the whole field, constants are folded, and a
 truth table holds the index of each value beside the interned element.
 
 The Walsh transform of a prime-valued function lands in Z[zeta_p] and is
-computed coefficient-exactly by a p-ary fast Walsh-Hadamard transform.
-A spectrum keeps its coefficients as p - 1 canonical integer layers (at
-p = 2 the transform runs on one +/-1 list and the spectrum is one integer
-list); :class:`~walshcodes.algebra.CyclotomicInt` objects are built only
-when a caller asks for them.  Parseval is verified on the layers before a
+computed coefficient-exactly by a p-ary fast Walsh-Hadamard transform on
+words packed straight from the truth table.  A spectrum keeps its
+coefficients as p - 1 canonical integer layers (one integer list at p = 2);
+:class:`~walshcodes.algebra.CyclotomicInt` objects are built only when a
+caller asks for them.  Parseval is verified on the layers before a
 spectrum is returned.  Bent classification looks each coefficient up
 among the 2p values sign * G^m * zeta^e, with G the quadratic Gauss sum,
 requires one global sign, and reads the dual function off the exponents e.
@@ -22,14 +22,14 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
-from operator import mul
+from operator import mul, xor
 from typing import Callable, Sequence
 
 from .algebra import (
     CyclotomicInt,
     Field,
     FieldElement,
-    _fwht,
+    _character_fwht,
     gauss_sum_power,
 )
 from .errors import (
@@ -48,9 +48,11 @@ class ParyFunction:
     """Function F_{p^m} -> F_{p^s} stored as a truth table in canonical order.
 
     ``indices`` holds the index of the value at each point and ``table``
-    the same values as the field's interned elements."""
+    the same values as the field's interned elements.  ``_derived`` keeps
+    what other modules compute from the table once per function, by key,
+    for as long as the function lives."""
 
-    __slots__ = ("field", "codomain_degree", "table", "indices")
+    __slots__ = ("field", "codomain_degree", "table", "indices", "_derived")
 
     def __init__(self, field: Field, table: Sequence[FieldElement], codomain_degree: int | None = None):
         table = tuple(table)
@@ -84,9 +86,10 @@ class ParyFunction:
         self.codomain_degree = codomain_degree
         self.table = table
         self.indices = indices
+        self._derived = {}
 
     def __call__(self, x: FieldElement) -> FieldElement:
-        return self.table[x.index]
+        return self.table[_own_index(self.field, x)]
 
     def __eq__(self, other):
         if not isinstance(other, ParyFunction):
@@ -117,6 +120,7 @@ class ParyFunction:
             return ParyFunction.from_indices(self.field, self.indices, s)
         out = ParyFunction.__new__(ParyFunction)
         out.field, out.codomain_degree, out.table, out.indices = self.field, s, self.table, self.indices
+        out._derived = {}
         return out
 
     def exponents(self) -> tuple[int, ...]:
@@ -127,13 +131,19 @@ class ParyFunction:
         return self.indices
 
     def is_affine(self) -> bool:
-        """True when x -> f(x) - f(0) is additive (checked exhaustively)."""
-        f0 = self.table[0]
-        for x in self.field.elements:
-            for y in self.field.elements:
-                if self(x + y) - f0 != (self(x) - f0) + (self(y) - f0):
-                    return False
-        return True
+        """True when x -> f(x) - f(0) is additive.  An additive map is
+        F_p-linear, so it is exactly the linear map with its values on the
+        power basis, and f is compared with f(0) plus that map."""
+        field, table = self.field, self.table
+        linear = field._linear_indices([table[v.index] - table[0] for v in field.power_basis()])
+        return tuple(map(field.arith.add, linear, repeat(self.indices[0]))) == self.indices
+
+
+def _own_index(field: Field, x: FieldElement) -> int:
+    """The index of x, which must be an element of ``field`` itself."""
+    if isinstance(x, FieldElement) and x.field is field:
+        return x.index
+    raise ValueError(f"{x!r} is not an element of GF({field.p}^{field.m})")
 
 
 def _outside_subfield(field: Field, indices: Sequence[int], d: int) -> int | None:
@@ -145,7 +155,9 @@ def _outside_subfield(field: Field, indices: Sequence[int], d: int) -> int | Non
         return None
     if d == 1:
         p = field.p
-        return next((i for i, v in enumerate(indices) if v >= p), None)
+        if max(indices) < p:
+            return None
+        return next(i for i, v in enumerate(indices) if v >= p)
     log = field._pow_tables()[1]  # log[0] = 0 keeps zero in every subfield
     step = (field.q - 1) // (field.p ** d - 1)
     return next((i for i, v in enumerate(indices) if log[v] % step), None)
@@ -230,9 +242,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
-            if op == "-":
-                rhs = self._pointwise(self.field.arith.neg, rhs)
-            node = self._pointwise(self.field.arith.add, node, rhs)
+            node = self._add(node, self._neg(rhs) if op == "-" else rhs)
         return node
 
     def term(self):
@@ -245,7 +255,7 @@ class _Parser:
     def factor(self):
         if self.peek() == "-":
             self.take()
-            return self._pointwise(self.field.arith.neg, self.factor())
+            return self._neg(self.factor())
         node = self.atom()
         if self.peek() == "^":
             self.take()
@@ -313,6 +323,14 @@ class _Parser:
         q = self.field.q
         return list(map(fn, *(repeat(a, q) if isinstance(a, int) else a for a in nodes)))
 
+    def _add(self, a, b):
+        """a + b; at p = 2 the index of a sum is the XOR of the indices."""
+        return self._pointwise(xor if self.field.p == 2 else self.field.arith.add, a, b)
+
+    def _neg(self, a):
+        """-a, which is a itself at p = 2."""
+        return a if self.field.p == 2 else self._pointwise(self.field.arith.neg, a)
+
     def _product(self, a, b):
         """a * b; a product with a constant is one log-add pass."""
         arith = self.field.arith
@@ -375,37 +393,36 @@ class WalshSpectrum:
         return self._coefficients
 
     def __getitem__(self, b: FieldElement) -> CyclotomicInt:
-        return self.coefficients[b.index]
+        return self.coefficients[_own_index(self.field, b)]
 
     def __repr__(self):
         return f"WalshSpectrum(GF({self.field.p}^{self.field.m}))"
 
     def parseval_sum(self) -> CyclotomicInt:
         """Sum over b of |chi_hat(b)|^2; coefficient d of zeta^d is
-        sum_i <layer i, layer i - d>, layer p - 1 being zero."""
+        S_d = sum_i <layer i, layer i - d>, layer p - 1 being zero.  S_{p-d}
+        sums the same products with the factors swapped, so S_d is computed
+        for d <= p/2 only."""
         p, layers = self.field.p, self.layers
-        pairs = [[(i, (i - d) % p) for i in range(p - 1) if (i - d) % p < p - 1] for d in range(p)]
-        return CyclotomicInt(p, [sum(sum(map(mul, layers[i], layers[j])) for i, j in ij) for ij in pairs])
+        half = [
+            sum(sum(map(mul, layers[i], layers[(i - d) % p])) for i in range(p - 1) if (i - d) % p < p - 1)
+            for d in range(p // 2 + 1)
+        ]
+        return CyclotomicInt(p, half + half[(p - 1) // 2:0:-1])
 
 
 def walsh_transform(f: ParyFunction) -> WalshSpectrum:
     """chi_hat(b) = sum over x of zeta^(f(x) - Tr(bx)), exactly.
 
-    Tr(bx) = <x, v_b> with v_b the Gram contraction of b, so chi_hat(b) is
-    the p-ary Walsh-Hadamard transform of zeta^f read at v_b.  At p = 2,
-    zeta^f = (-1)^f is one integer list."""
+    Tr(bx) = <v_x, b> with v_x the Gram contraction of x, so chi_hat is the
+    p-ary Walsh-Hadamard transform of N, N(v_x) = zeta^(f(x)), read at b
+    itself: the transform is taken straight from the truth table, with the
+    point x written at v_x."""
     if f.codomain_degree != 1:
         raise WrongCodomain("Walsh transform needs a prime-valued function")
     field = f.field
     p = field.p
-    fints = f.exponents()
-    dual = field.trace_dual_indices()
-    if p == 2:
-        (w,) = _fwht([[1 - 2 * v for v in fints]], 2, field.m)
-        layers = [list(map(w.__getitem__, dual))]
-    else:
-        *layers, last = _fwht([[int(v == e) for v in fints] for e in range(p)], p, field.m)
-        layers = [[layer[u] - last[u] for u in dual] for layer in layers]
+    layers = _character_fwht(f.exponents(), field.trace_dual_indices(), p, field.m)
     spectrum = WalshSpectrum(field, layers, f)
     if spectrum.parseval_sum() != CyclotomicInt.from_int(p, field.q ** 2):
         raise InvariantViolated("Parseval failed: the Walsh spectrum is wrong")

@@ -356,6 +356,33 @@ def test_scalar_variant_nonvacuous_in_characteristic_two():
         assert dual_membership_first(f, w, "wrb-shifted-scalar").holds
 
 
+def test_wrb_context_is_built_once_per_function_and_trace_form(monkeypatch):
+    """Two transforms (the trace form and its dual) per function and trace
+    form, however many words are checked; the plain form is shared by the
+    first and the second construction, and a new function builds its own."""
+    import walshcodes.conditions as conditions
+
+    transformed = []
+    real = conditions.walsh_transform
+    monkeypatch.setattr(conditions, "walsh_transform", lambda g: transformed.append(g) or real(g))
+    f = parse_function(F16, "g*x^3").with_codomain(4)
+    n_second = len(make_image_set(f))
+    for w in ([0] * 16, [1] * 16, [1, 0] * 8):
+        for variant in ("wrb-plain-generic", "wrb-plain-scalar", "wrb-shifted-generic", "wrb-shifted-scalar"):
+            dual_membership_first(f, w, variant)
+        for variant in ("wrb-generic", "wrb-scalar"):
+            dual_membership_second(f, w[:n_second], variant)
+    assert len(transformed) == 4
+    dual_membership_first(parse_function(F16, "g*x^3").with_codomain(4), [0] * 16, "wrb-plain-generic")
+    assert len(transformed) == 6
+    # a failed hypothesis is not kept: each call transforms and raises afresh
+    linear = monomial(F9, 3)
+    for n in (7, 8):
+        with pytest.raises(HypothesisFailed):
+            dual_membership_first(linear, [0] * 9, "wrb-plain-generic")
+        assert len(transformed) == n
+
+
 def test_second_conditions_and_witness():
     rng = random.Random(33)
     f = monomial(F9, 2)

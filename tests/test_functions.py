@@ -233,6 +233,18 @@ def test_verify_dual_relation_requires_weak_regularity():
         verify_dual_relation(g, cls)
 
 
+def test_spectrum_and_truth_table_take_only_their_own_elements():
+    f = parse_function(F16, "tr(g*x^3)")
+    spectrum = walsh_transform(f)
+    x = F16.elements[7]
+    assert f(x) == f.table[7] and spectrum[x] == spectrum.coefficients[7]
+    for bad in (make_field(2, 3).elements[7], make_field(2, 5).one, 7, 0, True, None, "x"):
+        with pytest.raises(ValueError):
+            f(bad)
+        with pytest.raises(ValueError):
+            spectrum[bad]
+
+
 # --- differential uniformity -------------------------------------------------
 
 

@@ -5,8 +5,11 @@ here as a test oracle: the coefficient arithmetic of F_{p^m} (the product
 is the polynomial convolution reduced by the modulus), the O(q^2) Walsh
 loop, the list passes of the FWHT (layered, and the binary butterflies)
 that the packed-int kernel replaced, the per-coefficient bent classification,
-the closure evaluator of the function mini-language, square-and-multiply
-powers, the Frobenius-sum trace and the order-counting generator search.
+the per-layer list route of the Walsh transform that packing straight from
+the truth table replaced, the p^2-product Parseval sum, the pairwise
+additivity check of affine functions, the closure evaluator of the function
+mini-language, square-and-multiply powers, the Frobenius-sum trace and the
+order-counting generator search.
 The element operators and the elimination kernel share one set of index
 tables, so this file is also what makes the oracle of
 tests/test_elimination.py independent.
@@ -14,18 +17,19 @@ tests/test_elimination.py independent.
 
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
 from functools import lru_cache
-from operator import add, sub
+from operator import add, mul, sub
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from walshcodes.algebra import CyclotomicInt, _fwht, gauss_sum_power, is_prime, make_field, trace
+from walshcodes.algebra import CyclotomicInt, IndexArith, _fwht, gauss_sum_power, is_prime, make_field, trace
 from walshcodes.errors import ExponentOverflow, InvariantViolated, ParseError, UndefinedSymbol
 from walshcodes.functions import (
     EXPONENT_CAP,
@@ -77,6 +81,34 @@ def walsh_oracle(f):
             counts[(fints[x.index] - field.trace_bilinear(b, x)) % p] += 1
         coeffs.append(CyclotomicInt(p, counts))
     return coeffs
+
+
+def walsh_list_route(f):
+    """The route that walsh_transform replaced: p indicator lists (one +/-1
+    list at p = 2) through the list interface of the FWHT, each canonical
+    layer read at the Gram contraction of every b."""
+    field = f.field
+    p = field.p
+    fints = f.exponents()
+    dual = field.trace_dual_indices()
+    if p == 2:
+        (w,) = _fwht([[1 - 2 * v for v in fints]], 2, field.m)
+        return (list(map(w.__getitem__, dual)),)
+    *layers, last = _fwht([[int(v == e) for v in fints] for e in range(p)], p, field.m)
+    return tuple([layer[u] - last[u] for u in dual] for layer in layers)
+
+
+def parseval_oracle(layers, p):
+    """All the products: coefficient d of the sum of |c|^2 sums
+    <layer i, layer j> over every i, j in [0, p) with i - j = d mod p, the
+    layer p - 1 being zero."""
+    q = len(layers[0])
+    full = list(layers) + [[0] * q]
+    coeffs = [0] * p
+    for i in range(p):
+        for j in range(p):
+            coeffs[(i - j) % p] += sum(map(mul, full[i], full[j]))
+    return CyclotomicInt(p, coeffs)
 
 
 def fwht_oracle(layers, p, m):
@@ -429,6 +461,98 @@ def _assert_same_spectrum(f):
     assert spectrum.layers == tuple([c.coeffs[e] for c in oracle] for e in range(f.field.p - 1))
     assert spectrum.coefficients == tuple(oracle)
     return spectrum
+
+
+# every field with q <= 3^5, GF(11^2) and GF(13^2) included, but the primes
+# past 40 (at m = 1 a transform is about p^3 additions), and larger fields
+LIST_ROUTE_FIELDS = [(p, m) for p, m in _prime_powers(3 ** 5) if m > 1 or p < 40]
+LIST_ROUTE_FIELDS += [(2, 10), (2, 12), (3, 7)]
+# a field holds q and a sign bit: one byte up to q = 127, two up to 32767
+WIDTH_SWITCH_FIELDS = [(2, 6), (2, 7), (5, 3), (3, 5), (2, 14), (2, 15), (3, 9), (3, 10)]
+
+
+def _random_function(field, rng):
+    return ParyFunction.from_indices(field, [rng.randrange(field.p) for _ in range(field.q)], 1)
+
+
+def _assert_same_as_list_route(f):
+    spectrum = walsh_transform(f)
+    assert spectrum.layers == walsh_list_route(f)
+    assert all(type(layer) is list for layer in spectrum.layers)
+    return spectrum
+
+
+@pytest.mark.parametrize("pm", LIST_ROUTE_FIELDS, ids=_ids(LIST_ROUTE_FIELDS))
+def test_walsh_transform_matches_list_route(pm):
+    field = make_field(*pm)
+    rng = random.Random(field.q + 1)
+    for _ in range(3):
+        _assert_same_as_list_route(_random_function(field, rng))
+    # a function taking one value: the spectrum is q or -q at 0, else 0
+    for v in (0, field.p - 1):
+        _assert_same_as_list_route(ParyFunction.from_indices(field, [v] * field.q, 1))
+
+
+@pytest.mark.parametrize("pm", WIDTH_SWITCH_FIELDS, ids=_ids(WIDTH_SWITCH_FIELDS))
+def test_walsh_transform_on_both_sides_of_each_width_switch(pm):
+    """The constant functions reach the extreme coefficients q and -q, which
+    a field one bit too narrow would wrap or carry into its neighbour."""
+    field = make_field(*pm)
+    p, q = field.p, field.q
+    for v in (0, p - 1):
+        spectrum = _assert_same_as_list_route(ParyFunction.from_indices(field, [v] * q, 1))
+        top = [-q] * (p - 1) if v == p - 1 else [q if e == v else 0 for e in range(p - 1)]
+        assert [layer[0] for layer in spectrum.layers] == top
+    _assert_same_as_list_route(_random_function(field, random.Random(q)))
+
+
+def test_walsh_transform_past_one_byte_values():
+    """p = 257 at m = 1: the values of f do not fit a byte."""
+    field = make_field(257, 1)
+    rng = random.Random(257)
+    f = ParyFunction.from_indices(field, [rng.choice((0, 1, 128, 255, 256)) for _ in range(257)], 1)
+    spectrum = walsh_transform(f)
+    oracle = walsh_oracle(f)
+    assert spectrum.layers == tuple([c.coeffs[e] for c in oracle] for e in range(256))
+
+
+HYPOTHESIS_FIELDS = [(2, 7), (3, 4), (5, 3), (7, 2), (13, 2)]
+
+
+@pytest.mark.parametrize("pm", HYPOTHESIS_FIELDS, ids=_ids(HYPOTHESIS_FIELDS))
+def test_walsh_transform_matches_list_route_hypothesis(pm):
+    field = make_field(*pm)
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(st.lists(st.integers(0, field.p - 1), min_size=field.q, max_size=field.q))
+    def check(values):
+        _assert_same_as_list_route(ParyFunction.from_indices(field, values, 1))
+
+    check()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_parseval_sum_matches_every_product(p):
+    """S_d = S_{p-d} holds for any integer layers, not only for spectra."""
+    field = make_field(p, 1)
+    rng = random.Random(p)
+    for bound in (1, 1000, 10 ** 12):
+        for n in (1, 3, 40):
+            layers = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(p - 1)]
+            assert WalshSpectrum(field, layers, None).parseval_sum() == parseval_oracle(layers, p)
+
+
+def test_parseval_sum_matches_every_product_hypothesis():
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([2, 3, 5, 7]).flatmap(
+        lambda p: st.tuples(st.just(p), st.lists(
+            st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=4, max_size=4), min_size=p - 1, max_size=p - 1))))
+    def check(case):
+        p, layers = case
+        assert WalshSpectrum(make_field(p, 1), layers, None).parseval_sum() == parseval_oracle(layers, p)
+
+    check()
 
 
 @pytest.mark.parametrize("m", range(1, 11))
@@ -823,6 +947,80 @@ def test_with_codomain_skips_only_implied_checks():
         parse_function(field, "x^3").with_codomain(2)
 
 
+def test_binary_sums_and_negations_skip_the_index_arithmetic(monkeypatch):
+    """At p = 2 a sum of nodes is the XOR of their indices and -a is a."""
+    specs = ["x^3 - g*x + 1", "-(x^5 - tr(x)) + -x", "tr(g*x^3) + tr(g^5*x) - 1 - x^7"]
+    for field in (make_field(2, 1), make_field(2, 5)):
+        want = [parse_oracle(field, spec) for spec in specs]
+
+        def refuse(*args):
+            raise AssertionError("a binary sum went through IndexArith")
+
+        monkeypatch.setattr(IndexArith, "add", refuse)
+        monkeypatch.setattr(IndexArith, "neg", refuse)
+        got = [parse_function(field, spec) for spec in specs]
+        monkeypatch.undo()
+        assert [(f.table, f.codomain_degree) for f in got] == want
+
+
+@pytest.mark.parametrize("pm", [(3, 2), (2, 4), (5, 3)], ids=_ids([(3, 2), (2, 4), (5, 3)]))
+def test_first_value_outside_the_prime_field_is_reported(pm):
+    field = make_field(*pm)
+    p = field.p
+    for bad in (0, 5, field.q - 2):
+        indices = [v % p for v in range(field.q)]
+        indices[bad] = p
+        indices[-1] = field.q - 1
+        with pytest.raises(ValueError, match=re.escape(f"table value {field.elements[p]!r} outside")):
+            ParyFunction.from_indices(field, indices, 1)
+
+
+def is_affine_oracle(f):
+    """The pairwise loop: f(x + y) - f(0) = (f(x) - f(0)) + (f(y) - f(0))
+    for every x and y."""
+    f0 = f.table[0]
+    elements = f.field.elements
+    return all(f(x + y) - f0 == (f(x) - f0) + (f(y) - f0) for x in elements for y in elements)
+
+
+def _affine(field, rng, s):
+    """c + L(x) with L the linear map to F_{p^s} taking x^j to a random value."""
+    sub = [v for v in field.elements if v ** (field.p ** s) == v]
+    images = [rng.choice(sub) for _ in range(field.m)]
+    c = rng.choice(sub)
+    linear = field._linear_indices(images)
+    return ParyFunction(field, [field.elements[v] + c for v in linear], s)
+
+
+@pytest.mark.parametrize("pm", SMALL, ids=_ids(SMALL))
+def test_is_affine_matches_pairwise_loop(pm):
+    field = make_field(*pm)
+    rng = random.Random(field.q)
+    subfields = [s for s in range(1, field.m + 1) if field.m % s == 0]
+    for s in subfields:
+        f = _affine(field, rng, s)
+        assert f.is_affine() and is_affine_oracle(f)
+        # one changed value breaks additivity unless the field is F_2
+        g = list(f.table)
+        at = rng.randrange(field.q)
+        g[at] = g[at] + field.one
+        g = ParyFunction(field, g)
+        assert g.is_affine() == is_affine_oracle(g)
+    for _ in range(5):
+        f = ParyFunction(field, [rng.choice(field.elements) for _ in range(field.q)])
+        assert f.is_affine() == is_affine_oracle(f)
+    for spec in ("x^2", f"x^{field.p}", "tr(g*x) + g", "x^3 + x"):
+        f = parse_function(field, spec)
+        assert f.is_affine() == is_affine_oracle(f), spec
+
+
+def test_is_affine_on_large_fields():
+    """GF(2^12) and GF(3^7): q^2 pairs would take minutes."""
+    for field in (make_field(2, 12), make_field(3, 7)):
+        assert parse_function(field, f"tr(g*x) + x^{field.p ** 3} + g*x + 1").is_affine()
+        assert not parse_function(field, "tr(g*x^5) + x").is_affine()
+
+
 # -- differential uniformity ----------------------------------------------------------
 
 
@@ -889,19 +1087,19 @@ def test_invariants_raise_under_optimize():
 
         field = make_field(3, 3)
         f = fn.parse_function(field, "tr(x^2)")
-        good = fn._fwht
+        good = fn._character_fwht
 
         def corrupted(*args):
             layers = good(*args)
             layers[0][5] += 1
             return layers
 
-        fn._fwht = corrupted
+        fn._character_fwht = corrupted
         try:
             fn.walsh_transform(f)
         except InvariantViolated as ex:
             print("parseval:", ex)
-        fn._fwht = good
+        fn._character_fwht = good
 
         spectrum = fn.walsh_transform(f)
         fn.gauss_sum_power = lambda p, m: CyclotomicInt.from_int(p, 1)
