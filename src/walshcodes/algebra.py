@@ -702,47 +702,6 @@ def _unpack(word: int, typecode: str, q: int) -> list[int]:
     return fields.tolist()
 
 
-def _fwht(layers: list[list[int]], p: int, m: int) -> list[list[int]]:
-    """F(u) = sum over v of N(v) zeta^(-<v, u>) for every u in F_p^m, for
-    N(v) in Z[zeta_p] given as ``layers[e][v]``, the coefficient of zeta^e.
-    At odd p fewer than p layers may be given, the missing ones being zero.
-
-    The result has p layers in the same layout; nothing is canonicalised, so
-    ``F[e][u]`` sums N over the v with -<v, u> = e, layer by layer.
-    Vectors are indexed like the field elements, digit i of the index
-    being coordinate i.
-
-    This is the list interface of the packed passes below, for inputs of
-    any size: the field width is the fewest bytes (1, 2, 4 or 8) that hold
-    the input's total mass, the sum of every |entry|, which bounds every
-    partial sum, so no field carries into the next.  Negative entries at
-    odd p are shifted up by one constant first, which adds that constant
-    times q to every output; a missing layer is then that constant in
-    every field.  At p = 2, Z[zeta_2] = Z: ``layers`` is the one integer
-    list N, and one more bit goes into the width for the bias of
-    :func:`_binary_passes`."""
-    q = p ** m
-    if p == 2:
-        (w,) = layers
-        mass = sum(map(abs, w))
-    else:
-        low = min(0, *map(min, layers))
-        if low:
-            layers = [[v - low for v in layer] for layer in layers]
-        missing = p - len(layers)
-        mass = sum(map(sum, layers)) - missing * low * q
-    width = _field_width(mass.bit_length() + (p == 2))
-    typecode = _FIELD_TYPECODES[width]
-    if p == 2:
-        typecode = typecode.lower()
-        bias = _bias_word(width, q)
-        return [_unpack(_binary_passes(_pack(w, typecode) ^ bias, width, m) ^ bias, typecode, q)]
-    pad = int.from_bytes((-low).to_bytes(width, "little") * q, "little") if low else 0
-    words = _odd_passes([_pack(layer, typecode) for layer in layers] + [pad] * missing, width, p, m)
-    out = [_unpack(word, typecode, q) for word in words]
-    return [[v + low * q for v in layer] for layer in out] if low else out
-
-
 def _character_fwht(values: Sequence[int], at: Iterable[int], p: int, m: int) -> list[list[int]]:
     """The transform F of N with N(at[x]) = zeta^(values[x]) for x < q, for
     values in [0, p) and ``at`` a permutation of range(q), as its p - 1

@@ -25,10 +25,25 @@ codewords.
 from __future__ import annotations
 
 import os
+from array import array
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import Field, FieldElement, IndexArith, _check_subfield, _fwht, make_field, subfield
+from .algebra import (
+    _FIELD_TYPECODES,
+    Field,
+    FieldElement,
+    IndexArith,
+    _bias_word,
+    _binary_passes,
+    _check_subfield,
+    _field_width,
+    _odd_passes,
+    _pack,
+    _unpack,
+    make_field,
+    subfield,
+)
 from .errors import EmptyLength, InvariantViolated, RaggedRows, TooLarge, ZeroCode
 
 DEFAULT_GUARD = 2 ** 22
@@ -407,9 +422,10 @@ class CompleteWeightEnumerator:
         return dict(sorted(out.items()))
 
 
-def _column_transform(code: LinearCode, guard: int | None) -> list[list[int]]:
-    """The p-ary FWHT of the column multiset N, over F_p^(sk) for the
-    alphabet F_Q, Q = p^s.
+def _column_transform(code: LinearCode, guard: int | None) -> list[int]:
+    """Layer 0 of the p-ary FWHT of the column multiset N, over F_p^(sk)
+    for the alphabet F_Q, Q = p^s; at p = 2 the one list W = layer 0 -
+    layer 1.
 
     A word x in F_Q^k has the index sum_i x_i Q^i, so its p-ary digits are
     the F_p-coordinates of its entries.  Column j and each y in F_Q^* with
@@ -417,21 +433,35 @@ def _column_transform(code: LinearCode, guard: int | None) -> list[list[int]]:
     to N at the functional x -> Tr_{Q/p}(y <x, g_j>), whose coordinates are
     the Gram contractions of the y g_ij.  Layer 0 of the result at x counts
     the pairs (j, y) with Tr(y <x, g_j>) = 0; at s = 1 the only y is 1.
-    At p = 2 the transform is the one list W = layer 0 - layer 1."""
+
+    N has total mass n r, which bounds every partial sum of the passes (and
+    |W|, which takes one more bit for the bias of ``_binary_passes``), so
+    the counts go straight into an array of fields of that width."""
     code._check_guard(guard)
     base = code.base
     p, q = base.p, base.q
     mul, dual = base.arith.mul, base.trace_dual_indices()
     reps = [y for t in range(base.m) for y in range(p ** t, 2 * p ** t)]
+    size, m = code.size(), base.m * code.k
+    width = _field_width((code.n * len(reps)).bit_length() + (p == 2))
+    typecode = _FIELD_TYPECODES[width]
+    if p == 2:
+        typecode = typecode.lower()
+    counts = array(typecode, [0]) * size
     rows = code.rows
-    counts = [0] * code.size()
     for col in zip(*rows) if rows else [()] * code.n:
         for y in reps:
             v = 0
             for g in reversed(col):
                 v = v * q + dual[mul(y, g)]
             counts[v] += 1
-    return _fwht([counts], p, base.m * code.k)
+    word = _pack(counts, typecode)
+    if p == 2:
+        bias = _bias_word(width, size)
+        word = _binary_passes(word ^ bias, width, m) ^ bias
+    else:
+        word = _odd_passes([word] + [0] * (p - 1), width, p, m)[0]
+    return _unpack(word, typecode, size)
 
 
 def weight_distribution(code: LinearCode, guard: int | None = None) -> WeightDistribution:
@@ -445,7 +475,7 @@ def weight_distribution(code: LinearCode, guard: int | None = None) -> WeightDis
     step = base.q // base.p
     r0 = (step - 1) // (base.p - 1)
     counts = {}
-    for value, c in Counter(_column_transform(code, guard)[0]).items():
+    for value, c in Counter(_column_transform(code, guard)).items():
         if base.p == 2:
             value, odd = divmod(n * (base.q - 1) + value, 2)
             if odd:

@@ -584,11 +584,12 @@ def pn_bounds_check(f: ParyFunction, guard: int | None = None) -> dict:
     """
     field = f.field
     p, m = field.p, field.m
+    code = first_generic(f, include_zero=False)
+    code._check_guard(guard)  # before the q^2 work of the planarity test
     if differential_uniformity(f) != 1:
         raise NotPN("the map is not planar")
     if not f(field.zero).is_zero():
         raise NotPN("the bounds assume f(0) = 0")
-    code = first_generic(f, include_zero=False)
     extension = from_rows(code.base, code.rows + ((1,) * code.n,))
     weights = weight_distribution(code, guard).nonzero_weights()
     ext_weights = weight_distribution(extension, guard).nonzero_weights()

@@ -18,6 +18,7 @@ requires one global sign, and reads the dual function off the exponents e.
 from __future__ import annotations
 
 import enum
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
@@ -26,10 +27,14 @@ from operator import mul, xor
 from typing import Callable, Sequence
 
 from .algebra import (
+    _FIELD_TYPECODES,
     CyclotomicInt,
     Field,
     FieldElement,
     _character_fwht,
+    _digit_word,
+    _field_width,
+    _pack,
     gauss_sum_power,
 )
 from .errors import (
@@ -50,13 +55,14 @@ class ParyFunction:
     ``indices`` holds the index of the value at each point and ``table``
     the same values as the field's interned elements.  ``_derived`` keeps
     what other modules compute from the table once per function, by key,
-    for as long as the function lives."""
+    for as long as the function lives.  Every table entry must be an
+    element of ``field`` itself, or the constructor raises ValueError."""
 
     __slots__ = ("field", "codomain_degree", "table", "indices", "_derived")
 
     def __init__(self, field: Field, table: Sequence[FieldElement], codomain_degree: int | None = None):
         table = tuple(table)
-        self._set(field, tuple(v.index for v in table), table, codomain_degree)
+        self._set(field, tuple(_own_index(field, v) for v in table), table, codomain_degree)
 
     @classmethod
     def from_indices(
@@ -541,16 +547,41 @@ def verify_dual_relation(f: ParyFunction, cls: BentClass) -> dict:
 
 
 def differential_uniformity(f: ParyFunction) -> int:
-    """max over a != 0, b of #{x : f(x+a) - f(x) = b}; 1 means PN, 2 APN."""
+    """max over a != 0, b of #{x : f(x+a) - f(x) = b}; 1 means PN, 2 APN.
+
+    At p = 2, where adding is XOR of indices, the rows run on one packed
+    word: field x of T holds f(x), and a walks the nonzero vectors in
+    Gray-code order, so each step reaches T_a, field x holding f(x + a),
+    from the previous T_a by swapping the blocks of the one digit j that
+    changed (one shift by the 2^j fields of a block, under the mask of the
+    fields whose digit j is 0).  Row a is the multiset of the fields of
+    T ^ T_a.  Its values come in pairs (x and x + a give the same one), so
+    q/2 distinct values mean a maximum of 2, and only the other rows are
+    counted.  Odd p adds and counts on index lists."""
     if f.codomain_degree != f.field.m:
         raise WrongCodomain("differential uniformity needs an F_q -> F_q map")
     field = f.field
-    add = field.arith.add
-    table = f.indices
-    negated = [field.arith.neg(v) for v in table]
-    xs = range(field.q)
-    best = 0
-    for a in xs[1:]:
-        shifted = [table[y] for y in map(add, xs, repeat(a))]
-        best = max(best, *Counter(map(add, shifted, negated)).values())
+    q, m, table = field.q, field.m, f.indices
+    if field.p != 2:
+        add = field.arith.add
+        negated = [field.arith.neg(v) for v in table]
+        xs = range(q)
+        best = 0
+        for a in xs[1:]:
+            shifted = [table[y] for y in map(add, xs, repeat(a))]
+            best = max(best, *Counter(map(add, shifted, negated)).values())
+        return best
+    width = _field_width(m)
+    typecode = _FIELD_TYPECODES[width]
+    steps = [(8 * width << j, _digit_word(b"\xff" * width, 2, 1 << j, q)) for j in range(m)]
+    word = shifted = _pack(table, typecode)
+    best = 2
+    for k in range(1, q):
+        t, mask = steps[(k & -k).bit_length() - 1]
+        shifted = ((shifted >> t) & mask) | ((shifted & mask) << t)
+        row = (word ^ shifted).to_bytes(q * width, "little")
+        if width > 1:  # native byte order permutes the values, not their counts
+            row = array(typecode, row).tolist()
+        if len(set(row)) != q >> 1:
+            best = max(best, *Counter(row).values())
     return best

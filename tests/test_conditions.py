@@ -49,6 +49,7 @@ from walshcodes.errors import (
     NotInDual,
     NotPN,
     OddCharacteristic,
+    TooLarge,
 )
 from walshcodes.functions import ParyFunction, classify_bent, parse_function, walsh_transform
 
@@ -637,6 +638,26 @@ def test_pn_bounds_f9_f25():
 def test_pn_rejects_non_planar():
     with pytest.raises(NotPN):
         pn_bounds_check(parse_function(F9, "x^3"))
+
+
+def test_pn_bounds_refuses_over_guard_before_planarity(monkeypatch):
+    """An over-guard request exits on the guard without the q^2 planarity
+    test; within the guard the planarity test still comes first."""
+    import walshcodes.conditions as cd
+
+    def refuse(f):
+        raise AssertionError("differential_uniformity ran on an over-guard request")
+
+    monkeypatch.setattr(cd, "differential_uniformity", refuse)
+    for field, spec in ((make_field(3, 4), "x^2"), (F25, "x^3"), (F25, "x^2+1")):
+        f = parse_function(field, spec).with_codomain(field.m)
+        with pytest.raises(TooLarge, match=f"^{field.p ** (2 * field.m)} codewords exceed the guard 100$"):
+            pn_bounds_check(f, guard=100)
+    monkeypatch.undo()
+    with pytest.raises(NotPN, match="not planar"):
+        pn_bounds_check(parse_function(F25, "x^3").with_codomain(2), guard=10 ** 6)
+    with pytest.raises(NotPN, match="f\\(0\\) = 0"):
+        pn_bounds_check(parse_function(F25, "x^2+1").with_codomain(2), guard=10 ** 6)
 
 
 # --- structural checks on the shifted/plain trace forms ---------------------------------

@@ -238,11 +238,17 @@ def test_spectrum_and_truth_table_take_only_their_own_elements():
     spectrum = walsh_transform(f)
     x = F16.elements[7]
     assert f(x) == f.table[7] and spectrum[x] == spectrum.coefficients[7]
+    assert ParyFunction(F16, f.table) == f
     for bad in (make_field(2, 3).elements[7], make_field(2, 5).one, 7, 0, True, None, "x"):
         with pytest.raises(ValueError):
             f(bad)
         with pytest.raises(ValueError):
             spectrum[bad]
+        # the constructor would otherwise read the index of any entry
+        with pytest.raises(ValueError):
+            ParyFunction(F16, f.table[:7] + (bad,) + f.table[8:])
+        with pytest.raises(ValueError):
+            ParyFunction(F16, [bad] * 16, 4)
 
 
 # --- differential uniformity -------------------------------------------------

@@ -21,7 +21,10 @@ import re
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from functools import lru_cache
+from itertools import repeat
+from math import gcd
 from operator import add, mul, sub
 from pathlib import Path
 
@@ -29,7 +32,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from walshcodes.algebra import CyclotomicInt, IndexArith, _fwht, gauss_sum_power, is_prime, make_field, trace
+from walshcodes.algebra import (
+    _FIELD_TYPECODES,
+    CyclotomicInt,
+    IndexArith,
+    _bias_word,
+    _binary_passes,
+    _field_width,
+    _odd_passes,
+    _pack,
+    _unpack,
+    gauss_sum_power,
+    is_prime,
+    make_field,
+    trace,
+)
 from walshcodes.errors import ExponentOverflow, InvariantViolated, ParseError, UndefinedSymbol
 from walshcodes.functions import (
     EXPONENT_CAP,
@@ -92,9 +109,9 @@ def walsh_list_route(f):
     fints = f.exponents()
     dual = field.trace_dual_indices()
     if p == 2:
-        (w,) = _fwht([[1 - 2 * v for v in fints]], 2, field.m)
+        (w,) = packed_fwht([[1 - 2 * v for v in fints]], 2, field.m)
         return (list(map(w.__getitem__, dual)),)
-    *layers, last = _fwht([[int(v == e) for v in fints] for e in range(p)], p, field.m)
+    *layers, last = packed_fwht([[int(v == e) for v in fints] for e in range(p)], p, field.m)
     return tuple([layer[u] - last[u] for u in dual] for layer in layers)
 
 
@@ -140,6 +157,43 @@ def binary_fwht_oracle(w, m):
         w[0::2] = map(add, lo, hi)
         w[1::2] = map(sub, lo, hi)
     return w
+
+
+def packed_fwht(layers, p, m):
+    """F(u) = sum over v of N(v) zeta^(-<v, u>) for every u in F_p^m, for
+    N(v) in Z[zeta_p] given as ``layers[e][v]``, through the packed passes.
+    At odd p fewer than p layers may be given, the missing ones being zero.
+
+    The result has p layers in the same layout; nothing is canonicalised, so
+    ``F[e][u]`` sums N over the v with -<v, u> = e, layer by layer.  The
+    tests run the passes through this list interface: the field width is
+    the fewest bytes that hold the input's total mass, the sum of every
+    |entry|, which bounds every partial sum, so no field carries.
+    Negative entries at odd p are shifted up by one constant first, which
+    adds that constant times q to every output; a missing layer is then
+    that constant in every field.  At p = 2, Z[zeta_2] = Z: ``layers`` is
+    the one integer list N, and one more bit goes into the width for the
+    bias of ``_binary_passes``."""
+    q = p ** m
+    if p == 2:
+        (w,) = layers
+        mass = sum(map(abs, w))
+    else:
+        low = min(0, *map(min, layers))
+        if low:
+            layers = [[v - low for v in layer] for layer in layers]
+        missing = p - len(layers)
+        mass = sum(map(sum, layers)) - missing * low * q
+    width = _field_width(mass.bit_length() + (p == 2))
+    typecode = _FIELD_TYPECODES[width]
+    if p == 2:
+        typecode = typecode.lower()
+        bias = _bias_word(width, q)
+        return [_unpack(_binary_passes(_pack(w, typecode) ^ bias, width, m) ^ bias, typecode, q)]
+    pad = int.from_bytes((-low).to_bytes(width, "little") * q, "little") if low else 0
+    words = _odd_passes([_pack(layer, typecode) for layer in layers] + [pad] * missing, width, p, m)
+    out = [_unpack(word, typecode, q) for word in words]
+    return [[v + low * q for v in layer] for layer in out] if low else out
 
 
 def classify_oracle(spectrum, gauss=gauss_sum_power):
@@ -563,7 +617,7 @@ def test_binary_fwht_is_the_difference_of_the_two_layer_transform(m):
     counts = [rng.randrange(5) for _ in range(q)]
     for values in (signs, counts):
         even, odd = fwht_oracle([values, [0] * q], 2, m)
-        assert _fwht([list(values)], 2, m) == [[a - b for a, b in zip(even, odd)]]
+        assert packed_fwht([list(values)], 2, m) == [[a - b for a, b in zip(even, odd)]]
 
 
 # at m = 1 a transform is about p^3 additions, so the large primes are left out
@@ -574,7 +628,7 @@ SIGNED_FIELDS = [(2, 1), (2, 4), (2, 9), (3, 1), (3, 4), (5, 2), (7, 2)]
 
 
 def _assert_kernel_matches_oracles(layers, p, m):
-    got = _fwht([list(layer) for layer in layers], p, m)
+    got = packed_fwht([list(layer) for layer in layers], p, m)
     if p == 2:
         (w,) = layers
         assert got == [binary_fwht_oracle(list(w), m)]
@@ -631,9 +685,9 @@ def test_packed_fwht_refuses_masses_past_eight_byte_fields():
     _assert_kernel_matches_oracles([[2 ** 63 - 1, 0]], 2, 1)
     _assert_kernel_matches_oracles([[2 ** 64 - 1, 0, 0], [0] * 3, [0] * 3], 3, 1)
     with pytest.raises(OverflowError):
-        _fwht([[2 ** 62, -(2 ** 62)]], 2, 1)
+        packed_fwht([[2 ** 62, -(2 ** 62)]], 2, 1)
     with pytest.raises(OverflowError):
-        _fwht([[2 ** 63, 2 ** 63, 0], [0] * 3, [0] * 3], 3, 1)
+        packed_fwht([[2 ** 63, 2 ** 63, 0], [0] * 3, [0] * 3], 3, 1)
 
 
 @pytest.mark.parametrize("pm", SIGNED_FIELDS, ids=_ids(SIGNED_FIELDS))
@@ -649,7 +703,7 @@ def test_packed_fwht_on_signed_and_zero_layers(pm):
         _assert_kernel_matches_oracles([[0] * q], p, m)
         _assert_kernel_matches_oracles([[rng.randint(-300, 300) for _ in range(q)]], p, m)
     else:
-        assert _fwht([[0] * q for _ in range(p)], p, m) == [[0] * q for _ in range(p)]
+        assert packed_fwht([[0] * q for _ in range(p)], p, m) == [[0] * q for _ in range(p)]
         _assert_kernel_matches_oracles([[rng.randint(-300, 300) for _ in range(q)] for _ in range(p)], p, m)
         _assert_kernel_matches_oracles([[-1] * q for _ in range(p)], p, m)
 
@@ -670,8 +724,8 @@ def test_fwht_of_fewer_layers_is_the_zero_padded_transform(pm):
         layers[0][rng.randrange(q)] = low
         for j in range(1, p + 1):
             padded = [list(layer) for layer in layers[:j]] + [[0] * q for _ in range(p - j)]
-            got = _fwht([list(layer) for layer in layers[:j]], p, m)
-            assert got == _fwht(padded, p, m) == fwht_oracle(padded, p, m)
+            got = packed_fwht([list(layer) for layer in layers[:j]], p, m)
+            assert got == packed_fwht(padded, p, m) == fwht_oracle(padded, p, m)
 
 
 @pytest.mark.parametrize("pm", SMALL, ids=_ids(SMALL))
@@ -1037,6 +1091,20 @@ def differential_uniformity_oracle(f):
     return best
 
 
+def differential_uniformity_index_oracle(f):
+    """The same maximum by index additions and one Counter per row a."""
+    field = f.field
+    add = field.arith.add
+    table = f.indices
+    negated = [field.arith.neg(v) for v in table]
+    xs = range(field.q)
+    best = 0
+    for a in xs[1:]:
+        shifted = [table[y] for y in map(add, xs, repeat(a))]
+        best = max(best, *Counter(map(add, shifted, negated)).values())
+    return best
+
+
 @pytest.mark.parametrize("pm", SMALL, ids=_ids(SMALL))
 def test_differential_uniformity_matches_element_loop(pm):
     field = make_field(*pm)
@@ -1046,6 +1114,52 @@ def test_differential_uniformity_matches_element_loop(pm):
     for table in tables:
         f = ParyFunction(field, table, field.m)
         assert differential_uniformity(f) == differential_uniformity_oracle(f)
+        assert differential_uniformity(f) == differential_uniformity_index_oracle(f)
+
+
+def _binary_cases(m):
+    """(name, value indices, known uniformity or None) over GF(2^m), where
+    adding is XOR of indices."""
+    q = 1 << m
+    rng = random.Random(100 + m)
+    images = [rng.randrange(q) for _ in range(m)]
+    linear = [0] * q
+    for x in range(1, q):
+        low = x & -x
+        linear[x] = linear[x ^ low] ^ images[low.bit_length() - 1]
+    c = rng.randrange(1, q)
+    cases = [(f"random {i}", [rng.randrange(q) for _ in range(q)], None) for i in range(3)]
+    cases += [
+        ("permutation", rng.sample(range(q), q), None),
+        ("random, f(0) = 0", [0] + [rng.randrange(q) for _ in range(q - 1)], None),
+        ("constant", [c] * q, q),
+        ("linear", linear, q),
+        ("affine", [v ^ c for v in linear], q),
+    ]
+    field = make_field(2, m)
+    powers = {"inverse": (q - 2, 4 if m % 2 == 0 else 2)}
+    for i in range(1, m):
+        if gcd(i, m) == 1:
+            powers[f"gold {i}"] = ((1 << i) + 1, 2)
+            powers[f"kasami {i}"] = ((1 << 2 * i) - (1 << i) + 1, 2)
+    for name, (e, uniformity) in powers.items():
+        cases.append((name, [(x ** e).index for x in field.elements], uniformity))
+    return cases
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_binary_differential_uniformity_matches_both_oracles(m):
+    """The packed Gray-code route at p = 2 against the index loop and the
+    FieldElement loop, with the values it must take where they are known;
+    at p = 2 every row's counts are even, so the maximum is too."""
+    field = make_field(2, m)
+    for name, table, uniformity in _binary_cases(m):
+        f = ParyFunction.from_indices(field, table, m)
+        got = differential_uniformity(f)
+        assert got == differential_uniformity_index_oracle(f) == differential_uniformity_oracle(f), name
+        assert got % 2 == 0, name
+        if uniformity is not None:
+            assert got == uniformity, name
 
 
 @pytest.mark.parametrize(
@@ -1130,24 +1244,23 @@ def test_invariants_raise_under_optimize():
 
         import walshcodes.codes as cs
 
-        good_fwht = cs._fwht
+        good_passes = cs._binary_passes
 
-        def zero_word_off_by_one(layers, p, m):
-            out = good_fwht(layers, p, m)
-            out[0][0] -= 1
-            return out
-
-        cs._fwht = zero_word_off_by_one
+        # the passes return biased fields, so field 0 of W drops by one ...
+        cs._binary_passes = lambda word, width, m: good_passes(word, width, m) - 1
         try:
             cs.weight_distribution(cs.full_code(make_field(2, 1), 3))
         except InvariantViolated as ex:
             print("weights:", ex)
-        cs._fwht = lambda layers, p, m: [[v + 1 for v in out] for out in good_fwht(layers, p, m)]
+        # ... and every field of W rises by one
+        cs._binary_passes = lambda word, width, m: good_passes(word, width, m) + int.from_bytes(
+            (1).to_bytes(width, "little") * (1 << m), "little"
+        )
         try:
             cs.weight_distribution(cs.full_code(make_field(2, 2), 2))
         except InvariantViolated as ex:
             print("remainder:", ex)
-        cs._fwht = good_fwht
+        cs._binary_passes = good_passes
         try:
             cs.CompleteWeightEnumerator({(1, 0): 1}, 2, 1)
         except InvariantViolated as ex:

@@ -166,6 +166,20 @@ def test_random_codes_match_enumeration_hypothesis(pm):
     check()
 
 
+@pytest.mark.parametrize(
+    "p,n", [(2, 127), (2, 128), (2, 32767), (2, 32768), (3, 255), (3, 256), (3, 65535), (3, 65536)]
+)
+def test_column_transform_on_both_sides_of_each_width_switch(p, n):
+    """The packed fields hold the total mass n r of the column counts (one
+    more bit at p = 2, for the sign of W).  A row of ones puts the mass
+    itself into a field (and -n r at p = 2), which a field one bit too
+    narrow would carry into its neighbour."""
+    field = make_field(p, 1)
+    rng = random.Random(n)
+    code = from_rows(field, [[1] * n, [rng.randrange(p) for _ in range(n)]])
+    assert weight_distribution(code).counts == Counter(n - w.count(0) for w in code.codewords())
+
+
 # -- the paper's codes, duals and hulls -----------------------------------------------
 
 
