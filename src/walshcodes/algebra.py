@@ -6,8 +6,9 @@ index = sum c_i p^i, so the zero element comes first and the constant
 coefficient is least significant.  All p^m elements are interned at
 construction in that order, and every code construction in this package
 indexes coordinates by it.  Arithmetic is :class:`IndexArith` on indices,
-one instance per field, shared by the element operators and the
-elimination kernel in :mod:`codes`.
+one instance per field, shared by the element operators, the codeword
+maps and the expansion of F_{p^s} rows into F_p rows that :mod:`codes`
+eliminates.
 
 Cyclotomic integers carry Walsh coefficients, Gauss sums and character
 values exactly; complex floats are a display-only view.
@@ -433,11 +434,7 @@ class IndexArith:
     the XOR of indices when p = 2 and go through Zech logarithms when p is
     odd: zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0, so that a + b =
     a * (1 + b/a) has log(a + b) = log(a) + zech[log(b) - log(a)] (Huber,
-    IEEE TIT 1990).  Every table has O(q) entries.
-
-    A row operation first turns the pivot row into a ``prepared`` list of
-    (column, value) pairs of its nonzero entries, the value being a log
-    over F_{p^m}, so that each row it updates costs one pass over them."""
+    IEEE TIT 1990).  Every table has O(q) entries."""
 
     __slots__ = ("p", "prime", "even", "n1", "exp", "log", "zech")
 
@@ -498,36 +495,6 @@ class IndexArith:
         exp, log, n1 = self.exp, self.log, self.n1
         la = log[a]
         return [exp[(la + log[x]) % n1] if x else 0 for x in row]
-
-    def prepare(self, row: Sequence[int]) -> list[tuple[int, int]]:
-        if self.prime:
-            return [(j, x) for j, x in enumerate(row) if x]
-        log = self.log
-        return [(j, log[x]) for j, x in enumerate(row) if x]
-
-    def axpy(self, row: list[int], f: int, prepared: list[tuple[int, int]]) -> None:
-        """row += f * (the prepared row), in place; f != 0."""
-        if self.prime:
-            p = self.p
-            for j, y in prepared:
-                row[j] = (row[j] + f * y) % p
-            return
-        exp, log, n1 = self.exp, self.log, self.n1
-        lf = log[f]
-        if self.even:
-            for j, ly in prepared:
-                row[j] ^= exp[(lf + ly) % n1]
-            return
-        zech = self.zech
-        for j, ly in prepared:
-            lc = (lf + ly) % n1
-            x = row[j]
-            if x:
-                lx = log[x]
-                z = zech[(lc - lx) % n1]
-                row[j] = exp[(lx + z) % n1] if z >= 0 else 0
-            else:
-                row[j] = exp[lc]
 
 
 def make_field(p: int, m: int, modulus: Sequence[int] | None = None) -> Field:

@@ -11,8 +11,17 @@ Duals come from nullspace computation rather than literal Gram-Schmidt;
 over finite fields self-orthogonal vectors break orthogonalization while
 the nullspace achieves the same O(n^3) bound in one elimination: reduced
 from the right, a matrix's kernel basis is already the RREF of the dual
-(see _nullspace), and the kernel of the Gram matrix mapped through an RREF
+(see _kernel), and the kernel of the Gram matrix mapped through an RREF
 generator is already the RREF of the hull.
+
+Every elimination is one kernel over the prime field, _reduce, on rows
+that are each one int with a fixed-width lane per coordinate, so that a
+row operation is a few whole-int operations: XOR at p = 2, an addition
+and one conditional subtraction of p per lane at odd p (see _Lanes).  A
+row over an alphabet F_{p^s}, s > 1, enters as F_p rows of s base-p
+digits per coordinate; the F_{p^s}-linear space they span has its F_p
+pivots in whole blocks of digits, so the F_p RREF yields the F_{p^s} one
+(see _digits).
 
 Hamming weights come from one p-ary fast Walsh-Hadamard transform of the
 multiset of generator columns, which counts the zero coordinates of every
@@ -26,14 +35,17 @@ from __future__ import annotations
 
 import os
 from array import array
+from bisect import insort
 from collections import Counter
+from functools import reduce
+from itertools import islice
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
     _FIELD_TYPECODES,
     Field,
     FieldElement,
-    IndexArith,
     _bias_word,
     _binary_passes,
     _check_subfield,
@@ -41,7 +53,6 @@ from .algebra import (
     _odd_passes,
     _pack,
     _unpack,
-    make_field,
     subfield,
 )
 from .errors import EmptyLength, InvariantViolated, RaggedRows, TooLarge, ZeroCode
@@ -57,12 +68,12 @@ def enumeration_guard(override: int | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# elimination on canonical element indices
+# elimination on packed rows over F_p
 # ---------------------------------------------------------------------------
 #
-# Matrices are lists of index lists, and the arithmetic on them is the
-# field's IndexArith (Field.arith).  Rows given at the edge become indices
-# once (_indices); rref and nullspace hand FieldElement rows back (_elements).
+# Rows given at the edge become index lists once (_indices), are packed at
+# the edge of the kernel and unpacked into index tuples; rref and nullspace
+# hand FieldElement rows back (_elements).
 
 
 def _index(x: FieldElement | int, field: Field) -> int:
@@ -83,57 +94,267 @@ def _elements(rows: Iterable[Sequence[int]], field: Field) -> list[tuple[FieldEl
     return [tuple(map(elements.__getitem__, row)) for row in rows]
 
 
-def _rref(mat: list[list[int]], ar: IndexArith) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form of an index matrix, in place; returns
-    (the nonzero rows, pivot columns)."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        for i in range(r, nrows):
-            if mat[i][c]:
-                break
-        else:
-            continue
-        mat[r], mat[i] = mat[i], mat[r]
-        if mat[r][c] != 1:
-            mat[r] = ar.scale(mat[r], ar.inv(mat[r][c]))
-        targets = [row for i, row in enumerate(mat) if row[c] and i != r]
-        if targets:
-            prepared = ar.prepare(mat[r])
-            for row in targets:
-                ar.axpy(row, ar.neg(row[c]), prepared)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat[:r], pivots
+class _Lanes:
+    """Rows of length n over F_p packed into ints: entry j of a row is lane
+    j, bits [j w, (j + 1) w) counted from the least significant end.
+
+    w is the narrowest packed-field width (8, 16, 32 or 64 bits) that holds
+    2p - 2 below its top bit, and every lane is kept reduced in [0, p).  A
+    sum of two rows then has lanes below 2p - 1, which carry into no
+    neighbour, and one conditional subtraction per lane reduces it: adding
+    2^(w-1) - p sets the top bit of exactly the lanes holding p or more, and
+    those top bits, shifted down to bit 0 of their lanes and times p, are
+    what to subtract.  At p = 2 the sum of two rows is their XOR."""
+
+    __slots__ = ("p", "n", "width", "bits", "ones", "top", "lift")
+
+    def __init__(self, p: int, n: int):
+        self.p, self.n = p, n
+        width = 1
+        while 2 * p - 2 >> 8 * width - 1:
+            width *= 2
+        self.width, self.bits = width, 8 * width
+        self.ones = self.top = self.lift = 0  # unused at p = 2
+        if p > 2:
+            self.top = _bias_word(width, n)
+            self.ones = self.top >> 8 * width - 1
+            self.lift = self.top - p * self.ones
+
+    def pack(self, rows: Iterable[Sequence[int]], order: str = "little") -> list[int]:
+        """Rows as words; with order "big", entry 0 in the most significant
+        lane, so that the lanes read the row from the right."""
+        if self.width == 1:
+            return [int.from_bytes(bytes(row), order) for row in rows]
+        if order == "big":
+            rows = (row[::-1] for row in rows)
+        return [_pack(row, _FIELD_TYPECODES[self.width]) for row in rows]
+
+    def unpack(self, words: Iterable[int], order: str = "little") -> list[tuple[int, ...]]:
+        """The inverse of pack."""
+        if self.width == 1:
+            return [tuple(word.to_bytes(self.n, order)) for word in words]
+        rows = [tuple(_unpack(word, _FIELD_TYPECODES[self.width], self.n)) for word in words]
+        return [row[::-1] for row in rows] if order == "big" else rows
+
+    def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
+        s = a + b
+        return s - ((s + self.lift & self.top) >> self.bits - 1) * self.p
+
+    def times(self, word: int, c: int) -> int:
+        """c * word for 0 < c < p, by doubling and adding."""
+        p, top, lift, down = self.p, self.top, self.lift, self.bits - 1
+        acc = None
+        while True:
+            if c & 1:
+                if acc is None:
+                    acc = word
+                else:
+                    acc += word
+                    acc -= ((acc + lift & top) >> down) * p
+            c >>= 1
+            if not c:
+                return acc
+            word += word
+            word -= ((word + lift & top) >> down) * p
+
+    def neg(self, word: int) -> int:
+        """-word: p - x in every lane, in which p becomes 0."""
+        if self.p == 2:
+            return word
+        s = self.p * self.ones - word
+        return s - ((s + self.lift & self.top) >> self.bits - 1) * self.p
 
 
-def _nullspace(mat: Sequence[Sequence[int]], ar: IndexArith, n: int) -> list[list[int]]:
-    """RREF basis of {v : mat @ v = 0} for rows of length n, one vector per
-    free column of the right-to-left elimination; mat is left as it is.
+def _reduce(words: Iterable[int], lanes: _Lanes) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form of rows packed by lanes; returns the nonzero
+    reduced rows and their pivot columns, in pivot order.
 
-    mat is reduced from the right: _rref of reversed copies of its rows, its
-    pivot c being column n - 1 - c.  Reduced row i then ends in a 1 at its pivot
-    p_i, and every other row is 0 there, so the vector of a free column f
-    is e_f - sum_i R[i][f] e_(p_i), and R[i][f] != 0 only for f < p_i: it
-    leads with the 1 at f, where every other vector is 0."""
-    red, pivots = _rref([list(reversed(row)) for row in mat], ar)
-    pivot_set = {n - 1 - c for c in pivots}
-    basis = []
-    for fc in range(n):
-        if fc in pivot_set:
-            continue
-        v = [0] * n
-        v[fc] = 1
-        for row, c in zip(red, pivots):
-            x = row[n - 1 - fc]
+    Each row in turn is cleared at the lanes of the pivot rows found so
+    far, in the order of their lanes; what is left, unless zero, is scaled
+    to 1 at its lowest nonzero lane (where its lowest set bit lies), the
+    next pivot.  A pivot row is then zero below its own lane and at the
+    lanes of the pivots found before it, so one pass from the last pivot
+    row back clears in each the lanes of the later pivots, whose rows are
+    final by then.  A pivot row that meets v in its lane subtracts v times
+    itself, which it builds once per v as (p - v) times itself; one built
+    before that pass changed the row differs from the final one by later
+    pivot rows, whose lanes the pass clears next, so it serves as well."""
+    w = lanes.bits
+    if lanes.p == 2:
+        pivots: list = []  # (bit offset of the pivot lane, row), by lane
+        for x in words:
+            for sh, row in pivots:
+                if x >> sh & 1:
+                    x ^= row
             if x:
-                v[n - 1 - c] = ar.neg(x)
-        basis.append(v)
-    return basis
+                insort(pivots, ((x & -x).bit_length() - 1, x))
+        for i in range(len(pivots) - 2, -1, -1):
+            sh, x = pivots[i]
+            for at, row in pivots[i + 1 :]:
+                if x >> at & 1:
+                    x ^= row
+            pivots[i] = sh, x
+        return [row for _, row in pivots], [sh // w for sh, _ in pivots]
+    p, mask, top, lift, down, times = lanes.p, (1 << w) - 1, lanes.top, lanes.lift, w - 1, lanes.times
+    pivots = []  # (bit offset, row, {v: (p - v) * row}), by lane
+
+    def clear(x, pivots):
+        for sh, row, multiples in pivots:
+            v = x >> sh & mask
+            if v:
+                m = multiples.get(v)
+                if m is None:
+                    m = multiples[v] = times(row, p - v)
+                x += m
+                x -= ((x + lift & top) >> down) * p
+        return x
+
+    for x in words:
+        x = clear(x, pivots)
+        if x:
+            low = (x & -x).bit_length() - 1
+            sh = low - low % w
+            lead = x >> sh & mask
+            if lead != 1:
+                x = times(x, pow(lead, -1, p))
+            insort(pivots, (sh, x, {}))
+    for i in range(len(pivots) - 2, -1, -1):
+        sh, x, multiples = pivots[i]
+        pivots[i] = sh, clear(x, pivots[i + 1 :]), multiples
+    return [row for _, row, _ in pivots], [sh // w for sh, _, _ in pivots]
+
+
+# -- alphabets F_{p^s}: s digits over F_p per coordinate --------------------
+#
+# Coordinate j of a row over F_{p^s} becomes columns j s + t, t < s, its
+# base-p digits: its coordinates over the power basis x^t (index p^t).  An
+# F_{p^s}-linear space V then has its F_p pivots in whole blocks: the words
+# of V that vanish before coordinate j form an F_{p^s}-space, whose
+# coordinates j make up 0 or all of F_{p^s}, so that every digit of block j
+# or none of them leads a row of the F_p RREF.  The F_p RREF row leading at
+# digit 0 of block j is then 1 in block j and 0 in every other pivot block:
+# it is the F_{p^s} RREF row with pivot j.
+
+
+def _digits(row: Sequence[int], p: int, s: int) -> Sequence[int]:
+    """The s base-p digits of each entry, digit t of entry j at j s + t."""
+    if s == 1:
+        return row
+    out = [0] * (len(row) * s)
+    for t in range(s):
+        pt = p ** t
+        out[t::s] = [x // pt % p for x in row]
+    return out
+
+
+def _join(digits: Sequence[int], p: int, s: int) -> tuple[int, ...]:
+    """The entries whose digits _digits lays out, by Horner."""
+    if s == 1:
+        return tuple(digits)
+    word = digits[s - 1 :: s]
+    for t in range(s - 2, -1, -1):
+        word = [w * p + c for w, c in zip(word, digits[t::s])]
+    return tuple(word)
+
+
+def _expand(rows: Sequence[Sequence[int]], field: Field) -> Sequence[Sequence[int]]:
+    """F_p rows whose F_p-span is the F_{p^s}-span of rows over field =
+    F_{p^s}, in digits: x^d r for each row r and d < s, in that order."""
+    p, s = field.p, field.m
+    if s == 1:
+        return rows
+    scale = field.arith.scale
+    return [_digits(scale(r, p ** d), p, s) for r in rows for d in range(s)]
+
+
+def _constraints(checks: Sequence[Sequence[int]], field: Field, theta: Sequence[int]) -> Sequence[Sequence[int]]:
+    """F_p rows whose kernel in F_p^(n s) is the set of c in F^n with
+    sum_j h_j c_j = 0 for every check h over field = F_{p^m}, where
+    c_j = sum_t c_jt theta_t sits at columns j s + t, for s = len(theta)
+    indices theta_t of field: coordinate e < m of sum_j h_j c_j reads
+    digit e of each h_j theta_t."""
+    p = field.p
+    if field.m == 1:
+        return checks
+    scale = field.arith.scale
+    out = []
+    for h in checks:
+        prods = [x for xs in zip(*(scale(h, t) for t in theta)) for x in xs]
+        for e in range(field.m):
+            pe = p ** e
+            out.append([x // pe % p for x in prods])
+    return out
+
+
+# -- the kernels built on _reduce -------------------------------------------
+
+
+def _rref(mat: Sequence[Sequence[int]], field: Field) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Reduced row echelon form of an index matrix over field; returns (the
+    nonzero rows, pivot columns).  Over F_{p^s}, s > 1, the rows of the F_p
+    RREF of _expand(mat) that lead at digit 0 of a block."""
+    p, s = field.p, field.m
+    lanes = _Lanes(p, (len(mat[0]) if mat else 0) * s)
+    rows, pivots = _reduce(lanes.pack(_expand(mat, field)), lanes)
+    if s == 1:
+        return lanes.unpack(rows), pivots
+    leads = [(row, c // s) for row, c in zip(lanes.unpack(rows), pivots) if c % s == 0]
+    return [_join(row, p, s) for row, _ in leads], [c for _, c in leads]
+
+
+def _from_right(rows: Sequence[Sequence[int]], p: int, n: int) -> tuple[list[int], list[int]]:
+    """_reduce of the rows of length n over F_p read from the right: pivot
+    c is column n - 1 - c."""
+    lanes = _Lanes(p, n)
+    return _reduce(lanes.pack(rows, "big"), lanes)
+
+
+def _reduced_checks(mat: Sequence[Sequence[int]], field: Field, n: int) -> tuple[list[int], list[int]]:
+    """The one elimination of _nullspace: _from_right of the F_p constraints
+    of mat over the power basis of field (mat itself over F_p)."""
+    theta = [field.p ** t for t in range(field.m)]
+    return _from_right(_constraints(mat, field, theta), field.p, n * field.m)
+
+
+def _kernel(reduced: tuple[list[int], list[int]], field: Field, n: int) -> list[tuple[int, ...]]:
+    """RREF basis over field = F_{p^s} of the solutions c in F^n of F_p
+    constraints on their n s digits, given as reduced by _from_right.
+
+    Reduced row i ends in a 1 at its pivot P_i, and every other row is 0
+    there, so the vector of a free column f is e_f - sum_i R[i][f] e_(P_i),
+    and R[i][f] != 0 only for f < P_i: the vectors are the RREF of the
+    kernel, each leading with the 1 at its free column.  They are built
+    column by column, a free column being a unit column and pivot column
+    P_i being -R[i] at the free columns, and one transpose gives the rows.
+    Over F_{p^s} the vectors that lead at digit 0 of a block are the
+    F_{p^s} RREF (see _digits)."""
+    rows, pivots = reduced
+    p, s = field.p, field.m
+    width = n * s
+    free = sorted(set(range(width)).difference([width - 1 - c for c in pivots]))
+    nf = len(free)
+    if not nf:
+        return []
+    lanes = _Lanes(p, width)
+    eye = (0,) * (nf - 1) + (1,) + (0,) * (nf - 1)
+    cols: list = [None] * width
+    for a, f in enumerate(free):
+        cols[f] = islice(eye, nf - 1 - a, None)  # unit column a, no copy
+    at_free = itemgetter(*free)
+    for row, c in zip(lanes.unpack(map(lanes.neg, rows), "big"), pivots):
+        col = at_free(row)
+        cols[width - 1 - c] = col if nf > 1 else (col,)
+    if s == 1:
+        return list(zip(*cols))
+    return [_join(v, p, s) for v, f in zip(zip(*cols), free) if f % s == 0]
+
+
+def _nullspace(mat: Sequence[Sequence[int]], field: Field, n: int) -> list[tuple[int, ...]]:
+    """RREF basis of {v : mat @ v = 0} for rows of length n, in one
+    elimination from the right (see _kernel); mat is left as it is."""
+    return _kernel(_reduced_checks(mat, field, n), field, n)
 
 
 def _width(mat: list[list[int]], n: int | None = None) -> int | None:
@@ -162,7 +383,7 @@ def _matrix_of(
 
 def rref(rows: Sequence[Sequence[FieldElement | int]], field: Field):
     """Reduced row echelon form; returns (FieldElement rows, pivot_columns)."""
-    red, pivots = _rref(_matrix_of(rows, field), field.arith)
+    red, pivots = _rref(_matrix_of(rows, field), field)
     return _elements(red, field), pivots
 
 
@@ -172,12 +393,12 @@ def nullspace(rows: Sequence[Sequence[FieldElement | int]], field: Field, n: int
 
     The rows are reduced from the right, so the basis has one vector per
     free column of that elimination, which leads with a 1 at its free
-    column, where every other vector is 0 (see _nullspace)."""
-    return _elements(_nullspace(_matrix_of(rows, field, n), field.arith, n), field)
+    column, where every other vector is 0 (see _kernel)."""
+    return _elements(_nullspace(_matrix_of(rows, field, n), field, n), field)
 
 
 def matrix_rank(rows: Sequence[Sequence[FieldElement | int]], field: Field) -> int:
-    return len(_rref(_matrix_of(rows, field), field.arith)[0])
+    return len(_rref(_matrix_of(rows, field), field)[0])
 
 
 class LinearCode:
@@ -248,13 +469,7 @@ class LinearCode:
     def contains(self, word: Sequence[FieldElement | int]) -> bool:
         if len(word) != self.n:
             return False
-        mat = _matrix(self) + _indices([word], self.base)
-        return len(_rref(mat, self.base.arith)[0]) == self.k
-
-
-def _matrix(code: LinearCode) -> list[list[int]]:
-    """A copy of the code's rows for the in-place kernel."""
-    return [list(row) for row in code.rows]
+        return len(_rref(self.rows + tuple(_indices([word], self.base)), self.base)[0]) == self.k
 
 
 def from_rows(
@@ -274,7 +489,7 @@ def _from_indices(
     n = _width(mat, n)
     if n is None or n <= 0:
         raise EmptyLength("a code needs positive length")
-    return LinearCode(base, n, _rref(mat, base.arith)[0], provenance)
+    return LinearCode(base, n, _rref(mat, base)[0], provenance)
 
 
 def zero_code(base: Field, n: int) -> LinearCode:
@@ -289,67 +504,71 @@ def full_code(base: Field, n: int) -> LinearCode:
 
 def dual(code: LinearCode) -> LinearCode:
     """Nullspace of the generator as an [n, n-k] code."""
-    return LinearCode(code.base, code.n, _nullspace(code.rows, code.base.arith, code.n), provenance="dual")
+    return LinearCode(code.base, code.n, _nullspace(code.rows, code.base, code.n), provenance="dual")
 
 
 def sum_code(a: LinearCode, b: LinearCode) -> LinearCode:
     _check_same_space(a, b)
-    return LinearCode(a.base, a.n, _rref(_matrix(a) + _matrix(b), a.base.arith)[0])
+    return LinearCode(a.base, a.n, _rref(a.rows + b.rows, a.base)[0])
 
 
 def intersect(a: LinearCode, b: LinearCode) -> LinearCode:
     """A cap B = (A^perp + B^perp)^perp."""
     _check_same_space(a, b)
     base, n = a.base, a.n
-    ar = base.arith
-    perps = _nullspace(a.rows, ar, n) + _nullspace(b.rows, ar, n)
-    return LinearCode(base, n, _nullspace(perps, ar, n), provenance="dual")
+    perps = _nullspace(a.rows, base, n) + _nullspace(b.rows, base, n)
+    return LinearCode(base, n, _nullspace(perps, base, n), provenance="dual")
 
 
-def _pairing(rows: list[list[int]], cols: list[list[int]], ar: IndexArith) -> list[list[int]]:
+def _pairing(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], field: Field) -> list[list[int]]:
     """The matrix of inner products <u, v> for u in rows (down) and v in cols
-    (across): row u is the sum over positions j of u_j times column j."""
-    columns = [ar.prepare(col) for col in zip(*cols)]
-    out = []
-    for u in rows:
-        row = [0] * len(cols)
-        for x, col in zip(u, columns):
-            if x:
-                ar.axpy(row, x, col)
-        out.append(row)
-    return out
+    (across); at p = 2, the parity of the bits of u AND v packed."""
+    if field.p == 2 and field.m == 1:
+        lanes = _Lanes(2, len(cols[0]) if cols else 0)
+        packed = lanes.pack(cols)
+        return [[(u & v).bit_count() & 1 for v in packed] for u in lanes.pack(rows)]
+    if field.m == 1:
+        p = field.p
+        return [[sum(map(mul, u, v)) % p for v in cols] for u in rows]
+    ar = field.arith
+    return [[reduce(ar.add, map(ar.mul, u, v), 0) for v in cols] for u in rows]
 
 
-def _orthogonal_span(checks: list[list[int]], gens: list[list[int]], ar: IndexArith, n: int) -> list[list[int]]:
+def _orthogonal_span(
+    checks: Sequence[Sequence[int]], gens: Sequence[Sequence[int]], field: Field, n: int
+) -> list[tuple[int, ...]]:
     """The words x G of the span of the rows of G = gens that are orthogonal
-    to every row of checks: x runs over the kernel of <checks, gens>.
+    to every row of checks: x runs over the kernel of <checks, gens>, and
+    x G is a sum of packed rows over F_p (over F_{p^s}, of the rows of
+    _expand(G), with the digits of x as coefficients).
 
-    That kernel basis X is in RREF (see _nullspace), so when G is too, with
+    That kernel basis X is in RREF (see _kernel), so when G is too, with
     pivots P, the word of the row of X that leads at f leads at P_f and is
     0 at every other P_f': the words are the RREF of their span."""
-    rows = [ar.prepare(g) for g in gens]
+    p, s = field.p, field.m
+    lanes = _Lanes(p, n * s)
+    rows = lanes.pack(_expand(gens, field))
     words = []
-    for x in _nullspace(_pairing(checks, gens, ar), ar, len(gens)):
-        word = [0] * n
-        for xi, row in zip(x, rows):
-            if xi:
-                ar.axpy(word, xi, row)
+    for x in _nullspace(_pairing(checks, gens, field), field, len(gens)):
+        word = 0
+        for c, row in zip(_digits(x, p, s), rows):
+            if c:
+                word = lanes.add(word, lanes.times(row, c))
         words.append(word)
-    return words
+    return [_join(word, p, s) for word in lanes.unpack(words)]
 
 
 def hull(code: LinearCode) -> LinearCode:
     """C cap C^perp = {x G : G G^T x^T = 0}: the kernel of the k x k Gram
     matrix mapped through G, already in RREF since G is."""
-    base, g = code.base, code.rows
-    return LinearCode(base, code.n, _orthogonal_span(g, g, base.arith, code.n), "hull")
+    return LinearCode(code.base, code.n, _orthogonal_span(code.rows, code.rows, code.base, code.n), "hull")
 
 
 def hull_dim(code: LinearCode) -> int:
     """k - rank(G G^T), since the rows of G are independent; zero exactly for
     LCD codes (Massey 1992)."""
-    ar, g = code.base.arith, code.rows
-    return code.k - len(_rref(_pairing(g, g, ar), ar)[0])
+    g = code.rows
+    return code.k - len(_rref(_pairing(g, g, code.base), code.base)[0])
 
 
 def is_lcd(code: LinearCode) -> bool:
@@ -530,23 +749,10 @@ def restrict_to_subfield(code: LinearCode, s: int) -> LinearCode:
         return code
     sub, embed, _ = subfield(big, s)
     theta = [embed[b].index for b in sub.power_basis()]
-    p, n = big.p, code.n
-    ar = big.arith
-    expanded = []
-    for row in _nullspace(code.rows, ar, n):
-        # h_i * theta^t at column i*s + t; constraint tau reads coefficient tau
-        prods = [x for hs in zip(*(ar.scale(row, t) for t in theta)) for x in hs]
-        expanded.extend(map(list, zip(*(big.elements[x].coeffs for x in prods))))
-    solution = _nullspace(expanded, make_field(p, 1).arith, n * s)
-    # c_i as a subfield element has the index sum_t c_it p^t, by Horner
-    words = []
-    for v in solution:
-        word = v[s - 1 :: s]
-        for t in range(s - 2, -1, -1):
-            word = [w * p + c for w, c in zip(word, v[t::s])]
-        words.append(word)
+    checks = _constraints(_nullspace(code.rows, big, code.n), big, theta)
+    solutions = _kernel(_from_right(checks, big.p, code.n * s), sub, code.n)
     tag = "prime-restriction" if s == 1 else "subfield-restriction"
-    return LinearCode(sub, n, _rref(words, sub.arith)[0], provenance=tag)
+    return LinearCode(sub, code.n, solutions, provenance=tag)
 
 
 def restrict_to_prime_subfield(code: LinearCode) -> LinearCode:

@@ -586,7 +586,7 @@ def pn_bounds_check(f: ParyFunction, guard: int | None = None) -> dict:
     p, m = field.p, field.m
     code = first_generic(f, include_zero=False)
     code._check_guard(guard)  # before the q^2 work of the planarity test
-    if differential_uniformity(f) != 1:
+    if differential_uniformity(f, guard) != 1:
         raise NotPN("the map is not planar")
     if not f(field.zero).is_zero():
         raise NotPN("the bounds assume f(0) = 0")

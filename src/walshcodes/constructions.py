@@ -12,7 +12,17 @@ from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 from .algebra import Field, FieldElement, _check_subfield, subfield
-from .codes import LinearCode, _elements, _from_indices, _nullspace, _orthogonal_span, _pairing, _rref
+from .codes import (
+    LinearCode,
+    _elements,
+    _from_indices,
+    _kernel,
+    _nullspace,
+    _orthogonal_span,
+    _pairing,
+    _reduced_checks,
+    _rref,
+)
 from .errors import (
     AlphaZero,
     BadAlpha,
@@ -93,12 +103,12 @@ def _coordinate_rows(ctx: Field, s: int, indices: Sequence[int]) -> list[list[in
     d (across)."""
     table, size = ctx.coordinate_table(s), ctx.p ** s
     packed = [table[v] for v in indices]
-    return [[v // size ** j % size for v in packed] for j in range(ctx.m // s)]
+    return [[v // unit % size for v in packed] for unit in (size ** j for j in range(ctx.m // s))]
 
 
 def _span(ctx: Field, s: int, indices: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     """RREF rows and pivot columns of the coordinate matrix over F_{p^s}."""
-    return _rref(_coordinate_rows(ctx, s, indices), subfield(ctx, s)[0].arith)
+    return _rref(_coordinate_rows(ctx, s, indices), subfield(ctx, s)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +171,14 @@ def dual_first_closed_form(f: ParyFunction, include_zero: bool = True) -> Linear
     coords = _first_coordinates(f, include_zero)
     prime = subfield(f.field, 1)[0]
     n = len(coords[0])
-    return LinearCode(prime, n, _nullspace(coords, prime.arith, n), "closed-form-dual")
+    return LinearCode(prime, n, _nullspace(coords, prime, n), "closed-form-dual")
 
 
 def first_hull_map_matrix(f: ParyFunction, include_zero: bool = True):
     """Matrix over F_p of (a, b) -> (sum_i c_i x_i, sum_i c_i f(x_i)) with
     c = the codeword of (a, b); the hull of the function code is the kernel."""
     prime = subfield(f.field, 1)[0]
-    rows = _pairing(_first_coordinates(f, include_zero), _first_traces(f, include_zero), prime.arith)
+    rows = _pairing(_first_coordinates(f, include_zero), _first_traces(f, include_zero), prime)
     return _elements(rows, prime), prime
 
 
@@ -178,7 +188,7 @@ def hull_first_kernel(f: ParyFunction, include_zero: bool = True) -> LinearCode:
     prime = subfield(f.field, 1)[0]
     traces = _first_traces(f, include_zero)
     n = len(traces[0])
-    words = _orthogonal_span(_first_coordinates(f, include_zero), traces, prime.arith, n)
+    words = _orthogonal_span(_first_coordinates(f, include_zero), traces, prime, n)
     return _from_indices(prime, words, n, "hull-kernel")
 
 
@@ -205,15 +215,16 @@ def dual_second_closed_form(ds: DefiningSet) -> LinearCode:
 
     x -> x^(p^s) is F_{p^s}-linear and bijective, so every Frobenius power
     (d_i^(p^(s j))) has the same solutions, and its coordinate matrix the
-    same RREF; InvariantViolated is raised where it does not."""
+    same reduction from the right, the one elimination of the nullspace;
+    InvariantViolated is raised where it does not."""
     ctx, s = ds.field, ds.base_degree
-    indices = ds.indices()
-    red, _ = _span(ctx, s, indices)
+    sub, indices, n = subfield(ctx, s)[0], ds.indices(), len(ds)
+    reduced = _reduced_checks(_coordinate_rows(ctx, s, indices), sub, n)
     for j in range(1, ctx.m // s):
-        if _span(ctx, s, ctx.power_indices(indices, ctx.p ** (s * j)))[0] != red:
+        power = ctx.power_indices(indices, ctx.p ** (s * j))
+        if _reduced_checks(_coordinate_rows(ctx, s, power), sub, n) != reduced:
             raise InvariantViolated(f"the dual from Frobenius power {j} of the defining row differs")
-    sub = subfield(ctx, s)[0]
-    return LinearCode(sub, len(ds), _nullspace(red, sub.arith, len(ds)), "closed-form-dual")
+    return LinearCode(sub, n, _kernel(reduced, sub, n), "closed-form-dual")
 
 
 def dimension_via_span(ds: DefiningSet) -> int:
@@ -260,7 +271,7 @@ def second_hull_map_matrix(ds: DefiningSet):
     kernel mapped through the codeword map.  Returns (rows, alphabet)."""
     ctx, s = ds.field, ds.base_degree
     sub, indices = subfield(ctx, s)[0], ds.indices()
-    rows = _pairing(_coordinate_rows(ctx, s, indices), _trace_rows(ctx, s, indices), sub.arith)
+    rows = _pairing(_coordinate_rows(ctx, s, indices), _trace_rows(ctx, s, indices), sub)
     return _elements(rows, sub), sub
 
 
@@ -270,7 +281,7 @@ def hull_second_kernel(ds: DefiningSet) -> LinearCode:
     ctx, s = ds.field, ds.base_degree
     sub, indices = subfield(ctx, s)[0], ds.indices()
     checks, traces = _coordinate_rows(ctx, s, indices), _trace_rows(ctx, s, indices)
-    return _from_indices(sub, _orthogonal_span(checks, traces, sub.arith, len(ds)), len(ds), "hull-kernel")
+    return _from_indices(sub, _orthogonal_span(checks, traces, sub, len(ds)), len(ds), "hull-kernel")
 
 
 # ---------------------------------------------------------------------------

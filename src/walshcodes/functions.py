@@ -37,11 +37,13 @@ from .algebra import (
     _pack,
     gauss_sum_power,
 )
+from .codes import enumeration_guard
 from .errors import (
     ExponentOverflow,
     InvariantViolated,
     NotWeaklyRegular,
     ParseError,
+    TooLarge,
     UndefinedSymbol,
     WrongCodomain,
 )
@@ -546,7 +548,7 @@ def verify_dual_relation(f: ParyFunction, cls: BentClass) -> dict:
     return {"per_point": per_point, "all_pass": all(per_point)}
 
 
-def differential_uniformity(f: ParyFunction) -> int:
+def differential_uniformity(f: ParyFunction, guard: int | None = None) -> int:
     """max over a != 0, b of #{x : f(x+a) - f(x) = b}; 1 means PN, 2 APN.
 
     At p = 2, where adding is XOR of indices, the rows run on one packed
@@ -557,12 +559,17 @@ def differential_uniformity(f: ParyFunction) -> int:
     fields whose digit j is 0).  Row a is the multiset of the fields of
     T ^ T_a.  Its values come in pairs (x and x + a give the same one), so
     q/2 distinct values mean a maximum of 2, and only the other rows are
-    counted.  Odd p adds and counts on index lists."""
+    counted.  Odd p adds and counts on index lists, q^2 additions, and
+    raises TooLarge before it starts when q^2 exceeds the guard (see
+    codes.enumeration_guard)."""
     if f.codomain_degree != f.field.m:
         raise WrongCodomain("differential uniformity needs an F_q -> F_q map")
     field = f.field
     q, m, table = field.q, field.m, f.indices
     if field.p != 2:
+        cap = enumeration_guard(guard)
+        if q * q > cap:
+            raise TooLarge(f"{q * q} additions exceed the guard {cap}")
         add = field.arith.add
         negated = [field.arith.neg(v) for v in table]
         xs = range(q)

@@ -645,7 +645,7 @@ def test_pn_bounds_refuses_over_guard_before_planarity(monkeypatch):
     test; within the guard the planarity test still comes first."""
     import walshcodes.conditions as cd
 
-    def refuse(f):
+    def refuse(f, guard=None):
         raise AssertionError("differential_uniformity ran on an over-guard request")
 
     monkeypatch.setattr(cd, "differential_uniformity", refuse)

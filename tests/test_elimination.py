@@ -1,18 +1,20 @@
-"""Differential tests of the integer-index elimination kernel.
+"""Differential tests of the elimination kernel on packed F_p rows.
 
-The FieldElement `rref` that the kernel replaced lives here, unchanged, as
-the oracle: the kernel must return the same rows and pivots.  Duals,
-nullspaces, hulls and scalar restrictions are checked against it and
-against the identities they must satisfy.
+Two oracles stand beside it.  The FieldElement `rref` that the index
+kernels replaced lives here, unchanged, as `rref_oracle`, and
+`dual_oracle` is the two-elimination dual: a left-to-right RREF, one
+kernel vector per free column, and a second RREF of that basis.  The list
+kernel that the packed one replaced lives here too (`list_rref`, with the
+`prepare`/`axpy` row operations that `IndexArith` used to provide, and the
+`list_*` kernels built on it): it reduced index lists entry by entry over
+every alphabet, F_{p^s} included, with no expansion into F_p rows.  The
+packed kernel must return the same rows and pivots as both, on every
+field up to q = 27 and on prime fields on each side of every lane-width
+switch.
 
-`dual_oracle` is the two-elimination dual the kernel replaced: a left-to-
-right RREF, one kernel vector per free column, and a second RREF of that
-basis.  The kernel reduces once, from the right, and its nullspace basis,
-duals and hulls must equal the oracle's RREF row for row.
-
-The FieldElement operators that `rref_oracle` uses now run on the same
-index tables as the kernel (`Field.arith`), so the oracle's independence
-rests on tests/test_spectra_tables.py, which checks every operator against
+The FieldElement operators that `rref_oracle` uses run on the same index
+tables as `IndexArith`, so the oracles' independence rests on
+tests/test_spectra_tables.py, which checks every operator against
 coefficient arithmetic.
 """
 
@@ -31,6 +33,7 @@ import walshcodes.codes as codes_module
 from walshcodes.algebra import is_prime, make_field, subfield
 from walshcodes.codes import (
     LinearCode,
+    _Lanes,
     dual,
     from_rows,
     hull,
@@ -121,6 +124,131 @@ def dual_oracle(rows, field, n):
             v[pc] = -row[fc]
         basis.append(v)
     return rref_oracle(basis, field)[0]
+
+
+# -- the list kernel ---------------------------------------------------------
+
+
+def prepare(ar, row):
+    """The pivot row as (column, value) pairs of its nonzero entries, the
+    value a log over F_{p^m}."""
+    if ar.prime:
+        return [(j, x) for j, x in enumerate(row) if x]
+    return [(j, ar.log[x]) for j, x in enumerate(row) if x]
+
+
+def axpy(ar, row, f, prepared):
+    """row += f * (the prepared row), in place; f != 0."""
+    if ar.prime:
+        for j, y in prepared:
+            row[j] = (row[j] + f * y) % ar.p
+        return
+    exp, log, n1 = ar.exp, ar.log, ar.n1
+    lf = log[f]
+    if ar.even:
+        for j, ly in prepared:
+            row[j] ^= exp[(lf + ly) % n1]
+        return
+    for j, ly in prepared:
+        lc = (lf + ly) % n1
+        x = row[j]
+        if x:
+            z = ar.zech[(lc - log[x]) % n1]
+            row[j] = exp[(log[x] + z) % n1] if z >= 0 else 0
+        else:
+            row[j] = exp[lc]
+
+
+def list_rref(mat, ar):
+    """Reduced row echelon form of an index matrix, in place; returns (the
+    nonzero rows, pivot columns)."""
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        for i in range(r, nrows):
+            if mat[i][c]:
+                break
+        else:
+            continue
+        mat[r], mat[i] = mat[i], mat[r]
+        if mat[r][c] != 1:
+            mat[r] = ar.scale(mat[r], ar.inv(mat[r][c]))
+        targets = [row for i, row in enumerate(mat) if row[c] and i != r]
+        if targets:
+            prepared = prepare(ar, mat[r])
+            for row in targets:
+                axpy(ar, row, ar.neg(row[c]), prepared)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return mat[:r], pivots
+
+
+def list_nullspace(mat, ar, n):
+    """RREF basis of {v : mat @ v = 0}: list_rref from the right, one vector
+    per free column."""
+    red, pivots = list_rref([list(reversed(row)) for row in mat], ar)
+    pivot_set = {n - 1 - c for c in pivots}
+    basis = []
+    for fc in range(n):
+        if fc in pivot_set:
+            continue
+        v = [0] * n
+        v[fc] = 1
+        for row, c in zip(red, pivots):
+            x = row[n - 1 - fc]
+            if x:
+                v[n - 1 - c] = ar.neg(x)
+        basis.append(v)
+    return basis
+
+
+def list_pairing(rows, cols, ar):
+    columns = [prepare(ar, col) for col in zip(*cols)]
+    out = []
+    for u in rows:
+        row = [0] * len(cols)
+        for x, col in zip(u, columns):
+            if x:
+                axpy(ar, row, x, col)
+        out.append(row)
+    return out
+
+
+def list_hull(gens, ar, n):
+    """The kernel of the Gram matrix mapped through gens."""
+    rows = [prepare(ar, g) for g in gens]
+    words = []
+    for x in list_nullspace(list_pairing(gens, gens, ar), ar, len(gens)):
+        word = [0] * n
+        for xi, row in zip(x, rows):
+            if xi:
+                axpy(ar, word, xi, row)
+        words.append(word)
+    return words
+
+
+def list_restrict(code, s):
+    """The F_{p^s} RREF of V cap F_{p^s}^n: the m F_p constraints of each
+    parity check on the n s unknowns c_it, solved, joined and reduced."""
+    big = code.base
+    sub, embed, _ = subfield(big, s)
+    theta = [embed[b].index for b in sub.power_basis()]
+    p, n, ar = big.p, code.n, big.arith
+    expanded = []
+    for row in list_nullspace([list(r) for r in code.rows], ar, n):
+        prods = [x for hs in zip(*(ar.scale(row, t) for t in theta)) for x in hs]
+        expanded.extend(map(list, zip(*(big.elements[x].coeffs for x in prods))))
+    words = []
+    for v in list_nullspace(expanded, make_field(p, 1).arith, n * s):
+        word = v[s - 1 :: s]
+        for t in range(s - 2, -1, -1):
+            word = [w * p + c for w, c in zip(word, v[t::s])]
+        words.append(word)
+    return list_rref(words, sub.arith)[0]
 
 
 def dot(u, v, field):
@@ -242,6 +370,121 @@ def test_rref_matches_oracle_hypothesis(pm):
     check()
 
 
+# -- the packed kernel against the list kernel ----------------------------------
+
+# every field up to q = 27, and prime fields on both sides of each lane width:
+# 61 is the last with 8-bit lanes, 251 and 16381 (the last) take 16 bits,
+# 65521 takes 32
+LANE_SWITCHES = [(61, 1), (251, 1), (16381, 1), (65521, 1)]
+ORACLE = SMALL + LANE_SWITCHES
+
+
+def test_lanes_are_the_narrowest_width_that_holds_2p_minus_2_below_the_top_bit():
+    primes = (2, 3, 61, 67, 251, 16381, 16411, 65521)
+    assert [_Lanes(p, 1).bits for p in primes] == [8, 8, 8, 16, 16, 16, 32, 32]
+
+
+def _combinations(field, basis, count, rng):
+    """count random combinations of the index rows in basis."""
+    ar = field.arith
+    out = []
+    for _ in range(count):
+        row = [0] * len(basis[0])
+        for b in basis:
+            row = list(map(ar.add, row, ar.scale(b, rng.randrange(field.q))))
+        out.append(row)
+    return out
+
+
+def shape_cases(field, rng):
+    """Index matrices: the zero matrix, one row, one column, more rows than
+    columns, rows that all depend on one, length 1 (zero and nonzero), and
+    random full-rank and rank-deficient ones."""
+
+    def rand(nrows, ncols):
+        return [[rng.randrange(field.q) for _ in range(ncols)] for _ in range(nrows)]
+
+    cases = [
+        [[0] * 5 for _ in range(3)],
+        rand(1, 7),
+        rand(5, 1),
+        rand(7, 3),
+        _combinations(field, rand(1, 6), 4, rng),
+        [[rng.randrange(1, field.q)]],
+        [[0]],
+    ]
+    for _ in range(4):
+        nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 9)
+        cases.append(rand(nrows, ncols))
+        cases.append(_combinations(field, rand(rng.randrange(1, min(nrows, ncols) + 1), ncols), nrows, rng))
+    return cases
+
+
+def _assert_matches_list_kernel(rows, field, other):
+    """rref, matrix_rank, nullspace, dual, hull, hull_dim, intersect (with
+    the span of other) and every subfield restriction of the span of rows
+    against the list kernel, and rref against the FieldElement oracle."""
+    ar, n = field.arith, len(rows[0])
+    red, pivots = list_rref([list(r) for r in rows], ar)
+    assert rref(rows, field) == (_elements(red, field), pivots)
+    assert rref(rows, field) == rref_oracle(_elements(rows, field), field)
+    assert matrix_rank(rows, field) == len(red)
+    assert nullspace(rows, field, n) == _elements(list_nullspace(rows, ar, n), field)
+    code, b = from_rows(field, rows, n), from_rows(field, other, n)
+    assert code.rows == _tuples(red)
+    assert dual(code).rows == _tuples(list_nullspace(red, ar, n))
+    assert hull(code).rows == _tuples(list_hull(red, ar, n))
+    assert hull_dim(code) == code.k - len(list_rref(list_pairing(red, red, ar), ar)[0])
+    perps = list_nullspace(code.rows, ar, n) + list_nullspace(b.rows, ar, n)
+    assert intersect(code, b).rows == _tuples(list_nullspace(perps, ar, n))
+    for s in range(1, field.m):
+        if field.m % s == 0:
+            assert restrict_to_subfield(code, s).rows == _tuples(list_restrict(code, s))
+
+
+def _elements(rows, field):
+    return [tuple(field.elements[x] for x in row) for row in rows]
+
+
+def _tuples(rows):
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("pm", ORACLE, ids=_ids(ORACLE))
+def test_packed_kernel_matches_the_list_kernel(pm):
+    field = make_field(*pm)
+    rng = random.Random(500 + field.q)
+    for rows in shape_cases(field, rng):
+        n = len(rows[0])
+        _assert_matches_list_kernel(rows, field, [[rng.randrange(field.q) for _ in range(n)] for _ in range(2)])
+
+
+HYPOTHESIS_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 3), (3, 2), (251, 1), (65521, 1)]
+
+
+@pytest.mark.parametrize("pm", HYPOTHESIS_FIELDS, ids=_ids(HYPOTHESIS_FIELDS))
+def test_packed_kernel_matches_the_list_kernel_hypothesis(pm):
+    field = make_field(*pm)
+    entry = st.sampled_from([0, 1, field.q - 1]) | st.integers(0, field.q - 1)
+
+    @settings(
+        max_examples=40,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=7),
+        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3),
+    )))
+    def check(case):
+        rows, other = case
+        _assert_matches_list_kernel(rows, field, other)
+
+    check()
+
+
 # -- one elimination per dual and hull, against the two-elimination oracle ------
 
 
@@ -354,33 +597,36 @@ def test_restriction_is_the_rref_of_the_set_intersection(pm):
 
 def test_one_rref_per_dual_and_none_after_the_gram_kernel(monkeypatch):
     """A dual is one elimination; the hull reduces only its k x k Gram
-    matrix.  The Frobenius checks of dual_second_closed_form reduce through
-    constructions' own reference to the kernel, which is not counted."""
+    matrix (over F_{p^s}, its s k x s k F_p constraints); the closed-form
+    second dual reduces one coordinate matrix per Frobenius power, m/s of
+    them, and assembles the basis from the first."""
     shapes = []
-    kernel = codes_module._rref
+    kernel = codes_module._reduce
 
-    def counting(mat, ar):
-        shapes.append((len(mat), len(mat[0]) if mat else 0))
-        return kernel(mat, ar)
+    def counting(words, lanes):
+        words = list(words)
+        shapes.append((len(words), lanes.n))
+        return kernel(words, lanes)
 
-    monkeypatch.setattr(codes_module, "_rref", counting)
+    monkeypatch.setattr(codes_module, "_reduce", counting)
     field = make_field(3, 2)
     rng = random.Random(5)
     f = ParyFunction(field, [field.elements[rng.randrange(field.q)] for _ in range(field.q)], field.m)
     ds = defining_set(field, [field.elements[rng.randrange(1, field.q)] for _ in range(7)])
     for code in (from_rows(field, random_matrix(field, 3, 7, rng)), first_generic(f), second_generic(ds)):
+        s = code.base.m
         shapes.clear()
         dual(code)
-        assert len(shapes) == 1
+        assert shapes == [(s * code.k, s * code.n)]
         shapes.clear()
         hull(code)
-        assert shapes == [(code.k, code.k)]
+        assert shapes == [(s * code.k, s * code.k)]
     shapes.clear()
     dual_first_closed_form(f)
     assert len(shapes) == 1
     shapes.clear()
     dual_second_closed_form(ds)
-    assert len(shapes) == 1
+    assert shapes == [(field.m, len(ds))] * field.m
 
 
 def test_ragged_rows_raise_at_the_edge():

@@ -1,12 +1,15 @@
 import random
+import time
 
 import pytest
 
 from walshcodes.algebra import CyclotomicInt, gauss_sum_power, make_field, zeta
+from walshcodes.codes import DEFAULT_GUARD
 from walshcodes.errors import (
     ExponentOverflow,
     NotWeaklyRegular,
     ParseError,
+    TooLarge,
     UndefinedSymbol,
     WrongCodomain,
 )
@@ -258,6 +261,21 @@ def test_uniformity_examples():
     assert differential_uniformity(parse_function(F16, "x^3")) == 2
     assert differential_uniformity(parse_function(F9, "x^2")) == 1
     assert differential_uniformity(parse_function(F9, "x^3")) == 9  # Frobenius
+
+
+def test_odd_uniformity_refuses_past_the_guard():
+    """Odd p counts q^2 additions and refuses more than the guard before
+    the first; p = 2 runs on packed words and takes no guard."""
+    with pytest.raises(TooLarge, match="^81 additions exceed the guard 80$"):
+        differential_uniformity(parse_function(F9, "x^2"), guard=80)
+    assert differential_uniformity(parse_function(F9, "x^2"), guard=81) == 1
+    assert differential_uniformity(parse_function(F16, "x^3"), guard=1) == 2
+    field = make_field(3, 7)  # q^2 = 4 782 969 > 2^22, the default guard
+    f = parse_function(field, "x^2")
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=f"^{field.q ** 2} additions exceed the guard {2 ** 22}$"):
+        differential_uniformity(f, guard=DEFAULT_GUARD)
+    assert time.perf_counter() - start < 1  # the loop would take seconds
 
 
 def test_uniformity_needs_self_map():

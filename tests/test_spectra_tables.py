@@ -1252,9 +1252,9 @@ def test_invariants_raise_under_optimize():
             cs.weight_distribution(cs.full_code(make_field(2, 1), 3))
         except InvariantViolated as ex:
             print("weights:", ex)
-        # ... and every field of W rises by one
+        # ... and every field of W rises by two, which keeps n r + W even
         cs._binary_passes = lambda word, width, m: good_passes(word, width, m) + int.from_bytes(
-            (1).to_bytes(width, "little") * (1 << m), "little"
+            (2).to_bytes(width, "little") * (1 << m), "little"
         )
         try:
             cs.weight_distribution(cs.full_code(make_field(2, 2), 2))
@@ -1318,3 +1318,4 @@ def test_invariants_raise_under_optimize():
         "kernel", "root", "embedding", "dual not wrb",
     ], proc.stdout
     assert "Parseval" in lines[0]
+    assert "leaves remainder" in lines[5], lines[5]
