@@ -1,0 +1,216 @@
+"""Packed words: ints read as rows of fixed-width fields.
+
+Field j of a word is bits [j w, (j + 1) w), counted from the least
+significant end, for fields of ``width`` bytes, 1, 2, 4 or 8, w = 8 width;
+a row of fields converts to and from an int through an array in one call,
+and a whole-int shift, mask or addition acts on every field at once.  The
+elimination adds rows mod p (Lanes), both Walsh-Hadamard transforms run
+their butterfly passes on whole layers (transform), and differential
+uniformity moves f(x) to f(x + a) by rotating blocks of fields
+(gray_walk).  This is the packed-row idea of M4RI (Albrecht and Bard),
+extended to lanes mod p.
+"""
+
+from __future__ import annotations
+
+import sys
+from array import array
+from typing import Iterable, Iterator, Sequence
+
+# (bytes per field, signed) -> the array typecode of that size; the sizes of
+# 'I' and 'L' vary by platform, so they are read, not assumed
+TYPECODES = {(array(t).itemsize, t.islower()): t for t in "BHILQbhilq"}
+
+
+def field_width(bits: int) -> int:
+    """The fewest bytes, 1, 2, 4 or 8, of a field of ``bits`` bits."""
+    width = 1 << ((bits - 1) >> 3).bit_length()
+    if width > 8:
+        raise OverflowError(f"{bits}-bit values do not fit a packed field")
+    return width
+
+
+def _little(fields: array, order: str) -> array:
+    """``fields`` in little-endian bytes, first reversed if order is "big"."""
+    if order == "big":
+        fields.reverse()
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields
+
+
+def pack(rows: Iterable[Sequence[int]], width: int, signed: bool = False, order: str = "little") -> list[int]:
+    """One int per row, whose field j is ``row[j]``, in two's complement if
+    signed; with order "big", ``row[0]`` is the most significant field."""
+    if width == 1 and not signed:
+        return [int.from_bytes(bytes(row), order) for row in rows]
+    code = TYPECODES[width, signed]
+    return [int.from_bytes(_little(array(code, row), order), "little") for row in rows]
+
+
+def unpack(words: Iterable[int], width: int, count: int, signed: bool = False, order: str = "little") -> list:
+    """The ``count`` fields of each word, the inverse of :func:`pack`: bytes
+    for unsigned one-byte fields, lists otherwise."""
+    if width == 1 and not signed:
+        return [word.to_bytes(count, order) for word in words]
+    code = TYPECODES[width, signed]
+    return [_little(array(code, word.to_bytes(count * width, "little")), order).tolist() for word in words]
+
+
+def bias_word(width: int, count: int) -> int:
+    """2^(w - 1), the top bit, in each of ``count`` fields."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def digit_word(field: bytes, p: int, stride: int, count: int) -> int:
+    """``field`` in every field whose index has base-p digit 0 at weight
+    ``stride``, zero in the others."""
+    run = field * stride
+    return int.from_bytes((run + bytes(len(run) * (p - 1))) * (count // (p * stride)), "little")
+
+
+def digit_steps(width: int, p: int, m: int) -> Iterator[tuple[int, int]]:
+    """(t, mask) for each digit i < m of the index of p^m fields, built in
+    turn: t the bit offset of p^i fields, mask the fields of digit i 0."""
+    q, ones = p ** m, b"\xff" * width
+    for i in range(m):
+        yield 8 * width * p ** i, digit_word(ones, p, p ** i, q)
+
+
+# -- lanes mod p ------------------------------------------------------------------
+
+
+class Lanes:
+    """Values mod p in lanes: n fields of ``width`` bytes, each holding
+    ``digits`` lanes of ``bits`` bits, lane i of field j at bit j w + i bits.
+
+    A lane needs the fewest bits that hold 2p - 2 below its top bit (one at
+    p = 2), a field the fewest bytes that hold its lanes, which spread over
+    all of it.  Lanes are kept in [0, p), so a sum of two words has lanes
+    below 2p - 1, which carry into no neighbour; adding 2^(bits - 1) - p
+    sets the top bit of exactly the lanes holding p or more, and those bits,
+    shifted down to bit 0 of their lanes, times p, are what to subtract.
+    At p = 2 the sum and the difference of two words are their XOR."""
+
+    __slots__ = ("p", "n", "width", "bits", "fill", "top", "lift")
+
+    def __init__(self, p: int, n: int, digits: int = 1):
+        self.p, self.n = p, n
+        self.width = field_width(digits * (1 if p == 2 else (2 * p - 2).bit_length() + 1))
+        self.bits = 8 * self.width // digits
+        self.fill = self.top = self.lift = 0  # unused at p = 2
+        if p > 2:
+            ones = ((1 << digits * self.bits) - 1) // ((1 << self.bits) - 1)  # 1 in each lane of a field
+            ones = int.from_bytes(ones.to_bytes(self.width, "little") * n, "little")
+            self.fill, self.top = p * ones, ones << self.bits - 1  # p, the top bit, in every lane
+            self.lift = self.top - self.fill
+
+    def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
+        s = a + b
+        return s - ((s + self.lift & self.top) >> self.bits - 1) * self.p
+
+    def sub(self, a: int, b: int) -> int:
+        """a + (p - b), whose lanes below 2p add still reduces."""
+        return a ^ b if self.p == 2 else self.add(a, self.fill - b)
+
+    def times(self, word: int, c: int) -> int:
+        """c * word for 0 < c < p, by doubling and adding."""
+        acc = None
+        while True:
+            if c & 1:
+                acc = word if acc is None else self.add(acc, word)
+            c >>= 1
+            if not c:
+                return acc
+            word = self.add(word, word)
+
+
+# -- moving fields by their index -------------------------------------------------
+
+
+def gray_walk(word: int, width: int, p: int, m: int) -> Iterator[int]:
+    """For each nonzero a in modular p-ary Gray order, the word whose field
+    x is field x + a of ``word``, for p^m fields indexed by F_p-vectors.
+    Step k adds 1 to digit j = v_p(k) of a, which rotates the p blocks of
+    digit j: blocks 1 to p - 1 move down one block, under the mask of the
+    fields whose digit j is below p - 1, and block 0 up to block p - 1 (at
+    p = 2 they swap).  Digit i of a is then k_i - k_(i+1) mod p for the
+    digits k_i of k, so the walk reaches every nonzero a once."""
+    full = (1 << 8 * width * p ** m) - 1
+    steps = [(t, full ^ zero << (p - 1) * t, zero, (p - 1) * t) for t, zero in digit_steps(width, p, m)]
+    digits: list[int] = []  # v_p(k) for k = 1, ..., p^m - 1
+    for j in range(m):
+        digits = (digits + [j]) * (p - 1) + digits
+    for j in digits:
+        t, low, zero, up = steps[j]
+        word = (word >> t) & low | (word & zero) << up
+        yield word
+
+
+# -- the p-ary fast Walsh-Hadamard transform ---------------------------------------
+
+
+def binary_passes(word: int, width: int, m: int) -> int:
+    """The m (a + b, a - b) butterfly passes on 2^m fields of ``width``
+    bytes, each holding its value plus the bias B = 2^(8 width - 1).
+
+    Field v of pass i pairs with field v + 2^i: with t and M that digit's
+    step, lo + d and lo - d, for lo = word & M and d = ((word >> t) & M) - B
+    per field, are (a + B) + (b + B) - B and (a + B) - (b + B) + B.  While
+    the values stay in [-B, B), every biased field stays in [0, 2B), so the
+    packed sums are exact.  The mask and bias words are built where they
+    are needed, not kept across the passes, which holds one full-width int
+    fewer at the peak."""
+    q = 1 << m
+    bias = bytes(width - 1) + b"\x80"
+    for i, (t, mask) in enumerate(digit_steps(width, 2, m)):
+        d = ((word >> t) & mask) - digit_word(bias, 2, 1 << i, q)
+        word &= mask
+        word = (word + d) | ((word - d) << t)
+    return word
+
+
+def odd_passes(words: list[int], width: int, p: int, m: int) -> list[int]:
+    """The m passes on p layers of p^m unsigned fields of ``width`` bytes,
+    ``words[e]`` holding the coefficient of zeta^e at vector v in field v.
+
+    Pass i transforms digit i of every index on whole ints: with t and M
+    that digit's step, block x of a layer is (layer >> x t) & M, and output
+    digit u of layer e is the sum over x of block x of layer e + u x,
+    shifted up by u t: p^2 extractions and p^2 (p - 1) additions.  The
+    width holds the total mass of the input, which bounds every partial
+    sum, so no field carries into the next."""
+    for t, mask in digit_steps(width, p, m):
+        blocks = [[(word >> x * t) & mask for x in range(p)] for word in words]
+        words = []
+        for e in range(p):
+            word = 0
+            for u in range(p):
+                acc = blocks[e][0]
+                for x in range(1, p):
+                    acc += blocks[(e + u * x) % p][x]
+                word |= acc << u * t
+            words.append(word)
+    return words
+
+
+def transform(words: list[int], width: int, p: int, m: int) -> list[int]:
+    """F(u) = sum over v of N(v) zeta^(-<v, u>) for N in Z[zeta_p] given as
+    p words of p^m unsigned fields, ``words[e]`` holding the coefficient of
+    zeta^e, as its p - 1 canonical layers F_e - F_{p-1}, e < p - 1, in two's
+    complement fields (at p = 2 the one layer F_0 - F_1).
+
+    ``width`` holds the total mass of N and a sign bit, which bounds every
+    partial sum and layer difference by the bias word B.  At odd p the
+    canonical layers are formed on the packed output, F_e + B - F_{p-1}
+    being in [0, 2B) and XOR with B turning it into two's complement; at
+    p = 2 the passes run on words[0] - words[1] + B."""
+    q = p ** m
+    bias = bias_word(width, q)
+    if p == 2:
+        zero, one = words
+        return [binary_passes(zero - one + bias, width, m) ^ bias]
+    *words, last = odd_passes(words, width, p, m)
+    return [(word + bias - last) ^ bias for word in words]

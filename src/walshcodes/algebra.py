@@ -16,11 +16,10 @@ values exactly; complex floats are a display-only view.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from functools import cache, cached_property
 from typing import Iterable, Sequence
 
+from ._packed import field_width, transform, unpack
 from .errors import (
     DegreeMismatch,
     EvenCharacteristic,
@@ -646,29 +645,6 @@ def subfield(ctx: Field, s: int) -> tuple[Field, dict, dict]:
 # the p-ary fast Walsh-Hadamard transform
 # ---------------------------------------------------------------------------
 
-# bytes per packed field -> the unsigned array typecode of that size; the
-# sizes of 'I' and 'L' vary by platform, so they are read, not assumed
-_FIELD_TYPECODES = {array(t).itemsize: t for t in "BHILQ"}
-
-
-def _pack(values: Sequence[int], typecode: str) -> int:
-    """One int whose fixed-width field i, counted from the least significant
-    end, is ``values[i]`` (two's complement for a signed typecode)."""
-    fields = array(typecode, values)
-    if sys.byteorder == "big":
-        fields.byteswap()
-    return int.from_bytes(fields, "little")
-
-
-def _unpack(word: int, typecode: str, q: int) -> list[int]:
-    """The q fields of ``word``, the inverse of :func:`_pack`."""
-    fields = array(typecode)
-    fields.frombytes(word.to_bytes(q * fields.itemsize, "little"))
-    if sys.byteorder == "big":
-        fields.byteswap()
-    return fields.tolist()
-
-
 def _character_fwht(values: Sequence[int], at: Iterable[int], p: int, m: int) -> list[list[int]]:
     """The transform F of N with N(at[x]) = zeta^(values[x]) for x < q, for
     values in [0, p) and ``at`` a permutation of range(q), as its p - 1
@@ -676,100 +652,15 @@ def _character_fwht(values: Sequence[int], at: Iterable[int], p: int, m: int) ->
     list F_0 - F_1).
 
     The input words are packed straight from ``values``: one pass writes a
-    1 into field at[x] of indicator word values[x], so the total mass is q.
-    Every canonical coefficient lies in [-q, q], so a field holds q and a
-    sign bit.  At odd p the passes run on the p indicator words and the
-    layers are formed on the packed output with the bias word B of
-    :func:`_bias_word`: F_e + B - F_{p-1} keeps every field in
-    [B - q, B + q], and XOR with B turns it into two's complement.  At p = 2
-    they run on ind_0 - ind_1 + B, the biased +/-1 word.  Each layer is then
-    unpacked as signed in one call."""
+    1 into field at[x] of indicator word values[x], so the total mass is q,
+    and a field holds q and a sign bit."""
     q = p ** m
-    width = _field_width(q.bit_length() + 1)
+    width = field_width(q.bit_length() + 1)
     indicators = [bytearray(q * width) for _ in range(p)]
     for v, u in zip(values, map(width.__mul__, at)):
         indicators[v][u] = 1
-    words = [int.from_bytes(word, "little") for word in indicators]
-    bias = _bias_word(width, q)
-    if p == 2:
-        zero, one = words
-        out = [_binary_passes(zero - one + bias, width, m) ^ bias]
-    else:
-        *words, last = _odd_passes(words, width, p, m)
-        out = [(word + bias - last) ^ bias for word in words]
-    signed = _FIELD_TYPECODES[width].lower()
-    return [_unpack(word, signed, q) for word in out]
-
-
-def _field_width(bits: int) -> int:
-    """The fewest bytes, 1, 2, 4 or 8, of a packed field of ``bits`` bits."""
-    width = next((b for b in sorted(_FIELD_TYPECODES) if 8 * b >= bits), None)
-    if width is None:
-        raise OverflowError(f"{bits}-bit values do not fit a packed field")
-    return width
-
-
-def _bias_word(width: int, q: int) -> int:
-    """2^(8 width - 1), the top bit, in each of q fields."""
-    return int.from_bytes((bytes(width - 1) + b"\x80") * q, "little")
-
-
-def _digit_word(field: bytes, p: int, stride: int, q: int) -> int:
-    """``field`` in every field whose index has digit 0 at weight
-    ``stride``, zero in the others."""
-    run = field * stride
-    return int.from_bytes((run + bytes(len(run) * (p - 1))) * (q // (p * stride)), "little")
-
-
-def _binary_passes(word: int, width: int, m: int) -> int:
-    """The m (a + b, a - b) butterfly passes on 2^m packed fields of
-    ``width`` bytes, each holding its value plus the bias B = 2^(8 width - 1).
-
-    Field v of pass i pairs with field v + 2^i: with t the bit offset of
-    that step and M the mask of the fields whose digit i is 0, lo + d and
-    lo - d, for lo = word & M and d = ((word >> t) & M) - B per field, are
-    (a + B) + (b + B) - B and (a + B) - (b + B) + B.  While the values stay
-    in [-B, B) every biased field stays in [0, 2^(8 width)), so the packed
-    sums are exact; XOR with :func:`_bias_word` converts to and from two's
-    complement.  The mask and bias words are built from bytes where they
-    are needed, not kept across the passes, which holds one full-width int
-    fewer at the peak."""
-    q = 1 << m
-    bias = bytes(width - 1) + b"\x80"
-    for i in range(m):
-        t, mask = 8 * width << i, _digit_word(b"\xff" * width, 2, 1 << i, q)
-        d = ((word >> t) & mask) - _digit_word(bias, 2, 1 << i, q)
-        word &= mask
-        word = (word + d) | ((word - d) << t)
-    return word
-
-
-def _odd_passes(words: list[int], width: int, p: int, m: int) -> list[int]:
-    """The m passes on p layers of p^m packed unsigned fields of ``width``
-    bytes, ``words[e]`` holding the coefficient of zeta^e at vector v in
-    field v, counted from the least significant end.
-
-    Pass i transforms digit i of every index in place on whole ints: with t
-    the bit offset of one step in digit i and M the mask of the fields whose
-    digit i is 0, block x of a layer is (layer >> x t) & M, and output digit
-    u of layer e is the sum over x of block x of layer e + u x, shifted up
-    by u t.  A pass is p^2 extractions and p^2 (p - 1) additions of ints.
-    The caller picks a width that holds the total mass of the input, which
-    bounds every partial sum, so no field carries into the next."""
-    q = p ** m
-    for i in range(m):
-        t, mask = 8 * width * p ** i, _digit_word(b"\xff" * width, p, p ** i, q)
-        blocks = [[(word >> x * t) & mask for x in range(p)] for word in words]
-        words = []
-        for e in range(p):
-            word = 0
-            for u in range(p):
-                acc = blocks[e][0]
-                for x in range(1, p):
-                    acc += blocks[(e + u * x) % p][x]
-                word |= acc << u * t
-            words.append(word)
-    return words
+    words = transform([int.from_bytes(word, "little") for word in indicators], width, p, m)
+    return unpack(words, width, q, signed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,18 @@ from the right, a matrix's kernel basis is already the RREF of the dual
 generator is already the RREF of the hull.
 
 Every elimination is one kernel over the prime field, _reduce, on rows
-that are each one int with a fixed-width lane per coordinate, so that a
-row operation is a few whole-int operations: XOR at p = 2, an addition
-and one conditional subtraction of p per lane at odd p (see _Lanes).  A
+packed by _packed.Lanes: each row is one int with a fixed-width lane per
+coordinate, so that a row operation is a few whole-int operations: XOR at
+p = 2, an addition and one conditional subtraction of p per lane at odd p.  A
 row over an alphabet F_{p^s}, s > 1, enters as F_p rows of s base-p
 digits per coordinate; the F_{p^s}-linear space they span has its F_p
 pivots in whole blocks of digits, so the F_p RREF yields the F_{p^s} one
 (see _digits).
 
 Hamming weights come from one p-ary fast Walsh-Hadamard transform of the
-multiset of generator columns, which counts the zero coordinates of every
-codeword at once; the complete weight enumerator enumerates codewords, as
+multiset of generator columns, packed into one word and transformed by
+_packed.transform, which counts the zero coordinates of every codeword at
+once; the complete weight enumerator enumerates codewords, as
 tuples of alphabet indices.
 Every weight query is guarded by a configurable cap on the number of
 codewords.
@@ -42,19 +43,8 @@ from itertools import islice
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import (
-    _FIELD_TYPECODES,
-    Field,
-    FieldElement,
-    _bias_word,
-    _binary_passes,
-    _check_subfield,
-    _field_width,
-    _odd_passes,
-    _pack,
-    _unpack,
-    subfield,
-)
+from ._packed import TYPECODES, Lanes, bias_word, field_width, pack, transform, unpack
+from .algebra import Field, FieldElement, _check_subfield, subfield
 from .errors import EmptyLength, InvariantViolated, RaggedRows, TooLarge, ZeroCode
 
 DEFAULT_GUARD = 2 ** 22
@@ -94,80 +84,7 @@ def _elements(rows: Iterable[Sequence[int]], field: Field) -> list[tuple[FieldEl
     return [tuple(map(elements.__getitem__, row)) for row in rows]
 
 
-class _Lanes:
-    """Rows of length n over F_p packed into ints: entry j of a row is lane
-    j, bits [j w, (j + 1) w) counted from the least significant end.
-
-    w is the narrowest packed-field width (8, 16, 32 or 64 bits) that holds
-    2p - 2 below its top bit, and every lane is kept reduced in [0, p).  A
-    sum of two rows then has lanes below 2p - 1, which carry into no
-    neighbour, and one conditional subtraction per lane reduces it: adding
-    2^(w-1) - p sets the top bit of exactly the lanes holding p or more, and
-    those top bits, shifted down to bit 0 of their lanes and times p, are
-    what to subtract.  At p = 2 the sum of two rows is their XOR."""
-
-    __slots__ = ("p", "n", "width", "bits", "ones", "top", "lift")
-
-    def __init__(self, p: int, n: int):
-        self.p, self.n = p, n
-        width = 1
-        while 2 * p - 2 >> 8 * width - 1:
-            width *= 2
-        self.width, self.bits = width, 8 * width
-        self.ones = self.top = self.lift = 0  # unused at p = 2
-        if p > 2:
-            self.top = _bias_word(width, n)
-            self.ones = self.top >> 8 * width - 1
-            self.lift = self.top - p * self.ones
-
-    def pack(self, rows: Iterable[Sequence[int]], order: str = "little") -> list[int]:
-        """Rows as words; with order "big", entry 0 in the most significant
-        lane, so that the lanes read the row from the right."""
-        if self.width == 1:
-            return [int.from_bytes(bytes(row), order) for row in rows]
-        if order == "big":
-            rows = (row[::-1] for row in rows)
-        return [_pack(row, _FIELD_TYPECODES[self.width]) for row in rows]
-
-    def unpack(self, words: Iterable[int], order: str = "little") -> list[tuple[int, ...]]:
-        """The inverse of pack."""
-        if self.width == 1:
-            return [tuple(word.to_bytes(self.n, order)) for word in words]
-        rows = [tuple(_unpack(word, _FIELD_TYPECODES[self.width], self.n)) for word in words]
-        return [row[::-1] for row in rows] if order == "big" else rows
-
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        s = a + b
-        return s - ((s + self.lift & self.top) >> self.bits - 1) * self.p
-
-    def times(self, word: int, c: int) -> int:
-        """c * word for 0 < c < p, by doubling and adding."""
-        p, top, lift, down = self.p, self.top, self.lift, self.bits - 1
-        acc = None
-        while True:
-            if c & 1:
-                if acc is None:
-                    acc = word
-                else:
-                    acc += word
-                    acc -= ((acc + lift & top) >> down) * p
-            c >>= 1
-            if not c:
-                return acc
-            word += word
-            word -= ((word + lift & top) >> down) * p
-
-    def neg(self, word: int) -> int:
-        """-word: p - x in every lane, in which p becomes 0."""
-        if self.p == 2:
-            return word
-        s = self.p * self.ones - word
-        return s - ((s + self.lift & self.top) >> self.bits - 1) * self.p
-
-
-def _reduce(words: Iterable[int], lanes: _Lanes) -> tuple[list[int], list[int]]:
+def _reduce(words: Iterable[int], lanes: Lanes) -> tuple[list[int], list[int]]:
     """Reduced row echelon form of rows packed by lanes; returns the nonzero
     reduced rows and their pivot columns, in pivot order.
 
@@ -296,19 +213,20 @@ def _rref(mat: Sequence[Sequence[int]], field: Field) -> tuple[list[tuple[int, .
     nonzero rows, pivot columns).  Over F_{p^s}, s > 1, the rows of the F_p
     RREF of _expand(mat) that lead at digit 0 of a block."""
     p, s = field.p, field.m
-    lanes = _Lanes(p, (len(mat[0]) if mat else 0) * s)
-    rows, pivots = _reduce(lanes.pack(_expand(mat, field)), lanes)
+    lanes = Lanes(p, (len(mat[0]) if mat else 0) * s)
+    rows, pivots = _reduce(pack(_expand(mat, field), lanes.width), lanes)
+    rows = unpack(rows, lanes.width, lanes.n)
     if s == 1:
-        return lanes.unpack(rows), pivots
-    leads = [(row, c // s) for row, c in zip(lanes.unpack(rows), pivots) if c % s == 0]
+        return list(map(tuple, rows)), pivots
+    leads = [(row, c // s) for row, c in zip(rows, pivots) if c % s == 0]
     return [_join(row, p, s) for row, _ in leads], [c for _, c in leads]
 
 
 def _from_right(rows: Sequence[Sequence[int]], p: int, n: int) -> tuple[list[int], list[int]]:
     """_reduce of the rows of length n over F_p read from the right: pivot
     c is column n - 1 - c."""
-    lanes = _Lanes(p, n)
-    return _reduce(lanes.pack(rows, "big"), lanes)
+    lanes = Lanes(p, n)
+    return _reduce(pack(rows, lanes.width, order="big"), lanes)
 
 
 def _reduced_checks(mat: Sequence[Sequence[int]], field: Field, n: int) -> tuple[list[int], list[int]]:
@@ -337,13 +255,13 @@ def _kernel(reduced: tuple[list[int], list[int]], field: Field, n: int) -> list[
     nf = len(free)
     if not nf:
         return []
-    lanes = _Lanes(p, width)
+    lanes = Lanes(p, width)
     eye = (0,) * (nf - 1) + (1,) + (0,) * (nf - 1)
     cols: list = [None] * width
     for a, f in enumerate(free):
         cols[f] = islice(eye, nf - 1 - a, None)  # unit column a, no copy
     at_free = itemgetter(*free)
-    for row, c in zip(lanes.unpack(map(lanes.neg, rows), "big"), pivots):
+    for row, c in zip(unpack([lanes.sub(0, row) for row in rows], lanes.width, width, order="big"), pivots):
         col = at_free(row)
         cols[width - 1 - c] = col if nf > 1 else (col,)
     if s == 1:
@@ -524,9 +442,8 @@ def _pairing(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], field
     """The matrix of inner products <u, v> for u in rows (down) and v in cols
     (across); at p = 2, the parity of the bits of u AND v packed."""
     if field.p == 2 and field.m == 1:
-        lanes = _Lanes(2, len(cols[0]) if cols else 0)
-        packed = lanes.pack(cols)
-        return [[(u & v).bit_count() & 1 for v in packed] for u in lanes.pack(rows)]
+        packed = pack(cols, 1)  # one byte per entry, as in Lanes at p = 2
+        return [[(u & v).bit_count() & 1 for v in packed] for u in pack(rows, 1)]
     if field.m == 1:
         p = field.p
         return [[sum(map(mul, u, v)) % p for v in cols] for u in rows]
@@ -546,8 +463,8 @@ def _orthogonal_span(
     pivots P, the word of the row of X that leads at f leads at P_f and is
     0 at every other P_f': the words are the RREF of their span."""
     p, s = field.p, field.m
-    lanes = _Lanes(p, n * s)
-    rows = lanes.pack(_expand(gens, field))
+    lanes = Lanes(p, n * s)
+    rows = pack(_expand(gens, field), lanes.width)
     words = []
     for x in _nullspace(_pairing(checks, gens, field), field, len(gens)):
         word = 0
@@ -555,7 +472,7 @@ def _orthogonal_span(
             if c:
                 word = lanes.add(word, lanes.times(row, c))
         words.append(word)
-    return [_join(word, p, s) for word in lanes.unpack(words)]
+    return [_join(word, p, s) for word in unpack(words, lanes.width, lanes.n)]
 
 
 def hull(code: LinearCode) -> LinearCode:
@@ -642,66 +559,52 @@ class CompleteWeightEnumerator:
 
 
 def _column_transform(code: LinearCode, guard: int | None) -> list[int]:
-    """Layer 0 of the p-ary FWHT of the column multiset N, over F_p^(sk)
-    for the alphabet F_Q, Q = p^s; at p = 2 the one list W = layer 0 -
-    layer 1.
+    """Layer 0 minus layer p - 1 of the p-ary FWHT of the multiset of the
+    functionals x -> Tr_{Q/p}(y <x, g_j>) on F_p^(sk), one for each column
+    j and each y in F_Q^*, for the alphabet F_Q, Q = p^s.
 
     A word x in F_Q^k has the index sum_i x_i Q^i, so its p-ary digits are
-    the F_p-coordinates of its entries.  Column j and each y in F_Q^* with
-    leading digit 1 (one per F_p^*-orbit, r = (Q-1)/(p-1) of them) add one
-    to N at the functional x -> Tr_{Q/p}(y <x, g_j>), whose coordinates are
-    the Gram contractions of the y g_ij.  Layer 0 of the result at x counts
-    the pairs (j, y) with Tr(y <x, g_j>) = 0; at s = 1 the only y is 1.
-
-    N has total mass n r, which bounds every partial sum of the passes (and
-    |W|, which takes one more bit for the bias of ``_binary_passes``), so
-    the counts go straight into an array of fields of that width."""
+    the F_p-coordinates of its entries.  The counts N of one y per
+    F_p^*-orbit (leading digit 1, r = (Q - 1)/(p - 1) of them) go straight
+    into an array of fields, the functionals built one row of G at a time.
+    The other lambda y put (p - 1) F_0 in layer 0 and n r - F_0 in every
+    other layer, so the difference is p F_0 - n r = p D_0 - sum_e D_e for
+    the canonical layers D_e of N, exact on the biased layers D_e + B as B,
+    with the width, exceeds the mass n (Q - 1) of the full multiset."""
     code._check_guard(guard)
     base = code.base
     p, q = base.p, base.q
     mul, dual = base.arith.mul, base.trace_dual_indices()
+    size = code.size()
+    width = field_width((code.n * (q - 1)).bit_length() + 1)
+    counts = array(TYPECODES[width, False], [0]) * size
+    rows, entries = code.rows, set().union(*code.rows)
     reps = [y for t in range(base.m) for y in range(p ** t, 2 * p ** t)]
-    size, m = code.size(), base.m * code.k
-    width = _field_width((code.n * len(reps)).bit_length() + (p == 2))
-    typecode = _FIELD_TYPECODES[width]
-    if p == 2:
-        typecode = typecode.lower()
-    counts = array(typecode, [0]) * size
-    rows = code.rows
-    for col in zip(*rows) if rows else [()] * code.n:
-        for y in reps:
-            v = 0
-            for g in reversed(col):
-                v = v * q + dual[mul(y, g)]
+    for y in reps:
+        image = {g: dual[mul(y, g)] for g in entries}
+        functionals = [0] * code.n
+        for row in reversed(rows):
+            functionals = [v * q + image[g] for v, g in zip(functionals, row)]
+        for v in functionals:
             counts[v] += 1
-    word = _pack(counts, typecode)
-    if p == 2:
-        bias = _bias_word(width, size)
-        word = _binary_passes(word ^ bias, width, m) ^ bias
-    else:
-        word = _odd_passes([word] + [0] * (p - 1), width, p, m)[0]
-    return _unpack(word, typecode, size)
+    words = transform(pack([counts], width) + [0] * (p - 1), width, p, base.m * code.k)
+    bias = bias_word(width, size)
+    biased = [word ^ bias for word in words]
+    return unpack([(p * biased[0] - sum(biased)) ^ bias], width, size, signed=True)[0]
 
 
 def weight_distribution(code: LinearCode, guard: int | None = None) -> WeightDistribution:
-    """A_w for every w.  Layer 0 of the column transform at x is
-    r z + r0 (n - z) for the z zero coordinates of xG: y <x, g_j> has
-    trace zero for every y when <x, g_j> = 0, and for r0 = (Q/p - 1)/(p - 1)
-    of the r representatives otherwise.  So z = (layer 0 - r0 n) / (Q/p).
-    At p = 2 the transform is W = layer 0 - layer 1, and the two layers sum
-    to n r, so layer 0 = (n r + W) / 2."""
-    base, n = code.base, code.n
-    step = base.q // base.p
-    r0 = (step - 1) // (base.p - 1)
+    """A_w for every w.  For the z zero coordinates of xG, Tr(y <x, g_j>)
+    is 0 for all Q - 1 values of y when <x, g_j> = 0, and otherwise takes
+    each nonzero value Q/p times and 0 Q/p - 1 times.  So layer 0 of the
+    column transform at x is (Q - 1) z + (Q/p - 1)(n - z), every other
+    layer is (Q/p)(n - z), and their difference is Q z - n."""
+    n, q = code.n, code.base.q
     counts = {}
     for value, c in Counter(_column_transform(code, guard)).items():
-        if base.p == 2:
-            value, odd = divmod(n * (base.q - 1) + value, 2)
-            if odd:
-                raise InvariantViolated(f"n r + W = {2 * value + 1} is odd, so W is no layer difference")
-        z, rem = divmod(value - r0 * n, step)
+        z, rem = divmod(value + n, q)
         if rem:
-            raise InvariantViolated(f"transform value {value} leaves remainder {rem} mod {step}")
+            raise InvariantViolated(f"transform value {value} leaves remainder {rem} mod {q}")
         counts[n - z] = c
     return WeightDistribution(counts, n, code.size())
 

@@ -26,17 +26,8 @@ from math import gcd
 from operator import mul, xor
 from typing import Callable, Sequence
 
-from .algebra import (
-    _FIELD_TYPECODES,
-    CyclotomicInt,
-    Field,
-    FieldElement,
-    _character_fwht,
-    _digit_word,
-    _field_width,
-    _pack,
-    gauss_sum_power,
-)
+from ._packed import TYPECODES, Lanes, gray_walk, pack
+from .algebra import CyclotomicInt, Field, FieldElement, _character_fwht, gauss_sum_power
 from .codes import enumeration_guard
 from .errors import (
     ExponentOverflow,
@@ -551,44 +542,38 @@ def verify_dual_relation(f: ParyFunction, cls: BentClass) -> dict:
 def differential_uniformity(f: ParyFunction, guard: int | None = None) -> int:
     """max over a != 0, b of #{x : f(x+a) - f(x) = b}; 1 means PN, 2 APN.
 
-    At p = 2, where adding is XOR of indices, the rows run on one packed
-    word: field x of T holds f(x), and a walks the nonzero vectors in
-    Gray-code order, so each step reaches T_a, field x holding f(x + a),
-    from the previous T_a by swapping the blocks of the one digit j that
-    changed (one shift by the 2^j fields of a block, under the mask of the
-    fields whose digit j is 0).  Row a is the multiset of the fields of
-    T ^ T_a.  Its values come in pairs (x and x + a give the same one), so
-    q/2 distinct values mean a maximum of 2, and only the other rows are
-    counted.  Odd p adds and counts on index lists, q^2 additions, and
-    raises TooLarge before it starts when q^2 exceeds the guard (see
-    codes.enumeration_guard)."""
+    One packed word T holds the m base-p digits of f(x) in the lanes mod p
+    of field x (see _packed.Lanes).  a walks the nonzero vectors in Gray
+    order, each step rotating the blocks of one digit of x to reach T_a,
+    field x holding f(x + a) (see _packed.gray_walk), and row a is the
+    multiset of the fields of T_a - T, one lane-wise subtraction mod p (at
+    p = 2 an XOR).  Every count is at least 1, and at p = 2, where x and
+    x + a give the same value, even; a row of q/least distinct values has
+    every count equal to that least one, so only the other rows are
+    counted.  Odd p raises TooLarge before it starts when q^2 exceeds the
+    guard (see codes.enumeration_guard)."""
     if f.codomain_degree != f.field.m:
         raise WrongCodomain("differential uniformity needs an F_q -> F_q map")
     field = f.field
-    q, m, table = field.q, field.m, f.indices
-    if field.p != 2:
+    p, q, m = field.p, field.q, field.m
+    if p != 2:
         cap = enumeration_guard(guard)
         if q * q > cap:
             raise TooLarge(f"{q * q} additions exceed the guard {cap}")
-        add = field.arith.add
-        negated = [field.arith.neg(v) for v in table]
-        xs = range(q)
-        best = 0
-        for a in xs[1:]:
-            shifted = [table[y] for y in map(add, xs, repeat(a))]
-            best = max(best, *Counter(map(add, shifted, negated)).values())
-        return best
-    width = _field_width(m)
-    typecode = _FIELD_TYPECODES[width]
-    steps = [(8 * width << j, _digit_word(b"\xff" * width, 2, 1 << j, q)) for j in range(m)]
-    word = shifted = _pack(table, typecode)
-    best = 2
-    for k in range(1, q):
-        t, mask = steps[(k & -k).bit_length() - 1]
-        shifted = ((shifted >> t) & mask) | ((shifted & mask) << t)
-        row = (word ^ shifted).to_bytes(q * width, "little")
-        if width > 1:  # native byte order permutes the values, not their counts
-            row = array(typecode, row).tolist()
-        if len(set(row)) != q >> 1:
+    lanes = Lanes(p, q, m)
+    values = f.indices
+    if lanes.bits > 1:  # else the lanes of v hold the bits of v as they are
+        lanes_of = [0]  # lanes_of[v]: the base-p digits of v, one per lane
+        for j in range(m):
+            lanes_of = [v + d for d in range(0, p << j * lanes.bits, 1 << j * lanes.bits) for v in lanes_of]
+        values = [lanes_of[v] for v in values]
+    (word,) = pack([values], lanes.width)
+    code, size = TYPECODES[lanes.width, False], q * lanes.width
+    best = least = 2 if p == 2 else 1
+    for shifted in gray_walk(word, lanes.width, p, m):
+        row = lanes.sub(shifted, word).to_bytes(size, "little")
+        if lanes.width > 1:  # native byte order permutes the values, not their counts
+            row = array(code, row)
+        if len(set(row)) != q // least:
             best = max(best, *Counter(row).values())
     return best

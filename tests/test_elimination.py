@@ -33,7 +33,6 @@ import walshcodes.codes as codes_module
 from walshcodes.algebra import is_prime, make_field, subfield
 from walshcodes.codes import (
     LinearCode,
-    _Lanes,
     dual,
     from_rows,
     hull,
@@ -377,11 +376,6 @@ def test_rref_matches_oracle_hypothesis(pm):
 # 65521 takes 32
 LANE_SWITCHES = [(61, 1), (251, 1), (16381, 1), (65521, 1)]
 ORACLE = SMALL + LANE_SWITCHES
-
-
-def test_lanes_are_the_narrowest_width_that_holds_2p_minus_2_below_the_top_bit():
-    primes = (2, 3, 61, 67, 251, 16381, 16411, 65521)
-    assert [_Lanes(p, 1).bits for p in primes] == [8, 8, 8, 16, 16, 16, 32, 32]
 
 
 def _combinations(field, basis, count, rng):

@@ -1,0 +1,103 @@
+"""The packed-word layout: field j of a word at bits [j w, (j + 1) w).
+
+Pack and unpack are checked against shifts and masks of the word, lane
+arithmetic against arithmetic mod p on each lane, and the block rotations
+of the Gray walk against a rotation of the list of fields by each vector,
+all read off the word bit by bit rather than through the module under
+test.
+"""
+
+import random
+
+import pytest
+
+from walshcodes._packed import Lanes, gray_walk, pack, unpack
+
+WIDTHS = [1, 2, 4, 8]
+
+
+def _fields(word, bits, count):
+    """The count fields of bits bits of word, least significant first."""
+    return [word >> j * bits & (1 << bits) - 1 for j in range(count)]
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+@pytest.mark.parametrize("order", ["little", "big"])
+def test_pack_round_trips_with_extreme_fields(width, signed, order):
+    bits = 8 * width
+    low, high = (-(1 << bits - 1), (1 << bits - 1) - 1) if signed else (0, (1 << bits) - 1)
+    rng = random.Random(bits + signed)
+    for values in ([], [low], [high], [low, high, 0, 1, high, low], [rng.randint(low, high) for _ in range(37)]):
+        (word,) = pack([values], width, signed, order)
+        assert list(unpack([word], width, len(values), signed, order)[0]) == values
+        stored = values[::-1] if order == "big" else values
+        assert _fields(word, bits, len(values)) == [v % (1 << bits) for v in stored]
+        assert word >> bits * len(values) == 0
+
+
+# every prime on both sides of a lane-width switch: 61 is the last with 8-bit
+# lanes, 251 and 16381 (the last) take 16 bits, 65521 takes 32
+BOUNDARY_PRIMES = (2, 3, 61, 67, 251, 16381, 16411, 65521)
+
+
+def test_lanes_are_the_narrowest_width_that_holds_2p_minus_2_below_the_top_bit():
+    primes = BOUNDARY_PRIMES
+    assert [Lanes(p, 1).bits for p in primes] == [8, 8, 8, 16, 16, 16, 32, 32]
+    # several digits share a field, spread over all of it: one bit each at p = 2
+    assert [(Lanes(2, 1, m).width, Lanes(2, 1, m).bits) for m in (1, 3, 8, 9, 20)] == [
+        (1, 8), (1, 2), (1, 1), (2, 1), (4, 1)
+    ]
+    assert [(Lanes(p, 1, m).width, Lanes(p, 1, m).bits) for p, m in ((3, 2), (3, 6), (3, 12), (13, 5))] == [
+        (1, 4), (4, 5), (8, 5), (4, 6)
+    ]
+
+
+def _lane_word(lanes, rows):
+    """rows[j][i] in lane i of field j, by shifts."""
+    return sum(v << j * 8 * lanes.width + i * lanes.bits for j, row in enumerate(rows) for i, v in enumerate(row))
+
+
+@pytest.mark.parametrize("p", BOUNDARY_PRIMES)
+@pytest.mark.parametrize("digits", [1, 3])
+def test_lane_arithmetic_is_arithmetic_mod_p_in_every_lane(p, digits):
+    lanes = Lanes(p, 6, digits)
+    rng = random.Random(p * digits)
+    edge = [0, 1, p - 1, p - 1, 0, p // 2]  # every sum and difference class at the edges
+    for trial in range(6):
+        a = [[rng.randrange(p) for _ in range(digits)] for _ in range(6)]
+        b = [[rng.randrange(p) for _ in range(digits)] for _ in range(6)]
+        if trial == 0:
+            a, b = [[v] * digits for v in edge], [[v] * digits for v in reversed(edge)]
+        wa, wb = _lane_word(lanes, a), _lane_word(lanes, b)
+
+        def lanewise(op, *rows):
+            """The word of op mod p in every lane, so no bit outside a lane is set."""
+            return _lane_word(lanes, [[op(*vs) % p for vs in zip(*fields)] for fields in zip(*rows)])
+
+        assert lanes.add(wa, wb) == lanewise(lambda x, y: x + y, a, b)
+        assert lanes.sub(wa, wb) == lanewise(lambda x, y: x - y, a, b)
+        assert lanes.sub(0, wa) == lanewise(lambda x: -x, a)
+        for c in {1, 2 % p or 1, p - 1, rng.randrange(1, p)}:
+            assert lanes.times(wa, c) == lanewise(lambda x: c * x, a), c
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("width", [1, 2])
+def test_gray_walk_rotates_the_fields_by_every_nonzero_vector_once(p, width):
+    """Walked beside a word whose field x holds x, whose field 0 then holds
+    the vector a of the step, every step holds field x + a at x, digit by
+    digit mod p, and the a run over every nonzero vector exactly once."""
+    rng = random.Random(p + width)
+    for m in range(1, 4):
+        q = p ** m
+        values = [rng.randrange(1 << 8 * width) for _ in range(q)]
+        words = pack([range(q), values], width)
+        seen = []
+        for index, moved in zip(gray_walk(words[0], width, p, m), gray_walk(words[1], width, p, m)):
+            a = _fields(index, 8 * width, 1)[0]
+            seen.append(a)
+            plus_a = [sum((x // p ** i + a // p ** i) % p * p ** i for i in range(m)) for x in range(q)]
+            assert _fields(index, 8 * width, q) == plus_a, (m, a)
+            assert _fields(moved, 8 * width, q) == [values[y] for y in plus_a], (m, a)
+        assert sorted(seen) == list(range(1, q)), m

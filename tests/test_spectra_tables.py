@@ -32,21 +32,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from walshcodes.algebra import (
-    _FIELD_TYPECODES,
-    CyclotomicInt,
-    IndexArith,
-    _bias_word,
-    _binary_passes,
-    _field_width,
-    _odd_passes,
-    _pack,
-    _unpack,
-    gauss_sum_power,
-    is_prime,
-    make_field,
-    trace,
-)
+from walshcodes._packed import bias_word, binary_passes, field_width, odd_passes, pack, unpack
+from walshcodes.algebra import CyclotomicInt, IndexArith, gauss_sum_power, is_prime, make_field, trace
 from walshcodes.errors import ExponentOverflow, InvariantViolated, ParseError, UndefinedSymbol
 from walshcodes.functions import (
     EXPONENT_CAP,
@@ -173,7 +160,7 @@ def packed_fwht(layers, p, m):
     adds that constant times q to every output; a missing layer is then
     that constant in every field.  At p = 2, Z[zeta_2] = Z: ``layers`` is
     the one integer list N, and one more bit goes into the width for the
-    bias of ``_binary_passes``."""
+    bias of ``binary_passes``."""
     q = p ** m
     if p == 2:
         (w,) = layers
@@ -184,15 +171,14 @@ def packed_fwht(layers, p, m):
             layers = [[v - low for v in layer] for layer in layers]
         missing = p - len(layers)
         mass = sum(map(sum, layers)) - missing * low * q
-    width = _field_width(mass.bit_length() + (p == 2))
-    typecode = _FIELD_TYPECODES[width]
+    width = field_width(mass.bit_length() + (p == 2))
     if p == 2:
-        typecode = typecode.lower()
-        bias = _bias_word(width, q)
-        return [_unpack(_binary_passes(_pack(w, typecode) ^ bias, width, m) ^ bias, typecode, q)]
+        bias = bias_word(width, q)
+        (word,) = pack([w], width, signed=True)
+        return unpack([binary_passes(word ^ bias, width, m) ^ bias], width, q, signed=True)
     pad = int.from_bytes((-low).to_bytes(width, "little") * q, "little") if low else 0
-    words = _odd_passes([_pack(layer, typecode) for layer in layers] + [pad] * missing, width, p, m)
-    out = [_unpack(word, typecode, q) for word in words]
+    words = odd_passes(pack(layers, width) + [pad] * missing, width, p, m)
+    out = list(map(list, unpack(words, width, q)))
     return [[v + low * q for v in layer] for layer in out] if low else out
 
 
@@ -1117,16 +1103,15 @@ def test_differential_uniformity_matches_element_loop(pm):
         assert differential_uniformity(f) == differential_uniformity_index_oracle(f)
 
 
-def _binary_cases(m):
-    """(name, value indices, known uniformity or None) over GF(2^m), where
-    adding is XOR of indices."""
-    q = 1 << m
-    rng = random.Random(100 + m)
+def _differential_cases(p, m):
+    """(name, value indices, known uniformity or None) over GF(p^m)."""
+    field = make_field(p, m)
+    q, add, mul = field.q, field.arith.add, field.arith.mul
+    rng = random.Random(100 + m if p == 2 else 1000 * p + m)
     images = [rng.randrange(q) for _ in range(m)]
-    linear = [0] * q
-    for x in range(1, q):
-        low = x & -x
-        linear[x] = linear[x ^ low] ^ images[low.bit_length() - 1]
+    linear = [0]  # the F_p-linear map with basis vector p^i -> images[i]
+    for image in images:
+        linear = [add(v, mul(d, image)) for d in range(p) for v in linear]
     c = rng.randrange(1, q)
     cases = [(f"random {i}", [rng.randrange(q) for _ in range(q)], None) for i in range(3)]
     cases += [
@@ -1134,30 +1119,41 @@ def _binary_cases(m):
         ("random, f(0) = 0", [0] + [rng.randrange(q) for _ in range(q - 1)], None),
         ("constant", [c] * q, q),
         ("linear", linear, q),
-        ("affine", [v ^ c for v in linear], q),
+        ("affine", [add(v, c) for v in linear], q),
     ]
-    field = make_field(2, m)
-    powers = {"inverse": (q - 2, 4 if m % 2 == 0 else 2)}
-    for i in range(1, m):
-        if gcd(i, m) == 1:
-            powers[f"gold {i}"] = ((1 << i) + 1, 2)
-            powers[f"kasami {i}"] = ((1 << 2 * i) - (1 << i) + 1, 2)
+    powers = {"frobenius": (p, q)}
+    if p == 2:
+        powers["inverse"] = (q - 2, 4 if m % 2 == 0 else 2)
+        for i in range(1, m):
+            if gcd(i, m) == 1:
+                powers[f"gold {i}"] = ((1 << i) + 1, 2)
+                powers[f"kasami {i}"] = ((1 << 2 * i) - (1 << i) + 1, 2)
+    else:
+        powers["square"] = (2, 1)
     for name, (e, uniformity) in powers.items():
         cases.append((name, [(x ** e).index for x in field.elements], uniformity))
     return cases
 
 
-@pytest.mark.parametrize("m", range(1, 9))
-def test_binary_differential_uniformity_matches_both_oracles(m):
-    """The packed Gray-code route at p = 2 against the index loop and the
+# p = 2 keeps the ids of m alone
+DIFFERENTIAL_FIELDS = [(2, m) for m in range(1, 9)] + [(3, m) for m in range(1, 6)]
+DIFFERENTIAL_FIELDS += [(5, 1), (5, 2), (5, 3), (7, 2), (11, 1), (13, 1)]
+
+
+@pytest.mark.parametrize(
+    "pm", DIFFERENTIAL_FIELDS, ids=[str(m) if p == 2 else f"GF({p}^{m})" for p, m in DIFFERENTIAL_FIELDS]
+)
+def test_binary_differential_uniformity_matches_both_oracles(pm):
+    """The packed Gray-walk route against the index loop and the
     FieldElement loop, with the values it must take where they are known;
     at p = 2 every row's counts are even, so the maximum is too."""
-    field = make_field(2, m)
-    for name, table, uniformity in _binary_cases(m):
+    p, m = pm
+    field = make_field(p, m)
+    for name, table, uniformity in _differential_cases(p, m):
         f = ParyFunction.from_indices(field, table, m)
         got = differential_uniformity(f)
         assert got == differential_uniformity_index_oracle(f) == differential_uniformity_oracle(f), name
-        assert got % 2 == 0, name
+        assert p > 2 or got % 2 == 0, name
         if uniformity is not None:
             assert got == uniformity, name
 
@@ -1242,25 +1238,26 @@ def test_invariants_raise_under_optimize():
         except InvariantViolated as ex:
             print("macwilliams:", ex)
 
+        import walshcodes._packed as pk
         import walshcodes.codes as cs
 
-        good_passes = cs._binary_passes
+        good_passes = pk.binary_passes
 
-        # the passes return biased fields, so field 0 of W drops by one ...
-        cs._binary_passes = lambda word, width, m: good_passes(word, width, m) - 1
+        # the passes return biased fields, so field 0 of W drops by one, odd ...
+        pk.binary_passes = lambda word, width, m: good_passes(word, width, m) - 1
         try:
             cs.weight_distribution(cs.full_code(make_field(2, 1), 3))
         except InvariantViolated as ex:
             print("weights:", ex)
-        # ... and every field of W rises by two, which keeps n r + W even
-        cs._binary_passes = lambda word, width, m: good_passes(word, width, m) + int.from_bytes(
+        # ... and every field of W rises by two, even but not 0 mod Q = 4
+        pk.binary_passes = lambda word, width, m: good_passes(word, width, m) + int.from_bytes(
             (2).to_bytes(width, "little") * (1 << m), "little"
         )
         try:
             cs.weight_distribution(cs.full_code(make_field(2, 2), 2))
         except InvariantViolated as ex:
             print("remainder:", ex)
-        cs._binary_passes = good_passes
+        pk.binary_passes = good_passes
         try:
             cs.CompleteWeightEnumerator({(1, 0): 1}, 2, 1)
         except InvariantViolated as ex:

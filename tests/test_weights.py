@@ -167,13 +167,16 @@ def test_random_codes_match_enumeration_hypothesis(pm):
 
 
 @pytest.mark.parametrize(
-    "p,n", [(2, 127), (2, 128), (2, 32767), (2, 32768), (3, 255), (3, 256), (3, 65535), (3, 65536)]
+    "p,n",
+    [(2, 127), (2, 128), (2, 32767), (2, 32768), (3, 255), (3, 256), (3, 65535), (3, 65536)]
+    + [(3, 63), (3, 64), (3, 16383), (3, 16384)],
 )
 def test_column_transform_on_both_sides_of_each_width_switch(p, n):
-    """The packed fields hold the total mass n r of the column counts (one
-    more bit at p = 2, for the sign of W).  A row of ones puts the mass
-    itself into a field (and -n r at p = 2), which a field one bit too
-    narrow would carry into its neighbour."""
+    """The packed fields hold the total mass n (p - 1) of the column counts
+    and a sign bit, for the layer difference.  At x = 0 that difference is
+    the mass itself, and the all-ones word of the row of ones puts -n into
+    a field, which a field one bit too narrow would carry into its
+    neighbour.  The switches at p = 3 are at n = 63 and 16383."""
     field = make_field(p, 1)
     rng = random.Random(n)
     code = from_rows(field, [[1] * n, [rng.randrange(p) for _ in range(n)]])
