@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 # (bytes per field, signed) -> the array typecode of that size; the sizes of
@@ -90,20 +91,24 @@ class Lanes:
     below 2p - 1, which carry into no neighbour; adding 2^(bits - 1) - p
     sets the top bit of exactly the lanes holding p or more, and those bits,
     shifted down to bit 0 of their lanes, times p, are what to subtract.
-    At p = 2 the sum and the difference of two words are their XOR."""
+    At p = 2 the sum and the difference of two words are their XOR.
+    A layout never changes once built, so lanes_of shares it."""
 
     __slots__ = ("p", "n", "width", "bits", "fill", "top", "lift")
 
     def __init__(self, p: int, n: int, digits: int = 1):
-        self.p, self.n = p, n
-        self.width = field_width(digits * (1 if p == 2 else (2 * p - 2).bit_length() + 1))
-        self.bits = 8 * self.width // digits
-        self.fill = self.top = self.lift = 0  # unused at p = 2
+        width = field_width(digits * (1 if p == 2 else (2 * p - 2).bit_length() + 1))
+        bits = 8 * width // digits
+        fill = top = 0  # unused at p = 2
         if p > 2:
-            ones = ((1 << digits * self.bits) - 1) // ((1 << self.bits) - 1)  # 1 in each lane of a field
-            ones = int.from_bytes(ones.to_bytes(self.width, "little") * n, "little")
-            self.fill, self.top = p * ones, ones << self.bits - 1  # p, the top bit, in every lane
-            self.lift = self.top - self.fill
+            ones = ((1 << digits * bits) - 1) // ((1 << bits) - 1)  # 1 in each lane of a field
+            ones = int.from_bytes(ones.to_bytes(width, "little") * n, "little")
+            fill, top = p * ones, ones << bits - 1  # p, the top bit, in every lane
+        for name, value in zip(self.__slots__, (p, n, width, bits, fill, top, top - fill)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Lanes layout is read-only")
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -125,6 +130,13 @@ class Lanes:
             if not c:
                 return acc
             word = self.add(word, word)
+
+
+@lru_cache(maxsize=64)
+def lanes_of(p: int, n: int, digits: int = 1) -> Lanes:
+    """Lanes(p, n, digits), built once per layout while it is among the 64
+    most recently used."""
+    return Lanes(p, n, digits)
 
 
 # -- moving fields by their index -------------------------------------------------

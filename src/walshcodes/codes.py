@@ -43,7 +43,7 @@ from itertools import islice
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
-from ._packed import TYPECODES, Lanes, bias_word, field_width, pack, transform, unpack
+from ._packed import TYPECODES, Lanes, bias_word, field_width, lanes_of, pack, transform, unpack
 from .algebra import Field, FieldElement, _check_subfield, subfield
 from .errors import EmptyLength, InvariantViolated, RaggedRows, TooLarge, ZeroCode
 
@@ -213,7 +213,7 @@ def _rref(mat: Sequence[Sequence[int]], field: Field) -> tuple[list[tuple[int, .
     nonzero rows, pivot columns).  Over F_{p^s}, s > 1, the rows of the F_p
     RREF of _expand(mat) that lead at digit 0 of a block."""
     p, s = field.p, field.m
-    lanes = Lanes(p, (len(mat[0]) if mat else 0) * s)
+    lanes = lanes_of(p, (len(mat[0]) if mat else 0) * s)
     rows, pivots = _reduce(pack(_expand(mat, field), lanes.width), lanes)
     rows = unpack(rows, lanes.width, lanes.n)
     if s == 1:
@@ -225,7 +225,7 @@ def _rref(mat: Sequence[Sequence[int]], field: Field) -> tuple[list[tuple[int, .
 def _from_right(rows: Sequence[Sequence[int]], p: int, n: int) -> tuple[list[int], list[int]]:
     """_reduce of the rows of length n over F_p read from the right: pivot
     c is column n - 1 - c."""
-    lanes = Lanes(p, n)
+    lanes = lanes_of(p, n)
     return _reduce(pack(rows, lanes.width, order="big"), lanes)
 
 
@@ -255,7 +255,7 @@ def _kernel(reduced: tuple[list[int], list[int]], field: Field, n: int) -> list[
     nf = len(free)
     if not nf:
         return []
-    lanes = Lanes(p, width)
+    lanes = lanes_of(p, width)
     eye = (0,) * (nf - 1) + (1,) + (0,) * (nf - 1)
     cols: list = [None] * width
     for a, f in enumerate(free):
@@ -275,7 +275,7 @@ def _nullspace(mat: Sequence[Sequence[int]], field: Field, n: int) -> list[tuple
     return _kernel(_reduced_checks(mat, field, n), field, n)
 
 
-def _width(mat: list[list[int]], n: int | None = None) -> int | None:
+def _width(mat: Sequence[Sequence[int]], n: int | None = None) -> int | None:
     """The common length of the rows of mat, or n when there are none;
     RaggedRows when the lengths differ, or differ from a declared n."""
     if not mat:
@@ -401,9 +401,10 @@ def from_rows(
 
 
 def _from_indices(
-    base: Field, mat: list[list[int]], n: int | None = None, provenance: str | None = None
+    base: Field, mat: Sequence[Sequence[int]], n: int | None = None, provenance: str | None = None
 ) -> LinearCode:
-    """Span of the rows of an index matrix over base, reduced in place."""
+    """Span of the rows of an index matrix over base; mat is left as it is,
+    so a matrix that a defining set or a function keeps may be passed."""
     n = _width(mat, n)
     if n is None or n <= 0:
         raise EmptyLength("a code needs positive length")
@@ -463,7 +464,7 @@ def _orthogonal_span(
     pivots P, the word of the row of X that leads at f leads at P_f and is
     0 at every other P_f': the words are the RREF of their span."""
     p, s = field.p, field.m
-    lanes = Lanes(p, n * s)
+    lanes = lanes_of(p, n * s)
     rows = pack(_expand(gens, field), lanes.width)
     words = []
     for x in _nullspace(_pairing(checks, gens, field), field, len(gens)):

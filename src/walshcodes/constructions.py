@@ -50,13 +50,18 @@ class DefiningSet:
     """Ordered sequence (d_1, ..., d_n) in an ambient field.
 
     base_degree s means the induced codewords take values in F_{p^s}
-    through the relative trace.
+    through the relative trace.  ``_derived`` keeps what the constructions
+    read of the set (see _set_matrix): its indices, its trace rows, its
+    coordinate rows and their reduction from the right, each built on
+    first use and kept, as tuples, for as long as the set lives; it takes
+    no part in equality, hashing or repr.
     """
 
     field: Field
     base_degree: int
     elements: tuple[FieldElement, ...]
     provenance: str = dc_field(default="", compare=False)
+    _derived: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_subfield(self.field, self.base_degree)
@@ -91,24 +96,44 @@ def defining_set(
 # field's tables; the elimination kernel of codes takes the index rows as
 # they are.
 
-def _trace_rows(ctx: Field, s: int, indices: Sequence[int]) -> list[list[int]]:
+def _trace_rows(ctx: Field, s: int, indices: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Tr_{q/p^s}(x^j d) for j < m/s (down) and each index d (across), as
     indices of the subfield F_{p^s}."""
     table, scale = ctx.trace_table(s), ctx.arith.scale
-    return [[table[v] for v in scale(indices, ctx.p ** j)] for j in range(ctx.m // s)]
+    return tuple(tuple([table[v] for v in scale(indices, ctx.p ** j)]) for j in range(ctx.m // s))
 
 
-def _coordinate_rows(ctx: Field, s: int, indices: Sequence[int]) -> list[list[int]]:
+def _coordinate_rows(ctx: Field, s: int, indices: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The coordinates c_j(d) over F_{p^s} for j < m/s (down) and each index
     d (across)."""
     table, size = ctx.coordinate_table(s), ctx.p ** s
     packed = [table[v] for v in indices]
-    return [[v // unit % size for v in packed] for unit in (size ** j for j in range(ctx.m // s))]
+    return tuple(tuple([v // unit % size for v in packed]) for unit in (size ** j for j in range(ctx.m // s)))
 
 
-def _span(ctx: Field, s: int, indices: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+def _span(ctx: Field, s: int, indices: Sequence[int]) -> tuple[list[tuple[int, ...]], list[int]]:
     """RREF rows and pivot columns of the coordinate matrix over F_{p^s}."""
     return _rref(_coordinate_rows(ctx, s, indices), subfield(ctx, s)[0])
+
+
+def _set_matrix(ds: DefiningSet, key: str):
+    """The "indices" of ds, their "traces" (_trace_rows), "coordinates"
+    (_coordinate_rows) or "reduced" (the coordinate rows reduced from the
+    right, as in _nullspace), kept in ds._derived from first use; each is
+    what rebuilding it from the same tables would give."""
+    derived = ds._derived
+    if key not in derived:
+        ctx, s = ds.field, ds.base_degree
+        if key == "indices":
+            derived[key] = tuple(d.index for d in ds.elements)
+        elif key == "traces":
+            derived[key] = _trace_rows(ctx, s, _set_matrix(ds, "indices"))
+        elif key == "coordinates":
+            derived[key] = _coordinate_rows(ctx, s, _set_matrix(ds, "indices"))
+        elif key == "reduced":
+            reduced = _reduced_checks(_set_matrix(ds, "coordinates"), subfield(ctx, s)[0], len(ds))
+            derived[key] = tuple(map(tuple, reduced))
+    return derived[key]
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +156,24 @@ def _first_columns(f: ParyFunction, include_zero: bool) -> tuple[list[int], list
     return list(range(start, f.field.q)), list(f.indices[start:])
 
 
-def _first_traces(f: ParyFunction, include_zero: bool) -> list[list[int]]:
-    """The codewords of (a, b) = (x^j, 0), then of (0, x^j), for j < m."""
-    points, values = _first_columns(f, include_zero)
-    return _trace_rows(f.field, 1, values) + _trace_rows(f.field, 1, points)
+def _first_traces(f: ParyFunction, include_zero: bool) -> tuple[tuple[int, ...], ...]:
+    """The codewords of (a, b) = (x^j, 0), then of (0, x^j), for j < m:
+    2m n entries, kept in f._derived from first use as long as f lives."""
+    key = "first traces", include_zero
+    if key not in f._derived:
+        points, values = _first_columns(f, include_zero)
+        f._derived[key] = _trace_rows(f.field, 1, values) + _trace_rows(f.field, 1, points)
+    return f._derived[key]
 
 
-def _first_coordinates(f: ParyFunction, include_zero: bool) -> list[list[int]]:
-    """The 2m x n coordinate matrix over F_p of (x_i), then of (f(x_i))."""
-    points, values = _first_columns(f, include_zero)
-    return _coordinate_rows(f.field, 1, points) + _coordinate_rows(f.field, 1, values)
+def _first_coordinates(f: ParyFunction, include_zero: bool) -> tuple[tuple[int, ...], ...]:
+    """The 2m x n coordinate matrix over F_p of (x_i), then of (f(x_i)),
+    kept in f._derived from first use as long as f lives."""
+    key = "first coordinates", include_zero
+    if key not in f._derived:
+        points, values = _first_columns(f, include_zero)
+        f._derived[key] = _coordinate_rows(f.field, 1, points) + _coordinate_rows(f.field, 1, values)
+    return f._derived[key]
 
 
 def first_generic(f: ParyFunction, include_zero: bool = True) -> LinearCode:
@@ -198,9 +231,8 @@ def hull_first_kernel(f: ParyFunction, include_zero: bool = True) -> LinearCode:
 
 def second_generic(ds: DefiningSet) -> LinearCode:
     """Code {(Tr(x d_1), ..., Tr(x d_n)) : x ambient} over F_{p^s}."""
-    ctx, s = ds.field, ds.base_degree
-    rows = _trace_rows(ctx, s, ds.indices())
-    return _from_indices(subfield(ctx, s)[0], rows, len(ds), f"defining-set:{ds.provenance}")
+    rows = _set_matrix(ds, "traces")
+    return _from_indices(subfield(ds.field, ds.base_degree)[0], rows, len(ds), f"defining-set:{ds.provenance}")
 
 
 def second_codeword(ds: DefiningSet, x: FieldElement) -> tuple[int, ...]:
@@ -216,20 +248,27 @@ def dual_second_closed_form(ds: DefiningSet) -> LinearCode:
     x -> x^(p^s) is F_{p^s}-linear and bijective, so every Frobenius power
     (d_i^(p^(s j))) has the same solutions, and its coordinate matrix the
     same reduction from the right, the one elimination of the nullspace;
-    InvariantViolated is raised where it does not."""
+    InvariantViolated is raised where it does not.  The reduction of power
+    0 is the set's shared one (see _set_matrix); every other power is built
+    and reduced on every call."""
     ctx, s = ds.field, ds.base_degree
-    sub, indices, n = subfield(ctx, s)[0], ds.indices(), len(ds)
-    reduced = _reduced_checks(_coordinate_rows(ctx, s, indices), sub, n)
+    sub, n = subfield(ctx, s)[0], len(ds)
+    indices, reduced = _set_matrix(ds, "indices"), _set_matrix(ds, "reduced")
     for j in range(1, ctx.m // s):
         power = ctx.power_indices(indices, ctx.p ** (s * j))
-        if _reduced_checks(_coordinate_rows(ctx, s, power), sub, n) != reduced:
+        if tuple(map(tuple, _reduced_checks(_coordinate_rows(ctx, s, power), sub, n))) != reduced:
             raise InvariantViolated(f"the dual from Frobenius power {j} of the defining row differs")
     return LinearCode(sub, n, _kernel(reduced, sub, n), "closed-form-dual")
 
 
 def dimension_via_span(ds: DefiningSet) -> int:
-    """Base-field rank of the defining sequence; equals dim of its code."""
-    return len(_span(ds.field, ds.base_degree, ds.indices())[0])
+    """Base-field rank of the defining sequence; equals dim of its code.
+
+    It is read from the reduction of the coordinate rows that ds keeps for
+    as long as it lives (see _set_matrix), built by the first of this and
+    dual_second_closed_form: the F_p constraints of an F_{p^s}-space of
+    rank r have F_p rank s r."""
+    return len(_set_matrix(ds, "reduced")[1]) // ds.base_degree
 
 
 def standard_form_generator(ds: DefiningSet):
@@ -269,19 +308,17 @@ def second_hull_map_matrix(ds: DefiningSet):
     x -> sum_d Tr(x d) d in the basis x^j, j < m/s: entry (r, c) is
     coordinate r of sum_i Tr(x^c d_i) d_i.  The hull of the code is its
     kernel mapped through the codeword map.  Returns (rows, alphabet)."""
-    ctx, s = ds.field, ds.base_degree
-    sub, indices = subfield(ctx, s)[0], ds.indices()
-    rows = _pairing(_coordinate_rows(ctx, s, indices), _trace_rows(ctx, s, indices), sub)
+    sub = subfield(ds.field, ds.base_degree)[0]
+    rows = _pairing(_set_matrix(ds, "coordinates"), _set_matrix(ds, "traces"), sub)
     return _elements(rows, sub), sub
 
 
 def hull_second_kernel(ds: DefiningSet) -> LinearCode:
     """Hull of the defining-set code as the kernel of the pairing map, mapped
     through x -> the codeword of x."""
-    ctx, s = ds.field, ds.base_degree
-    sub, indices = subfield(ctx, s)[0], ds.indices()
-    checks, traces = _coordinate_rows(ctx, s, indices), _trace_rows(ctx, s, indices)
-    return _from_indices(sub, _orthogonal_span(checks, traces, sub, len(ds)), len(ds), "hull-kernel")
+    sub, checks = subfield(ds.field, ds.base_degree)[0], _set_matrix(ds, "coordinates")
+    words = _orthogonal_span(checks, _set_matrix(ds, "traces"), sub, len(ds))
+    return _from_indices(sub, words, len(ds), "hull-kernel")
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,15 @@ from walshcodes.codes import (
     restrict_to_subfield,
     rref,
 )
+from walshcodes.codes import _reduced_checks
 from walshcodes.constructions import (
     DefiningSet,
+    _coordinate_rows,
+    _first_coordinates,
+    _first_traces,
+    _set_matrix,
+    _span,
+    _trace_rows,
     defining_set,
     dimension_via_span,
     dual_first_closed_form,
@@ -414,6 +421,77 @@ def test_empty_defining_set_has_no_span():
     assert dimension_via_span(ds) == 0
     with pytest.raises(CannotFrontLoad):
         standard_form_generator(ds)
+
+
+# -- the matrices a set or a function keeps ------------------------------------------
+
+
+SECOND_CALLS = (second_generic, dual_second_closed_form, hull_second_kernel, dimension_via_span, second_hull_map_matrix)
+FIRST_CALLS = (first_generic, dual_first_closed_form, hull_first_kernel, first_hull_map_matrix)
+
+
+@pytest.mark.parametrize("pms", TOWERS, ids=_ids(TOWERS))
+def test_kept_matrices_give_what_fresh_objects_give(pms):
+    """Every construction on one object, in either order, equals the same
+    call on a fresh equal object, and leaves each kept matrix as it would
+    be rebuilt from the tables; the object keeps its equality and hash."""
+    p, m, s = pms
+    field = make_field(p, m)
+    rng = random.Random(field.q * 10 + s + 2)
+    sub = subfield(field, s)[0]
+    for ds in defining_sets_of(field, s, rng):
+
+        def fresh():
+            return DefiningSet(field, s, ds.elements, ds.provenance)
+
+        expected = [call(fresh()) for call in SECOND_CALLS]
+        twin = fresh()
+        assert [call(ds) for call in SECOND_CALLS] == expected
+        assert [call(twin) for call in reversed(SECOND_CALLS)] == expected[::-1]
+        assert dimension_via_span(ds) == len(_span(field, s, ds.indices())[0])
+        assert ds == fresh() and hash(ds) == hash(fresh()) and repr(ds) == repr(fresh())
+        for kept in (ds, twin):
+            assert kept._derived["traces"] == _trace_rows(field, s, ds.indices())
+            assert kept._derived["coordinates"] == _coordinate_rows(field, s, ds.indices())
+            reduced = _reduced_checks(_coordinate_rows(field, s, ds.indices()), sub, len(ds))
+            assert kept._derived["reduced"] == tuple(map(tuple, reduced))
+    if s == 1:
+        for f in functions_of(field, rng):
+            for include_zero in (True, False):
+
+                def fresh():
+                    return ParyFunction.from_indices(field, f.indices, m)
+
+                expected = [call(fresh(), include_zero) for call in FIRST_CALLS]
+                twin = fresh()
+                assert [call(f, include_zero) for call in FIRST_CALLS] == expected
+                assert [call(twin, include_zero) for call in reversed(FIRST_CALLS)] == expected[::-1]
+                assert f == fresh() and hash(f) == hash(fresh())
+                for kept in (f, twin):
+                    assert _first_traces(kept, include_zero) == _first_traces(fresh(), include_zero)
+                    assert _first_coordinates(kept, include_zero) == _first_coordinates(fresh(), include_zero)
+
+
+def test_kept_matrices_are_left_as_they_are():
+    """The matrices a set and a function keep are tuples, and the same
+    objects, unchanged, after every construction has read them."""
+    field = make_field(3, 2)
+    ds = defining_set(field, [field.elements[i] for i in (1, 4, 4, 0, 7, 2)])
+    f = ParyFunction.from_callable(field, lambda x: x ** 5, field.m)
+    kept = {key: _set_matrix(ds, key) for key in ("traces", "coordinates", "reduced")}
+    first = {z: (_first_traces(f, z), _first_coordinates(f, z)) for z in (True, False)}
+    copies = {key: tuple(map(tuple, rows)) for key, rows in kept.items()}
+    for z in (True, False):
+        for call in (first_generic, dual_first_closed_form, hull_first_kernel):
+            call(f, z)
+    for call in (second_generic, hull_second_kernel, dual_second_closed_form):
+        call(ds)
+    for key, rows in kept.items():
+        assert ds._derived[key] is rows and rows == copies[key]
+        assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+    for z, (traces, coords) in first.items():
+        assert _first_traces(f, z) is traces and _first_coordinates(f, z) is coords
+        assert all(isinstance(row, tuple) for row in traces + coords)
 
 
 # -- generators ------------------------------------------------------------------------

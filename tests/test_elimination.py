@@ -47,6 +47,7 @@ from walshcodes.codes import (
 )
 from walshcodes.constructions import (
     defining_set,
+    dimension_via_span,
     dual_first_closed_form,
     dual_second_closed_form,
     first_generic,
@@ -593,7 +594,9 @@ def test_one_rref_per_dual_and_none_after_the_gram_kernel(monkeypatch):
     """A dual is one elimination; the hull reduces only its k x k Gram
     matrix (over F_{p^s}, its s k x s k F_p constraints); the closed-form
     second dual reduces one coordinate matrix per Frobenius power, m/s of
-    them, and assembles the basis from the first."""
+    them, and assembles the basis from the first.  The set keeps that first
+    reduction: dimension_via_span then reduces nothing, and a second closed
+    form reduces only the m/s - 1 other powers."""
     shapes = []
     kernel = codes_module._reduce
 
@@ -621,6 +624,11 @@ def test_one_rref_per_dual_and_none_after_the_gram_kernel(monkeypatch):
     shapes.clear()
     dual_second_closed_form(ds)
     assert shapes == [(field.m, len(ds))] * field.m
+    shapes.clear()
+    dimension_via_span(ds)
+    assert shapes == []
+    dual_second_closed_form(ds)
+    assert shapes == [(field.m, len(ds))] * (field.m - 1)
 
 
 def test_ragged_rows_raise_at_the_edge():
@@ -733,6 +741,16 @@ def test_construction_invariants_raise_under_optimize():
             print("frobenius:", ex)
         del field.power_indices
 
+        # the same corruption once the set keeps the reduction of power 0
+        kept = cs.defining_set(field, [field.from_index(i) for i in (3, 5, 7, 9, 11)])
+        cs.dual_second_closed_form(kept)
+        field.power_indices = corrupted
+        try:
+            cs.dual_second_closed_form(kept)
+        except InvariantViolated as ex:
+            print("frobenius kept:", ex)
+        del field.power_indices
+
         other = make_field(3, 4)
         other.power_basis = lambda: [other.one] * other.m
         try:
@@ -761,5 +779,5 @@ def test_construction_invariants_raise_under_optimize():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
-        "frobenius", "basis", "trace-zero", "cyclotomic"
+        "frobenius", "frobenius kept", "basis", "trace-zero", "cyclotomic"
     ], proc.stdout

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from walshcodes._packed import Lanes, gray_walk, pack, unpack
+from walshcodes._packed import Lanes, gray_walk, lanes_of, pack, unpack
 
 WIDTHS = [1, 2, 4, 8]
 
@@ -51,6 +51,14 @@ def test_lanes_are_the_narrowest_width_that_holds_2p_minus_2_below_the_top_bit()
     assert [(Lanes(p, 1, m).width, Lanes(p, 1, m).bits) for p, m in ((3, 2), (3, 6), (3, 12), (13, 5))] == [
         (1, 4), (4, 5), (8, 5), (4, 6)
     ]
+
+
+def test_a_layout_is_built_once_and_read_only():
+    lanes = lanes_of(3, 5)
+    assert lanes_of(3, 5) is lanes and lanes_of(3, 5, 2) is not lanes
+    assert [getattr(lanes, a) for a in Lanes.__slots__] == [getattr(Lanes(3, 5), a) for a in Lanes.__slots__]
+    with pytest.raises(AttributeError):
+        lanes.fill = 0
 
 
 def _lane_word(lanes, rows):
