@@ -34,6 +34,7 @@ from .constructions import (
     image_set_points,
     make_image_set,
     second_codeword,
+    second_generic,
 )
 from .errors import (
     AffineFunction,
@@ -335,8 +336,6 @@ def dual_character_first(
 
 
 def dual_character_second(f: ParyFunction) -> CodeCharacter:
-    from .constructions import second_generic
-
     ds = make_image_set(f)
     exps = tuple(_second_exponents(ds))
     if not second_generic(ds).contains(exps):

@@ -1,6 +1,11 @@
 """The two generic code constructions, their closed-form duals and hulls,
 defining-set generators, and the fixed-Hull / LCD / MDS recipes.
 
+Both constructions are trace codes over F_{p^s} of sequences: the values
+and points of a function (s = 1), or a defining set.  The code, its
+closed-form dual, its hull map and its kernel hull come from their trace
+and coordinate rows, so one record (_Matrices) implements each once.
+
 A defining set is an ordered sequence (duplicates permitted): the induced
 code's identity depends on the order only up to coordinate permutation,
 so every generator here emits a deterministic canonical order.
@@ -9,6 +14,7 @@ so every generator here emits a deterministic canonical order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Sequence
 
 from .algebra import Field, FieldElement, _check_subfield, subfield
@@ -17,7 +23,6 @@ from .codes import (
     _elements,
     _from_indices,
     _kernel,
-    _nullspace,
     _orthogonal_span,
     _pairing,
     _reduced_checks,
@@ -50,11 +55,9 @@ class DefiningSet:
     """Ordered sequence (d_1, ..., d_n) in an ambient field.
 
     base_degree s means the induced codewords take values in F_{p^s}
-    through the relative trace.  ``_derived`` keeps what the constructions
-    read of the set (see _set_matrix): its indices, its trace rows, its
-    coordinate rows and their reduction from the right, each built on
-    first use and kept, as tuples, for as long as the set lives; it takes
-    no part in equality, hashing or repr.
+    through the relative trace.  ``_derived`` keeps the set's matrices
+    (see _matrices) for as long as the set lives; it takes no part in
+    equality, hashing or repr.
     """
 
     field: Field
@@ -111,29 +114,58 @@ def _coordinate_rows(ctx: Field, s: int, indices: Sequence[int]) -> tuple[tuple[
     return tuple(tuple([v // unit % size for v in packed]) for unit in (size ** j for j in range(ctx.m // s)))
 
 
-def _span(ctx: Field, s: int, indices: Sequence[int]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """RREF rows and pivot columns of the coordinate matrix over F_{p^s}."""
-    return _rref(_coordinate_rows(ctx, s, indices), subfield(ctx, s)[0])
+class _Matrices:
+    """The trace rows of the sequences ``traced`` and the coordinate rows of
+    ``coordinated`` over F_{p^s}, m/s rows a sequence, each matrix built on
+    first use and kept as tuples, and what the constructions make of them."""
+
+    def __init__(self, ctx: Field, s: int, traced: Sequence[Sequence[int]], coordinated: Sequence[Sequence[int]]):
+        self.ctx, self.s, self.traced, self.coordinated = ctx, s, traced, coordinated
+        self.alphabet, self.n = subfield(ctx, s)[0], len(traced[0])
+
+    @cached_property
+    def traces(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(row for seq in self.traced for row in _trace_rows(self.ctx, self.s, seq))
+
+    @cached_property
+    def coordinates(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(row for seq in self.coordinated for row in _coordinate_rows(self.ctx, self.s, seq))
+
+    @cached_property
+    def reduced(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The one elimination of the coordinate rows' nullspace (codes._reduced_checks)."""
+        return tuple(map(tuple, _reduced_checks(self.coordinates, self.alphabet, self.n)))
+
+    def code(self, provenance: str) -> LinearCode:
+        return _from_indices(self.alphabet, self.traces, self.n, provenance)
+
+    def dual(self) -> LinearCode:
+        return LinearCode(self.alphabet, self.n, _kernel(self.reduced, self.alphabet, self.n), "closed-form-dual")
+
+    def hull_map(self):
+        return _elements(_pairing(self.coordinates, self.traces, self.alphabet), self.alphabet), self.alphabet
+
+    def hull(self) -> LinearCode:
+        words = _orthogonal_span(self.coordinates, self.traces, self.alphabet, self.n)
+        return _from_indices(self.alphabet, words, self.n, "hull-kernel")
+
+    def rank(self) -> int:
+        return len(self.reduced[1]) // self.s
 
 
-def _set_matrix(ds: DefiningSet, key: str):
-    """The "indices" of ds, their "traces" (_trace_rows), "coordinates"
-    (_coordinate_rows) or "reduced" (the coordinate rows reduced from the
-    right, as in _nullspace), kept in ds._derived from first use; each is
-    what rebuilding it from the same tables would give."""
-    derived = ds._derived
-    if key not in derived:
-        ctx, s = ds.field, ds.base_degree
-        if key == "indices":
-            derived[key] = tuple(d.index for d in ds.elements)
-        elif key == "traces":
-            derived[key] = _trace_rows(ctx, s, _set_matrix(ds, "indices"))
-        elif key == "coordinates":
-            derived[key] = _coordinate_rows(ctx, s, _set_matrix(ds, "indices"))
-        elif key == "reduced":
-            reduced = _reduced_checks(_set_matrix(ds, "coordinates"), subfield(ctx, s)[0], len(ds))
-            derived[key] = tuple(map(tuple, reduced))
-    return derived[key]
+def _matrices(source: DefiningSet | ParyFunction, include_zero: bool = True) -> _Matrices:
+    """The record of a defining set D (D traced and coordinated) or of a
+    function's code (f(x), x traced; x, f(x) coordinated), kept in
+    source._derived from first use, one per include_zero."""
+    key = "matrices", include_zero
+    if key not in source._derived:
+        if isinstance(source, DefiningSet):
+            row = tuple(source.indices())
+            source._derived[key] = _Matrices(source.field, source.base_degree, (row,), (row,))
+        else:
+            points, values = _first_columns(source, include_zero)
+            source._derived[key] = _Matrices(source.field, 1, (values, points), (points, values))
+    return source._derived[key]
 
 
 # ---------------------------------------------------------------------------
@@ -156,30 +188,9 @@ def _first_columns(f: ParyFunction, include_zero: bool) -> tuple[list[int], list
     return list(range(start, f.field.q)), list(f.indices[start:])
 
 
-def _first_traces(f: ParyFunction, include_zero: bool) -> tuple[tuple[int, ...], ...]:
-    """The codewords of (a, b) = (x^j, 0), then of (0, x^j), for j < m:
-    2m n entries, kept in f._derived from first use as long as f lives."""
-    key = "first traces", include_zero
-    if key not in f._derived:
-        points, values = _first_columns(f, include_zero)
-        f._derived[key] = _trace_rows(f.field, 1, values) + _trace_rows(f.field, 1, points)
-    return f._derived[key]
-
-
-def _first_coordinates(f: ParyFunction, include_zero: bool) -> tuple[tuple[int, ...], ...]:
-    """The 2m x n coordinate matrix over F_p of (x_i), then of (f(x_i)),
-    kept in f._derived from first use as long as f lives."""
-    key = "first coordinates", include_zero
-    if key not in f._derived:
-        points, values = _first_columns(f, include_zero)
-        f._derived[key] = _coordinate_rows(f.field, 1, points) + _coordinate_rows(f.field, 1, values)
-    return f._derived[key]
-
-
 def first_generic(f: ParyFunction, include_zero: bool = True) -> LinearCode:
     """Code {(Tr(a f(x) + b x))_x : a, b in F_q} over F_p; length q or q-1."""
-    tag = "function-code" if include_zero else "punctured-function-code"
-    return _from_indices(subfield(f.field, 1)[0], _first_traces(f, include_zero), provenance=tag)
+    return _matrices(f, include_zero).code("function-code" if include_zero else "punctured-function-code")
 
 
 def first_codeword(
@@ -201,28 +212,19 @@ def dual_first_closed_form(f: ParyFunction, include_zero: bool = True) -> Linear
     """Dual of the function code: the c in F_p^n with sum_i c_i x_i = 0 and
     sum_i c_i f(x_i) = 0, the nullspace over F_p of the 2m x n coordinate
     matrix of (x_i) and (f(x_i))."""
-    coords = _first_coordinates(f, include_zero)
-    prime = subfield(f.field, 1)[0]
-    n = len(coords[0])
-    return LinearCode(prime, n, _nullspace(coords, prime, n), "closed-form-dual")
+    return _matrices(f, include_zero).dual()
 
 
 def first_hull_map_matrix(f: ParyFunction, include_zero: bool = True):
     """Matrix over F_p of (a, b) -> (sum_i c_i x_i, sum_i c_i f(x_i)) with
     c = the codeword of (a, b); the hull of the function code is the kernel."""
-    prime = subfield(f.field, 1)[0]
-    rows = _pairing(_first_coordinates(f, include_zero), _first_traces(f, include_zero), prime)
-    return _elements(rows, prime), prime
+    return _matrices(f, include_zero).hull_map()
 
 
 def hull_first_kernel(f: ParyFunction, include_zero: bool = True) -> LinearCode:
     """Hull of the function code as the kernel of the pairing map, mapped
     through (a, b) -> the codeword of (a, b)."""
-    prime = subfield(f.field, 1)[0]
-    traces = _first_traces(f, include_zero)
-    n = len(traces[0])
-    words = _orthogonal_span(_first_coordinates(f, include_zero), traces, prime, n)
-    return _from_indices(prime, words, n, "hull-kernel")
+    return _matrices(f, include_zero).hull()
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +233,7 @@ def hull_first_kernel(f: ParyFunction, include_zero: bool = True) -> LinearCode:
 
 def second_generic(ds: DefiningSet) -> LinearCode:
     """Code {(Tr(x d_1), ..., Tr(x d_n)) : x ambient} over F_{p^s}."""
-    rows = _set_matrix(ds, "traces")
-    return _from_indices(subfield(ds.field, ds.base_degree)[0], rows, len(ds), f"defining-set:{ds.provenance}")
+    return _matrices(ds).code(f"defining-set:{ds.provenance}")
 
 
 def second_codeword(ds: DefiningSet, x: FieldElement) -> tuple[int, ...]:
@@ -245,30 +246,27 @@ def dual_second_closed_form(ds: DefiningSet) -> LinearCode:
     """Dual of the defining-set code: the c in F_{p^s}^n with sum c_i d_i = 0,
     the nullspace of the coordinate matrix of D over F_{p^s}.
 
-    x -> x^(p^s) is F_{p^s}-linear and bijective, so every Frobenius power
-    (d_i^(p^(s j))) has the same solutions, and its coordinate matrix the
-    same reduction from the right, the one elimination of the nullspace;
-    InvariantViolated is raised where it does not.  The reduction of power
-    0 is the set's shared one (see _set_matrix); every other power is built
-    and reduced on every call."""
-    ctx, s = ds.field, ds.base_degree
-    sub, n = subfield(ctx, s)[0], len(ds)
-    indices, reduced = _set_matrix(ds, "indices"), _set_matrix(ds, "reduced")
-    for j in range(1, ctx.m // s):
-        power = ctx.power_indices(indices, ctx.p ** (s * j))
-        if tuple(map(tuple, _reduced_checks(_coordinate_rows(ctx, s, power), sub, n))) != reduced:
-            raise InvariantViolated(f"the dual from Frobenius power {j} of the defining row differs")
-    return LinearCode(sub, n, _kernel(reduced, sub, n), "closed-form-dual")
+    x -> x^(p^s) is F_{p^s}-linear and bijective, so the Frobenius power
+    (d_i^(p^s)) has the same solutions and the same reduction from the
+    right; on every call with m/s > 1, InvariantViolated is raised where it
+    does not.  The check reads the exp/log entries at exponent p^s of the
+    elements and their coordinate-table entries, not the exponents
+    p^(s j), j >= 2, whose powers are iterates of this one."""
+    kept, ctx, s = _matrices(ds), ds.field, ds.base_degree
+    if ctx.m > s:
+        power = ctx.power_indices(ds.indices(), ctx.p ** s)
+        if _Matrices(ctx, s, (power,), (power,)).reduced != kept.reduced:
+            raise InvariantViolated("the dual from Frobenius power 1 of the defining row differs")
+    return kept.dual()
 
 
 def dimension_via_span(ds: DefiningSet) -> int:
     """Base-field rank of the defining sequence; equals dim of its code.
 
-    It is read from the reduction of the coordinate rows that ds keeps for
-    as long as it lives (see _set_matrix), built by the first of this and
-    dual_second_closed_form: the F_p constraints of an F_{p^s}-space of
-    rank r have F_p rank s r."""
-    return len(_set_matrix(ds, "reduced")[1]) // ds.base_degree
+    It is read from the reduction of the coordinate rows that ds keeps
+    (see _matrices): the F_p constraints of an F_{p^s}-space of rank r
+    have F_p rank s r."""
+    return _matrices(ds).rank()
 
 
 def standard_form_generator(ds: DefiningSet):
@@ -279,11 +277,12 @@ def standard_form_generator(ds: DefiningSet):
     Both come from the RREF of the coordinate matrix: its pivots are the
     first elements independent of those before them, and each of its
     columns holds the coefficients of that element over the pivots."""
-    red, chosen = _span(ds.field, ds.base_degree, ds.indices())
+    kept = _matrices(ds)
+    red, chosen = _rref(kept.coordinates, kept.alphabet)
     if not chosen:
         raise CannotFrontLoad("the defining set spans dimension 0")
     order = chosen + sorted(set(range(len(ds))) - set(chosen))
-    return _elements([[row[i] for i in order] for row in red], subfield(ds.field, ds.base_degree)[0]), order
+    return _elements([[row[i] for i in order] for row in red], kept.alphabet), order
 
 
 def code_to_defining_set(code: LinearCode, ctx: Field) -> DefiningSet:
@@ -308,17 +307,13 @@ def second_hull_map_matrix(ds: DefiningSet):
     x -> sum_d Tr(x d) d in the basis x^j, j < m/s: entry (r, c) is
     coordinate r of sum_i Tr(x^c d_i) d_i.  The hull of the code is its
     kernel mapped through the codeword map.  Returns (rows, alphabet)."""
-    sub = subfield(ds.field, ds.base_degree)[0]
-    rows = _pairing(_set_matrix(ds, "coordinates"), _set_matrix(ds, "traces"), sub)
-    return _elements(rows, sub), sub
+    return _matrices(ds).hull_map()
 
 
 def hull_second_kernel(ds: DefiningSet) -> LinearCode:
     """Hull of the defining-set code as the kernel of the pairing map, mapped
     through x -> the codeword of x."""
-    sub, checks = subfield(ds.field, ds.base_degree)[0], _set_matrix(ds, "coordinates")
-    words = _orthogonal_span(checks, _set_matrix(ds, "traces"), sub, len(ds))
-    return _from_indices(sub, words, len(ds), "hull-kernel")
+    return _matrices(ds).hull()
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +410,8 @@ def make_cyclotomic_set(ctx: Field, base_degree: int, second_class: bool = False
 
 
 def _check_independent(ctx: Field, ds: Sequence[FieldElement], base_degree: int):
-    if len(_span(ctx, base_degree, [ctx.index_of(d) for d in ds])[0]) != len(ds):
+    row = [ctx.index_of(d) for d in ds]
+    if _Matrices(ctx, base_degree, (row,), (row,)).rank() != len(ds):
         raise NotIndependent("defining elements must be linearly independent")
 
 

@@ -32,10 +32,7 @@ from walshcodes.codes import _reduced_checks
 from walshcodes.constructions import (
     DefiningSet,
     _coordinate_rows,
-    _first_coordinates,
-    _first_traces,
-    _set_matrix,
-    _span,
+    _matrices,
     _trace_rows,
     defining_set,
     dimension_via_span,
@@ -430,6 +427,19 @@ SECOND_CALLS = (second_generic, dual_second_closed_form, hull_second_kernel, dim
 FIRST_CALLS = (first_generic, dual_first_closed_form, hull_first_kernel, first_hull_map_matrix)
 
 
+def kept_rebuilt(field, s, traced, coordinated):
+    """The trace rows, coordinate rows and reduction a record keeps, rebuilt
+    from the tables of field."""
+    sub = subfield(field, s)[0]
+    coordinates = tuple(row for seq in coordinated for row in _coordinate_rows(field, s, seq))
+    reduced = tuple(map(tuple, _reduced_checks(coordinates, sub, len(traced[0]))))
+    return tuple(row for seq in traced for row in _trace_rows(field, s, seq)), coordinates, reduced
+
+
+def kept(record):
+    return record.traces, record.coordinates, record.reduced
+
+
 @pytest.mark.parametrize("pms", TOWERS, ids=_ids(TOWERS))
 def test_kept_matrices_give_what_fresh_objects_give(pms):
     """Every construction on one object, in either order, equals the same
@@ -448,13 +458,11 @@ def test_kept_matrices_give_what_fresh_objects_give(pms):
         twin = fresh()
         assert [call(ds) for call in SECOND_CALLS] == expected
         assert [call(twin) for call in reversed(SECOND_CALLS)] == expected[::-1]
-        assert dimension_via_span(ds) == len(_span(field, s, ds.indices())[0])
+        assert dimension_via_span(ds) == matrix_rank(_coordinate_rows(field, s, ds.indices()), sub)
         assert ds == fresh() and hash(ds) == hash(fresh()) and repr(ds) == repr(fresh())
-        for kept in (ds, twin):
-            assert kept._derived["traces"] == _trace_rows(field, s, ds.indices())
-            assert kept._derived["coordinates"] == _coordinate_rows(field, s, ds.indices())
-            reduced = _reduced_checks(_coordinate_rows(field, s, ds.indices()), sub, len(ds))
-            assert kept._derived["reduced"] == tuple(map(tuple, reduced))
+        row = ds.indices()
+        for obj in (ds, twin):
+            assert kept(_matrices(obj)) == kept_rebuilt(field, s, (row,), (row,))
     if s == 1:
         for f in functions_of(field, rng):
             for include_zero in (True, False):
@@ -467,31 +475,38 @@ def test_kept_matrices_give_what_fresh_objects_give(pms):
                 assert [call(f, include_zero) for call in FIRST_CALLS] == expected
                 assert [call(twin, include_zero) for call in reversed(FIRST_CALLS)] == expected[::-1]
                 assert f == fresh() and hash(f) == hash(fresh())
-                for kept in (f, twin):
-                    assert _first_traces(kept, include_zero) == _first_traces(fresh(), include_zero)
-                    assert _first_coordinates(kept, include_zero) == _first_coordinates(fresh(), include_zero)
+                start = 0 if include_zero else 1
+                points, values = list(range(start, field.q)), list(f.indices[start:])
+                for obj in (f, twin):
+                    assert kept(_matrices(obj, include_zero)) == kept_rebuilt(field, 1, (values, points), (points, values))
 
 
 def test_kept_matrices_are_left_as_they_are():
     """The matrices a set and a function keep are tuples, and the same
-    objects, unchanged, after every construction has read them."""
+    objects, unchanged, after every construction has read them; the code
+    alone builds no coordinate rows."""
     field = make_field(3, 2)
     ds = defining_set(field, [field.elements[i] for i in (1, 4, 4, 0, 7, 2)])
     f = ParyFunction.from_callable(field, lambda x: x ** 5, field.m)
-    kept = {key: _set_matrix(ds, key) for key in ("traces", "coordinates", "reduced")}
-    first = {z: (_first_traces(f, z), _first_coordinates(f, z)) for z in (True, False)}
-    copies = {key: tuple(map(tuple, rows)) for key, rows in kept.items()}
+    second_generic(ds)
     for z in (True, False):
-        for call in (first_generic, dual_first_closed_form, hull_first_kernel):
+        first_generic(f, z)
+    records = {"set": _matrices(ds), True: _matrices(f, True), False: _matrices(f, False)}
+    for record in records.values():
+        assert "traces" in vars(record) and "coordinates" not in vars(record) and "reduced" not in vars(record)
+    before = {key: kept(record) for key, record in records.items()}
+    copies = {key: tuple(tuple(map(tuple, rows)) for rows in matrices) for key, matrices in before.items()}
+    for z in (True, False):
+        for call in FIRST_CALLS:
             call(f, z)
-    for call in (second_generic, hull_second_kernel, dual_second_closed_form):
+    for call in SECOND_CALLS:
         call(ds)
-    for key, rows in kept.items():
-        assert ds._derived[key] is rows and rows == copies[key]
-        assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
-    for z, (traces, coords) in first.items():
-        assert _first_traces(f, z) is traces and _first_coordinates(f, z) is coords
-        assert all(isinstance(row, tuple) for row in traces + coords)
+    after = {"set": _matrices(ds), True: _matrices(f, True), False: _matrices(f, False)}
+    for key, record in after.items():
+        assert record is records[key]
+        for rows, old, copy in zip(kept(record), before[key], copies[key]):
+            assert rows is old and rows == copy
+            assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
 
 
 # -- generators ------------------------------------------------------------------------

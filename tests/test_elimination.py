@@ -593,10 +593,11 @@ def test_restriction_is_the_rref_of_the_set_intersection(pm):
 def test_one_rref_per_dual_and_none_after_the_gram_kernel(monkeypatch):
     """A dual is one elimination; the hull reduces only its k x k Gram
     matrix (over F_{p^s}, its s k x s k F_p constraints); the closed-form
-    second dual reduces one coordinate matrix per Frobenius power, m/s of
-    them, and assembles the basis from the first.  The set keeps that first
-    reduction: dimension_via_span then reduces nothing, and a second closed
-    form reduces only the m/s - 1 other powers."""
+    second dual reduces the coordinate matrix of Frobenius powers 0 and 1
+    (none past 1, also where m/s >= 3) and assembles the basis from power 0.
+    A set keeps that reduction, and a function its own: dimension_via_span
+    then reduces nothing, a second second-construction closed form reduces
+    only power 1, and a second first-construction one nothing."""
     shapes = []
     kernel = codes_module._reduce
 
@@ -622,6 +623,9 @@ def test_one_rref_per_dual_and_none_after_the_gram_kernel(monkeypatch):
     dual_first_closed_form(f)
     assert len(shapes) == 1
     shapes.clear()
+    dual_first_closed_form(f)
+    assert shapes == []
+    shapes.clear()
     dual_second_closed_form(ds)
     assert shapes == [(field.m, len(ds))] * field.m
     shapes.clear()
@@ -629,6 +633,18 @@ def test_one_rref_per_dual_and_none_after_the_gram_kernel(monkeypatch):
     assert shapes == []
     dual_second_closed_form(ds)
     assert shapes == [(field.m, len(ds))] * (field.m - 1)
+    # m/s = 3 over GF(2^6) with s = 2: powers 0 and 1 only
+    big = make_field(2, 6)
+    wide = defining_set(big, [big.elements[rng.randrange(1, big.q)] for _ in range(9)], base_degree=2)
+    shapes.clear()
+    dual_second_closed_form(wide)
+    assert shapes == [(big.m, 2 * len(wide))] * 2
+    shapes.clear()
+    dual_second_closed_form(wide)
+    assert shapes == [(big.m, 2 * len(wide))]
+    shapes.clear()
+    dimension_via_span(wide)
+    assert shapes == []
 
 
 def test_ragged_rows_raise_at_the_edge():
