@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -58,24 +59,38 @@ def unpack(words: Iterable[int], width: int, count: int, signed: bool = False, o
     return [_little(array(code, word.to_bytes(count * width, "little")), order).tolist() for word in words]
 
 
+def field_counts(word: int, width: int, count: int) -> dict[int, int]:
+    """The number of the ``count`` unsigned fields of ``word`` that hold
+    each value, read without a list of ints: by bytes.count for one-byte
+    fields, by a Counter over an array for wider ones."""
+    data = word.to_bytes(count * width, "little")
+    if width == 1:
+        return {v: data.count(v) for v in set(data)}
+    return Counter(_little(array(TYPECODES[width, False], data), "little"))
+
+
 def bias_word(width: int, count: int) -> int:
     """2^(w - 1), the top bit, in each of ``count`` fields."""
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
-def digit_word(field: bytes, p: int, stride: int, count: int) -> int:
-    """``field`` in every field whose index has base-p digit 0 at weight
-    ``stride``, zero in the others."""
-    run = field * stride
-    return int.from_bytes((run + bytes(len(run) * (p - 1))) * (count // (p * stride)), "little")
-
-
 def digit_steps(width: int, p: int, m: int) -> Iterator[tuple[int, int]]:
-    """(t, mask) for each digit i < m of the index of p^m fields, built in
-    turn: t the bit offset of p^i fields, mask the fields of digit i 0."""
-    q, ones = p ** m, b"\xff" * width
-    for i in range(m):
-        yield 8 * width * p ** i, digit_word(ones, p, p ** i, q)
+    """(t, mask) for each digit i of the index of p^m fields, from i = m - 1
+    down to 0: t the bit offset of p^i fields, mask the fields of digit i 0.
+
+    rep holds a 1 at the first bit of every block of p^(i+1) fields, so the
+    mask is (rep << t) - rep, and the rep of digit i - 1 is p copies of it,
+    each one block of p^i fields further on: a few shifts and ORs of whole
+    ints per digit, with no field written one by one."""
+    rep = 1
+    for i in reversed(range(m)):
+        t = 8 * width * p ** i
+        yield t, (rep << t) - rep
+        if i:
+            copies = rep
+            for k in range(1, p):
+                copies |= rep << k * t
+            rep = copies  # one rep, not two, held between the steps
 
 
 # -- lanes mod p ------------------------------------------------------------------
@@ -151,7 +166,7 @@ def gray_walk(word: int, width: int, p: int, m: int) -> Iterator[int]:
     p = 2 they swap).  Digit i of a is then k_i - k_(i+1) mod p for the
     digits k_i of k, so the walk reaches every nonzero a once."""
     full = (1 << 8 * width * p ** m) - 1
-    steps = [(t, full ^ zero << (p - 1) * t, zero, (p - 1) * t) for t, zero in digit_steps(width, p, m)]
+    steps = [(t, full ^ zero << (p - 1) * t, zero, (p - 1) * t) for t, zero in digit_steps(width, p, m)][::-1]
     digits: list[int] = []  # v_p(k) for k = 1, ..., p^m - 1
     for j in range(m):
         digits = (digits + [j]) * (p - 1) + digits
@@ -172,13 +187,11 @@ def binary_passes(word: int, width: int, m: int) -> int:
     step, lo + d and lo - d, for lo = word & M and d = ((word >> t) & M) - B
     per field, are (a + B) + (b + B) - B and (a + B) - (b + B) + B.  While
     the values stay in [-B, B), every biased field stays in [0, 2B), so the
-    packed sums are exact.  The mask and bias words are built where they
-    are needed, not kept across the passes, which holds one full-width int
-    fewer at the peak."""
-    q = 1 << m
-    bias = bytes(width - 1) + b"\x80"
-    for i, (t, mask) in enumerate(digit_steps(width, 2, m)):
-        d = ((word >> t) & mask) - digit_word(bias, 2, 1 << i, q)
+    packed sums are exact.  The passes commute, so they run in the order of
+    digit_steps, top digit first."""
+    bias = bias_word(width, 1 << m)
+    for t, mask in digit_steps(width, 2, m):
+        d = ((word >> t) & mask) - (bias & mask)
         word &= mask
         word = (word + d) | ((word - d) << t)
     return word

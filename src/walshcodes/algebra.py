@@ -218,6 +218,7 @@ class Field:
         self._generator: FieldElement | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._trace_log: list[int] | None = None
 
     def __repr__(self):
         return f"Field(p={self.p}, m={self.m}, modulus={list(self.modulus)})"
@@ -372,6 +373,13 @@ class Field:
             # a subfield index is carried by the element of this field with the same digits
             table = self._traces[s] = self._linear_indices(values)
         return table
+
+    def _log_traces(self) -> list[int]:
+        """Tr_{q/p}(g^k) for k < q - 1, by k (cached): the trace table read
+        through the exp table, so that a trace of c x^d is one pass over log."""
+        if self._trace_log is None:
+            self._trace_log = list(map(self.trace_table().__getitem__, self._pow_tables()[0]))
+        return self._trace_log
 
     def trace_int(self, a: FieldElement) -> int:
         """Absolute trace Tr_{q/p}(a) as an integer in [0, p)."""

@@ -37,13 +37,12 @@ from __future__ import annotations
 import os
 from array import array
 from bisect import insort
-from collections import Counter
 from functools import reduce
 from itertools import islice
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
-from ._packed import TYPECODES, Lanes, bias_word, field_width, lanes_of, pack, transform, unpack
+from ._packed import TYPECODES, Lanes, bias_word, field_counts, field_width, lanes_of, pack, transform, unpack
 from .algebra import Field, FieldElement, _check_subfield, subfield
 from .errors import EmptyLength, InvariantViolated, RaggedRows, TooLarge, ZeroCode
 
@@ -559,10 +558,12 @@ class CompleteWeightEnumerator:
         return dict(sorted(out.items()))
 
 
-def _column_transform(code: LinearCode, guard: int | None) -> list[int]:
-    """Layer 0 minus layer p - 1 of the p-ary FWHT of the multiset of the
-    functionals x -> Tr_{Q/p}(y <x, g_j>) on F_p^(sk), one for each column
-    j and each y in F_Q^*, for the alphabet F_Q, Q = p^s.
+def _column_transform(code: LinearCode, guard: int | None) -> tuple[int, int]:
+    """(W, width): layer 0 minus layer p - 1 of the p-ary FWHT of the
+    multiset of the functionals x -> Tr_{Q/p}(y <x, g_j>) on F_p^(sk), one
+    for each column j and each y in F_Q^*, for the alphabet F_Q, Q = p^s,
+    as the packed word W of Q^k fields of ``width`` bytes, field x holding
+    its value at x plus the bias B = 2^(8 width - 1).
 
     A word x in F_Q^k has the index sum_i x_i Q^i, so its p-ary digits are
     the F_p-coordinates of its entries.  The counts N of one y per
@@ -571,7 +572,8 @@ def _column_transform(code: LinearCode, guard: int | None) -> list[int]:
     The other lambda y put (p - 1) F_0 in layer 0 and n r - F_0 in every
     other layer, so the difference is p F_0 - n r = p D_0 - sum_e D_e for
     the canonical layers D_e of N, exact on the biased layers D_e + B as B,
-    with the width, exceeds the mass n (Q - 1) of the full multiset."""
+    with the width, exceeds the mass n (Q - 1) of the full multiset; p
+    biased fields less p - 1 leave the difference biased by B."""
     code._check_guard(guard)
     base = code.base
     p, q = base.p, base.q
@@ -591,7 +593,7 @@ def _column_transform(code: LinearCode, guard: int | None) -> list[int]:
     words = transform(pack([counts], width) + [0] * (p - 1), width, p, base.m * code.k)
     bias = bias_word(width, size)
     biased = [word ^ bias for word in words]
-    return unpack([(p * biased[0] - sum(biased)) ^ bias], width, size, signed=True)[0]
+    return p * biased[0] - sum(biased), width
 
 
 def weight_distribution(code: LinearCode, guard: int | None = None) -> WeightDistribution:
@@ -599,10 +601,14 @@ def weight_distribution(code: LinearCode, guard: int | None = None) -> WeightDis
     is 0 for all Q - 1 values of y when <x, g_j> = 0, and otherwise takes
     each nonzero value Q/p times and 0 Q/p - 1 times.  So layer 0 of the
     column transform at x is (Q - 1) z + (Q/p - 1)(n - z), every other
-    layer is (Q/p)(n - z), and their difference is Q z - n."""
+    layer is (Q/p)(n - z), and their difference is Q z - n.  The values
+    are counted on the packed word, without a list of its Q^k fields."""
     n, q = code.n, code.base.q
+    word, width = _column_transform(code, guard)
+    bias = 1 << 8 * width - 1
     counts = {}
-    for value, c in Counter(_column_transform(code, guard)).items():
+    for biased, c in field_counts(word, width, code.size()).items():
+        value = biased - bias
         z, rem = divmod(value + n, q)
         if rem:
             raise InvariantViolated(f"transform value {value} leaves remainder {rem} mod {q}")

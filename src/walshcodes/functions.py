@@ -3,6 +3,9 @@
 The function mini-language is evaluated on index lists: each syntax node
 is evaluated once over the whole field, constants are folded, and a
 truth table holds the index of each value beside the interned element.
+A monomial c x^d stays symbolic as (log c, d) through products, powers
+and negations, so that tr(c x^d) and c x^d each take one pass over the
+log table.
 
 The Walsh transform of a prime-valued function lands in Z[zeta_p] and is
 computed coefficient-exactly by a p-ary fast Walsh-Hadamard transform on
@@ -207,16 +210,35 @@ def _tokenize(spec: str) -> list[str]:
     return tokens
 
 
+class _Monomial:
+    """c x^d, c = g^log != 0, kept symbolic until its values are needed.
+
+    d is reduced to (d - 1) mod (q - 1) + 1, so that x^d and its reduction
+    agree at every x, 0^d = 0 included."""
+
+    __slots__ = ("log", "d")
+
+    def __init__(self, log: int, d: int, n1: int):
+        self.log = log % n1
+        self.d = (d - 1) % n1 + 1
+
+
 class _Parser:
     """Recursive descent that evaluates each node once, over the whole
     field, as soon as it is parsed.  A node's value is an int, the index of
-    a constant, or a list of q indices, its value at every point in
-    canonical order; constant subexpressions are folded on the way."""
+    a constant; a list of q indices, its value at every point in canonical
+    order; or a monomial c x^d with c != 0.  Constant subexpressions are
+    folded on the way.  Products, powers and negations of monomials are
+    exponent arithmetic; a monomial takes its values in one pass over the
+    log table, straight into the trace under tr, and as exp entries when it
+    meets a sum, a product with a value list, a family coefficient or the
+    end of the spec."""
 
     def __init__(self, field: Field, tokens: list[str]):
         self.field = field
         self.tokens = tokens
         self.pos = 0
+        self.n1 = field.q - 1
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -234,7 +256,7 @@ class _Parser:
         node = self.expr()
         if self.peek() is not None:
             raise ParseError(f"trailing input {self.peek()!r}")
-        return node
+        return self._values(node)
 
     def expr(self):
         node = self.term()
@@ -276,7 +298,7 @@ class _Parser:
         if tok.isdigit():
             return int(tok) % field.p  # the index of a prime-field scalar is its value
         if tok == "x":
-            return list(range(field.q))
+            return _Monomial(0, 1, self.n1)
         if tok == "g":
             return field.generator().index
         if tok == "(":
@@ -290,12 +312,12 @@ class _Parser:
             return self._trace(inner)
         if tok == "quadratic":
             c, i = self._family_args()
-            return self._trace(self._product(c, self._power(list(range(field.q)), field.p ** i + 1)))
+            return self._trace(self._product(c, _Monomial(0, field.p ** i + 1, self.n1)))
         if tok == "ternary_half":
             if field.p != 3:
                 raise ParseError("ternary_half needs characteristic 3")
             c, i = self._family_args()
-            return self._trace(self._product(c, self._power(list(range(field.q)), (3 ** i + 1) // 2)))
+            return self._trace(self._product(c, _Monomial(0, (3 ** i + 1) // 2, self.n1)))
         if tok.isidentifier():
             raise UndefinedSymbol(f"unknown symbol {tok!r}")
         raise ParseError(f"unexpected token {tok!r}")
@@ -307,50 +329,87 @@ class _Parser:
         i = self.integer()
         self.take(")")
         if not isinstance(c, int):
-            # the coefficient is its value at 0, and must agree at 1
-            if c[0] != c[1]:
+            # the coefficient is its value at 0, and must agree at 1: a
+            # monomial is 0 at 0 only
+            if isinstance(c, _Monomial) or c[0] != c[1]:
                 raise ParseError("family coefficient must be a constant")
             c = c[0]
         return c, i
 
     # -- node values ---------------------------------------------------------
 
+    def _on_log(self, table, a: _Monomial) -> list[int]:
+        """table[(log c + d log x) mod (q - 1)] at every x != 0, 0 at x = 0:
+        the table turned by log c, read at d log x, which at d = 1 is the
+        log table itself."""
+        n1, d, log = self.n1, a.d, self.field._pow_tables()[1]
+        turned = table[a.log:] + table[:a.log]
+        out = list(map(turned.__getitem__, log)) if d == 1 else [turned[d * k % n1] for k in log]
+        out[0] = 0
+        return out
+
+    def _values(self, a):
+        """A monomial's value list; a constant or a list as it is."""
+        return self._on_log(self.field._pow_tables()[0], a) if isinstance(a, _Monomial) else a
+
     def _pointwise(self, fn, *nodes):
         """fn applied at every point; a constant stays a constant."""
         if all(isinstance(a, int) for a in nodes):
             return fn(*nodes)
         q = self.field.q
-        return list(map(fn, *(repeat(a, q) if isinstance(a, int) else a for a in nodes)))
+        return list(map(fn, *(repeat(a, q) if isinstance(a, int) else self._values(a) for a in nodes)))
 
     def _add(self, a, b):
-        """a + b; at p = 2 the index of a sum is the XOR of the indices."""
-        return self._pointwise(xor if self.field.p == 2 else self.field.arith.add, a, b)
+        """a + b; at p = 2 the index of a sum is the XOR of the indices.  At
+        odd p, where every value of both lies in F_p, as a trace's does, an
+        index is the value itself, and the sum is taken mod p."""
+        p = self.field.p
+        if p == 2:
+            return self._pointwise(xor, a, b)
+        a, b = self._values(a), self._values(b)
+        if all((v if isinstance(v, int) else max(v)) < p for v in (a, b)):
+            return self._pointwise(lambda x, y: (x + y) % p, a, b)
+        return self._pointwise(self.field.arith.add, a, b)
 
     def _neg(self, a):
-        """-a, which is a itself at p = 2."""
-        return a if self.field.p == 2 else self._pointwise(self.field.arith.neg, a)
+        """-a, which is a itself at p = 2; -c x^d is g^((q-1)/2) c x^d."""
+        if self.field.p == 2:
+            return a
+        if isinstance(a, _Monomial):
+            return _Monomial(a.log + self.n1 // 2, a.d, self.n1)
+        return self._pointwise(self.field.arith.neg, a)
 
     def _product(self, a, b):
-        """a * b; a product with a constant is one log-add pass."""
+        """a * b; a product of monomials and constants adds exponents, and a
+        list times a constant is one log-add pass."""
         arith = self.field.arith
         if isinstance(a, int):
             a, b = b, a
         if isinstance(b, int):
             if isinstance(a, int):
                 return arith.mul(a, b)
+            if isinstance(a, _Monomial):
+                return _Monomial(a.log + self.field._pow_tables()[1][b], a.d, self.n1) if b else 0
             return arith.scale(a, b)
-        return list(map(arith.mul, a, b))
+        if isinstance(a, _Monomial) and isinstance(b, _Monomial):
+            return _Monomial(a.log + b.log, a.d + b.d, self.n1)
+        return list(map(arith.mul, self._values(a), self._values(b)))
 
     def _power(self, a, e: int):
-        """a^e for e >= 0, with 0^0 = 1, in one pass over the exp/log tables."""
+        """a^e for e >= 0, with 0^0 = 1; a list in one pass over the exp/log
+        tables."""
         field = self.field
         if isinstance(a, int):
             return field._pow(field.elements[a], e).index
         if e == 0:
-            return [1] * len(a)
+            return 1 if isinstance(a, _Monomial) else [1] * len(a)
+        if isinstance(a, _Monomial):
+            return _Monomial(a.log * e, a.d * e, self.n1)
         return field.power_indices(a, e)
 
     def _trace(self, a):
+        if isinstance(a, _Monomial):
+            return self._on_log(self.field._log_traces(), a)
         table = self.field.trace_table()
         return table[a] if isinstance(a, int) else list(map(table.__getitem__, a))
 

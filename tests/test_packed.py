@@ -4,14 +4,17 @@ Pack and unpack are checked against shifts and masks of the word, lane
 arithmetic against arithmetic mod p on each lane, and the block rotations
 of the Gray walk against a rotation of the list of fields by each vector,
 all read off the word bit by bit rather than through the module under
-test.
+test.  The digit masks built by doubling are checked against the byte
+strings they replaced (digit_word), and the field counts against unpack
+and a Counter.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
-from walshcodes._packed import Lanes, gray_walk, lanes_of, pack, unpack
+from walshcodes._packed import Lanes, digit_steps, field_counts, gray_walk, lanes_of, pack, unpack
 
 WIDTHS = [1, 2, 4, 8]
 
@@ -109,3 +112,35 @@ def test_gray_walk_rotates_the_fields_by_every_nonzero_vector_once(p, width):
             assert _fields(index, 8 * width, q) == plus_a, (m, a)
             assert _fields(moved, 8 * width, q) == [values[y] for y in plus_a], (m, a)
         assert sorted(seen) == list(range(1, q)), m
+
+
+def digit_word(field, p, stride, count):
+    """``field`` in every field whose index has base-p digit 0 at weight
+    ``stride``, zero in the others: one byte string and one int.from_bytes."""
+    run = field * stride
+    return int.from_bytes((run + bytes(len(run) * (p - 1))) * (count // (p * stride)), "little")
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_digit_steps_are_the_digit_words_from_the_top_digit_down(width, p):
+    for m in range(1, 5 if p < 7 else 4):
+        q = p ** m
+        want = [(8 * width * p ** i, digit_word(b"\xff" * width, p, p ** i, q)) for i in reversed(range(m))]
+        assert list(digit_steps(width, p, m)) == want, m
+        # the oracle itself, read bit by bit: all ones where digit i is 0
+        ones = (1 << 8 * width) - 1
+        for i, (_, mask) in zip(reversed(range(m)), want):
+            assert _fields(mask, 8 * width, q) == [ones * (x // p ** i % p == 0) for x in range(q)]
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_field_counts_are_the_counts_of_the_unpacked_fields(width):
+    rng = random.Random(width)
+    top = (1 << 8 * width) - 1
+    for count in (1, 2, 255, 256, 1000):
+        for values in ([top] * count, [rng.choice([0, 1, 127, 128, top]) for _ in range(count)],
+                       [rng.randrange(top + 1) for _ in range(count)]):
+            (word,) = pack([values], width)
+            want = Counter(unpack([word], width, count)[0])
+            assert field_counts(word, width, count) == want == Counter(values)

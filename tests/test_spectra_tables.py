@@ -939,6 +939,12 @@ GRAMMAR_SPECS = [
     "quadratic(1,1)", "quadratic(g^2,1)", "quadratic(g*g^3,2)", "quadratic(tr(g),0)",
     "quadratic(2,3) + tr(x)", "quadratic(x^2+x,1)", "ternary_half(g^2,1)", "ternary_half(1,3)",
     "ternary_half(g,1) - quadratic(g,1)",
+    # monomials c*x^d kept symbolic: exponents reduced to [1, q - 1], so x^(q-1)
+    # is 1 off 0 and x^q is x, coefficients multiplied, zero coefficients,
+    # powers, negations, and monomials meeting a sum or a value list
+    *dict.fromkeys(f"x^{p ** m + k}" for p, m in GRAMMAR_FIELDS for k in (-1, 0)),
+    "(g^3*x^5)^4", "g*x^2*x^3*g^2", "0*x^3", "tr(0*x)", "(x^3)^0", "-g*x^3", "-(g*x^2)^3",
+    "(x^1000000)^1000000", "2*x - x", "tr(g*x^3)^2",
     # errors; where a spec has several, the first one detected is reported
     "", "x^", "x +", "(x", "x)", "y", "x $", "3x", "tr x", "tr(x", "tr()", "x^-1", "x^g",
     "quadratic(1)", "quadratic(1,x)", "quadratic(x,1)", "quadratic(x,1", "quadratic(x,1000001)",
@@ -1001,6 +1007,42 @@ def test_binary_sums_and_negations_skip_the_index_arithmetic(monkeypatch):
         got = [parse_function(field, spec) for spec in specs]
         monkeypatch.undo()
         assert [(f.table, f.codomain_degree) for f in got] == want
+
+
+def test_sums_of_prime_field_values_skip_the_zech_logarithms(monkeypatch):
+    """At odd p a sum whose terms take values in F_p only, such as traces,
+    adds indices mod p; a sum with any other value goes through
+    IndexArith.add."""
+    specs = ["tr(g*x^3) + tr(g^5*x)", "tr(x^2) + 1 + tr(x)", "2 - quadratic(g,1) + tr(x)"]
+    for field in (make_field(7, 1), make_field(3, 3), make_field(5, 2)):
+        want = [parse_oracle(field, spec) for spec in specs + ["x + 1"]]
+        added = []
+        monkeypatch.setattr(IndexArith, "add", lambda self, a, b: added.append(1))
+        got = [parse_function(field, spec) for spec in specs]
+        monkeypatch.undo()
+        assert not added
+        assert [(f.table, f.codomain_degree) for f in got + [parse_function(field, "x + 1")]] == want
+
+
+MONOMIAL_FIELDS = [(2, 1), (2, 5), (3, 1), (7, 1), (3, 3), (5, 2)]
+
+
+@pytest.mark.parametrize("pm", MONOMIAL_FIELDS, ids=_ids(MONOMIAL_FIELDS))
+def test_monomials_skip_the_power_and_scale_passes(monkeypatch, pm):
+    """c*x^d stays one node through products, powers and negations, and
+    takes its values, or its traces, in one pass over the log table."""
+    field = make_field(*pm)
+    specs = ["tr(g*x^3)+tr(g^5*x)", "quadratic(g^3,1)", "g^7*x^5*g*x^2", "-x^3"]
+    want = [parse_oracle(field, spec) for spec in specs]
+
+    def refuse(*args):
+        raise AssertionError("a monomial went through a value-list pass")
+
+    monkeypatch.setattr(type(field), "power_indices", refuse)
+    monkeypatch.setattr(IndexArith, "scale", refuse)
+    got = [parse_function(field, spec) for spec in specs]
+    monkeypatch.undo()
+    assert [(f.table, f.codomain_degree) for f in got] == want
 
 
 @pytest.mark.parametrize("pm", [(3, 2), (2, 4), (5, 3)], ids=_ids([(3, 2), (2, 4), (5, 3)]))
