@@ -62,11 +62,43 @@ def unpack(words: Iterable[int], width: int, count: int, signed: bool = False, o
 def field_counts(word: int, width: int, count: int) -> dict[int, int]:
     """The number of the ``count`` unsigned fields of ``word`` that hold
     each value, read without a list of ints: by bytes.count for one-byte
-    fields, by a Counter over an array for wider ones."""
+    fields.  Two-byte fields whose low and high bytes take a and b distinct
+    values, a b <= 256, are first numbered, each field becoming the one
+    byte (number of its high byte) a + (number of its low byte): the two
+    byte planes, numbered by translate, are combined as ints, and no byte
+    carries into the next.  Wider fields, and two-byte fields with more
+    distinct bytes, are counted by a Counter over an array."""
     data = word.to_bytes(count * width, "little")
     if width == 1:
-        return {v: data.count(v) for v in set(data)}
+        return {v: data.count(v) for v in _byte_values(data)}
+    if width == 2:
+        low, high = data[0::2], data[1::2]
+        lows, highs = _byte_values(low), _byte_values(high)
+        a = len(lows)
+        if a * len(highs) <= 256:
+            numbered = int.from_bytes(high.translate(_numbering(highs)), "little") * a + int.from_bytes(
+                low.translate(_numbering(lows)), "little"
+            )
+            data = numbered.to_bytes(count, "little")
+            return {highs[c // a] << 8 | lows[c % a]: data.count(c) for c in _byte_values(data)}
     return Counter(_little(array(TYPECODES[width, False], data), "little"))
+
+
+_BYTES = bytes(range(256))
+
+
+def _byte_values(data: bytes) -> bytes:
+    """The distinct bytes of ``data``, in increasing order, found at C speed:
+    deleting them from all 256 bytes leaves the absent ones."""
+    return _BYTES.translate(None, _BYTES.translate(None, data))
+
+
+def _numbering(values: bytes) -> bytearray:
+    """The translate table that maps values[i] to i."""
+    table = bytearray(256)
+    for i, v in enumerate(values):
+        table[v] = i
+    return table
 
 
 def bias_word(width: int, count: int) -> int:

@@ -2,7 +2,8 @@
 
 The function mini-language is evaluated on index lists: each syntax node
 is evaluated once over the whole field, constants are folded, and a
-truth table holds the index of each value beside the interned element.
+truth table holds the index of each value; its interned elements are
+built when first read.
 A monomial c x^d stays symbolic as (log c, d) through products, powers
 and negations, so that tr(c x^d) and c x^d each take one pass over the
 log table.
@@ -12,10 +13,12 @@ computed coefficient-exactly by a p-ary fast Walsh-Hadamard transform on
 words packed straight from the truth table.  A spectrum keeps its
 coefficients as p - 1 canonical integer layers (one integer list at p = 2);
 :class:`~walshcodes.algebra.CyclotomicInt` objects are built only when a
-caller asks for them.  Parseval is verified on the layers before a
-spectrum is returned.  Bent classification looks each coefficient up
-among the 2p values sign * G^m * zeta^e, with G the quadratic Gauss sum,
-requires one global sign, and reads the dual function off the exponents e.
+caller asks for them.  At odd p a spectrum counts its distinct
+coefficient vectors once, and Parseval, verified before a spectrum is
+returned, sums over them by multiplicity.  Bent classification looks each
+distinct coefficient up among the 2p values sign * G^m * zeta^e, with G
+the quadratic Gauss sum, requires one global sign, and reads the dual
+function off the exponents e.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ import enum
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cache
+from itertools import chain, repeat
 from math import gcd
-from operator import mul, xor
+from operator import add, mul, xor
 from typing import Callable, Sequence
 
 from ._packed import TYPECODES, Lanes, gray_walk, pack
@@ -48,17 +52,19 @@ EXPONENT_CAP = 10 ** 6
 class ParyFunction:
     """Function F_{p^m} -> F_{p^s} stored as a truth table in canonical order.
 
-    ``indices`` holds the index of the value at each point and ``table``
-    the same values as the field's interned elements.  ``_derived`` keeps
-    what other modules compute from the table once per function, by key,
-    for as long as the function lives.  Every table entry must be an
-    element of ``field`` itself, or the constructor raises ValueError."""
+    ``indices`` holds the index of the value at each point.  ``table``
+    holds the same values as the field's interned elements; it is built on
+    first read, into a cell that the function shares with its
+    :meth:`with_codomain` copies.  ``_derived`` keeps what other modules
+    compute from the table once per function, by key, for as long as the
+    function lives.  Every table entry must be an element of ``field``
+    itself, or the constructor raises ValueError."""
 
-    __slots__ = ("field", "codomain_degree", "table", "indices", "_derived")
+    __slots__ = ("field", "codomain_degree", "indices", "_table", "_derived")
 
     def __init__(self, field: Field, table: Sequence[FieldElement], codomain_degree: int | None = None):
         table = tuple(table)
-        self._set(field, tuple(_own_index(field, v) for v in table), table, codomain_degree)
+        self._set(field, tuple(_own_index(field, v) for v in table), codomain_degree, [table])
 
     @classmethod
     def from_indices(
@@ -67,13 +73,12 @@ class ParyFunction:
         """The function whose value at the element of index i has index
         ``indices[i]``."""
         out = cls.__new__(cls)
-        indices = tuple(indices)
-        out._set(field, indices, tuple(map(field.elements.__getitem__, indices)), codomain_degree)
+        out._set(field, tuple(indices), codomain_degree, [None])
         return out
 
-    def _set(self, field, indices, table, codomain_degree):
-        if len(table) != field.q:
-            raise ValueError(f"table needs {field.q} entries, got {len(table)}")
+    def _set(self, field, indices, codomain_degree, table_cell):
+        if len(indices) != field.q:
+            raise ValueError(f"table needs {field.q} entries, got {len(indices)}")
         if codomain_degree is None:
             codomain_degree = next(
                 s for s in range(1, field.m + 1)
@@ -83,23 +88,31 @@ class ParyFunction:
             # v^(p^s) = v exactly for the v in F_{p^gcd(s, m)}
             bad = _outside_subfield(field, indices, gcd(codomain_degree, field.m))
             if bad is not None:
-                raise ValueError(f"table value {table[bad]!r} outside F_{field.p}^{codomain_degree}")
+                raise ValueError(f"table value {field.elements[indices[bad]]!r} outside F_{field.p}^{codomain_degree}")
         self.field = field
         self.codomain_degree = codomain_degree
-        self.table = table
         self.indices = indices
+        self._table = table_cell
         self._derived = {}
 
+    @property
+    def table(self) -> tuple[FieldElement, ...]:
+        cell = self._table
+        if cell[0] is None:
+            cell[0] = tuple(map(self.field.elements.__getitem__, self.indices))
+        return cell[0]
+
     def __call__(self, x: FieldElement) -> FieldElement:
-        return self.table[_own_index(self.field, x)]
+        return self.field.elements[self.indices[_own_index(self.field, x)]]
 
     def __eq__(self, other):
         if not isinstance(other, ParyFunction):
             return NotImplemented
-        return self.field == other.field and self.table == other.table
+        # elements of two field objects never compare equal, so neither do their tables
+        return self.field is other.field and self.indices == other.indices
 
     def __hash__(self):
-        return hash((self.field, self.table))
+        return hash((self.field, self.indices))
 
     def __repr__(self):
         return (
@@ -114,15 +127,17 @@ class ParyFunction:
         return cls(field, [fn(x) for x in field.elements], codomain_degree)
 
     def with_codomain(self, s: int) -> "ParyFunction":
-        """Reinterpret the same table with a declared codomain degree.
+        """Reinterpret the same table with a declared codomain degree; the
+        copy shares the table.
 
         Values in F_{p^d} satisfy v^(p^s) = v whenever d divides s, so the
         per-value check is skipped in that case."""
         if s % self.codomain_degree:
-            return ParyFunction.from_indices(self.field, self.indices, s)
-        out = ParyFunction.__new__(ParyFunction)
-        out.field, out.codomain_degree, out.table, out.indices = self.field, s, self.table, self.indices
-        out._derived = {}
+            out = ParyFunction.from_indices(self.field, self.indices, s)
+        else:
+            out = ParyFunction.__new__(ParyFunction)
+            out.field, out.codomain_degree, out.indices, out._derived = self.field, s, self.indices, {}
+        out._table = self._table
         return out
 
     def exponents(self) -> tuple[int, ...]:
@@ -136,8 +151,9 @@ class ParyFunction:
         """True when x -> f(x) - f(0) is additive.  An additive map is
         F_p-linear, so it is exactly the linear map with its values on the
         power basis, and f is compared with f(0) plus that map."""
-        field, table = self.field, self.table
-        linear = field._linear_indices([table[v.index] - table[0] for v in field.power_basis()])
+        field = self.field
+        at_zero = self(field.zero)
+        linear = field._linear_indices([self(v) - at_zero for v in field.power_basis()])
         return tuple(map(field.arith.add, linear, repeat(self.indices[0]))) == self.indices
 
 
@@ -368,7 +384,8 @@ class _Parser:
             return self._pointwise(xor, a, b)
         a, b = self._values(a), self._values(b)
         if all((v if isinstance(v, int) else max(v)) < p for v in (a, b)):
-            return self._pointwise(lambda x, y: (x + y) % p, a, b)
+            sums = self._pointwise(add, a, b)
+            return sums % p if isinstance(sums, int) else list(map((list(range(p)) * 2).__getitem__, sums))
         return self._pointwise(self.field.arith.add, a, b)
 
     def _neg(self, a):
@@ -431,23 +448,41 @@ class WalshSpectrum:
     """Exact Walsh coefficients of a prime-valued function, indexed by b.
 
     ``layers[e][b]`` is the coefficient of zeta^e in chi_hat(b) in canonical
-    form: c_{p-1} = 0 is left out, so there are p - 1 integer lists, and at
-    p = 2 the one list holds the integer spectrum.  :attr:`coefficients`
-    and item access build :class:`CyclotomicInt` objects on first use."""
+    form: c_{p-1} = 0 is left out, so there are p - 1 nonempty integer
+    lists of one length, and at p = 2 the one list holds the integer
+    spectrum; other layers raise ValueError.  At odd p the spectrum also
+    counts its distinct coefficient vectors, at C speed, when it is built:
+    the Parseval sum and classify_bent read each distinct value once, with
+    its multiplicity.  :attr:`coefficients` and item access build one
+    :class:`CyclotomicInt` per distinct value on first use, shared by the
+    points that take it."""
 
-    __slots__ = ("field", "layers", "source", "_coefficients")
+    __slots__ = ("field", "layers", "source", "_counts", "_coefficients")
 
     def __init__(self, field: Field, layers: Sequence[list[int]], source: ParyFunction):
+        p, layers = field.p, tuple(layers)
+        count = max(p - 1, 1)
+        if len(layers) != count or any(
+            not isinstance(layer, list) or len(layer) != len(layers[0]) or not layer for layer in layers
+        ):
+            raise ValueError(f"a spectrum over GF({p}^{field.m}) needs {count} nonempty lists of one length")
+        # {coefficient vector: multiplicity}, whose vectors hold every value
+        counts = Counter(zip(*layers)) if p > 2 else None
+        if not all(map(isinstance, chain.from_iterable(counts or layers), repeat(int))):
+            raise ValueError("spectrum layers must hold integers")
         self.field = field
-        self.layers = tuple(layers)
+        self.layers = layers
         self.source = source
+        self._counts = counts
         self._coefficients = None
 
     @property
     def coefficients(self) -> tuple[CyclotomicInt, ...]:
         if self._coefficients is None:
             p = self.field.p
-            self._coefficients = tuple(CyclotomicInt(p, c) for c in zip(*self.layers))
+            points = list(zip(*self.layers))
+            shared = {c: CyclotomicInt(p, c) for c in set(points)}
+            self._coefficients = tuple(map(shared.__getitem__, points))
         return self._coefficients
 
     def __getitem__(self, b: FieldElement) -> CyclotomicInt:
@@ -458,12 +493,19 @@ class WalshSpectrum:
 
     def parseval_sum(self) -> CyclotomicInt:
         """Sum over b of |chi_hat(b)|^2; coefficient d of zeta^d is
-        S_d = sum_i <layer i, layer i - d>, layer p - 1 being zero.  S_{p-d}
-        sums the same products with the factors swapped, so S_d is computed
-        for d <= p/2 only."""
-        p, layers = self.field.p, self.layers
+        S_d = sum_i <layer i, layer i - d>, layer p - 1 being zero.  At odd p
+        the products run over the columns of the distinct coefficient
+        vectors, one factor weighted by the multiplicities; at p = 2 S_0 is
+        one sum of squares.  S_{p-d} sums the same products with the factors
+        swapped, so S_d is computed for d <= p/2 only."""
+        p, counts = self.field.p, self._counts
+        if counts is None:
+            columns = weighted = self.layers
+        else:
+            columns = list(zip(*counts))
+            weighted = [list(map(mul, column, counts.values())) for column in columns]
         half = [
-            sum(sum(map(mul, layers[i], layers[(i - d) % p])) for i in range(p - 1) if (i - d) % p < p - 1)
+            sum(sum(map(mul, weighted[i], columns[(i - d) % p])) for i in range(p - 1) if (i - d) % p < p - 1)
             for d in range(p // 2 + 1)
         ]
         return CyclotomicInt(p, half + half[(p - 1) // 2:0:-1])
@@ -523,33 +565,42 @@ def classify_bent(spectrum: WalshSpectrum) -> BentClass:
             return BentClass(BentKind.NOT_BENT)
         dual = ParyFunction.from_indices(field, [int(v < 0) for v in w], 1)
         return BentClass(BentKind.REGULAR, 1, "1", dual)
-    # sign and exponent of each of the 2p values +/- G^m zeta^e, by its
-    # canonical coefficients without c_{p-1}; zeta^e rotates them by e
-    gm = gauss_sum_power(p, m).coeffs
+    bent_values = _bent_values(gauss_sum_power(p, m).coeffs)
+    counts = spectrum._counts
+    hits = dict(zip(counts, map(bent_values.get, counts)))
+    if None in hits.values():
+        # |c|^2 decides between NOT_BENT, which wins wherever it occurs, and a
+        # broken invariant
+        target = CyclotomicInt.from_int(p, q)
+        stray = [c for c, hit in hits.items() if hit is None]
+        if any(CyclotomicInt(p, c).abs_squared() != target for c in stray):
+            return BentClass(BentKind.NOT_BENT)
+        first = CyclotomicInt(p, stray[0])
+        raise InvariantViolated(f"bent coefficient {first!r} is not +/- G^m * zeta^e")
+    signs = {sign for sign, _ in hits.values()}
+    if len(signs) != 1:
+        return BentClass(BentKind.NON_WEAKLY_REGULAR)
+    (epsilon,) = signs
+    unit = _unit_tag(p, m, epsilon)
+    exponents = {c: e for c, (_, e) in hits.items()}
+    dual = ParyFunction.from_indices(field, list(map(exponents.__getitem__, zip(*spectrum.layers))), 1)
+    kind = BentKind.REGULAR if unit == "1" else BentKind.WEAKLY_REGULAR
+    return BentClass(kind, epsilon, unit, dual)
+
+
+@cache
+def _bent_values(gm: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, int]]:
+    """Sign and exponent of each of the 2p values +/- G^m zeta^e, keyed by
+    its canonical coefficients without c_{p-1}, for G^m given by its p
+    canonical coefficients; zeta^e rotates them by e.  Built once per
+    value of G^m."""
+    p = len(gm)
     bent_values = {}
     for e in range(p):
         c = CyclotomicInt(p, gm[-e:] + gm[:-e]).coeffs[:-1]
         bent_values[c] = (1, e)
         bent_values[tuple(-a for a in c)] = (-1, e)
-    coeffs = list(zip(*spectrum.layers))
-    hits = list(map(bent_values.get, coeffs))
-    if None in hits:
-        # |c|^2 decides between NOT_BENT, which wins wherever it occurs, and a
-        # broken invariant
-        target = CyclotomicInt.from_int(p, q)
-        stray = [c for c, hit in zip(coeffs, hits) if hit is None]
-        if any(CyclotomicInt(p, c).abs_squared() != target for c in stray):
-            return BentClass(BentKind.NOT_BENT)
-        first = CyclotomicInt(p, stray[0])
-        raise InvariantViolated(f"bent coefficient {first!r} is not +/- G^m * zeta^e")
-    signs = {sign for sign, _ in hits}
-    if len(signs) != 1:
-        return BentClass(BentKind.NON_WEAKLY_REGULAR)
-    (epsilon,) = signs
-    unit = _unit_tag(p, m, epsilon)
-    dual = ParyFunction.from_indices(field, [e for _, e in hits], 1)
-    kind = BentKind.REGULAR if unit == "1" else BentKind.WEAKLY_REGULAR
-    return BentClass(kind, epsilon, unit, dual)
+    return bent_values
 
 
 def _unit_tag(p: int, m: int, epsilon: int) -> str:

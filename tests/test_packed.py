@@ -138,9 +138,13 @@ def test_digit_steps_are_the_digit_words_from_the_top_digit_down(width, p):
 def test_field_counts_are_the_counts_of_the_unpacked_fields(width):
     rng = random.Random(width)
     top = (1 << 8 * width) - 1
-    for count in (1, 2, 255, 256, 1000):
+    # low bytes of 16 values and high bytes of 16 give 256 two-byte values,
+    # each numbered by one byte; with 17 high bytes they are past 256
+    planes = [[17 * lo | 15 * hi + 3 << 8 for lo in range(16) for hi in range(n)] for n in (16, 17)]
+    for count in (1, 2, 255, 256, 1000, 4099):
         for values in ([top] * count, [rng.choice([0, 1, 127, 128, top]) for _ in range(count)],
-                       [rng.randrange(top + 1) for _ in range(count)]):
+                       [rng.randrange(top + 1) for _ in range(count)],
+                       *([rng.choice(pairs) & top for _ in range(count)] for pairs in planes)):
             (word,) = pack([values], width)
             want = Counter(unpack([word], width, count)[0])
             assert field_counts(word, width, count) == want == Counter(values)

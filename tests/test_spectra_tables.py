@@ -595,6 +595,100 @@ def test_parseval_sum_matches_every_product_hypothesis():
     check()
 
 
+VALUE_TABLE_FIELDS = [(3, 5), (5, 3), (7, 3)]
+
+
+@pytest.mark.parametrize("pm", VALUE_TABLE_FIELDS, ids=_ids(VALUE_TABLE_FIELDS))
+def test_distinct_values_give_the_per_point_parseval_sum_and_classification(pm):
+    """A bent spectrum takes at most 2p values, a random one nearly q: both
+    ends of the distinct-value count, against the per-point oracles."""
+    field = make_field(*pm)
+    p, q = field.p, field.q
+    rng = random.Random(q)
+    functions = [parse_function(field, "tr(x^2)"), parse_function(field, "tr(g*x^2) + tr(g^5*x)")]
+    functions += [_random_function(field, rng) for _ in range(3)]
+    for k, f in enumerate(functions):
+        spectrum = walsh_transform(f)
+        distinct = len(set(zip(*spectrum.layers)))
+        assert distinct <= 2 * p if k < 2 else distinct > q // 2
+        assert spectrum.parseval_sum() == parseval_oracle(spectrum.layers, p) == CyclotomicInt.from_int(p, q * q)
+        assert classify_bent(spectrum) == classify_oracle(spectrum)
+        broken = _flip_signs(spectrum, [rng.randrange(q)])
+        assert classify_bent(broken) == classify_oracle(broken)
+
+
+@pytest.mark.parametrize("pm", [(3, 3), (5, 2), (7, 2)], ids=_ids([(3, 3), (5, 2), (7, 2)]))
+def test_parseval_catches_one_point_of_a_shared_value(monkeypatch, pm):
+    """A coefficient changed at one of the many points that share its value
+    moves that point to a value class of its own, and Parseval fails."""
+    from walshcodes import functions
+
+    field = make_field(*pm)
+    f = parse_function(field, "tr(x^2)")
+    layers = walsh_transform(f).layers
+    shared = Counter(zip(*layers))
+    b = next(b for b, c in enumerate(zip(*layers)) if shared[c] > 1)
+    good = functions._character_fwht
+
+    def corrupted(*args):
+        out = good(*args)
+        out[-1][b] += 1
+        return out
+
+    monkeypatch.setattr(functions, "_character_fwht", corrupted)
+    with pytest.raises(InvariantViolated, match="Parseval"):
+        walsh_transform(f)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_malformed_layers_are_refused(p):
+    field = make_field(p, 1)
+    k = max(p - 1, 1)
+    last = [[1, 2], [1, 2, 3, 4]] if k > 1 else []  # ragged
+    last += [(1, 2, 3), [1, 2.0, 3], [1, "2", 3], [1, None, 3]]  # not integer lists
+    for layers in [[[1, 2, 3]] * (k + 1), [[1, 2, 3]] * (k - 1), [[]] * k] + [[[1, 2, 3]] * (k - 1) + [v] for v in last]:
+        with pytest.raises(ValueError):
+            WalshSpectrum(field, layers, None)
+    # p - 1 lists of one length and any number of points are a spectrum
+    assert len(WalshSpectrum(field, [[1, 2, 3]] * k, None).coefficients) == 3
+
+
+def test_coefficients_share_one_object_per_distinct_value():
+    for pm, spec in (((2, 6), "tr(g*x^3)"), ((3, 4), "tr(x^2) + tr(g*x)"), ((7, 2), "tr(g^3*x^4)")):
+        spectrum = walsh_transform(parse_function(make_field(*pm), spec))
+        coefficients = spectrum.coefficients
+        assert len({id(c) for c in coefficients}) == len(set(zip(*spectrum.layers))) < len(coefficients)
+        assert coefficients == tuple(CyclotomicInt(pm[0], c) for c in zip(*spectrum.layers))
+
+
+def test_from_indices_reads_no_element_until_the_table_is_read(monkeypatch):
+    """A function given by indices is compared, hashed, copied, transformed
+    and classified, with its dual, without one read of field.elements."""
+    field = make_field(3, 3)
+    elements = field.elements
+    f = parse_function(field, "tr(x^2) + tr(g*x)")
+    walsh_transform(f)  # the field's tables are built now, not below
+
+    class Recorder:
+        def __init__(self):
+            self.reads = 0
+
+        def __getitem__(self, i):
+            self.reads += 1
+            return elements[i]
+
+    recorder = Recorder()
+    monkeypatch.setattr(field, "elements", recorder)
+    g = ParyFunction.from_indices(field, f.indices)
+    h = g.with_codomain(3)
+    assert g == f == h and hash(g) == hash(f) and g.exponents() == f.indices
+    assert classify_bent(walsh_transform(g)).dual.indices
+    assert recorder.reads == 0
+    assert g(elements[5]) is elements[f.indices[5]] and recorder.reads == 1
+    assert g.table == tuple(elements[v] for v in f.indices) and recorder.reads == 1 + field.q
+    assert h.table is g.table and recorder.reads == 1 + field.q
+
+
 @pytest.mark.parametrize("m", range(1, 11))
 def test_binary_fwht_is_the_difference_of_the_two_layer_transform(m):
     rng = random.Random(m)
