@@ -62,15 +62,16 @@ def unpack(words: Iterable[int], width: int, count: int, signed: bool = False, o
 def field_counts(word: int, width: int, count: int) -> dict[int, int]:
     """The number of the ``count`` unsigned fields of ``word`` that hold
     each value, read without a list of ints: by bytes.count for one-byte
-    fields.  Two-byte fields whose low and high bytes take a and b distinct
-    values, a b <= 256, are first numbered, each field becoming the one
-    byte (number of its high byte) a + (number of its low byte): the two
-    byte planes, numbered by translate, are combined as ints, and no byte
-    carries into the next.  Wider fields, and two-byte fields with more
-    distinct bytes, are counted by a Counter over an array."""
+    fields (see _byte_counts).  Two-byte fields whose low and high bytes
+    take a and b distinct values, a b <= 256, are first numbered, each
+    field becoming the one byte (number of its high byte) a + (number of
+    its low byte): the two byte planes, numbered by translate, are combined
+    as ints, and no byte carries into the next.  Wider fields, and two-byte
+    fields with more distinct bytes, are counted by a Counter over an
+    array."""
     data = word.to_bytes(count * width, "little")
     if width == 1:
-        return {v: data.count(v) for v in _byte_values(data)}
+        return _byte_counts(data)
     if width == 2:
         low, high = data[0::2], data[1::2]
         lows, highs = _byte_values(low), _byte_values(high)
@@ -79,9 +80,20 @@ def field_counts(word: int, width: int, count: int) -> dict[int, int]:
             numbered = int.from_bytes(high.translate(_numbering(highs)), "little") * a + int.from_bytes(
                 low.translate(_numbering(lows)), "little"
             )
-            data = numbered.to_bytes(count, "little")
-            return {highs[c // a] << 8 | lows[c % a]: data.count(c) for c in _byte_values(data)}
+            counts = _byte_counts(numbered.to_bytes(count, "little"))
+            return {highs[c // a] << 8 | lows[c % a]: n for c, n in counts.items()}
     return Counter(_little(array(TYPECODES[width, False], data), "little"))
+
+
+def _byte_counts(data: bytes) -> dict[int, int]:
+    """{byte: its count in data}, in increasing byte order: one bytes.count
+    pass for each distinct byte but the last, whose count is what the
+    others leave of len(data)."""
+    values = _byte_values(data)
+    counts = {v: data.count(v) for v in values[:-1]}
+    for v in values[-1:]:
+        counts[v] = len(data) - sum(counts.values())
+    return counts
 
 
 _BYTES = bytes(range(256))

@@ -3,12 +3,15 @@
 A field element is its canonical index: the coefficient vector over F_p
 with respect to the power basis of a monic irreducible modulus, read as
 index = sum c_i p^i, so the zero element comes first and the constant
-coefficient is least significant.  All p^m elements are interned at
-construction in that order, and every code construction in this package
-indexes coordinates by it.  Arithmetic is :class:`IndexArith` on indices,
-one instance per field, shared by the element operators, the codeword
-maps and the expansion of F_{p^s} rows into F_p rows that :mod:`codes`
-eliminates.
+coefficient is least significant.  Every code construction in this package
+indexes coordinates by it.  A :class:`Field` is its tables on indices: the
+exp/log tables, the trace, trace-dual and coordinate tables, and each
+subfield as a list of the indices it embeds at.  Arithmetic is
+:class:`IndexArith` on indices, one instance per field, shared by the
+element operators, the codeword maps and the expansion of F_{p^s} rows into
+F_p rows that :mod:`codes` eliminates.  :class:`FieldElement` objects are
+built only for callers that ask for them, one at a time or as the interned
+list :attr:`Field.elements`, which is built on first read.
 
 Cyclotomic integers carry Walsh coefficients, Gauss sums and character
 values exactly; complex floats are a display-only view.
@@ -16,8 +19,8 @@ values exactly; complex floats are a display-only view.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
-from typing import Iterable, Sequence
+from functools import cache, cached_property, reduce
+from typing import Iterable, Mapping, Sequence
 
 from ._packed import field_width, transform, unpack
 from .errors import (
@@ -125,15 +128,19 @@ def _digits(n: int, p: int, width: int) -> tuple[int, ...]:
 
 class FieldElement:
     """Element of F_{p^m}: its canonical index, with the coefficient vector
-    over the power basis of the modulus as a read-only view.  Arithmetic goes
-    through the field's :class:`IndexArith` on indices."""
+    over the power basis of the modulus, the digits of the index, as a
+    read-only view.  Arithmetic goes through the field's :class:`IndexArith`
+    on indices."""
 
-    __slots__ = ("field", "coeffs", "index")
+    __slots__ = ("field", "index")
 
-    def __init__(self, field: "Field", coeffs: tuple[int, ...], index: int):
+    def __init__(self, field: "Field", index: int):
         self.field = field
-        self.coeffs = coeffs
         self.index = index
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return _digits(self.index, self.field.p, self.field.m)
 
     def __repr__(self):
         return f"FieldElement({list(self.coeffs)} in GF({self.field.p}^{self.field.m}))"
@@ -181,13 +188,13 @@ class FieldElement:
         return self.index == 0
 
     def in_prime_subfield(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return self.index < self.field.p
 
     def as_prime_int(self) -> int:
         """Value in [0, p) of an element of the prime subfield."""
         if not self.in_prime_subfield():
             raise ValueError(f"{self!r} is not in the prime subfield")
-        return self.coeffs[0]
+        return self.index
 
     def trace(self, s: int = 1) -> "FieldElement":
         return trace(self.field, self, s)
@@ -197,7 +204,9 @@ class Field:
     """The ambient field F_{p^m} with canonical element enumeration.
 
     Construct through :func:`make_field`, which validates the modulus and
-    interns the instance so equal parameters yield the same object.
+    interns the instance so equal parameters yield the same object.  The
+    field holds no element until one is asked for: each element is interned
+    when first built, so that ``from_index(i) is elements[i]``.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -205,17 +214,14 @@ class Field:
         self.m = m
         self.q = p ** m
         self.modulus = modulus
-        self.elements: list[FieldElement] = [
-            FieldElement(self, _digits(idx, p, m), idx) for idx in range(self.q)
-        ]
-        self.zero = self.elements[0]
-        self.one = self.elements[1]
+        # the elements handed out one at a time before the list was built
+        self._single: dict[int, FieldElement] = {}
         self._trace_dual: list[int] | None = None
         # per-subfield data, keyed by the subfield degree s and built on first use
         self._subfields: dict[int, tuple] = {}
         self._traces: dict[int, list[int]] = {}
         self._coordinates: dict[int, list[int]] = {}
-        self._generator: FieldElement | None = None
+        self._generator: int | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._trace_log: list[int] | None = None
@@ -233,23 +239,41 @@ class Field:
 
     # -- element factories ---------------------------------------------------
 
+    @cached_property
+    def elements(self) -> list[FieldElement]:
+        """Every element in canonical order, built on first read; an element
+        handed out before is the one in the list."""
+        single = self._single
+        return [single[idx] if idx in single else FieldElement(self, idx) for idx in range(self.q)]
+
+    def from_index(self, idx: int) -> FieldElement:
+        elements = vars(self).get("elements")
+        if elements is not None:
+            return elements[idx]
+        idx = range(self.q)[idx]
+        if idx not in self._single:
+            self._single[idx] = FieldElement(self, idx)
+        return self._single[idx]
+
+    @property
+    def zero(self) -> FieldElement:
+        return self.from_index(0)
+
+    @property
+    def one(self) -> FieldElement:
+        return self.from_index(1)
+
     def element(self, coeffs: Iterable[int]) -> FieldElement:
         v = [c % self.p for c in coeffs]
         if len(v) > self.m:
             if any(v[self.m:]):
                 raise ValueError("coefficient vector longer than the degree")
             v = v[: self.m]
-        idx = 0
-        for c in reversed(v):
-            idx = idx * self.p + c
-        return self.elements[idx]
-
-    def from_index(self, idx: int) -> FieldElement:
-        return self.elements[idx]
+        return self.from_index(sum(c * self.p ** i for i, c in enumerate(v)))
 
     def scalar(self, c: int) -> FieldElement:
         """Embed an integer as an element of the prime subfield."""
-        return self.elements[c % self.p]
+        return self.from_index(c % self.p)
 
     def index_of(self, x: FieldElement | int) -> int:
         """Canonical index of an element of this field; an int is a
@@ -264,7 +288,7 @@ class Field:
 
     def power_basis(self) -> list[FieldElement]:
         """1, x, ..., x^(m-1): the F_p-basis every coordinate map uses."""
-        return [self.elements[self.p ** i] for i in range(self.m)]
+        return [self.from_index(self.p ** i) for i in range(self.m)]
 
     # -- arithmetic tables ----------------------------------------------------
 
@@ -273,22 +297,25 @@ class Field:
         """The field's arithmetic on canonical indices, built on first use."""
         return IndexArith(self)
 
-    def _linear_indices(self, images: Sequence[FieldElement]) -> list[int]:
-        """Index of L(e) for every element e, for the F_p-linear map L with
-        L(x^j) = images[j]; built digit by digit in q additions of coefficient
-        vectors, so that it needs none of the tables it helps to build."""
-        p, elements = self.p, self.elements
-        out = [0]
+    def _linear_indices(self, images: Sequence[int]) -> list[int]:
+        """Index of L(e) for every e of index below p^len(images), for the
+        F_p-linear map L that takes x^j to the element of index images[j]:
+        each image extends the values so far by their sums with its
+        multiples, by XOR at p = 2 and digit by digit mod p at odd p, so
+        that it needs none of the tables it helps to build."""
+        p, out = self.p, [0]
+        if p == 2:
+            for img in images:
+                out += [v ^ img for v in out]
+            return out
+        weights = [p ** i for i in range(self.m)]
         for img in images:
             size = len(out)
-            step = [0] * self.m
-            for _ in range(1, p):
-                step = [(s + y) % p for s, y in zip(step, img.coeffs)]
-                moves = [(i, y, p ** i) for i, y in enumerate(step) if y]
-                for v in out[:size]:
-                    co = elements[v].coeffs
-                    u = v + sum(((co[i] + y) % p - co[i]) * w for i, y, w in moves)
-                    out.append(elements[u].index)  # one int object, shared with the element
+            for c in range(1, p):
+                step = [(c * y % p, w) for y, w in zip(_digits(img, p, self.m), weights) if c * y % p]
+                shift = sum(y * w for y, w in step)
+                carries = [(w, p - y, p * w) for y, w in step]  # digit d carries when d >= p - y
+                out += [v + shift - sum(pw for w, low, pw in carries if v // w % p >= low) for v in out[:size]]
         return out
 
     def _pow_tables(self) -> tuple[list[int], list[int]]:
@@ -296,10 +323,9 @@ class Field:
         the generator g, walked through the F_p-linear map x -> g*x, whose
         basis images x^j * g are reduced by the modulus."""
         if self._exp is None:
-            g = self.generator().coeffs
-            times_g = self._linear_indices(
-                [self.element(_poly_mod((0,) * j + g, self.modulus, self.p)) for j in range(self.m)]
-            )
+            p, g = self.p, _digits(self._generator_index(), self.p, self.m)
+            images = [_poly_mod((0,) * j + g, self.modulus, p) for j in range(self.m)]
+            times_g = self._linear_indices([sum(c * p ** i for i, c in enumerate(img)) for img in images])
             exp = [0] * (self.q - 1)
             log = [0] * self.q
             cur = 1
@@ -330,13 +356,16 @@ class Field:
         return self._pow(a, self.p ** (t % self.m))
 
     def generator(self) -> FieldElement:
-        """Multiplicative generator of smallest canonical index (cached).
+        """Multiplicative generator of smallest canonical index."""
+        return self.from_index(self._generator_index())
 
-        A candidate a generates F_q^* exactly when a^((q-1)/r) != 1 for every
-        prime r dividing q - 1.  These powers are taken by square-and-multiply
-        on coefficient vectors, since the tables behind :meth:`_pow` and
-        :attr:`arith` need the generator."""
-        p, modulus = self.p, self.modulus
+    def _generator_index(self) -> int:
+        """The index of :meth:`generator` (cached).  A candidate a generates
+        F_q^* exactly when a^((q-1)/r) != 1 for every prime r dividing q - 1.
+        These powers are taken by square-and-multiply on coefficient vectors,
+        since the tables behind :meth:`_pow` and :attr:`arith` need the
+        generator."""
+        p, m, modulus = self.p, self.m, self.modulus
 
         def power_is_one(a, e):
             result = (1,)
@@ -349,11 +378,41 @@ class Field:
 
         if self._generator is None:
             cofactors = [(self.q - 1) // r for r in _prime_factors(self.q - 1)]
-            for a in self.elements[1:]:
-                if not any(power_is_one(a.coeffs, c) for c in cofactors):
-                    self._generator = a
-                    break
+            self._generator = next(
+                a for a in range(1, self.q) if not any(power_is_one(_digits(a, p, m), c) for c in cofactors)
+            )
         return self._generator
+
+    # -- subfields -------------------------------------------------------------
+
+    def _subfield(self, s: int) -> tuple["Field", Sequence[int], Mapping[int, int] | range]:
+        """(sub, embed, project) for the subfield F_{p^s} (cached per s): sub
+        is F_{p^s} as a field of its own, embed[k] the index here of its
+        element of index k, and project the inverse of embed; at s = 1 and
+        s = m both maps are the identity on range(p^s).
+
+        embed sends the root behind sub's power basis to the smallest-index
+        root of sub's modulus here.  The roots lie in the subfield, so only
+        its nonzero elements, g^(c k) with c = (q - 1)/(p^s - 1), are tried."""
+        _check_subfield(self, s)
+        if s not in self._subfields:
+            sub = self if s == self.m else make_field(self.p, s)
+            embed = project = range(sub.q)
+            if 1 < s < self.m:
+                (exp, _), n1, arith = self._pow_tables(), self.q - 1, self.arith
+                roots = (
+                    k for k in sorted(range(0, n1, n1 // (sub.q - 1)), key=exp.__getitem__)
+                    if not reduce(arith.add, [arith.mul(c, exp[k * i % n1]) for i, c in enumerate(sub.modulus)])
+                )
+                k = next(roots, None)
+                if k is None:
+                    raise InvariantViolated(f"the modulus of F_{self.p}^{s} has no root in {self!r}")
+                embed = self._linear_indices([exp[k * t % n1] for t in range(s)])
+                project = {v: i for i, v in enumerate(embed)}
+                if len(project) != sub.q:
+                    raise InvariantViolated(f"the embedding of F_{self.p}^{s} into {self!r} is not injective")
+            self._subfields[s] = sub, embed, project
+        return self._subfields[s]
 
     # -- trace machinery -------------------------------------------------------
 
@@ -363,15 +422,18 @@ class Field:
         values are the integers in [0, p).
 
         The table is the F_p-linear map Tr(a) = sum_i a_i Tr(x^i), so only
-        the m basis traces go through the Frobenius sum of :func:`trace`."""
+        the m basis traces are Frobenius sums, taken on the exp/log tables;
+        InvariantViolated is raised if one leaves the subfield."""
         table = self._traces.get(s)
         if table is None:
-            values = [trace(self, b, s) for b in self.power_basis()]
-            if s > 1:
-                project = subfield(self, s)[2]
-                values = [self.elements[project[v].index] for v in values]
+            _, _, project = self._subfield(s)
+            (exp, log), n1, add = self._pow_tables(), self.q - 1, self.arith.add
+            frobenius = [self.p ** (s * i) for i in range(self.m // s)]
+            values = [reduce(add, [exp[log[self.p ** j] * e % n1] for e in frobenius]) for j in range(self.m)]
+            if not all(v in project for v in values):
+                raise InvariantViolated(f"a trace of the power basis left the subfield F_{self.p}^{s}")
             # a subfield index is carried by the element of this field with the same digits
-            table = self._traces[s] = self._linear_indices(values)
+            table = self._traces[s] = self._linear_indices([project[v] for v in values])
         return table
 
     def _log_traces(self) -> list[int]:
@@ -396,13 +458,12 @@ class Field:
         k, digit j s + t standing for theta^t x^j with theta the root behind
         the subfield's power basis, so the table inverts one
         :meth:`_linear_indices`; it raises InvariantViolated if that map is
-        not a bijection."""
+        not a bijection.  x^j, j < m, is the element of index p^j."""
         table = self._coordinates.get(s)
         if table is None:
-            sub, embed, _ = subfield(self, s)
-            x = self.power_basis()[min(1, self.m - 1)]
-            theta = [embed[t] for t in sub.power_basis()]
-            elements = self._linear_indices([t * self._pow(x, j) for j in range(self.m // s) for t in theta])
+            _, embed, _ = self._subfield(s)
+            mul, p = self.arith.mul, self.p
+            elements = self._linear_indices([mul(embed[p ** t], p ** j) for j in range(self.m // s) for t in range(s)])
             if len(set(elements)) != self.q:
                 raise InvariantViolated(f"the relative basis of F_{self.p}^{self.m} over F_{self.p}^{s} is singular")
             table = [0] * self.q
@@ -418,9 +479,9 @@ class Field:
         v_b is b contracted with the Gram matrix Tr(x^i x^j) of the power
         basis; b -> v_b is F_p-linear and bijective."""
         if self._trace_dual is None:
-            basis = self.power_basis()
-            gram = [[self.trace_int(ei * ej) for ei in basis] for ej in basis]
-            self._trace_dual = self._linear_indices([self.element(col) for col in gram])
+            mul, tr = self.arith.mul, self.trace_table()
+            basis = [self.p ** i for i in range(self.m)]
+            self._trace_dual = self._linear_indices([sum(tr[mul(ei, ej)] * ei for ei in basis) for ej in basis])
         return self._trace_dual
 
     def trace_bilinear(self, a: FieldElement, b: FieldElement) -> int:
@@ -428,8 +489,9 @@ class Field:
         b.  The brute-force weight references call it on elements; no
         transform or weight formula does: they read trace_dual_indices or
         the trace table directly."""
-        vb = self.elements[self.trace_dual_indices()[b.index]].coeffs
-        return sum(x * y for x, y in zip(a.coeffs, vb)) % self.p
+        p, m = self.p, self.m
+        vb = _digits(self.trace_dual_indices()[b.index], p, m)
+        return sum(x * y for x, y in zip(_digits(a.index, p, m), vb)) % p
 
 
 class IndexArith:
@@ -578,26 +640,21 @@ def _check_subfield(ctx: Field, s: int) -> None:
 
 
 def trace(ctx: Field, x: FieldElement, s: int = 1) -> FieldElement:
-    """Relative trace Tr_{p^m/p^s}(x) = sum of x^(p^(s*i)); lies in F_{p^s}."""
-    _check_subfield(ctx, s)
-    acc = ctx.zero
-    power = x
-    for _ in range(ctx.m // s):
-        acc = acc + power
-        power = ctx._pow(power, ctx.p ** s)
-    if ctx._pow(acc, ctx.p ** s) != acc:
-        raise InvariantViolated(f"trace of {x!r} left the subfield F_{ctx.p}^{s}")
-    return acc
+    """Relative trace Tr_{p^m/p^s}(x) = sum of x^(p^(s*i)), an element of
+    F_{p^s}, read from the trace table."""
+    return ctx.from_index(ctx._subfield(s)[1][ctx.trace_table(s)[ctx.index_of(x)]])
 
 
 def trace_kernel(ctx: Field) -> list[FieldElement]:
     """All p^(m-1) elements of ker(Tr_{q/p}); cross-checked against the
-    set of values alpha^p - alpha, which the kernel equals exactly."""
-    kernel = [e for e in ctx.elements if ctx.trace_int(e) == 0]
-    image = {ctx._pow(a, ctx.p) - a for a in ctx.elements}
-    if set(kernel) != image:
+    set of values alpha^p - alpha, which the kernel equals exactly.  Both
+    are read on indices, from the trace and exp/log tables."""
+    table, arith = ctx.trace_table(), ctx.arith
+    kernel = [a for a in range(ctx.q) if table[a] == 0]
+    image = map(arith.add, ctx.power_indices(range(ctx.q), ctx.p), map(arith.neg, range(ctx.q)))
+    if set(kernel) != set(image):
         raise InvariantViolated("the trace kernel differs from the set of alpha^p - alpha")
-    return kernel
+    return list(map(ctx.from_index, kernel))
 
 
 # ---------------------------------------------------------------------------
@@ -610,43 +667,12 @@ def subfield(ctx: Field, s: int) -> tuple[Field, dict, dict]:
     Returns ``(sub, embed, project)`` where ``embed[e]`` is the image in ctx
     of the subfield element e and ``project`` inverts it on the image.  The
     embedding sends the power-basis root of sub's modulus to its smallest
-    canonical root inside ctx, so it is deterministic.  Cached on ctx.
+    canonical root inside ctx, so it is deterministic.  The dicts are built
+    on each call from the index maps that ctx keeps (see Field._subfield).
     """
-    _check_subfield(ctx, s)
-    if s in ctx._subfields:
-        return ctx._subfields[s]
-    if s == ctx.m:
-        ident = {e: e for e in ctx.elements}
-        ctx._subfields[s] = (ctx, ident, dict(ident))
-        return ctx._subfields[s]
-    sub = make_field(ctx.p, s)
-    root = None
-    for cand in ctx.elements:
-        acc = ctx.zero
-        power = ctx.one
-        for c in sub.modulus:
-            if c:
-                acc = acc + power * c
-            power = power * cand
-        if acc.is_zero():
-            root = cand
-            break
-    if root is None:
-        raise InvariantViolated(f"the modulus of F_{ctx.p}^{s} has no root in {ctx!r}")
-    embed: dict[FieldElement, FieldElement] = {}
-    for e in sub.elements:
-        img = ctx.zero
-        power = ctx.one
-        for c in e.coeffs:
-            if c:
-                img = img + power * c
-            power = power * root
-        embed[e] = img
-    project = {img: e for e, img in embed.items()}
-    if len(project) != sub.q:
-        raise InvariantViolated(f"the embedding of F_{ctx.p}^{s} into {ctx!r} is not injective")
-    ctx._subfields[s] = (sub, embed, project)
-    return ctx._subfields[s]
+    sub, embed, _ = ctx._subfield(s)
+    pairs = [(sub.from_index(k), ctx.from_index(v)) for k, v in enumerate(embed)]
+    return sub, dict(pairs), {img: e for e, img in pairs}
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from ._packed import TYPECODES, Lanes, bias_word, field_counts, field_width, lanes_of, pack, transform, unpack
-from .algebra import Field, FieldElement, _check_subfield, subfield
+from .algebra import Field, FieldElement
 from .errors import EmptyLength, InvariantViolated, RaggedRows, TooLarge, ZeroCode
 
 DEFAULT_GUARD = 2 ** 22
@@ -654,11 +654,10 @@ def restrict_to_subfield(code: LinearCode, s: int) -> LinearCode:
     sum_i h_i c_i, solved over F_p for the n*s unknowns c_it.
     """
     big = code.base
-    _check_subfield(big, s)
     if s == big.m:
         return code
-    sub, embed, _ = subfield(big, s)
-    theta = [embed[b].index for b in sub.power_basis()]
+    sub, embed, _ = big._subfield(s)
+    theta = [embed[big.p ** t] for t in range(s)]
     checks = _constraints(_nullspace(code.rows, big, code.n), big, theta)
     solutions = _kernel(_from_right(checks, big.p, code.n * s), sub, code.n)
     tag = "prime-restriction" if s == 1 else "subfield-restriction"

@@ -13,11 +13,10 @@ so every generator here emits a deterministic canonical order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
-from .algebra import Field, FieldElement, _check_subfield, subfield
+from .algebra import Field, FieldElement, _check_subfield
 from .codes import (
     LinearCode,
     _elements,
@@ -50,33 +49,62 @@ from .errors import (
 from .functions import ParyFunction
 
 
-@dataclass(frozen=True)
 class DefiningSet:
     """Ordered sequence (d_1, ..., d_n) in an ambient field.
 
     base_degree s means the induced codewords take values in F_{p^s}
-    through the relative trace.  ``_derived`` keeps the set's matrices
-    (see _matrices) for as long as the set lives; it takes no part in
-    equality, hashing or repr.
+    through the relative trace.  The set stores the indices of its
+    elements; ``elements``, the interned elements, is built on first read.
+    Equality and hashing read the field, the base degree and the indices.
+    ``_derived`` keeps the set's matrices (see _matrices) for as long as the
+    set lives; neither it nor the provenance takes part in equality.
     """
 
-    field: Field
-    base_degree: int
-    elements: tuple[FieldElement, ...]
-    provenance: str = dc_field(default="", compare=False)
-    _derived: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("field", "base_degree", "provenance", "_indices", "_elements", "_derived")
 
-    def __post_init__(self):
-        _check_subfield(self.field, self.base_degree)
-        for d in self.elements:
-            if d.field is not self.field:
-                raise ValueError("defining element outside the ambient field")
+    def __init__(self, field: Field, base_degree: int, elements: Sequence[FieldElement], provenance: str = ""):
+        elements = tuple(elements)
+        self._set(field, base_degree, tuple(d.index for d in elements), provenance)
+        if any(d.field is not field for d in elements):
+            raise ValueError("defining element outside the ambient field")
+        self._elements = elements
+
+    @classmethod
+    def _from_indices(cls, field: Field, base_degree: int, indices: Sequence[int], provenance: str) -> "DefiningSet":
+        out = cls.__new__(cls)
+        out._set(field, base_degree, tuple(indices), provenance)
+        return out
+
+    def _set(self, field, base_degree, indices, provenance):
+        _check_subfield(field, base_degree)
+        self.field, self.base_degree, self.provenance = field, base_degree, provenance
+        self._indices, self._elements, self._derived = indices, None, {}
+
+    @property
+    def elements(self) -> tuple[FieldElement, ...]:
+        if self._elements is None:
+            self._elements = tuple(map(self.field.from_index, self._indices))
+        return self._elements
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._indices)
 
-    def indices(self) -> list[int]:
-        return [d.index for d in self.elements]
+    def indices(self) -> tuple[int, ...]:
+        return self._indices
+
+    def __eq__(self, other):
+        if not isinstance(other, DefiningSet):
+            return NotImplemented
+        return (self.field, self.base_degree, self._indices) == (other.field, other.base_degree, other._indices)
+
+    def __hash__(self):
+        return hash((self.field, self.base_degree, self._indices))
+
+    def __repr__(self):
+        return (
+            f"DefiningSet(field={self.field!r}, base_degree={self.base_degree!r}, "
+            f"elements={self.elements!r}, provenance={self.provenance!r})"
+        )
 
 
 def defining_set(
@@ -121,7 +149,7 @@ class _Matrices:
 
     def __init__(self, ctx: Field, s: int, traced: Sequence[Sequence[int]], coordinated: Sequence[Sequence[int]]):
         self.ctx, self.s, self.traced, self.coordinated = ctx, s, traced, coordinated
-        self.alphabet, self.n = subfield(ctx, s)[0], len(traced[0])
+        self.alphabet, self.n = ctx._subfield(s)[0], len(traced[0])
 
     @cached_property
     def traces(self) -> tuple[tuple[int, ...], ...]:
@@ -160,7 +188,7 @@ def _matrices(source: DefiningSet | ParyFunction, include_zero: bool = True) -> 
     key = "matrices", include_zero
     if key not in source._derived:
         if isinstance(source, DefiningSet):
-            row = tuple(source.indices())
+            row = source.indices()
             source._derived[key] = _Matrices(source.field, source.base_degree, (row,), (row,))
         else:
             points, values = _first_columns(source, include_zero)
@@ -178,7 +206,7 @@ def _require_self_map(f: ParyFunction):
 
 
 def first_points(ctx: Field, include_zero: bool = True) -> list[FieldElement]:
-    return list(ctx.elements) if include_zero else list(ctx.elements[1:])
+    return ctx.elements[0 if include_zero else 1 :]
 
 
 def _first_columns(f: ParyFunction, include_zero: bool) -> tuple[list[int], list[int]]:
@@ -298,8 +326,8 @@ def code_to_defining_set(code: LinearCode, ctx: Field) -> DefiningSet:
         raise DimensionTooLarge(f"need m >= k, got m={ctx.m} < k={k}")
     # the element with coordinates (c_0, ..., c_{k-1}) has index sum_j c_j p^j
     p, rows = ctx.p, code.rows
-    ds = tuple(ctx.elements[sum(row[i] * p ** j for j, row in enumerate(rows))] for i in range(code.n))
-    return DefiningSet(ctx, 1, ds, provenance="code-realization")
+    ds = [sum(row[i] * p ** j for j, row in enumerate(rows)) for i in range(code.n)]
+    return DefiningSet._from_indices(ctx, 1, ds, "code-realization")
 
 
 def second_hull_map_matrix(ds: DefiningSet):
@@ -326,16 +354,16 @@ def make_skew_set(ctx: Field) -> DefiningSet:
     if ctx.p == 2:
         raise EvenCharacteristic("x = -x in characteristic 2")
     neg = ctx.arith.neg
-    chosen = tuple(ctx.elements[x] for x in range(1, ctx.q) if x < neg(x))
-    return DefiningSet(ctx, 1, chosen, provenance="skew")
+    return DefiningSet._from_indices(ctx, 1, [x for x in range(1, ctx.q) if x < neg(x)], "skew")
 
 
 def make_preimage_set(f: ParyFunction, b: FieldElement) -> DefiningSet:
     """f^{-1}(b) in canonical order (for b = 1: the support of f)."""
-    ds = tuple(x for x in f.field.elements if f(x) == b)
+    target = b.index if isinstance(b, FieldElement) and b.field is f.field else None
+    ds = [x for x, v in enumerate(f.indices) if v == target]
     if not ds:
         raise EmptySet(f"no preimages of {b!r}")
-    return DefiningSet(f.field, 1, ds, provenance=f"preimage:{b.index}")
+    return DefiningSet._from_indices(f.field, 1, ds, f"preimage:{b.index}")
 
 
 def make_image_set(f: ParyFunction) -> DefiningSet:
@@ -344,17 +372,20 @@ def make_image_set(f: ParyFunction) -> DefiningSet:
     seen = sorted(set(f.indices) - {0})
     if not seen:
         raise EmptySet("the image contains only zero")
-    ds = tuple(f.field.elements[i] for i in seen)
-    return DefiningSet(f.field, 1, ds, provenance="image")
+    return DefiningSet._from_indices(f.field, 1, seen, "image")
 
 
 def image_set_points(f: ParyFunction) -> list[FieldElement]:
     """Canonical preimage representatives aligned with make_image_set:
     the smallest preimage of each defining element."""
+    return list(map(f.field.from_index, _image_set_point_indices(f)))
+
+
+def _image_set_point_indices(f: ParyFunction) -> list[int]:
     first: dict[int, int] = {}
     for x, v in enumerate(f.indices):
         first.setdefault(v, x)
-    return [f.field.elements[first[d.index]] for d in make_image_set(f).elements]
+    return [first[d] for d in make_image_set(f).indices()]
 
 
 def make_trace_zero_set(ctx: Field) -> DefiningSet:
@@ -365,15 +396,14 @@ def make_trace_zero_set(ctx: Field) -> DefiningSet:
     if ctx.m % 2 != 0 or ctx.m // 2 <= 1:
         raise BadDegree("need even degree m = 2s with s > 1")
     s = ctx.m // 2
-    sub, embed, _ = subfield(ctx, s)
-    sub_trace = sub.trace_table()
-    trace_at = {embed[y].index: sub_trace[y.index] for y in sub.elements}
+    sub, embed, _ = ctx._subfield(s)
+    trace_at = dict(zip(embed, sub.trace_table()))
     norms = ctx.power_indices(range(1, ctx.q), ctx.p ** s + 1)
-    chosen = [ctx.elements[z] for z, y in enumerate(norms, 1) if trace_at.get(y) == 0]
+    chosen = [z for z, y in enumerate(norms, 1) if trace_at.get(y) == 0]
     expected = (ctx.p ** s + 1) * (ctx.p ** (s - 1) - 1)
     if len(chosen) != expected:
         raise InvariantViolated(f"the trace-zero set has {len(chosen)} elements, not {expected}")
-    return DefiningSet(ctx, 1, tuple(chosen), provenance="trace-zero")
+    return DefiningSet._from_indices(ctx, 1, chosen, "trace-zero")
 
 
 def make_cyclotomic_set(ctx: Field, base_degree: int, second_class: bool = False) -> DefiningSet:
@@ -406,13 +436,15 @@ def make_cyclotomic_set(ctx: Field, base_degree: int, second_class: bool = False
         tag = "cyclotomic-second"
     if len(reps) != expected:
         raise InvariantViolated(f"{len(reps)} coset representatives, not the class size {expected}")
-    return DefiningSet(ctx, s, tuple(ctx.elements[z] for z in reps.values()), provenance=tag)
+    return DefiningSet._from_indices(ctx, s, reps.values(), tag)
 
 
-def _check_independent(ctx: Field, ds: Sequence[FieldElement], base_degree: int):
+def _independent_indices(ctx: Field, ds: Sequence[FieldElement], base_degree: int) -> list[int]:
+    """The indices of ds, which must be independent over F_{p^s}."""
     row = [ctx.index_of(d) for d in ds]
     if _Matrices(ctx, base_degree, (row,), (row,)).rank() != len(ds):
         raise NotIndependent("defining elements must be linearly independent")
+    return row
 
 
 def make_fixed_hull_set(
@@ -440,11 +472,9 @@ def make_fixed_hull_set(
     k = len(ds)
     if not 0 <= l <= k:
         raise BadL(f"need 0 <= l <= k, got l={l}, k={k}")
-    _check_independent(ctx, ds, 1)
-    out = list(ds)
-    out += [d * alpha for d in ds[:l]]
-    out += [d * beta for d in ds[l:]]
-    return DefiningSet(ctx, 1, tuple(out), provenance=f"fixed-hull:l={l}")
+    row, scale = _independent_indices(ctx, ds, 1), ctx.arith.scale
+    out = row + scale(row[:l], alpha) + scale(row[l:], beta)  # the index of a scalar is its value
+    return DefiningSet._from_indices(ctx, 1, out, f"fixed-hull:l={l}")
 
 
 def make_lcd_set(ctx: Field, ds: Sequence[FieldElement], base_degree: int = 1) -> DefiningSet:
@@ -455,9 +485,9 @@ def make_lcd_set(ctx: Field, ds: Sequence[FieldElement], base_degree: int = 1) -
     k = len(ds)
     if k % 2 != 0:
         raise OddK(f"need even k, got {k}")
-    _check_independent(ctx, ds, base_degree)
-    pairs = [ds[i] + ds[i + 1] for i in range(0, k, 2)]
-    return DefiningSet(ctx, base_degree, tuple(ds) + tuple(pairs), provenance="lcd")
+    row = _independent_indices(ctx, ds, base_degree)
+    pairs = [row[i] ^ row[i + 1] for i in range(0, k, 2)]  # the sum of indices at p = 2
+    return DefiningSet._from_indices(ctx, base_degree, row + pairs, "lcd")
 
 
 def make_mds_set(
@@ -479,14 +509,8 @@ def make_mds_set(
         raise AlphaZero("alpha coefficients must be nonzero")
     if variant == "k+2" and len(set(alphas)) != k:
         raise NeedDistinctAlphas("the longer variant needs pairwise distinct alphas")
-    _check_independent(ctx, ds, 1)
-    extra = ctx.zero
-    for a, d in zip(alphas, ds):
-        extra = extra + d * a
-    out = list(ds) + [extra]
+    row, arith = _independent_indices(ctx, ds, 1), ctx.arith
+    out = row + [reduce(arith.add, map(arith.mul, row, alphas), 0)]
     if variant == "k+2":
-        total = ctx.zero
-        for d in ds:
-            total = total + d
-        out.append(total)
-    return DefiningSet(ctx, 1, tuple(out), provenance=f"mds:{variant}")
+        out.append(reduce(arith.add, row, 0))
+    return DefiningSet._from_indices(ctx, 1, out, f"mds:{variant}")

@@ -88,7 +88,7 @@ class ParyFunction:
             # v^(p^s) = v exactly for the v in F_{p^gcd(s, m)}
             bad = _outside_subfield(field, indices, gcd(codomain_degree, field.m))
             if bad is not None:
-                raise ValueError(f"table value {field.elements[indices[bad]]!r} outside F_{field.p}^{codomain_degree}")
+                raise ValueError(f"table value {field.from_index(indices[bad])!r} outside F_{field.p}^{codomain_degree}")
         self.field = field
         self.codomain_degree = codomain_degree
         self.indices = indices
@@ -151,10 +151,10 @@ class ParyFunction:
         """True when x -> f(x) - f(0) is additive.  An additive map is
         F_p-linear, so it is exactly the linear map with its values on the
         power basis, and f is compared with f(0) plus that map."""
-        field = self.field
-        at_zero = self(field.zero)
-        linear = field._linear_indices([self(v) - at_zero for v in field.power_basis()])
-        return tuple(map(field.arith.add, linear, repeat(self.indices[0]))) == self.indices
+        field, indices = self.field, self.indices
+        add, minus_zero = field.arith.add, field.arith.neg(indices[0])
+        linear = field._linear_indices([add(indices[field.p ** j], minus_zero) for j in range(field.m)])
+        return tuple(map(add, linear, repeat(indices[0]))) == indices
 
 
 def _own_index(field: Field, x: FieldElement) -> int:
@@ -316,7 +316,7 @@ class _Parser:
         if tok == "x":
             return _Monomial(0, 1, self.n1)
         if tok == "g":
-            return field.generator().index
+            return field._generator_index()
         if tok == "(":
             node = self.expr()
             self.take(")")
@@ -415,14 +415,14 @@ class _Parser:
     def _power(self, a, e: int):
         """a^e for e >= 0, with 0^0 = 1; a list in one pass over the exp/log
         tables."""
-        field = self.field
-        if isinstance(a, int):
-            return field._pow(field.elements[a], e).index
         if e == 0:
-            return 1 if isinstance(a, _Monomial) else [1] * len(a)
+            return [1] * len(a) if isinstance(a, list) else 1
+        if isinstance(a, int):
+            exp, log = self.field._pow_tables()
+            return exp[log[a] * e % self.n1] if a else 0
         if isinstance(a, _Monomial):
             return _Monomial(a.log * e, a.d * e, self.n1)
-        return field.power_indices(a, e)
+        return self.field.power_indices(a, e)
 
     def _trace(self, a):
         if isinstance(a, _Monomial):
@@ -455,7 +455,9 @@ class WalshSpectrum:
     the Parseval sum and classify_bent read each distinct value once, with
     its multiplicity.  :attr:`coefficients` and item access build one
     :class:`CyclotomicInt` per distinct value on first use, shared by the
-    points that take it."""
+    points that take it.  The constructor checks the shape and the integer
+    entries of the layers; :func:`walsh_transform`, whose transform yields
+    p - 1 integer lists of length q, builds its spectrum past those checks."""
 
     __slots__ = ("field", "layers", "source", "_counts", "_coefficients")
 
@@ -466,14 +468,23 @@ class WalshSpectrum:
             not isinstance(layer, list) or len(layer) != len(layers[0]) or not layer for layer in layers
         ):
             raise ValueError(f"a spectrum over GF({p}^{field.m}) needs {count} nonempty lists of one length")
-        # {coefficient vector: multiplicity}, whose vectors hold every value
-        counts = Counter(zip(*layers)) if p > 2 else None
-        if not all(map(isinstance, chain.from_iterable(counts or layers), repeat(int))):
+        self._set(field, layers, source)
+        # the counted vectors hold every value
+        if not all(map(isinstance, chain.from_iterable(self._counts or layers), repeat(int))):
             raise ValueError("spectrum layers must hold integers")
+
+    @classmethod
+    def _of_transform(cls, field: Field, layers: Sequence[list[int]], source: ParyFunction) -> "WalshSpectrum":
+        out = cls.__new__(cls)
+        out._set(field, tuple(layers), source)
+        return out
+
+    def _set(self, field, layers, source):
         self.field = field
         self.layers = layers
         self.source = source
-        self._counts = counts
+        # {coefficient vector: multiplicity}
+        self._counts = Counter(zip(*layers)) if field.p > 2 else None
         self._coefficients = None
 
     @property
@@ -523,7 +534,7 @@ def walsh_transform(f: ParyFunction) -> WalshSpectrum:
     field = f.field
     p = field.p
     layers = _character_fwht(f.exponents(), field.trace_dual_indices(), p, field.m)
-    spectrum = WalshSpectrum(field, layers, f)
+    spectrum = WalshSpectrum._of_transform(field, layers, f)
     if spectrum.parseval_sum() != CyclotomicInt.from_int(p, field.q ** 2):
         raise InvariantViolated("Parseval failed: the Walsh spectrum is wrong")
     return spectrum
@@ -638,14 +649,10 @@ def verify_dual_relation(f: ParyFunction, cls: BentClass) -> dict:
     else:
         gm = gauss_sum_power(p, m)
     dual_spectrum = walsh_transform(cls.dual)
-    fints = f.exponents()
     per_point = []
-    for x in field.elements:
-        lhs = dual_spectrum[x] * gm
-        rhs = CyclotomicInt.from_int(p, cls.epsilon * field.q) * CyclotomicInt.zeta_power(
-            p, fints[x.index]
-        )
-        per_point.append(lhs == rhs)
+    for c, e in zip(dual_spectrum.coefficients, f.exponents()):
+        rhs = CyclotomicInt.from_int(p, cls.epsilon * field.q) * CyclotomicInt.zeta_power(p, e)
+        per_point.append(c * gm == rhs)
     return {"per_point": per_point, "all_pass": all(per_point)}
 
 

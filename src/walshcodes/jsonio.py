@@ -8,7 +8,7 @@ of lists of ints raise ValueError.
 
 from __future__ import annotations
 
-from .algebra import Field, make_field
+from .algebra import Field, _digits, make_field
 from .codes import CompleteWeightEnumerator, LinearCode, WeightDistribution
 from .conditions import MembershipVerdict
 from .constructions import DefiningSet
@@ -52,7 +52,7 @@ def defining_set_to_json(ds: DefiningSet) -> dict:
     return {
         "field": field_to_json(ds.field),
         "base_degree": ds.base_degree,
-        "elements": [list(d.coeffs) for d in ds.elements],
+        "elements": [list(_digits(d, ds.field.p, ds.field.m)) for d in ds.indices()],
         "provenance": ds.provenance,
     }
 
@@ -76,10 +76,11 @@ def cwe_to_json(cwe: CompleteWeightEnumerator) -> list[dict]:
 
 def spectrum_to_json(spec: WalshSpectrum) -> list[dict]:
     out = []
-    for b, c in zip(spec.field.elements, spec.coefficients):
+    p, m = spec.field.p, spec.field.m
+    for b, c in enumerate(spec.coefficients):
         out.append(
             {
-                "b": list(b.coeffs),
+                "b": list(_digits(b, p, m)),
                 "coeffs": list(c.coeffs),
                 "abs2": c.abs_squared().as_int(),
             }

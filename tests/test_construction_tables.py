@@ -8,19 +8,26 @@ element by element, the change-of-basis inversion behind the relative
 coordinates, the one-element-at-a-time standard form, the search for the
 first preimage of each image value and the defining-set generators'
 Frobenius and coset loops.  Each is compared with the library over
-GF(4) ... GF(125), base degrees 1, 2 and 3.
+GF(4) ... GF(125), base degrees 1, 2 and 3.  So are the element routes
+behind the field's own tables: the linear-map builder that read the
+coefficients of every element, and the subfield root search over every
+element, against the exp/log, trace, trace-dual and coordinate tables
+and the subfield maps built on indices; and counting tests show that the
+table routes build no FieldElement at all.
 """
 
 import random
 
 import pytest
 
-from walshcodes.algebra import make_field, subfield, trace
+import walshcodes.algebra as algebra
+from walshcodes.algebra import FieldElement, _poly_mod, make_field, subfield, trace
 from walshcodes.codes import (
     LinearCode,
     dual,
     from_rows,
     full_code,
+    hull_dim,
     intersect,
     matrix_rank,
     nullspace,
@@ -48,6 +55,7 @@ from walshcodes.constructions import (
     make_cyclotomic_set,
     make_image_set,
     make_lcd_set,
+    make_skew_set,
     make_trace_zero_set,
     second_codeword,
     second_generic,
@@ -55,7 +63,7 @@ from walshcodes.constructions import (
     standard_form_generator,
 )
 from walshcodes.errors import BadParameters, CannotFrontLoad, NotASubfield
-from walshcodes.functions import ParyFunction
+from walshcodes.functions import ParyFunction, classify_bent, parse_function, walsh_transform
 
 FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (2, 5), (3, 3), (7, 2), (2, 6), (3, 4), (5, 3)]
 # (p, m, s) for every base degree s in {1, 2, 3} dividing m
@@ -269,6 +277,97 @@ def cyclotomic_oracle(ctx, s, second_class):
             reps.append(x)
             seen.update(lam * x for lam in scalars)
     return tuple(reps)
+
+
+# the element routes behind the field's own tables
+
+
+def linear_indices_oracle(field, images):
+    """Index of L(e) for every e of index below p^len(images), for the
+    F_p-linear L with L(x^j) = images[j], an element: digit by digit, in q
+    additions of coefficient vectors read from the elements."""
+    p, elements = field.p, field.elements
+    out = [0]
+    for img in images:
+        size = len(out)
+        step = [0] * field.m
+        for _ in range(1, p):
+            step = [(s + y) % p for s, y in zip(step, img.coeffs)]
+            moves = [(i, y, p ** i) for i, y in enumerate(step) if y]
+            for v in out[:size]:
+                co = elements[v].coeffs
+                out.append(v + sum(((co[i] + y) % p - co[i]) * w for i, y, w in moves))
+    return out
+
+
+def pow_tables_oracle(field):
+    """exp and log by walking x -> g x, the linear map with the reduced
+    images x^j g, through linear_indices_oracle."""
+    p, g = field.p, field.generator().coeffs
+    times_g = linear_indices_oracle(
+        field, [field.element(_poly_mod((0,) * j + g, field.modulus, p)) for j in range(field.m)]
+    )
+    exp, log, cur = [], [0] * field.q, 1
+    for k in range(field.q - 1):
+        exp.append(cur)
+        log[cur] = k
+        cur = times_g[cur]
+    return exp, log
+
+
+def subfield_oracle(ctx, s):
+    """(sub, root, embed, project): root is the first element of ctx, in
+    index order, at which the modulus of sub = F_{p^s} vanishes, summed
+    element by element, and the maps are e -> sum c_i root^i and its
+    inverse; at s = m, ctx and the identity."""
+    if s == ctx.m:
+        ident = {e: e for e in ctx.elements}
+        return ctx, None, ident, dict(ident)
+    sub = make_field(ctx.p, s)
+    root = None
+    for cand in ctx.elements:
+        acc, power = ctx.zero, ctx.one
+        for c in sub.modulus:
+            if c:
+                acc = acc + power * c
+            power = power * cand
+        if acc.is_zero():
+            root = cand
+            break
+    embed = {}
+    for e in sub.elements:
+        img, power = ctx.zero, ctx.one
+        for c in e.coeffs:
+            if c:
+                img = img + power * c
+            power = power * root
+        embed[e] = img
+    return sub, root, embed, {img: e for e, img in embed.items()}
+
+
+def trace_table_oracle(field, s):
+    """The basis traces by the Frobenius sum, projected into the subfield
+    of subfield_oracle, extended by linear_indices_oracle."""
+    project = subfield_oracle(field, s)[3]
+    values = [field.elements[project[trace_oracle(field, b, s)].index] for b in field.power_basis()]
+    return linear_indices_oracle(field, values)
+
+
+def trace_dual_oracle(field):
+    basis = field.power_basis()
+    gram = [[trace_int_oracle(field, ei * ej) for ei in basis] for ej in basis]
+    return linear_indices_oracle(field, [field.element(col) for col in gram])
+
+
+def coordinate_table_oracle(field, s):
+    """The inverse of the linear map that takes digit j s + t to theta^t x^j."""
+    sub, _, embed, _ = subfield_oracle(field, s)
+    x = field.power_basis()[min(1, field.m - 1)]
+    theta = [embed[t] for t in sub.power_basis()]
+    table = [0] * field.q
+    for k, a in enumerate(linear_indices_oracle(field, [t * x ** j for j in range(field.m // s) for t in theta])):
+        table[a] = k
+    return table
 
 
 # -- inputs ------------------------------------------------------------------------
@@ -563,3 +662,106 @@ def test_subfield_degree_must_be_a_positive_divisor(s):
 def test_cyclotomic_rejects_small_fields_after_the_degree_check():
     with pytest.raises(BadParameters):
         make_cyclotomic_set(make_field(2, 2), 1)
+
+
+# -- the field's tables on indices -------------------------------------------------
+
+SMALL_TABLE_FIELDS = [(2, 1), (2, 4), (2, 6), (2, 9), (3, 1), (3, 4), (3, 6), (5, 1), (5, 3), (7, 1), (7, 3)]
+# (p, m, subfield degrees): every degree on the small fields; at 2^16, where
+# each oracle table takes about 0.2 s, two
+TABLE_CASES = [(p, m, [s for s in range(1, m + 1) if m % s == 0]) for p, m in SMALL_TABLE_FIELDS] + [(2, 16, [1, 2])]
+
+
+@pytest.mark.parametrize("pm,degrees", [(c[:2], c[2]) for c in TABLE_CASES], ids=_ids([c[:2] for c in TABLE_CASES]))
+def test_tables_match_the_element_routes(pm, degrees):
+    """exp/log, trace, trace-dual and coordinate tables, built on indices,
+    against the element routes they replaced."""
+    field = make_field(*pm)
+    rng = random.Random(field.q)
+    images = [field.elements[rng.randrange(field.q)] for _ in range(field.m)] + [field.zero]
+    assert field._linear_indices([v.index for v in images]) == linear_indices_oracle(field, images)
+    assert field._pow_tables() == pow_tables_oracle(field)
+    assert field.trace_dual_indices() == trace_dual_oracle(field)
+    for s in degrees:
+        assert field.trace_table(s) == trace_table_oracle(field, s), s
+        assert field.coordinate_table(s) == coordinate_table_oracle(field, s), s
+
+
+@pytest.mark.parametrize("pms", TOWERS, ids=_ids(TOWERS))
+def test_subfield_maps_match_the_element_root_search(pms):
+    """The root, searched over the p^s subfield indices, is the first root
+    over the whole field; embed and project are its maps."""
+    p, m, s = pms
+    field = make_field(p, m)
+    sub, root, embed, project = subfield_oracle(field, s)
+    assert field._subfield(s)[0] is sub
+    _, embed_at, project_at = field._subfield(s)
+    assert [embed_at[e.index] for e in sub.elements] == [embed[e].index for e in sub.elements]
+    assert {v: project_at[v] for v in embed_at} == {img.index: e.index for img, e in project.items()}
+    if 1 < s < m:
+        assert embed_at[p] == root.index  # the image of the root x of sub's modulus
+    assert subfield(field, s) == (sub, embed, project)
+
+
+# -- no FieldElement on the table routes ---------------------------------------------
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The indices of the FieldElements constructed from here on, over
+    fields made afresh: make_field starts with an empty cache."""
+    indices = []
+    init = FieldElement.__init__
+
+    def counted(self, field, index):
+        indices.append(index)
+        init(self, field, index)
+
+    monkeypatch.setattr(FieldElement, "__init__", counted)
+    monkeypatch.setattr(algebra, "_FIELD_CACHE", {})
+    return indices
+
+
+@pytest.mark.parametrize("pm", [(2, 6), (3, 4), (5, 2)], ids=_ids([(2, 6), (3, 4), (5, 2)]))
+def test_spectrum_and_function_code_build_no_element(built, pm):
+    field = make_field(*pm)
+    f = parse_function(field, "tr(g*x^3)+tr(g^5*x)")
+    classify_bent(walsh_transform(f))
+    self_map = f.with_codomain(field.m)
+    code = first_generic(self_map)
+    dual_first_closed_form(self_map)
+    hull_dim(code)
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "pm,make",
+    [
+        ((2, 4), make_trace_zero_set),
+        ((3, 4), make_trace_zero_set),
+        ((2, 6), make_trace_zero_set),
+        ((2, 4), lambda field: make_cyclotomic_set(field, 1)),
+        ((5, 2), lambda field: make_cyclotomic_set(field, 1, second_class=True)),
+        ((2, 6), lambda field: make_cyclotomic_set(field, 3)),
+        ((3, 4), make_skew_set),
+        ((5, 2), make_skew_set),
+    ],
+)
+def test_generated_set_codes_build_no_element(built, pm, make):
+    ds = make(make_field(*pm))
+    second_generic(ds)
+    dual_second_closed_form(ds)
+    assert built == []
+
+
+def test_the_largest_field_is_built_without_elements(built):
+    field = make_field(2, 20)
+    assert field.q == 2 ** 20 and built == []
+    assert field.from_index(7) is field.from_index(7) and built == [7]
+
+
+def test_an_element_read_alone_is_the_one_in_the_list(built):
+    field = make_field(3, 4)
+    one, x = field.one, field.from_index(3)
+    assert field.elements[1] is one and field.elements[3] is x and field.power_basis()[1] is x
+    assert sorted(built) == list(range(field.q))

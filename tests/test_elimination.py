@@ -768,14 +768,14 @@ def test_construction_invariants_raise_under_optimize():
         del field.power_indices
 
         other = make_field(3, 4)
-        other.power_basis = lambda: [other.one] * other.m
+        other._subfield = lambda s: (make_field(3, s), [1] * 3 ** s, None)  # theta^t = 1 for every t
         try:
             other.coordinate_table(2)
         except InvariantViolated as ex:
             print("basis:", ex)
 
         f16 = make_field(2, 4)
-        f16.arith  # built before the exp/log tables are corrupted
+        f16.arith, f16._subfield(2)  # built before the exp/log tables are corrupted
         f16._pow_tables = lambda: ([0] * 15, [0] * 16)
         try:
             cs.make_trace_zero_set(f16)

@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from walshcodes._packed import Lanes, digit_steps, field_counts, gray_walk, lanes_of, pack, unpack
+from walshcodes._packed import Lanes, _byte_counts, digit_steps, field_counts, gray_walk, lanes_of, pack, unpack
 
 WIDTHS = [1, 2, 4, 8]
 
@@ -148,3 +148,25 @@ def test_field_counts_are_the_counts_of_the_unpacked_fields(width):
             (word,) = pack([values], width)
             want = Counter(unpack([word], width, count)[0])
             assert field_counts(word, width, count) == want == Counter(values)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_field_counts_of_a_single_value(width):
+    """Every field holds one value, the 0 word included: its count is the
+    number of fields."""
+    for value in (0, 1, (1 << 8 * width) - 1):
+        for count in (1, 3, 4099):
+            (word,) = pack([[value] * count], width)
+            assert field_counts(word, width, count) == {value: count}
+
+
+def test_the_last_distinct_byte_takes_no_count_pass():
+    passes = []
+
+    class CountedBytes(bytes):
+        def count(self, v):
+            passes.append(v)
+            return super().count(v)
+
+    assert _byte_counts(CountedBytes(bytes([7]) * 300)) == {7: 300} and passes == []
+    assert _byte_counts(CountedBytes(bytes([7]) * 300 + bytes([9]) * 5)) == {7: 300, 9: 5} and passes == [7]

@@ -1164,7 +1164,7 @@ def _affine(field, rng, s):
     sub = [v for v in field.elements if v ** (field.p ** s) == v]
     images = [rng.choice(sub) for _ in range(field.m)]
     c = rng.choice(sub)
-    linear = field._linear_indices(images)
+    linear = field._linear_indices([v.index for v in images])
     return ParyFunction(field, [field.elements[v] + c for v in linear], s)
 
 
@@ -1402,12 +1402,12 @@ def test_invariants_raise_under_optimize():
         import walshcodes.algebra as al
 
         f16 = make_field(2, 4)
-        f16.trace_int = lambda e: 0
+        f16.trace_table = lambda s=1: [0] * f16.q
         try:
             al.trace_kernel(f16)
         except InvariantViolated as ex:
             print("kernel:", ex)
-        del f16.trace_int
+        del f16.trace_table
 
         f4 = make_field(2, 2)
         good_modulus = f4.modulus
