@@ -43,11 +43,13 @@ def _little(fields: array, order: str) -> array:
 
 def pack(rows: Iterable[Sequence[int]], width: int, signed: bool = False, order: str = "little") -> list[int]:
     """One int per row, whose field j is ``row[j]``, in two's complement if
-    signed; with order "big", ``row[0]`` is the most significant field."""
+    signed; with order "big", ``row[0]`` is the most significant field.  A
+    row may be bytes, one entry a byte."""
     if width == 1 and not signed:
         return [int.from_bytes(bytes(row), order) for row in rows]
     code = TYPECODES[width, signed]
-    return [int.from_bytes(_little(array(code, row), order), "little") for row in rows]
+    # iter: an array initialised from bytes would take them as its buffer
+    return [int.from_bytes(_little(array(code, iter(row)), order), "little") for row in rows]
 
 
 def unpack(words: Iterable[int], width: int, count: int, signed: bool = False, order: str = "little") -> list:

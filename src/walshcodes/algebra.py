@@ -158,20 +158,20 @@ class FieldElement:
 
     def __add__(self, other):
         f = self.field
-        return f.elements[f.arith.add(self.index, f.index_of(other))]
+        return f.from_index(f.arith.add(self.index, f.index_of(other)))
 
     def __sub__(self, other):
         f = self.field
         ar = f.arith
-        return f.elements[ar.add(self.index, ar.neg(f.index_of(other)))]
+        return f.from_index(ar.add(self.index, ar.neg(f.index_of(other))))
 
     def __neg__(self):
         f = self.field
-        return f.elements[f.arith.neg(self.index)]
+        return f.from_index(f.arith.neg(self.index))
 
     def __mul__(self, other):
         f = self.field
-        return f.elements[f.arith.mul(self.index, f.index_of(other))]
+        return f.from_index(f.arith.mul(self.index, f.index_of(other)))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -179,7 +179,7 @@ class FieldElement:
     def __truediv__(self, other):
         f = self.field
         ar = f.arith
-        return f.elements[ar.mul(self.index, ar.inv(f.index_of(other)))]
+        return f.from_index(ar.mul(self.index, ar.inv(f.index_of(other))))
 
     def __pow__(self, e: int):
         return self.field._pow(self, e)
@@ -215,12 +215,12 @@ class Field:
         self.q = p ** m
         self.modulus = modulus
         # the elements handed out one at a time before the list was built
-        self._single: dict[int, FieldElement] = {}
-        self._trace_dual: list[int] | None = None
+        self._single: dict[int, FieldElement] | None = {}
         # per-subfield data, keyed by the subfield degree s and built on first use
         self._subfields: dict[int, tuple] = {}
         self._traces: dict[int, list[int]] = {}
         self._coordinates: dict[int, list[int]] = {}
+        self._trace_duals: dict[int, list[int]] = {}
         self._generator: int | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
@@ -244,16 +244,18 @@ class Field:
         """Every element in canonical order, built on first read; an element
         handed out before is the one in the list."""
         single = self._single
-        return [single[idx] if idx in single else FieldElement(self, idx) for idx in range(self.q)]
+        elements = [single[idx] if idx in single else FieldElement(self, idx) for idx in range(self.q)]
+        self._single = None  # the list holds them from here on
+        return elements
 
     def from_index(self, idx: int) -> FieldElement:
-        elements = vars(self).get("elements")
-        if elements is not None:
-            return elements[idx]
+        single = self._single
+        if single is None:
+            return self.elements[idx]
         idx = range(self.q)[idx]
-        if idx not in self._single:
-            self._single[idx] = FieldElement(self, idx)
-        return self._single[idx]
+        if idx not in single:
+            single[idx] = FieldElement(self, idx)
+        return single[idx]
 
     @property
     def zero(self) -> FieldElement:
@@ -342,7 +344,7 @@ class Field:
                 raise ZeroDivisionError("negative power of zero field element")
             return self.one if e == 0 else self.zero
         exp, log = self._pow_tables()
-        return self.elements[exp[log[a.index] * e % (self.q - 1)]]
+        return self.from_index(exp[log[a.index] * e % (self.q - 1)])
 
     def power_indices(self, indices: Iterable[int], e: int) -> list[int]:
         """The index of v^e for every index v, for e >= 1, in one pass over
@@ -474,15 +476,23 @@ class Field:
 
     def trace_dual_indices(self) -> list[int]:
         """For each b, the index of the coefficient vector v_b with
-        Tr_{q/p}(b x) = <x, v_b> for every x (cached).
+        Tr_{q/p}(b x) = <x, v_b> for every x (cached): digit j of v_b is
+        Tr(x^j b), the relative trace-dual table at s = 1."""
+        return self._relative_trace_dual(1)
 
-        v_b is b contracted with the Gram matrix Tr(x^i x^j) of the power
-        basis; b -> v_b is F_p-linear and bijective."""
-        if self._trace_dual is None:
-            mul, tr = self.arith.mul, self.trace_table()
+    def _relative_trace_dual(self, s: int) -> list[int]:
+        """For each d, sum_j t_j Q^j over j < m/s, Q = p^s, with t_j the
+        index in the subfield F_Q of Tr_{q/Q}(x^j d) (cached per s).  The
+        map is F_p-linear and bijective, so the table extends the images of
+        the power basis, read from the trace table (at s = 1: d contracted
+        with the Gram matrix Tr(x^i x^j))."""
+        table = self._trace_duals.get(s)
+        if table is None:
+            mul, tr, Q = self.arith.mul, self.trace_table(s), self.p ** s
             basis = [self.p ** i for i in range(self.m)]
-            self._trace_dual = self._linear_indices([sum(tr[mul(ei, ej)] * ei for ei in basis) for ej in basis])
-        return self._trace_dual
+            images = [sum(tr[mul(x, d)] * Q ** j for j, x in enumerate(basis[: self.m // s])) for d in basis]
+            table = self._trace_duals[s] = self._linear_indices(images)
+        return table
 
     def trace_bilinear(self, a: FieldElement, b: FieldElement) -> int:
         """Tr_{q/p}(a*b) in [0, p), read from the cached Gram contraction of

@@ -1,12 +1,13 @@
 """Linear-code core over F_p or a subfield alphabet F_q.
 
-A code stores ``rows``, its generator in reduced row echelon form as tuples
-of canonical indices of the alphabet, which doubles as the canonical form:
-two codes are equal iff their rows are; ``generator`` is the FieldElement
-view.  At the edge of this module (``from_rows``, ``contains``, ``rref``,
-``nullspace``, ``matrix_rank``) an int entry is a canonical index of the
-alphabet, in [0, q), never a scalar mod p; other non-elements raise
-ValueError.
+A code keeps its generator in reduced row echelon form as rows of
+canonical indices of the alphabet, which doubles as the canonical form:
+two codes are equal iff their rows are.  ``rows`` reads them as tuples,
+built on first read where the elimination handed over bytes (see _rref);
+``generator`` is the FieldElement view.  At the edge of this module
+(``from_rows``, ``contains``, ``rref``, ``nullspace``, ``matrix_rank``) an
+int entry is a canonical index of the alphabet, in [0, q), never a scalar
+mod p; other non-elements raise ValueError.
 Duals come from nullspace computation rather than literal Gram-Schmidt;
 over finite fields self-orthogonal vectors break orthogonalization while
 the nullspace achieves the same O(n^3) bound in one elimination: reduced
@@ -99,20 +100,20 @@ def _reduce(words: Iterable[int], lanes: Lanes) -> tuple[list[int], list[int]]:
     pivot rows, whose lanes the pass clears next, so it serves as well."""
     w = lanes.bits
     if lanes.p == 2:
-        pivots: list = []  # (bit offset of the pivot lane, row), by lane
+        pivots: list = []  # (the bit of the pivot lane, row), by lane
         for x in words:
-            for sh, row in pivots:
-                if x >> sh & 1:
+            for bit, row in pivots:
+                if x & bit:
                     x ^= row
             if x:
-                insort(pivots, ((x & -x).bit_length() - 1, x))
+                insort(pivots, (x & -x, x))
         for i in range(len(pivots) - 2, -1, -1):
-            sh, x = pivots[i]
+            bit, x = pivots[i]
             for at, row in pivots[i + 1 :]:
-                if x >> at & 1:
+                if x & at:
                     x ^= row
-            pivots[i] = sh, x
-        return [row for _, row in pivots], [sh // w for sh, _ in pivots]
+            pivots[i] = bit, x
+        return [row for _, row in pivots], [(bit.bit_length() - 1) // w for bit, _ in pivots]
     p, mask, top, lift, down, times = lanes.p, (1 << w) - 1, lanes.top, lanes.lift, w - 1, lanes.times
     pivots = []  # (bit offset, row, {v: (p - v) * row}), by lane
 
@@ -165,10 +166,11 @@ def _digits(row: Sequence[int], p: int, s: int) -> Sequence[int]:
     return out
 
 
-def _join(digits: Sequence[int], p: int, s: int) -> tuple[int, ...]:
-    """The entries whose digits _digits lays out, by Horner."""
+def _join(digits: Sequence[int], p: int, s: int) -> Sequence[int]:
+    """The entries whose digits _digits lays out, by Horner, as a tuple; at
+    s = 1 the digits as they are."""
     if s == 1:
-        return tuple(digits)
+        return digits
     word = digits[s - 1 :: s]
     for t in range(s - 2, -1, -1):
         word = [w * p + c for w, c in zip(word, digits[t::s])]
@@ -207,16 +209,18 @@ def _constraints(checks: Sequence[Sequence[int]], field: Field, theta: Sequence[
 # -- the kernels built on _reduce -------------------------------------------
 
 
-def _rref(mat: Sequence[Sequence[int]], field: Field) -> tuple[list[tuple[int, ...]], list[int]]:
+def _rref(mat: Sequence[Sequence[int]], field: Field) -> tuple[list[Sequence[int]], list[int]]:
     """Reduced row echelon form of an index matrix over field; returns (the
-    nonzero rows, pivot columns).  Over F_{p^s}, s > 1, the rows of the F_p
-    RREF of _expand(mat) that lead at digit 0 of a block."""
+    nonzero rows, pivot columns).  Over F_p the rows are unpacked as they
+    are, bytes at one-byte lanes; over F_{p^s}, s > 1, they are the rows of
+    the F_p RREF of _expand(mat) that lead at digit 0 of a block, as
+    tuples."""
     p, s = field.p, field.m
     lanes = lanes_of(p, (len(mat[0]) if mat else 0) * s)
     rows, pivots = _reduce(pack(_expand(mat, field), lanes.width), lanes)
     rows = unpack(rows, lanes.width, lanes.n)
     if s == 1:
-        return list(map(tuple, rows)), pivots
+        return rows, pivots
     leads = [(row, c // s) for row, c in zip(rows, pivots) if c % s == 0]
     return [_join(row, p, s) for row, _ in leads], [c for _, c in leads]
 
@@ -320,27 +324,36 @@ def matrix_rank(rows: Sequence[Sequence[FieldElement | int]], field: Field) -> i
 
 class LinearCode:
     """An [n, k] linear code; ``rows`` is its RREF generator as a tuple of
-    index tuples over the alphabet ``base``."""
+    index tuples over the alphabet ``base``.  The rows are kept as given
+    when all are bytes (as _rref unpacks them), which this module reads as
+    they are, and turned into tuples on the first read of ``rows``."""
 
-    __slots__ = ("base", "n", "rows", "provenance", "_generator")
+    __slots__ = ("base", "n", "_rows", "provenance", "_generator")
 
     def __init__(self, base: Field, n: int, rows, provenance: str | None = None):
         self.base = base
         self.n = n
-        self.rows = tuple(tuple(row) for row in rows)
+        rows = tuple(rows)
+        self._rows = rows if all(type(row) is bytes for row in rows) else tuple(map(tuple, rows))
         self.provenance = provenance
         self._generator = None
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        if self._rows and type(self._rows[0]) is bytes:
+            self._rows = tuple(map(tuple, self._rows))
+        return self._rows
 
     @property
     def generator(self) -> tuple[tuple[FieldElement, ...], ...]:
         """The rows as FieldElement tuples, built on first use."""
         if self._generator is None:
-            self._generator = tuple(_elements(self.rows, self.base))
+            self._generator = tuple(_elements(self._rows, self.base))
         return self._generator
 
     @property
     def k(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def __repr__(self):
         return f"LinearCode([{self.n}, {self.k}] over GF({self.base.p}^{self.base.m}))"
@@ -381,12 +394,12 @@ class LinearCode:
                 for sv in scaled:
                     yield tuple(map(ar.add, w, sv))
 
-        return span(self.rows)
+        return span(self._rows)
 
     def contains(self, word: Sequence[FieldElement | int]) -> bool:
         if len(word) != self.n:
             return False
-        return len(_rref(self.rows + tuple(_indices([word], self.base)), self.base)[0]) == self.k
+        return len(_rref(self._rows + tuple(_indices([word], self.base)), self.base)[0]) == self.k
 
 
 def from_rows(
@@ -422,19 +435,19 @@ def full_code(base: Field, n: int) -> LinearCode:
 
 def dual(code: LinearCode) -> LinearCode:
     """Nullspace of the generator as an [n, n-k] code."""
-    return LinearCode(code.base, code.n, _nullspace(code.rows, code.base, code.n), provenance="dual")
+    return LinearCode(code.base, code.n, _nullspace(code._rows, code.base, code.n), provenance="dual")
 
 
 def sum_code(a: LinearCode, b: LinearCode) -> LinearCode:
     _check_same_space(a, b)
-    return LinearCode(a.base, a.n, _rref(a.rows + b.rows, a.base)[0])
+    return LinearCode(a.base, a.n, _rref(a._rows + b._rows, a.base)[0])
 
 
 def intersect(a: LinearCode, b: LinearCode) -> LinearCode:
     """A cap B = (A^perp + B^perp)^perp."""
     _check_same_space(a, b)
     base, n = a.base, a.n
-    perps = _nullspace(a.rows, base, n) + _nullspace(b.rows, base, n)
+    perps = _nullspace(a._rows, base, n) + _nullspace(b._rows, base, n)
     return LinearCode(base, n, _nullspace(perps, base, n), provenance="dual")
 
 
@@ -453,7 +466,7 @@ def _pairing(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], field
 
 def _orthogonal_span(
     checks: Sequence[Sequence[int]], gens: Sequence[Sequence[int]], field: Field, n: int
-) -> list[tuple[int, ...]]:
+) -> list[Sequence[int]]:
     """The words x G of the span of the rows of G = gens that are orthogonal
     to every row of checks: x runs over the kernel of <checks, gens>, and
     x G is a sum of packed rows over F_p (over F_{p^s}, of the rows of
@@ -478,13 +491,13 @@ def _orthogonal_span(
 def hull(code: LinearCode) -> LinearCode:
     """C cap C^perp = {x G : G G^T x^T = 0}: the kernel of the k x k Gram
     matrix mapped through G, already in RREF since G is."""
-    return LinearCode(code.base, code.n, _orthogonal_span(code.rows, code.rows, code.base, code.n), "hull")
+    return LinearCode(code.base, code.n, _orthogonal_span(code._rows, code._rows, code.base, code.n), "hull")
 
 
 def hull_dim(code: LinearCode) -> int:
     """k - rank(G G^T), since the rows of G are independent; zero exactly for
     LCD codes (Massey 1992)."""
-    g = code.rows
+    g = code._rows
     return code.k - len(_rref(_pairing(g, g, code.base), code.base)[0])
 
 
@@ -581,7 +594,7 @@ def _column_transform(code: LinearCode, guard: int | None) -> tuple[int, int]:
     size = code.size()
     width = field_width((code.n * (q - 1)).bit_length() + 1)
     counts = array(TYPECODES[width, False], [0]) * size
-    rows, entries = code.rows, set().union(*code.rows)
+    rows, entries = code._rows, set().union(*code._rows)
     reps = [y for t in range(base.m) for y in range(p ** t, 2 * p ** t)]
     for y in reps:
         image = {g: dual[mul(y, g)] for g in entries}
@@ -658,7 +671,7 @@ def restrict_to_subfield(code: LinearCode, s: int) -> LinearCode:
         return code
     sub, embed, _ = big._subfield(s)
     theta = [embed[big.p ** t] for t in range(s)]
-    checks = _constraints(_nullspace(code.rows, big, code.n), big, theta)
+    checks = _constraints(_nullspace(code._rows, big, code.n), big, theta)
     solutions = _kernel(_from_right(checks, big.p, code.n * s), sub, code.n)
     tag = "prime-restriction" if s == 1 else "subfield-restriction"
     return LinearCode(sub, code.n, solutions, provenance=tag)

@@ -13,9 +13,11 @@ so every generator here emits a deterministic canonical order.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from array import array
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
+from ._packed import pack
 from .algebra import Field, FieldElement, _check_subfield
 from .codes import (
     LinearCode,
@@ -123,41 +125,75 @@ def defining_set(
 # Over F_Q, Q = p^s, the b = m/s powers x^j of the root x of the modulus are a
 # basis of F_q.  For a sequence (d_i) the trace rows Tr_{q/Q}(x^j d_i) are
 # codewords, one per basis element, and the coordinate rows c_j(d_i) turn
-# sum_i c_i d_i = 0 into b equations over F_Q.  Both are read from the
-# field's tables; the elimination kernel of codes takes the index rows as
-# they are.
-
-def _trace_rows(ctx: Field, s: int, indices: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Tr_{q/p^s}(x^j d) for j < m/s (down) and each index d (across), as
-    indices of the subfield F_{p^s}."""
-    table, scale = ctx.trace_table(s), ctx.arith.scale
-    return tuple(tuple([table[v] for v in scale(indices, ctx.p ** j)]) for j in range(ctx.m // s))
+# sum_i c_i d_i = 0 into b equations over F_Q.  Both are base-Q digit planes
+# of one lookup per point: row j is digit j of T[d_i], for T the field's
+# relative trace-dual table (digit j of its entry of d is Tr_{q/Q}(x^j d))
+# or its coordinate table (the identity at s = 1, whose planes are the index
+# digits of d).  While Q <= 256 a row is kept as bytes, one per coordinate,
+# which the elimination kernel of codes reads as its packed word (one byte a
+# lane at p = 2 and odd p <= 61); above that, as a tuple.
 
 
-def _coordinate_rows(ctx: Field, s: int, indices: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The coordinates c_j(d) over F_{p^s} for j < m/s (down) and each index
-    d (across)."""
-    table, size = ctx.coordinate_table(s), ctx.p ** s
-    packed = [table[v] for v in indices]
-    return tuple(tuple([v // unit % size for v in packed]) for unit in (size ** j for j in range(ctx.m // s)))
+@lru_cache(maxsize=64)
+def _digit_table(base: int, j: int, size: int) -> array:
+    """Digit j in base ``base`` of each v < size, one byte an entry while
+    base <= 256: runs of base^j copies of each digit, repeated.  Shared, so
+    never written to."""
+    digits = array("B" if base <= 256 else "I")
+    for c in range(base):
+        digits += array(digits.typecode, [c]) * base ** j
+    return (digits * -(-size // len(digits)))[:size]
+
+
+def _digit_rows(ctx: Field, s: int, table: Sequence[int] | None, indices: Sequence[int]) -> list:
+    """Digit j < m/s, base Q = p^s, of table[d] (of d itself when table is
+    None) for each index d (across), one row a digit (down).  The entries
+    are looked up once: for q <= 256 by one translate, and each plane is
+    one more; at p = 2 each plane is a shift and a mask (two where a digit
+    spans two bytes) of a byte plane of the entries; otherwise each plane
+    reads a table of the digits of every index."""
+    p, q, Q, count = ctx.p, ctx.q, ctx.p ** s, ctx.m // s
+    if q <= 256:
+        looked = bytes(indices)
+        if table is not None:
+            looked = looked.translate(bytes(table).ljust(256, b"\0"))
+        return [looked.translate(_digit_table(Q, j, 256)) for j in range(count)]
+    looked = indices if table is None else list(map(table.__getitem__, indices))
+    if p == 2 and Q <= 256:
+        n = len(looked)
+        raw = pack([looked], 4)[0].to_bytes(4 * n, "little")
+        planes = [int.from_bytes(raw[b::4], "little") for b in range((ctx.m + 7) // 8)]
+        ones = int.from_bytes(b"\1" * n, "little")
+        rows = []
+        for b, o in (divmod(s * j, 8) for j in range(count)):
+            word = planes[b] >> o
+            if o + s > 8:
+                word = word & ones * (0xFF >> o) | (planes[b + 1] & ones * ((1 << o + s - 8) - 1)) << 8 - o
+            rows.append((word & ones * (Q - 1)).to_bytes(n, "little"))
+        return rows
+    row = bytes if Q <= 256 else tuple
+    return [row(map(_digit_table(Q, j, q).__getitem__, looked)) for j in range(count)]
 
 
 class _Matrices:
     """The trace rows of the sequences ``traced`` and the coordinate rows of
     ``coordinated`` over F_{p^s}, m/s rows a sequence, each matrix built on
-    first use and kept as tuples, and what the constructions make of them."""
+    first use and kept as packed rows (see _digit_rows), and what the
+    constructions make of them."""
 
     def __init__(self, ctx: Field, s: int, traced: Sequence[Sequence[int]], coordinated: Sequence[Sequence[int]]):
         self.ctx, self.s, self.traced, self.coordinated = ctx, s, traced, coordinated
         self.alphabet, self.n = ctx._subfield(s)[0], len(traced[0])
 
     @cached_property
-    def traces(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(row for seq in self.traced for row in _trace_rows(self.ctx, self.s, seq))
+    def traces(self) -> tuple:
+        table = self.ctx._relative_trace_dual(self.s)
+        return tuple(row for seq in self.traced for row in _digit_rows(self.ctx, self.s, table, seq))
 
     @cached_property
-    def coordinates(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(row for seq in self.coordinated for row in _coordinate_rows(self.ctx, self.s, seq))
+    def coordinates(self) -> tuple:
+        table = self.ctx.coordinate_table(self.s) if self.s > 1 else None
+        return tuple(row for seq in self.coordinated for row in _digit_rows(self.ctx, self.s, table, seq))
 
     @cached_property
     def reduced(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -209,11 +245,11 @@ def first_points(ctx: Field, include_zero: bool = True) -> list[FieldElement]:
     return ctx.elements[0 if include_zero else 1 :]
 
 
-def _first_columns(f: ParyFunction, include_zero: bool) -> tuple[list[int], list[int]]:
+def _first_columns(f: ParyFunction, include_zero: bool) -> tuple[range, Sequence[int]]:
     """Indices of the points x_i and of the values f(x_i), in point order."""
     _require_self_map(f)
     start = 0 if include_zero else 1
-    return list(range(start, f.field.q)), list(f.indices[start:])
+    return range(start, f.field.q), f.indices[start:]
 
 
 def first_generic(f: ParyFunction, include_zero: bool = True) -> LinearCode:

@@ -103,7 +103,7 @@ class ParyFunction:
         return cell[0]
 
     def __call__(self, x: FieldElement) -> FieldElement:
-        return self.field.elements[self.indices[_own_index(self.field, x)]]
+        return self.field.from_index(self.indices[_own_index(self.field, x)])
 
     def __eq__(self, other):
         if not isinstance(other, ParyFunction):

@@ -21,7 +21,7 @@ import random
 import pytest
 
 import walshcodes.algebra as algebra
-from walshcodes.algebra import FieldElement, _poly_mod, make_field, subfield, trace
+from walshcodes.algebra import FieldElement, IndexArith, _poly_mod, make_field, subfield, trace
 from walshcodes.codes import (
     LinearCode,
     dual,
@@ -38,9 +38,8 @@ from walshcodes.codes import (
 from walshcodes.codes import _reduced_checks
 from walshcodes.constructions import (
     DefiningSet,
-    _coordinate_rows,
+    _Matrices,
     _matrices,
-    _trace_rows,
     defining_set,
     dimension_via_span,
     dual_first_closed_form,
@@ -65,7 +64,7 @@ from walshcodes.constructions import (
 from walshcodes.errors import BadParameters, CannotFrontLoad, NotASubfield
 from walshcodes.functions import ParyFunction, classify_bent, parse_function, walsh_transform
 
-FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (2, 5), (3, 3), (7, 2), (2, 6), (3, 4), (5, 3)]
+FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (2, 5), (3, 3), (7, 2), (2, 6), (3, 4), (5, 3), (67, 1)]
 # (p, m, s) for every base degree s in {1, 2, 3} dividing m
 TOWERS = [(p, m, s) for p, m in FIELDS for s in (1, 2, 3) if m % s == 0]
 
@@ -370,6 +369,21 @@ def coordinate_table_oracle(field, s):
     return table
 
 
+def trace_rows_oracle(ctx, s, indices):
+    """Tr_{q/p^s}(x^j d) for j < m/s (down) and each index d (across): one
+    pass of IndexArith.scale by x^j a row, then a trace-table read."""
+    table, scale = ctx.trace_table(s), ctx.arith.scale
+    return tuple(tuple([table[v] for v in scale(indices, ctx.p ** j)]) for j in range(ctx.m // s))
+
+
+def coordinate_rows_oracle(ctx, s, indices):
+    """The coordinates c_j(d) over F_{p^s}, j < m/s (down), of each index d
+    (across), by division of its coordinate-table entry."""
+    table, size = ctx.coordinate_table(s), ctx.p ** s
+    packed = [table[v] for v in indices]
+    return tuple(tuple([v // unit % size for v in packed]) for unit in (size ** j for j in range(ctx.m // s)))
+
+
 # -- inputs ------------------------------------------------------------------------
 
 
@@ -528,15 +542,21 @@ FIRST_CALLS = (first_generic, dual_first_closed_form, hull_first_kernel, first_h
 
 def kept_rebuilt(field, s, traced, coordinated):
     """The trace rows, coordinate rows and reduction a record keeps, rebuilt
-    from the tables of field."""
+    from the tables of field by the oracles, rows as tuples."""
     sub = subfield(field, s)[0]
-    coordinates = tuple(row for seq in coordinated for row in _coordinate_rows(field, s, seq))
+    coordinates = tuple(row for seq in coordinated for row in coordinate_rows_oracle(field, s, seq))
     reduced = tuple(map(tuple, _reduced_checks(coordinates, sub, len(traced[0]))))
-    return tuple(row for seq in traced for row in _trace_rows(field, s, seq)), coordinates, reduced
+    return tuple(row for seq in traced for row in trace_rows_oracle(field, s, seq)), coordinates, reduced
 
 
 def kept(record):
     return record.traces, record.coordinates, record.reduced
+
+
+def kept_tuples(record):
+    """kept(record) with the packed rows of the two matrices read as tuples."""
+    traces, coordinates, reduced = kept(record)
+    return tuple(map(tuple, traces)), tuple(map(tuple, coordinates)), reduced
 
 
 @pytest.mark.parametrize("pms", TOWERS, ids=_ids(TOWERS))
@@ -557,11 +577,11 @@ def test_kept_matrices_give_what_fresh_objects_give(pms):
         twin = fresh()
         assert [call(ds) for call in SECOND_CALLS] == expected
         assert [call(twin) for call in reversed(SECOND_CALLS)] == expected[::-1]
-        assert dimension_via_span(ds) == matrix_rank(_coordinate_rows(field, s, ds.indices()), sub)
+        assert dimension_via_span(ds) == matrix_rank(coordinate_rows_oracle(field, s, ds.indices()), sub)
         assert ds == fresh() and hash(ds) == hash(fresh()) and repr(ds) == repr(fresh())
         row = ds.indices()
         for obj in (ds, twin):
-            assert kept(_matrices(obj)) == kept_rebuilt(field, s, (row,), (row,))
+            assert kept_tuples(_matrices(obj)) == kept_rebuilt(field, s, (row,), (row,))
     if s == 1:
         for f in functions_of(field, rng):
             for include_zero in (True, False):
@@ -577,13 +597,14 @@ def test_kept_matrices_give_what_fresh_objects_give(pms):
                 start = 0 if include_zero else 1
                 points, values = list(range(start, field.q)), list(f.indices[start:])
                 for obj in (f, twin):
-                    assert kept(_matrices(obj, include_zero)) == kept_rebuilt(field, 1, (values, points), (points, values))
+                    assert kept_tuples(_matrices(obj, include_zero)) == kept_rebuilt(field, 1, (values, points), (points, values))
 
 
 def test_kept_matrices_are_left_as_they_are():
-    """The matrices a set and a function keep are tuples, and the same
-    objects, unchanged, after every construction has read them; the code
-    alone builds no coordinate rows."""
+    """The matrices a set and a function keep are tuples of immutable rows
+    (packed rows as bytes, the reduction as tuples), and the same objects,
+    unchanged, after every construction has read them; the code alone
+    builds no coordinate rows."""
     field = make_field(3, 2)
     ds = defining_set(field, [field.elements[i] for i in (1, 4, 4, 0, 7, 2)])
     f = ParyFunction.from_callable(field, lambda x: x ** 5, field.m)
@@ -594,7 +615,7 @@ def test_kept_matrices_are_left_as_they_are():
     for record in records.values():
         assert "traces" in vars(record) and "coordinates" not in vars(record) and "reduced" not in vars(record)
     before = {key: kept(record) for key, record in records.items()}
-    copies = {key: tuple(tuple(map(tuple, rows)) for rows in matrices) for key, matrices in before.items()}
+    copies = {key: kept_tuples(record) for key, record in records.items()}
     for z in (True, False):
         for call in FIRST_CALLS:
             call(f, z)
@@ -604,8 +625,57 @@ def test_kept_matrices_are_left_as_they_are():
     for key, record in after.items():
         assert record is records[key]
         for rows, old, copy in zip(kept(record), before[key], copies[key]):
-            assert rows is old and rows == copy
-            assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+            assert rows is old and tuple(map(tuple, rows)) == copy
+            assert isinstance(rows, tuple) and all(isinstance(row, (bytes, tuple)) for row in rows)
+
+
+# (p, m, s) past the one-translate tables (q > 256): at p = 2 digits within a
+# byte (s | 8) and across two (s = 3, 6 at 2^12), and alphabets past a byte
+# (Q > 256), whose rows are tuples
+LARGE_TOWERS = [(2, 16, 1), (2, 16, 2), (2, 16, 4), (2, 12, 3), (2, 12, 6), (2, 9, 9), (3, 6, 1), (3, 6, 2), (3, 6, 3), (3, 6, 6)]
+
+
+@pytest.mark.parametrize("pms", TOWERS + LARGE_TOWERS, ids=_ids(TOWERS + LARGE_TOWERS))
+def test_kept_rows_match_the_scale_route(pms):
+    """The trace and coordinate rows a record keeps, read as tuples, are the
+    rows of the scale and division routes: of random sequences with zero
+    and repeated indices, the empty one, and a run of consecutive points,
+    the shape of a function's points."""
+    p, m, s = pms
+    field = make_field(p, m)
+    rng = random.Random(field.q * 10 + s + 3)
+    n = min(field.q, 300)
+    sequences = [[rng.randrange(field.q) for _ in range(n)] + [0, 1, 0], [], range(field.q - n, field.q)]
+    for seq in sequences:
+        record = _Matrices(field, s, (seq, seq[::-1]), (seq[::-1], seq))
+        traces = trace_rows_oracle(field, s, seq) + trace_rows_oracle(field, s, seq[::-1])
+        coordinates = coordinate_rows_oracle(field, s, seq[::-1]) + coordinate_rows_oracle(field, s, seq)
+        assert tuple(map(tuple, record.traces)) == traces
+        assert tuple(map(tuple, record.coordinates)) == coordinates
+
+
+def test_kept_rows_take_no_scale_pass(monkeypatch):
+    """No construction builds a matrix through IndexArith.scale: the nine
+    record reads and hull_dim of the function code at s = 1, and the trace
+    and coordinate rows of a set at s = 2."""
+
+    def refuse(*args):
+        raise AssertionError("a construction matrix went through IndexArith.scale")
+
+    monkeypatch.setattr(IndexArith, "scale", refuse)
+    for pm in ((2, 6), (3, 4), (5, 2)):
+        field = make_field(*pm)
+        f = ParyFunction.from_indices(field, field.power_indices(range(field.q), 3), field.m)
+        ds = DefiningSet._from_indices(field, 1, [1, 2, 0, field.q - 1, 2], "explicit")
+        for include_zero in (True, False):
+            for call in FIRST_CALLS:
+                call(f, include_zero)
+        for call in SECOND_CALLS:
+            call(ds)
+        standard_form_generator(ds)
+        hull_dim(first_generic(f))
+    record = _matrices(DefiningSet._from_indices(make_field(2, 6), 2, [1, 5, 9, 0, 63], "explicit"))
+    assert len(record.traces) == len(record.coordinates) == 3
 
 
 # -- generators ------------------------------------------------------------------------
@@ -758,6 +828,19 @@ def test_the_largest_field_is_built_without_elements(built):
     field = make_field(2, 20)
     assert field.q == 2 ** 20 and built == []
     assert field.from_index(7) is field.from_index(7) and built == [7]
+
+
+def test_element_arithmetic_builds_only_its_results(built):
+    """The element operators and a function's value return their result
+    through from_index, so on a fresh GF(2^20) they build the elements they
+    return, each once, and never the list of all q."""
+    field = make_field(2, 20)
+    a, b = field.from_index(5), field.from_index(77)
+    f = ParyFunction.from_indices(field, range(field.q), field.m)
+    results = [a + b, a * b, -a, a / b, a ** 3, f(b), a - b]
+    assert "elements" not in vars(field)
+    assert sorted(built) == sorted({x.index for x in [a, b, *results]})
+    assert field.from_index((a * b).index) is a * b
 
 
 def test_an_element_read_alone_is_the_one_in_the_list(built):
