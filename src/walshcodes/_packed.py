@@ -9,6 +9,12 @@ their butterfly passes on whole layers (transform), and differential
 uniformity moves f(x) to f(x + a) by rotating blocks of fields
 (gray_walk).  This is the packed-row idea of M4RI (Albrecht and Bard),
 extended to lanes mod p.
+
+The transform has one width rule: for input fields at most b and a total
+mass M, pass k runs at the fewest bytes that hold min(M, b p^k), the
+bound on its outputs (with a sign bit at p = 2), and its words are
+widened only when that bound outgrows their fields, then once more to the
+width its caller reads, which holds M and a sign bit.
 """
 
 from __future__ import annotations
@@ -225,63 +231,108 @@ def gray_walk(word: int, width: int, p: int, m: int) -> Iterator[int]:
 # -- the p-ary fast Walsh-Hadamard transform ---------------------------------------
 
 
-def binary_passes(word: int, width: int, m: int) -> int:
-    """The m (a + b, a - b) butterfly passes on 2^m fields of ``width``
-    bytes, each holding its value plus the bias B = 2^(8 width - 1).
-
-    Field v of pass i pairs with field v + 2^i: with t and M that digit's
-    step, lo + d and lo - d, for lo = word & M and d = ((word >> t) & M) - B
-    per field, are (a + B) + (b + B) - B and (a + B) - (b + B) + B.  While
-    the values stay in [-B, B), every biased field stays in [0, 2B), so the
-    packed sums are exact.  The passes commute, so they run in the order of
-    digit_steps, top digit first."""
-    bias = bias_word(width, 1 << m)
-    for t, mask in digit_steps(width, 2, m):
-        d = ((word >> t) & mask) - (bias & mask)
-        word &= mask
-        word = (word + d) | ((word - d) << t)
-    return word
-
-
-def odd_passes(words: list[int], width: int, p: int, m: int) -> list[int]:
-    """The m passes on p layers of p^m unsigned fields of ``width`` bytes,
-    ``words[e]`` holding the coefficient of zeta^e at vector v in field v.
-
-    Pass i transforms digit i of every index on whole ints: with t and M
-    that digit's step, block x of a layer is (layer >> x t) & M, and output
-    digit u of layer e is the sum over x of block x of layer e + u x,
-    shifted up by u t: p^2 extractions and p^2 (p - 1) additions.  The
-    width holds the total mass of the input, which bounds every partial
-    sum, so no field carries into the next."""
-    for t, mask in digit_steps(width, p, m):
-        blocks = [[(word >> x * t) & mask for x in range(p)] for word in words]
-        words = []
-        for e in range(p):
-            word = 0
-            for u in range(p):
-                acc = blocks[e][0]
-                for x in range(1, p):
-                    acc += blocks[(e + u * x) % p][x]
-                word |= acc << u * t
-            words.append(word)
-    return words
+def _widen(words: list[int], width: int, wider: int, count: int, signed: bool) -> list[int]:
+    """The ``count`` fields of each word, widened from ``width`` to
+    ``wider`` bytes, byte b of every field moved by one strided slice:
+    zero-extended, or if signed (v + B in a field of B = 2^(8 width - 1),
+    as the passes at p = 2 keep them), sign-extended and re-biased to
+    v + 2^(8 wider - 1), each new byte a translate of the old top byte."""
+    out = []
+    for word in words:
+        data, spread = word.to_bytes(count * width, "little"), bytearray(count * wider)
+        for b in range(width - signed):
+            spread[b::wider] = data[b::width]
+        if signed:
+            top = data[width - 1 :: width]
+            spread[width - 1 :: wider] = top.translate(_FLIP)
+            for b in range(width, wider - 1):
+                spread[b::wider] = top.translate(_SIGN)
+            spread[wider - 1 :: wider] = top.translate(_TOP)
+        out.append(int.from_bytes(spread, "little"))
+    return out
 
 
-def transform(words: list[int], width: int, p: int, m: int) -> list[int]:
-    """F(u) = sum over v of N(v) zeta^(-<v, u>) for N in Z[zeta_p] given as
-    p words of p^m unsigned fields, ``words[e]`` holding the coefficient of
-    zeta^e, as its p - 1 canonical layers F_e - F_{p-1}, e < p - 1, in two's
-    complement fields (at p = 2 the one layer F_0 - F_1).
+# for the top byte x of a field holding v + B: x ^ 0x80, the top byte of v
+# itself; 0xFF where v < 0, else 0; and the top byte of v + B in a wider field
+_FLIP = bytes(x ^ 0x80 for x in range(256))
+_SIGN = bytes(0xFF * (x < 0x80) for x in range(256))
+_TOP = bytes(0x7F if x < 0x80 else 0x80 for x in range(256))
 
-    ``width`` holds the total mass of N and a sign bit, which bounds every
-    partial sum and layer difference by the bias word B.  At odd p the
-    canonical layers are formed on the packed output, F_e + B - F_{p-1}
-    being in [0, 2B) and XOR with B turning it into two's complement; at
-    p = 2 the passes run on words[0] - words[1] + B."""
-    q = p ** m
-    bias = bias_word(width, q)
-    if p == 2:
-        zero, one = words
-        return [binary_passes(zero - one + bias, width, m) ^ bias]
-    *words, last = odd_passes(words, width, p, m)
+
+def transform(words: list[int], width: int, p: int, m: int, bound: int, mass: int) -> list[int]:
+    """F(u) = sum over v of N(v) zeta^(-<v, u>) for N in Z[zeta_p] on p^m
+    vectors, as its p - 1 canonical layers F_e - F_{p-1}, e < p - 1, in
+    two's complement fields of ``width`` bytes (at p = 2 the one layer
+    F_0 - F_1), for a ``width`` that holds ``mass`` and a sign bit.
+
+    N is given at odd p as p words of unsigned fields, ``words[e]`` holding
+    the coefficient of zeta^e, and at p = 2 as the one word of N in two's
+    complement.  Every field is at most ``bound`` in absolute value, and
+    together they are at most ``mass``; the input fields take the fewest
+    bytes that hold the bound, and a sign bit at p = 2.
+
+    The width rule: pass k, on digit k - 1, runs at the fewest bytes that
+    hold min(mass, bound p^k), and a sign bit at p = 2, which bounds its
+    outputs, since each sums p^k input fields, of distinct inputs.  The
+    words are widened only when that bound outgrows their fields (see
+    _widen), and at the end to ``width``.
+
+    At p = 2 the passes run on N + B, B = 2^(8 w - 1) in every field of w
+    bytes: with t and M the shift and mask of the digit, lo + d and lo - d,
+    for lo = word & M and d = ((word >> t) & M) - B per field, are
+    (a + B) + (b + B) - B and (a + B) - (b + B) + B, which the bound keeps
+    in [0, 2B).  At odd p block x of a layer is (layer >> x t) & M, and
+    output digit u of layer e is the sum over x of block x of layer
+    e + u x, shifted up by u t: p^2 extractions and p^2 (p - 1) additions.
+    The canonical layers are formed on the packed output, F_e + B - F_{p-1}
+    being in [0, 2B) and XOR with B turning it into two's complement."""
+    q, signed, reach = p ** m, p == 2, bound
+    w = field_width(max(bound, 1).bit_length() + signed)
+    bias = _bias(w, q) if signed else 0
+    words = [words[0] ^ bias] if signed else words
+    rep = 1  # a 1 at the first bit of every block of p^(i+1) fields, for digit i
+    for i in reversed(range(m)):  # the passes commute: top digit first
+        reach = min(mass, reach * p)
+        if w < width and reach >> 8 * w - signed:
+            wider = field_width(reach.bit_length() + signed)
+            words, w = _widen(words, w, wider, q, signed), wider
+            bias = _bias(w, q) if signed else 0
+            rep = int.from_bytes((b"\1" + bytes(w * p ** (i + 1) - 1)) * p ** (m - 1 - i), "little")
+        t = 8 * w * p ** i
+        mask = (rep << t) - rep
+        if signed:
+            word = words[0]
+            d = ((word >> t) & mask) - (bias & mask)
+            word &= mask
+            words[0] = (word + d) | ((word - d) << t)
+        else:
+            blocks = [[(word >> x * t) & mask for x in range(p)] for word in words]
+            words = []
+            for e in range(p):
+                word = 0
+                for u in range(p):
+                    acc = blocks[e][0]
+                    for x in range(1, p):
+                        acc += blocks[(e + u * x) % p][x]
+                    word |= acc << u * t
+                words.append(word)
+        if i:  # the rep of digit i - 1: p copies, one block of p^i fields apart
+            copies = rep
+            for c in range(1, p):
+                copies |= rep << c * t
+            rep = copies
+    if width > w:
+        words = _widen(words, w, width, q, signed)
+    bias = _bias(width, q)
+    if signed:
+        return [words[0] ^ bias]
+    *words, last = words
     return [(word + bias - last) ^ bias for word in words]
+
+
+_cached_bias = lru_cache(maxsize=64)(bias_word)
+
+
+def _bias(width: int, count: int) -> int:
+    """bias_word, kept while it takes at most 4 KB."""
+    return (_cached_bias if width * count <= 4096 else bias_word)(width, count)

@@ -480,6 +480,18 @@ class Field:
         Tr(x^j b), the relative trace-dual table at s = 1."""
         return self._relative_trace_dual(1)
 
+    @cached_property
+    def _dual_blocks(self) -> tuple[bytes, list[int]]:
+        """The inverse of trace_dual_indices, the x with v_x = u at each u,
+        for q <= 4096: the low byte of each x, and for each high byte j the
+        word with a byte of ones at each u whose x has high byte j."""
+        points = [0] * self.q
+        for x, u in enumerate(self.trace_dual_indices()):
+            points[u] = x
+        highs = bytes(x >> 8 for x in points)
+        rows = range(-(-self.q // 256))
+        return bytes(x & 255 for x in points), [int.from_bytes(highs.translate(_unit_table(j)), "little") * 255 for j in rows]
+
     def _relative_trace_dual(self, s: int) -> list[int]:
         """For each d, sum_j t_j Q^j over j < m/s, Q = p^s, with t_j the
         index in the subfield F_Q of Tr_{q/Q}(x^j d) (cached per s).  The
@@ -689,21 +701,47 @@ def subfield(ctx: Field, s: int) -> tuple[Field, dict, dict]:
 # the p-ary fast Walsh-Hadamard transform
 # ---------------------------------------------------------------------------
 
-def _character_fwht(values: Sequence[int], at: Iterable[int], p: int, m: int) -> list[list[int]]:
-    """The transform F of N with N(at[x]) = zeta^(values[x]) for x < q, for
-    values in [0, p) and ``at`` a permutation of range(q), as its p - 1
-    canonical layers F_e - F_{p-1}, e < p - 1 (at p = 2 the one integer
-    list F_0 - F_1).
+def _unit_table(j: int) -> bytes:
+    """The translate table that maps byte j to 1 and every other to 0."""
+    return bytes(j) + b"\1" + bytes(255 - j)
 
-    The input words are packed straight from ``values``: one pass writes a
-    1 into field at[x] of indicator word values[x], so the total mass is q,
-    and a field holds q and a sign bit."""
-    q = p ** m
+
+def _character_fwht(values: Sequence[int], field: Field) -> list[list[int]]:
+    """The transform F of N with N(v_x) = zeta^(values[x]) for each x, v_x
+    the trace dual of x (Field.trace_dual_indices), for values in [0, p),
+    as its p - 1 canonical layers F_e - F_{p-1}, e < p - 1 (at p = 2 the
+    one integer list F_0 - F_1).
+
+    The input takes one byte a field (bound 1, mass q; see
+    _packed.transform).  The value at each u = v_x is placed while
+    q <= 4096 through the inverse of the trace-dual table
+    (Field._dual_blocks): one translate of the low bytes of the x for each
+    256 values, kept where the high byte matches (one translate in all
+    while q <= 256); above, by one pass over the points, which costs less
+    than building the inverse.  Each input plane, the indicator of a value
+    at odd p or (-1)^value at p = 2, is one more translate.  Past p = 255,
+    where a value takes more than a byte, one pass writes a 1 into field
+    v_x of indicator plane values[x]."""
+    p, m, q = field.p, field.m, field.q
+    if p > 255:
+        planes = [bytearray(q) for _ in range(p)]
+        for v, u in zip(values, field.trace_dual_indices()):
+            planes[v][u] = 1
+    else:
+        if q > 4096:
+            placed = bytearray(q)
+            for v, u in zip(values, field.trace_dual_indices()):
+                placed[u] = v
+        else:
+            lows, rows = field._dual_blocks
+            table, placed = bytes(values), 0
+            for j, row in enumerate(rows):
+                placed |= int.from_bytes(lows.translate(table[256 * j : 256 * j + 256].ljust(256, b"\0")), "little") & row
+            placed = placed.to_bytes(q, "little")
+        tables = [b"\1\xff" + bytes(254)] if p == 2 else [_unit_table(e) for e in range(p)]
+        planes = [placed.translate(table) for table in tables]
     width = field_width(q.bit_length() + 1)
-    indicators = [bytearray(q * width) for _ in range(p)]
-    for v, u in zip(values, map(width.__mul__, at)):
-        indicators[v][u] = 1
-    words = transform([int.from_bytes(word, "little") for word in indicators], width, p, m)
+    words = transform([int.from_bytes(plane, "little") for plane in planes], width, p, m, 1, q)
     return unpack(words, width, q, signed=True)
 
 

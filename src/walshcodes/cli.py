@@ -1,7 +1,8 @@
 """Command-line front-end.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or spec
-error, 3 enumeration guard exceeded, 4 an internal invariant failed.
+error, 3 a guard exceeded (codewords enumerated, or the bytes of a dual),
+4 an internal invariant failed.
 JSON is the canonical output format; CSV uses plain headers and no locale
 formatting, so identical configuration and seed produce byte-identical
 output.
@@ -183,7 +184,7 @@ def cmd_analyze(args) -> int:
             report["parameters"].append(None)
     lines_csv: list[str] = []
     if args.dual:
-        report["dual"] = jsonio.code_to_json(dual(code))
+        report["dual"] = jsonio.code_to_json(dual(code, args.byte_guard))
     if args.hull:
         report["hull_dim"] = hull_dim(code)
     if wd is not None:
@@ -277,6 +278,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-zero", action="store_true", help="puncture at x = 0")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--guard", type=int, default=None, help="codeword cap of weight queries")
+        p.add_argument("--byte-guard", type=int, default=None, help="cap on the estimated bytes of a dual")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", help="write output to this path instead of stdout")
 
@@ -314,6 +316,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.guard is not None and args.guard < 1:
             raise ConfigError("the enumeration guard must be at least 1")
+        if args.byte_guard is not None and args.byte_guard < 1:
+            raise ConfigError("the byte guard must be at least 1")
         return args.fn_cmd(args)
     except TooLarge as ex:
         print(f"guard exceeded: {ex}", file=sys.stderr)

@@ -30,7 +30,8 @@ _packed.transform, which counts the zero coordinates of every codeword at
 once; the complete weight enumerator enumerates codewords, as
 tuples of alphabet indices.
 Every weight query is guarded by a configurable cap on the number of
-codewords.
+codewords, and every dual (dual, nullspace, intersect and the closed forms
+of constructions) by a cap on its estimated bytes.
 """
 
 from __future__ import annotations
@@ -38,16 +39,19 @@ from __future__ import annotations
 import os
 from array import array
 from bisect import insort
+from collections import Counter
 from functools import reduce
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
-from ._packed import TYPECODES, Lanes, bias_word, field_counts, field_width, lanes_of, pack, transform, unpack
+from ._packed import TYPECODES, Lanes, _little, bias_word, field_counts, field_width, lanes_of, pack, transform, unpack
 from .algebra import Field, FieldElement
 from .errors import EmptyLength, InvariantViolated, RaggedRows, TooLarge, ZeroCode
 
 DEFAULT_GUARD = 2 ** 22
+DEFAULT_BYTE_GUARD = 2 ** 30
+BYTE_GUARD_FLOOR = 2 ** 20  # no dual of at most this many bytes is refused
 
 
 def enumeration_guard(override: int | None = None) -> int:
@@ -55,6 +59,17 @@ def enumeration_guard(override: int | None = None) -> int:
         return override
     env = os.environ.get("WALSHCODES_GUARD")
     return int(env) if env else DEFAULT_GUARD
+
+
+def byte_guard(override: int | None = None) -> int:
+    """The cap on the estimated bytes of a dual (see _kernel): the override,
+    else WALSHCODES_BYTE_GUARD, else DEFAULT_BYTE_GUARD.  It is read only
+    for a dual past BYTE_GUARD_FLOOR, so a cap below the floor acts as the
+    floor."""
+    if override is not None:
+        return override
+    env = os.environ.get("WALSHCODES_BYTE_GUARD")
+    return int(env) if env else DEFAULT_BYTE_GUARD
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +254,9 @@ def _reduced_checks(mat: Sequence[Sequence[int]], field: Field, n: int) -> tuple
     return _from_right(_constraints(mat, field, theta), field.p, n * field.m)
 
 
-def _kernel(reduced: tuple[list[int], list[int]], field: Field, n: int) -> list[tuple[int, ...]]:
+def _kernel(
+    reduced: tuple[list[int], list[int]], field: Field, n: int, guard: int | None = None
+) -> list[tuple[int, ...]]:
     """RREF basis over field = F_{p^s} of the solutions c in F^n of F_p
     constraints on their n s digits, given as reduced by _from_right.
 
@@ -250,14 +267,22 @@ def _kernel(reduced: tuple[list[int], list[int]], field: Field, n: int) -> list[
     column by column, a free column being a unit column and pivot column
     P_i being -R[i] at the free columns, and one transpose gives the rows.
     Over F_{p^s} the vectors that lead at digit 0 of a block are the
-    F_{p^s} RREF (see _digits)."""
+    F_{p^s} RREF (see _digits).
+
+    Before anything is built, TooLarge is raised when the transpose, one
+    pointer of 8 bytes per entry of its (n s - rank) x n s tuples, would
+    take more bytes than the byte guard (see byte_guard)."""
     rows, pivots = reduced
     p, s = field.p, field.m
     width = n * s
-    free = sorted(set(range(width)).difference([width - 1 - c for c in pivots]))
-    nf = len(free)
+    nf = width - len(pivots)
+    need = 8 * nf * width
+    cap = byte_guard(guard) if need > BYTE_GUARD_FLOOR else need
+    if need > cap:
+        raise TooLarge(f"a dual of {nf} x {width} entries takes about {need} bytes, past the byte guard {cap}")
     if not nf:
         return []
+    free = sorted(set(range(width)).difference([width - 1 - c for c in pivots]))
     lanes = lanes_of(p, width)
     eye = (0,) * (nf - 1) + (1,) + (0,) * (nf - 1)
     cols: list = [None] * width
@@ -272,10 +297,10 @@ def _kernel(reduced: tuple[list[int], list[int]], field: Field, n: int) -> list[
     return [_join(v, p, s) for v, f in zip(zip(*cols), free) if f % s == 0]
 
 
-def _nullspace(mat: Sequence[Sequence[int]], field: Field, n: int) -> list[tuple[int, ...]]:
+def _nullspace(mat: Sequence[Sequence[int]], field: Field, n: int, guard: int | None = None) -> list[tuple[int, ...]]:
     """RREF basis of {v : mat @ v = 0} for rows of length n, in one
     elimination from the right (see _kernel); mat is left as it is."""
-    return _kernel(_reduced_checks(mat, field, n), field, n)
+    return _kernel(_reduced_checks(mat, field, n), field, n, guard)
 
 
 def _width(mat: Sequence[Sequence[int]], n: int | None = None) -> int | None:
@@ -433,9 +458,10 @@ def full_code(base: Field, n: int) -> LinearCode:
     return LinearCode(base, n, [[int(j == i) for j in range(n)] for i in range(n)])
 
 
-def dual(code: LinearCode) -> LinearCode:
-    """Nullspace of the generator as an [n, n-k] code."""
-    return LinearCode(code.base, code.n, _nullspace(code._rows, code.base, code.n), provenance="dual")
+def dual(code: LinearCode, byte_guard: int | None = None) -> LinearCode:
+    """Nullspace of the generator as an [n, n-k] code; TooLarge when its
+    estimated bytes exceed the byte guard (see _kernel)."""
+    return LinearCode(code.base, code.n, _nullspace(code._rows, code.base, code.n, byte_guard), provenance="dual")
 
 
 def sum_code(a: LinearCode, b: LinearCode) -> LinearCode:
@@ -453,15 +479,38 @@ def intersect(a: LinearCode, b: LinearCode) -> LinearCode:
 
 def _pairing(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], field: Field) -> list[list[int]]:
     """The matrix of inner products <u, v> for u in rows (down) and v in cols
-    (across); at p = 2, the parity of the bits of u AND v packed."""
-    if field.p == 2 and field.m == 1:
-        packed = pack(cols, 1)  # one byte per entry, as in Lanes at p = 2
-        return [[(u & v).bit_count() & 1 for v in packed] for u in pack(rows, 1)]
-    if field.m == 1:
-        p = field.p
-        return [[sum(map(mul, u, v)) % p for v in cols] for u in rows]
-    ar = field.arith
-    return [[reduce(ar.add, map(ar.mul, u, v), 0) for v in cols] for u in rows]
+    (across); at p = 2, the parity of the bits of u AND v, each row read
+    as an int of one bit an entry, through its digits '0' and '1'.  A Gram
+    matrix (cols is rows) is symmetric: the pairs on and above its
+    diagonal are read, and mirrored."""
+    gram, p = cols is rows, field.p
+    if field.m > 1:
+        ar = field.arith
+
+        def line(u, vs):
+            return [reduce(ar.add, map(ar.mul, u, v), 0) for v in vs]
+
+    elif p == 2:
+        rows = [int(bytes(row).translate(_BINARY_DIGITS), 2) for row in rows]
+        cols = rows if gram else [int(bytes(col).translate(_BINARY_DIGITS), 2) for col in cols]
+
+        def line(u, vs):
+            return [(u & v).bit_count() & 1 for v in vs]
+
+    else:
+
+        def line(u, vs):
+            return [sum(map(mul, u, v)) % p for v in vs]
+
+    if not gram:
+        return [line(u, cols) for u in rows]
+    out: list[list[int]] = []
+    for i, u in enumerate(rows):
+        out.append([row[i] for row in out] + line(u, rows[i:]))
+    return out
+
+
+_BINARY_DIGITS = b"01".ljust(256, b"\0")  # the translate table of F_2 entries to their digits
 
 
 def _orthogonal_span(
@@ -582,28 +631,39 @@ def _column_transform(code: LinearCode, guard: int | None) -> tuple[int, int]:
     the F_p-coordinates of its entries.  The counts N of one y per
     F_p^*-orbit (leading digit 1, r = (Q - 1)/(p - 1) of them) go straight
     into an array of fields, the functionals built one row of G at a time.
-    The other lambda y put (p - 1) F_0 in layer 0 and n r - F_0 in every
-    other layer, so the difference is p F_0 - n r = p D_0 - sum_e D_e for
-    the canonical layers D_e of N, exact on the biased layers D_e + B as B,
-    with the width, exceeds the mass n (Q - 1) of the full multiset; p
-    biased fields less p - 1 leave the difference biased by B."""
+    The functional of (j, y) is that of the vector y g_j, so a count is at
+    most r times the largest multiplicity of a column, which the functionals
+    of y = 1 give: the transform starts at the width of that bound and
+    widens as it grows (see _packed.transform).  The other lambda y put
+    (p - 1) F_0 in layer 0 and n r - F_0 in every other layer, so the
+    difference is p F_0 - n r = p D_0 - sum_e D_e for the canonical layers
+    D_e of N, exact on the biased layers D_e + B as B, with the width,
+    exceeds the mass n (Q - 1) of the full multiset; p biased fields less
+    p - 1 leave the difference biased by B."""
     code._check_guard(guard)
     base = code.base
     p, q = base.p, base.q
     mul, dual = base.arith.mul, base.trace_dual_indices()
-    size = code.size()
+    size, r = code.size(), (q - 1) // (p - 1)
     width = field_width((code.n * (q - 1)).bit_length() + 1)
-    counts = array(TYPECODES[width, False], [0]) * size
     rows, entries = code._rows, set().union(*code._rows)
-    reps = [y for t in range(base.m) for y in range(p ** t, 2 * p ** t)]
-    for y in reps:
+
+    def functionals(y):
         image = {g: dual[mul(y, g)] for g in entries}
-        functionals = [0] * code.n
+        out = [0] * code.n
         for row in reversed(rows):
-            functionals = [v * q + image[g] for v, g in zip(functionals, row)]
-        for v in functionals:
+            out = [v * q + image[g] for v, g in zip(out, row)]
+        return out
+
+    reps = [y for t in range(base.m) for y in range(p ** t, 2 * p ** t)]  # y = 1 first
+    first = functionals(reps[0])
+    bound = r * max(Counter(first).values()) if width > 1 else code.n * r
+    counts = array(TYPECODES[field_width(bound.bit_length() + (p == 2)), False], [0]) * size
+    for values in chain([first], map(functionals, reps[1:])):
+        for v in values:
             counts[v] += 1
-    words = transform(pack([counts], width) + [0] * (p - 1), width, p, base.m * code.k)
+    words = [int.from_bytes(_little(counts, "little"), "little")] + [0] * (p - 1) * (p > 2)
+    words = transform(words, width, p, base.m * code.k, bound, code.n * r)
     bias = bias_word(width, size)
     biased = [word ^ bias for word in words]
     return p * biased[0] - sum(biased), width

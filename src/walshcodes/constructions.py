@@ -179,11 +179,11 @@ class _Matrices:
     """The trace rows of the sequences ``traced`` and the coordinate rows of
     ``coordinated`` over F_{p^s}, m/s rows a sequence, each matrix built on
     first use and kept as packed rows (see _digit_rows), and what the
-    constructions make of them."""
+    constructions make of them; the code of the trace rows is kept too."""
 
     def __init__(self, ctx: Field, s: int, traced: Sequence[Sequence[int]], coordinated: Sequence[Sequence[int]]):
         self.ctx, self.s, self.traced, self.coordinated = ctx, s, traced, coordinated
-        self.alphabet, self.n = ctx._subfield(s)[0], len(traced[0])
+        self.alphabet, self.n, self._code = ctx._subfield(s)[0], len(traced[0]), None
 
     @cached_property
     def traces(self) -> tuple:
@@ -201,7 +201,14 @@ class _Matrices:
         return tuple(map(tuple, _reduced_checks(self.coordinates, self.alphabet, self.n)))
 
     def code(self, provenance: str) -> LinearCode:
-        return _from_indices(self.alphabet, self.traces, self.n, provenance)
+        """The code of the trace rows, eliminated on first use and kept; a
+        call that names another provenance keeps a code of its own on the
+        kept rows."""
+        if self._code is None:
+            self._code = _from_indices(self.alphabet, self.traces, self.n, provenance)
+        elif self._code.provenance != provenance:
+            self._code = LinearCode(self.alphabet, self.n, self._code._rows, provenance)
+        return self._code
 
     def dual(self) -> LinearCode:
         return LinearCode(self.alphabet, self.n, _kernel(self.reduced, self.alphabet, self.n), "closed-form-dual")

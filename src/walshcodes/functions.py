@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain, repeat
 from math import gcd
-from operator import add, mul, xor
+from operator import mul, xor
 from typing import Callable, Sequence
 
 from ._packed import TYPECODES, Lanes, gray_walk, pack
@@ -377,16 +377,21 @@ class _Parser:
 
     def _add(self, a, b):
         """a + b; at p = 2 the index of a sum is the XOR of the indices.  At
-        odd p, where every value of both lies in F_p, as a trace's does, an
-        index is the value itself, and the sum is taken mod p."""
-        p = self.field.p
+        odd p, where both are F_p-valued, as bytes from a trace are (see
+        _trace), or a constant or a list below p, an index is the value
+        itself, and while p <= 128 the sum is one addition of the ints of
+        their byte strings, whose bytes stay below 2p - 1 and carry into no
+        neighbour, and one translate mod p."""
+        p, q = self.field.p, self.field.q
         if p == 2:
             return self._pointwise(xor, a, b)
         a, b = self._values(a), self._values(b)
-        if all((v if isinstance(v, int) else max(v)) < p for v in (a, b)):
-            sums = self._pointwise(add, a, b)
-            return sums % p if isinstance(sums, int) else list(map((list(range(p)) * 2).__getitem__, sums))
-        return self._pointwise(self.field.arith.add, a, b)
+        if p > 128 or not all(isinstance(v, bytes) or (v if isinstance(v, int) else max(v)) < p for v in (a, b)):
+            return self._pointwise(self.field.arith.add, a, b)
+        if isinstance(a, int) and isinstance(b, int):
+            return (a + b) % p
+        a, b = (int.from_bytes(bytes([v]) * q if isinstance(v, int) else bytes(v), "little") for v in (a, b))
+        return (a + b).to_bytes(q, "little").translate(_residues(p))
 
     def _neg(self, a):
         """-a, which is a itself at p = 2; -c x^d is g^((q-1)/2) c x^d."""
@@ -416,7 +421,7 @@ class _Parser:
         """a^e for e >= 0, with 0^0 = 1; a list in one pass over the exp/log
         tables."""
         if e == 0:
-            return [1] * len(a) if isinstance(a, list) else 1
+            return [1] * len(a) if isinstance(a, (list, bytes)) else 1
         if isinstance(a, int):
             exp, log = self.field._pow_tables()
             return exp[log[a] * e % self.n1] if a else 0
@@ -425,10 +430,20 @@ class _Parser:
         return self.field.power_indices(a, e)
 
     def _trace(self, a):
-        if isinstance(a, _Monomial):
-            return self._on_log(self.field._log_traces(), a)
+        """Tr(a): a constant, or the list of its values; at odd p <= 128 as
+        bytes, which _add reads as they are (at p = 2, converting two lists
+        costs as much as the XOR of their entries)."""
         table = self.field.trace_table()
-        return table[a] if isinstance(a, int) else list(map(table.__getitem__, a))
+        if isinstance(a, int):
+            return table[a]
+        out = self._on_log(self.field._log_traces(), a) if isinstance(a, _Monomial) else list(map(table.__getitem__, a))
+        return bytes(out) if 2 < self.field.p <= 128 else out
+
+
+@cache
+def _residues(p: int) -> bytes:
+    """The translate table that maps each byte v < 2p - 1 to v mod p."""
+    return bytes(v % p for v in range(256))
 
 
 def parse_function(field: Field, spec: str) -> ParyFunction:
@@ -533,7 +548,7 @@ def walsh_transform(f: ParyFunction) -> WalshSpectrum:
         raise WrongCodomain("Walsh transform needs a prime-valued function")
     field = f.field
     p = field.p
-    layers = _character_fwht(f.exponents(), field.trace_dual_indices(), p, field.m)
+    layers = _character_fwht(f.exponents(), field)
     spectrum = WalshSpectrum._of_transform(field, layers, f)
     if spectrum.parseval_sum() != CyclotomicInt.from_int(p, field.q ** 2):
         raise InvariantViolated("Parseval failed: the Walsh spectrum is wrong")

@@ -201,6 +201,35 @@ def test_guard_must_be_positive(capsys):
     assert run(["verify", "ding", "--guard", "0"]) == 2
 
 
+def test_a_dual_past_the_byte_guard_exits_3(monkeypatch, capsys):
+    """The [16384, 28] code of x^3 has a 16356 x 16384 dual, about 2.1 GB of
+    tuples: refused before it is built, with no traceback.  The option and
+    the environment variable move the guard: the [512, 18] code's dual,
+    8 * 494 * 512 bytes, is refused one byte under, and a dual under the
+    1-MiB floor is answered as before."""
+    import resource
+    import time
+
+    start = time.perf_counter()
+    assert run(["analyze", "first", "--field", "p=2,m=14", "--fn", "x^3", "--dual"]) == 3
+    assert time.perf_counter() - start < 20
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss < 2 ** 20  # KiB on Linux: under 1 GiB
+    err = capsys.readouterr().err
+    assert "about 2143813632 bytes" in err and "Traceback" not in err
+    need = 8 * 494 * 512
+    argv = ["analyze", "first", "--field", "p=2,m=9", "--fn", "x^3", "--dual"]
+    assert run(argv + ["--byte-guard", str(need - 1)]) == 3
+    assert f"about {need} bytes, past the byte guard {need - 1}" in capsys.readouterr().err
+    monkeypatch.setenv("WALSHCODES_BYTE_GUARD", str(need - 1))
+    assert run(argv) == 3
+    small = ["analyze", "first", "--field", F9_SPEC, "--fn", "x^2", "--dual"]
+    capsys.readouterr()
+    assert run(small) == 0
+    answered = capsys.readouterr().out
+    assert run(small + ["--byte-guard", "1"]) == 0 and capsys.readouterr().out == answered
+    assert run(small + ["--byte-guard", "0"]) == 2
+
+
 def test_analyze_weights_enumerates_once(monkeypatch, capsys):
     """analyze computes the weight enumerator once, by one column transform,
     and lists no codeword."""

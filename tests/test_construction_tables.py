@@ -17,6 +17,7 @@ table routes build no FieldElement at all.
 """
 
 import random
+from functools import cache
 
 import pytest
 
@@ -28,7 +29,6 @@ from walshcodes.codes import (
     from_rows,
     full_code,
     hull_dim,
-    intersect,
     matrix_rank,
     nullspace,
     restrict_to_prime_subfield,
@@ -76,8 +76,11 @@ def _ids(items):
 # -- oracles --------------------------------------------------------------------
 
 
+@cache
 def trace_oracle(field, x, s=1):
-    """Tr_{q/p^s}(x) = x + x^(p^s) + ... + x^(p^(s(m/s - 1))), element by element."""
+    """Tr_{q/p^s}(x) = x + x^(p^s) + ... + x^(p^(s(m/s - 1))), element by
+    element, once per element and degree in a session: the oracles below
+    read the same traces many times over."""
     acc = field.zero
     power = x
     for _ in range(field.m // s):
@@ -110,12 +113,11 @@ def first_codeword_oracle(f, a, b, include_zero=True, minus=False):
 
 
 def dual_first_oracle(f, include_zero=True):
-    """The span duals of (x_i) and (f(x_i)) over F_q, intersected, restricted to F_p."""
+    """The span duals of (x_i) and (f(x_i)) over F_q intersected, as the
+    span dual of both rows together, restricted to F_p."""
     ctx = f.field
     points = first_points(ctx, include_zero)
-    l1 = from_rows(ctx, [points])
-    l2 = from_rows(ctx, [[f(x) for x in points]])
-    return restrict_to_prime_subfield(intersect(dual(l1), dual(l2)))
+    return restrict_to_prime_subfield(dual(from_rows(ctx, [points, [f(x) for x in points]])))
 
 
 def first_hull_map_oracle(f, include_zero=True):
@@ -627,6 +629,29 @@ def test_kept_matrices_are_left_as_they_are():
         for rows, old, copy in zip(kept(record), before[key], copies[key]):
             assert rows is old and tuple(map(tuple, rows)) == copy
             assert isinstance(rows, tuple) and all(isinstance(row, (bytes, tuple)) for row in rows)
+
+
+def test_a_second_construction_runs_no_elimination(monkeypatch):
+    """The record keeps the code it builds: first_generic and second_generic
+    on the same object eliminate the trace rows once, counted at the kernel,
+    and a set renamed since gets a code of its own on the kept rows."""
+    import walshcodes.codes as codes
+
+    calls = []
+    good = codes._reduce
+    monkeypatch.setattr(codes, "_reduce", lambda *args: calls.append(args) or good(*args))
+    field = make_field(3, 4)
+    f = parse_function(field, "x^2").with_codomain(field.m)
+    ds = make_trace_zero_set(field)
+    built = [first_generic(f, True), first_generic(f, False), second_generic(ds)]
+    assert len(calls) == 3
+    assert [first_generic(f, True), first_generic(f, False), second_generic(ds)] == built
+    assert all(a is b for a, b in zip(built, [first_generic(f, True), first_generic(f, False), second_generic(ds)]))
+    assert len(calls) == 3
+    ds.provenance = "renamed"
+    renamed = second_generic(ds)
+    assert renamed.provenance == "defining-set:renamed" and renamed == built[2] and len(calls) == 3
+    assert built[2].provenance == "defining-set:trace-zero"
 
 
 # (p, m, s) past the one-translate tables (q > 256): at p = 2 digits within a

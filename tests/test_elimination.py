@@ -10,7 +10,9 @@ kernel that the packed one replaced lives here too (`list_rref`, with the
 every alphabet, F_{p^s} included, with no expansion into F_p rows.  The
 packed kernel must return the same rows and pivots as both, on every
 field up to q = 27 and on prime fields on each side of every lane-width
-switch.
+switch.  The Gram pairing that read one byte an entry and every pair lives
+here as `pairing_oracle`, for the one that reads one bit an entry and one
+triangle.
 
 The FieldElement operators that `rref_oracle` uses run on the same index
 tables as `IndexArith`, so the oracles' independence rests on
@@ -23,6 +25,8 @@ import random
 import subprocess
 import sys
 import textwrap
+from functools import reduce
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -30,6 +34,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import walshcodes.codes as codes_module
+from walshcodes._packed import pack
 from walshcodes.algebra import is_prime, make_field, subfield
 from walshcodes.codes import (
     LinearCode,
@@ -53,8 +58,8 @@ from walshcodes.constructions import (
     first_generic,
     second_generic,
 )
-from walshcodes.errors import RaggedRows
-from walshcodes.functions import ParyFunction
+from walshcodes.errors import RaggedRows, TooLarge
+from walshcodes.functions import ParyFunction, parse_function
 
 
 def _prime_powers(limit):
@@ -645,6 +650,84 @@ def test_one_rref_per_dual_and_none_after_the_gram_kernel(monkeypatch):
     shapes.clear()
     dimension_via_span(wide)
     assert shapes == []
+
+
+def pairing_oracle(rows, cols, field):
+    """The route the dense-bit pairing replaced: at p = 2 every row packed
+    one byte an entry, and every pair of the matrix read, a Gram matrix's
+    included."""
+    if field.p == 2 and field.m == 1:
+        packed = pack(cols, 1)
+        return [[(u & v).bit_count() & 1 for v in packed] for u in pack(rows, 1)]
+    if field.m == 1:
+        p = field.p
+        return [[sum(map(mul, u, v)) % p for v in cols] for u in rows]
+    ar = field.arith
+    return [[reduce(ar.add, map(ar.mul, u, v), 0) for v in cols] for u in rows]
+
+
+PAIRING_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
+
+
+@pytest.mark.parametrize("pm", PAIRING_FIELDS, ids=_ids(PAIRING_FIELDS))
+def test_pairing_matches_the_byte_route(pm):
+    """Rows against other rows and Gram matrices (cols is rows, one triangle
+    read), as bytes and as tuples, with zero and repeated rows, on lengths
+    on both sides of a byte and past a 4300-digit int."""
+    field = make_field(*pm)
+    rng = random.Random(field.q)
+    for n in (1, 7, 8, 9, 64, 5000):
+        for k in (0, 1, 2, 5):
+            rows = [tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(k)]
+            if k > 2:
+                rows[1], rows[2] = (0,) * n, rows[0]
+            for form in (tuple, bytes):
+                kept = [form(row) for row in rows]
+                others = [form(rng.randrange(field.q) for _ in range(n)) for _ in range(3)]
+                gram = codes_module._pairing(kept, kept, field)
+                assert gram == pairing_oracle(kept, list(kept), field)
+                assert all(gram[i][j] == gram[j][i] for i in range(k) for j in range(k))
+                assert codes_module._pairing(kept, others, field) == pairing_oracle(kept, others, field)
+                assert codes_module._pairing(others, kept, field) == pairing_oracle(others, kept, field)
+
+
+def test_every_dual_route_refuses_past_the_byte_guard(monkeypatch):
+    """The estimate, 8 bytes for each of the (n s - rank) x n s entries of
+    the kernel's transpose, is checked before anything is built: the
+    closed-form dual over GF(2^16), 65504 x 65536 entries, is refused at the
+    default guard, and a guard one byte under a dual's estimate refuses
+    each route to it while one at the estimate answers it as before.  No
+    dual of at most 1 MiB is refused, whatever the guard."""
+    big = parse_function(make_field(2, 16), "x^3").with_codomain(16)
+    with pytest.raises(TooLarge, match="byte guard"):
+        dual_first_closed_form(big)
+    field = make_field(2, 9)
+    f = parse_function(field, "x^3").with_codomain(9)
+    code = first_generic(f)  # [512, 18]: duals of 494 x 512 entries
+    big_field = make_field(2, 10)
+    rng = random.Random(10)
+    ds = defining_set(big_field, [big_field.elements[rng.randrange(1, 1024)] for _ in range(300)], base_degree=2)
+    routes = [  # 8 bytes a pointer, (n s - rank) x n s
+        (8 * 494 * 512, lambda: dual(code)),
+        (8 * 494 * 512, lambda: dual_first_closed_form(f)),
+        (8 * 494 * 512, lambda: nullspace(code.generator, code.base, 512)),
+        (8 * 494 * 512, lambda: intersect(code, code)),  # the first of its three nullspaces
+        (8 * 590 * 600, lambda: dual_second_closed_form(ds)),
+        (8 * 590 * 600, lambda: dual(second_generic(ds))),
+    ]
+    for need, route in routes:
+        answer = route()
+        monkeypatch.setenv("WALSHCODES_BYTE_GUARD", str(need - 1))
+        with pytest.raises(TooLarge, match=f"about {need} bytes"):
+            route()
+        monkeypatch.setenv("WALSHCODES_BYTE_GUARD", str(need))
+        assert route() == answer
+        monkeypatch.delenv("WALSHCODES_BYTE_GUARD")
+    assert dual(code, byte_guard=8 * 494 * 512) == dual(code)
+    with pytest.raises(TooLarge):
+        dual(code, byte_guard=8 * 494 * 512 - 1)
+    small = first_generic(ParyFunction.from_callable(make_field(2, 3), lambda x: x ** 3, 3))
+    assert dual(small, byte_guard=1).k == 2
 
 
 def test_ragged_rows_raise_at_the_edge():

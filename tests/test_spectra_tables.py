@@ -4,7 +4,9 @@ Each fast route is compared with the reference it replaced, which lives
 here as a test oracle: the coefficient arithmetic of F_{p^m} (the product
 is the polynomial convolution reduced by the modulus), the O(q^2) Walsh
 loop, the list passes of the FWHT (layered, and the binary butterflies)
-that the packed-int kernel replaced, the per-coefficient bent classification,
+that the packed-int kernel replaced, the fixed-width packed passes that the
+widening transform replaced, the per-point loop that wrote its input planes
+before they were translated, the per-coefficient bent classification,
 the per-layer list route of the Walsh transform that packing straight from
 the truth table replaced, the p^2-product Parseval sum, the pairwise
 additivity check of affine functions, the closure evaluator of the function
@@ -32,7 +34,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from walshcodes._packed import bias_word, binary_passes, field_width, odd_passes, pack, unpack
+from walshcodes._packed import bias_word, digit_steps, field_width, pack, transform, unpack
 from walshcodes.algebra import CyclotomicInt, IndexArith, gauss_sum_power, is_prime, make_field, trace
 from walshcodes.errors import ExponentOverflow, InvariantViolated, ParseError, UndefinedSymbol
 from walshcodes.functions import (
@@ -144,6 +146,56 @@ def binary_fwht_oracle(w, m):
         w[0::2] = map(add, lo, hi)
         w[1::2] = map(sub, lo, hi)
     return w
+
+
+def binary_passes(word, width, m):
+    """The m (a + b, a - b) butterfly passes on 2^m fields of ``width``
+    bytes, each holding its value plus the bias B = 2^(8 width - 1), every
+    pass at that one width: the fixed-width passes that
+    _packed.transform replaced.
+
+    Field v of pass i pairs with field v + 2^i: with t and M that digit's
+    step, lo + d and lo - d, for lo = word & M and d = ((word >> t) & M) - B
+    per field, are (a + B) + (b + B) - B and (a + B) - (b + B) + B."""
+    bias = bias_word(width, 1 << m)
+    for t, mask in digit_steps(width, 2, m):
+        d = ((word >> t) & mask) - (bias & mask)
+        word &= mask
+        word = (word + d) | ((word - d) << t)
+    return word
+
+
+def odd_passes(words, width, p, m):
+    """The m passes on p layers of p^m unsigned fields of ``width`` bytes,
+    ``words[e]`` holding the coefficient of zeta^e at vector v in field v,
+    every pass at that one width, which holds the total mass of the input:
+    the fixed-width passes that _packed.transform replaced."""
+    for t, mask in digit_steps(width, p, m):
+        blocks = [[(word >> x * t) & mask for x in range(p)] for word in words]
+        words = []
+        for e in range(p):
+            word = 0
+            for u in range(p):
+                acc = blocks[e][0]
+                for x in range(1, p):
+                    acc += blocks[(e + u * x) % p][x]
+                word |= acc << u * t
+            words.append(word)
+    return words
+
+
+def fixed_width_transform(layers, width, p, m):
+    """What _packed.transform returns, for the same input given as lists
+    (at p = 2 the one list N, at odd p the p unsigned layers), with every
+    pass at ``width``, the width of the output: the canonical layers of
+    the fixed-width passes, formed on the packed words."""
+    q = p ** m
+    bias = bias_word(width, q)
+    if p == 2:
+        (word,) = pack(layers, width, signed=True)
+        return [binary_passes(word ^ bias, width, m) ^ bias]
+    *words, last = odd_passes(pack(layers, width), width, p, m)
+    return [(word + bias - last) ^ bias for word in words]
 
 
 def packed_fwht(layers, p, m):
@@ -770,6 +822,127 @@ def test_packed_fwht_refuses_masses_past_eight_byte_fields():
         packed_fwht([[2 ** 63, 2 ** 63, 0], [0] * 3, [0] * 3], 3, 1)
 
 
+# -- the widening transform against the fixed-width passes -----------------------------
+
+
+def _assert_widening_matches_fixed_width(layers, p, m, bound):
+    """_packed.transform, given the input at the width of its bound, against
+    the fixed-width passes at the width of the mass and a sign bit."""
+    mass = sum(abs(v) for layer in layers for v in layer)
+    width = field_width(mass.bit_length() + 1)
+    words = pack(layers, field_width(bound.bit_length() + (p == 2)), signed=p == 2)
+    assert transform(words, width, p, m, bound, mass) == fixed_width_transform(layers, width, p, m)
+
+
+def _extreme_inputs(p, m, bound, rng):
+    """Input layers with fields at most bound: every field at the bound (at
+    p = 2 also at -bound), which takes pass k to bound p^k at vector 0;
+    random fields; and one spike, whose mass keeps every pass narrow."""
+    q = p ** m
+    fulls = [[bound] * q, [-bound] * q] if p == 2 else [[bound] * q]
+    randoms = [rng.randint(-bound, bound) if p == 2 else rng.randint(0, bound) for _ in range(q)]
+    spike = [0] * q
+    spike[rng.randrange(q)] = -bound if p == 2 else bound
+    for layer in fulls + [randoms, spike]:
+        yield [layer] if p == 2 else [layer] + [[0] * q for _ in range(p - 1)]
+    if p > 2:
+        yield [[rng.randint(0, bound) for _ in range(q)] for _ in range(p)]
+
+
+# the fields of pass k hold bound p^k: the widths switch where it passes 2^8 and
+# 2^16 (2^7 and 2^15 with the sign bit at p = 2)
+WIDENING_CASES = [
+    (p, k, limit >> (p == 2), side)
+    for p in (2, 3, 5, 7)
+    for k in (1, 2)
+    for limit in (1 << 8, 1 << 16)
+    for side in ("below", "at")
+]
+
+
+@pytest.mark.parametrize(
+    "p,k,limit,side", WIDENING_CASES, ids=[f"p{p}-pass{k}-{limit}-{side}" for p, k, limit, side in WIDENING_CASES]
+)
+def test_widening_transform_on_both_sides_of_each_width_switch(p, k, limit, side):
+    """Weight counts with b > 1: pass k's bound b p^k lies just below the
+    limit of its width, or reaches it and widens the words, and one more
+    pass follows the switch."""
+    m = k + 1
+    bound = (limit - 1) // p ** k if side == "below" else -(-limit // p ** k)
+    rng = random.Random(p * limit + k)
+    for layers in _extreme_inputs(p, m, bound, rng):
+        _assert_widening_matches_fixed_width(layers, p, m, bound)
+
+
+INDICATOR_FIELDS = [(2, 6), (2, 7), (2, 8), (2, 14), (2, 15), (2, 16), (3, 5), (3, 6), (5, 3), (5, 4), (7, 2), (7, 3)]
+
+
+@pytest.mark.parametrize("pm", INDICATOR_FIELDS, ids=_ids(INDICATOR_FIELDS))
+def test_widening_transform_of_indicators(pm):
+    """Indicator inputs, b = 1 and mass q, as walsh_transform gives them:
+    pass k holds p^k, which passes 2^7 (with the sign bit) at k = 7 and 2^15
+    at k = 15 at p = 2, 2^8 at k = 6 at p = 3 and k = 4 at p = 5, and 2^8
+    at k = 3 at p = 7; the constant input reaches q and -q."""
+    p, m = pm
+    q = p ** m
+    rng = random.Random(q)
+    values = [rng.randrange(p) for _ in range(q)]
+    for vals in (values, [0] * q, [p - 1] * q):
+        if p == 2:
+            layers = [[1 - 2 * v for v in vals]]
+        else:
+            layers = [[int(v == e) for v in vals] for e in range(p)]
+        _assert_widening_matches_fixed_width(layers, p, m, 1)
+
+
+def test_widening_transform_of_zero_passes():
+    for p in (2, 3, 5):
+        _assert_widening_matches_fixed_width([[5]] if p == 2 else [[5]] + [[0]] * (p - 1), p, 0, 5)
+
+
+def character_fwht_loop(values, field):
+    """The route the translate-built planes replaced: one pass writes a 1
+    into field v_x of indicator word values[x], at the width of the output,
+    and the passes run at that one width."""
+    p, m, q = field.p, field.m, field.q
+    width = field_width(q.bit_length() + 1)
+    indicators = [bytearray(q * width) for _ in range(p)]
+    for v, u in zip(values, map(width.__mul__, field.trace_dual_indices())):
+        indicators[v][u] = 1
+    words = [int.from_bytes(word, "little") for word in indicators]
+    bias = bias_word(width, q)
+    if p == 2:
+        return unpack([binary_passes(words[0] - words[1] + bias, width, m) ^ bias], width, q, signed=True)
+    *words, last = odd_passes(words, width, p, m)
+    return unpack([(word + bias - last) ^ bias for word in words], width, q, signed=True)
+
+
+# p = 257, where the planes are written point by point, is
+# test_walsh_transform_past_one_byte_values
+PLANE_FIELDS = [(2, 1), (3, 1), (2, 4), (5, 3), (3, 5), (2, 8), (2, 9), (7, 3), (3, 6), (2, 11), (17, 2), (2, 13)]
+
+
+@pytest.mark.parametrize("pm", PLANE_FIELDS, ids=_ids(PLANE_FIELDS))
+def test_translated_planes_match_the_per_point_loop(pm):
+    """The input planes placed by translate through the inverse of the
+    trace-dual table (q <= 4096) and by one pass over the points (above),
+    against the per-point loop of indicator words at the output width."""
+    from walshcodes.algebra import _character_fwht
+
+    field = make_field(*pm)
+    p, q = field.p, field.q
+    if q <= 4096:
+        lows, rows = field._dual_blocks
+        highs = [sum(j for j, row in enumerate(rows) if row >> 8 * u & 255 == 255) for u in range(q)]
+        assert all(row >> 8 * u & 255 in (0, 255) for row in rows for u in range(q))
+        assert sum(row >> 8 * u & 255 == 255 for row in rows for u in range(q)) == q
+        points = [h << 8 | low for h, low in zip(highs, lows)]
+        assert [points[u] for u in field.trace_dual_indices()] == list(range(q))
+    rng = random.Random(q)
+    for values in ([rng.randrange(p) for _ in range(q)], [0] * q, [p - 1] * q, [x % p for x in range(q)]):
+        assert _character_fwht(tuple(values), field) == character_fwht_loop(values, field)
+
+
 @pytest.mark.parametrize("pm", SIGNED_FIELDS, ids=_ids(SIGNED_FIELDS))
 def test_packed_fwht_on_signed_and_zero_layers(pm):
     """The all-(-1) list at p = 2, whose F(0) = -q is the most negative
@@ -1200,15 +1373,24 @@ def test_is_affine_on_large_fields():
 # -- differential uniformity ----------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def element_tables(field):
+    """((x + a).index by [a][x], (u - v).index by [u][v]): every sum and
+    difference of two elements, taken by the FieldElement operators once
+    per field in a session, which the element oracle reads q^2 times for
+    each function."""
+    elements = field.elements
+    return [[(x + a).index for x in elements] for a in elements], [[(u - v).index for v in elements] for u in elements]
+
+
 def differential_uniformity_oracle(f):
-    """max over a != 0, b of #{x : f(x+a) - f(x) = b}, on FieldElements."""
-    field = f.field
+    """max over a != 0, b of #{x : f(x+a) - f(x) = b}, on the FieldElement
+    table of f and the element sums and differences of element_tables."""
+    sums, diffs = element_tables(f.field)
+    values = [v.index for v in f.table]
     best = 0
-    for a in field.elements[1:]:
-        counts = {}
-        for x in field.elements:
-            b = f(x + a) - f(x)
-            counts[b.index] = counts.get(b.index, 0) + 1
+    for shifted in sums[1:]:
+        counts = Counter(diffs[values[y]][v] for y, v in zip(shifted, values))
         best = max(best, max(counts.values()))
     return best
 
@@ -1374,26 +1556,31 @@ def test_invariants_raise_under_optimize():
         except InvariantViolated as ex:
             print("macwilliams:", ex)
 
-        import walshcodes._packed as pk
         import walshcodes.codes as cs
+        from walshcodes._packed import bias_word
 
-        good_passes = pk.binary_passes
+        good_transform = cs.transform
 
-        # the passes return biased fields, so field 0 of W drops by one, odd ...
-        pk.binary_passes = lambda word, width, m: good_passes(word, width, m) - 1
+        def raised(step):
+            # the transform with step(width, m) added to its biased fields
+            def patched(words, width, p, m, *bounds):
+                bias = bias_word(width, 1 << m)
+                return [((good_transform(words, width, p, m, *bounds)[0] ^ bias) + step(width, m)) ^ bias]
+            return patched
+
+        # field 0 of W drops by one, odd ...
+        cs.transform = raised(lambda width, m: -1)
         try:
             cs.weight_distribution(cs.full_code(make_field(2, 1), 3))
         except InvariantViolated as ex:
             print("weights:", ex)
         # ... and every field of W rises by two, even but not 0 mod Q = 4
-        pk.binary_passes = lambda word, width, m: good_passes(word, width, m) + int.from_bytes(
-            (2).to_bytes(width, "little") * (1 << m), "little"
-        )
+        cs.transform = raised(lambda width, m: int.from_bytes((2).to_bytes(width, "little") * (1 << m), "little"))
         try:
             cs.weight_distribution(cs.full_code(make_field(2, 2), 2))
         except InvariantViolated as ex:
             print("remainder:", ex)
-        pk.binary_passes = good_passes
+        cs.transform = good_transform
         try:
             cs.CompleteWeightEnumerator({(1, 0): 1}, 2, 1)
         except InvariantViolated as ex:
