@@ -52,7 +52,7 @@ def pack(rows: Iterable[Sequence[int]], width: int, signed: bool = False, order:
     signed; with order "big", ``row[0]`` is the most significant field.  A
     row may be bytes, one entry a byte."""
     if width == 1 and not signed:
-        return [int.from_bytes(bytes(row), order) for row in rows]
+        return [int.from_bytes(row, order) for row in rows]
     code = TYPECODES[width, signed]
     # iter: an array initialised from bytes would take them as its buffer
     return [int.from_bytes(_little(array(code, iter(row)), order), "little") for row in rows]

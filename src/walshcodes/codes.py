@@ -2,9 +2,9 @@
 
 A code keeps its generator in reduced row echelon form as rows of
 canonical indices of the alphabet, which doubles as the canonical form:
-two codes are equal iff their rows are.  ``rows`` reads them as tuples,
-built on first read where the elimination handed over bytes (see _rref);
-``generator`` is the FieldElement view.  At the edge of this module
+two codes are equal iff their rows are.  A row is bytes, one index a
+byte, over at most 256 elements, else a tuple (_row_form), read as tuples
+by ``rows`` and as FieldElements by ``generator``.  At the edge of this module
 (``from_rows``, ``contains``, ``rref``, ``nullspace``, ``matrix_rank``) an
 int entry is a canonical index of the alphabet, in [0, q), never a scalar
 mod p; other non-elements raise ValueError.
@@ -41,8 +41,8 @@ from array import array
 from bisect import insort
 from collections import Counter
 from functools import reduce
-from itertools import chain, islice
-from operator import itemgetter, mul
+from itertools import chain
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from ._packed import TYPECODES, Lanes, _little, bias_word, field_counts, field_width, lanes_of, pack, transform, unpack
@@ -72,12 +72,17 @@ def byte_guard(override: int | None = None) -> int:
     return int(env) if env else DEFAULT_BYTE_GUARD
 
 
+def _row_form(q: int) -> type:
+    """The form of a code's row over q elements: bytes while q <= 256."""
+    return bytes if q <= 256 else tuple
+
+
 # ---------------------------------------------------------------------------
 # elimination on packed rows over F_p
 # ---------------------------------------------------------------------------
 #
 # Rows given at the edge become index lists once (_indices), are packed at
-# the edge of the kernel and unpacked into index tuples; rref and nullspace
+# the edge of the kernel and unpacked into index rows; rref and nullspace
 # hand FieldElement rows back (_elements).
 
 
@@ -182,14 +187,14 @@ def _digits(row: Sequence[int], p: int, s: int) -> Sequence[int]:
 
 
 def _join(digits: Sequence[int], p: int, s: int) -> Sequence[int]:
-    """The entries whose digits _digits lays out, by Horner, as a tuple; at
-    s = 1 the digits as they are."""
+    """The entries whose digits _digits lays out, by Horner; at s = 1 the
+    digits as they are."""
     if s == 1:
         return digits
     word = digits[s - 1 :: s]
     for t in range(s - 2, -1, -1):
         word = [w * p + c for w, c in zip(word, digits[t::s])]
-    return tuple(word)
+    return word
 
 
 def _expand(rows: Sequence[Sequence[int]], field: Field) -> Sequence[Sequence[int]]:
@@ -229,7 +234,7 @@ def _rref(mat: Sequence[Sequence[int]], field: Field) -> tuple[list[Sequence[int
     nonzero rows, pivot columns).  Over F_p the rows are unpacked as they
     are, bytes at one-byte lanes; over F_{p^s}, s > 1, they are the rows of
     the F_p RREF of _expand(mat) that lead at digit 0 of a block, as
-    tuples."""
+    lists."""
     p, s = field.p, field.m
     lanes = lanes_of(p, (len(mat[0]) if mat else 0) * s)
     rows, pivots = _reduce(pack(_expand(mat, field), lanes.width), lanes)
@@ -256,22 +261,20 @@ def _reduced_checks(mat: Sequence[Sequence[int]], field: Field, n: int) -> tuple
 
 def _kernel(
     reduced: tuple[list[int], list[int]], field: Field, n: int, guard: int | None = None
-) -> list[tuple[int, ...]]:
+) -> list[Sequence[int]]:
     """RREF basis over field = F_{p^s} of the solutions c in F^n of F_p
     constraints on their n s digits, given as reduced by _from_right.
 
     Reduced row i ends in a 1 at its pivot P_i, and every other row is 0
     there, so the vector of a free column f is e_f - sum_i R[i][f] e_(P_i),
     and R[i][f] != 0 only for f < P_i: the vectors are the RREF of the
-    kernel, each leading with the 1 at its free column.  They are built
-    column by column, a free column being a unit column and pivot column
-    P_i being -R[i] at the free columns, and one transpose gives the rows.
-    Over F_{p^s} the vectors that lead at digit 0 of a block are the
-    F_{p^s} RREF (see _digits).
-
-    Before anything is built, TooLarge is raised when the transpose, one
-    pointer of 8 bytes per entry of its (n s - rank) x n s tuples, would
-    take more bytes than the byte guard (see byte_guard)."""
+    kernel, each leading with the 1 at its free column.  Over F_{p^s} those
+    leading at digit 0 of a block are the F_{p^s} RREF (see _digits), and
+    only they are built: row after row in one buffer of digits (bytes while
+    p < 256), pivot column P_i one strided slice, then sliced into rows in
+    the form of field (see _row_form), joined into entries over F_{p^s}.
+    TooLarge is raised first when the (n s - rank) x n s F_p entries, at 8
+    bytes each as in a tuple view, pass the byte guard (see byte_guard)."""
     rows, pivots = reduced
     p, s = field.p, field.m
     width = n * s
@@ -282,22 +285,20 @@ def _kernel(
         raise TooLarge(f"a dual of {nf} x {width} entries takes about {need} bytes, past the byte guard {cap}")
     if not nf:
         return []
-    free = sorted(set(range(width)).difference([width - 1 - c for c in pivots]))
-    lanes = lanes_of(p, width)
-    eye = (0,) * (nf - 1) + (1,) + (0,) * (nf - 1)
-    cols: list = [None] * width
-    for a, f in enumerate(free):
-        cols[f] = islice(eye, nf - 1 - a, None)  # unit column a, no copy
-    at_free = itemgetter(*free)
+    lead = sorted(set(range(0, width, s)).difference([width - 1 - c for c in pivots]))
+    lanes, form, count = lanes_of(p, width), _row_form(field.q), len(lead)
+    out = bytearray(count * width) if p < 256 else [0] * (count * width)
+    for a, f in enumerate(lead):
+        out[a * width + f] = 1
     for row, c in zip(unpack([lanes.sub(0, row) for row in rows], lanes.width, width, order="big"), pivots):
-        col = at_free(row)
-        cols[width - 1 - c] = col if nf > 1 else (col,)
-    if s == 1:
-        return list(zip(*cols))
-    return [_join(v, p, s) for v, f in zip(zip(*cols), free) if f % s == 0]
+        out[width - 1 - c :: width] = [row[f] for f in lead]
+    if s > 1:
+        return [form(_join(out[a * width : a * width + width], p, s)) for a in range(count)]
+    out = form(out)  # the buffer is freed here, before the rows are sliced
+    return [out[a * width : a * width + width] for a in range(count)]
 
 
-def _nullspace(mat: Sequence[Sequence[int]], field: Field, n: int, guard: int | None = None) -> list[tuple[int, ...]]:
+def _nullspace(mat: Sequence[Sequence[int]], field: Field, n: int, guard: int | None = None) -> list[Sequence[int]]:
     """RREF basis of {v : mat @ v = 0} for rows of length n, in one
     elimination from the right (see _kernel); mat is left as it is."""
     return _kernel(_reduced_checks(mat, field, n), field, n, guard)
@@ -348,26 +349,23 @@ def matrix_rank(rows: Sequence[Sequence[FieldElement | int]], field: Field) -> i
 
 
 class LinearCode:
-    """An [n, k] linear code; ``rows`` is its RREF generator as a tuple of
-    index tuples over the alphabet ``base``.  The rows are kept as given
-    when all are bytes (as _rref unpacks them), which this module reads as
-    they are, and turned into tuples on the first read of ``rows``."""
+    """An [n, k] linear code: its RREF generator over the alphabet ``base``,
+    rows of indices in the alphabet's form (see _row_form), kept as given
+    when in that form and never changed.  ``rows`` (index tuples, built on
+    each read) and ``generator`` (FieldElements, on first read) view them."""
 
     __slots__ = ("base", "n", "_rows", "provenance", "_generator")
 
     def __init__(self, base: Field, n: int, rows, provenance: str | None = None):
         self.base = base
         self.n = n
-        rows = tuple(rows)
-        self._rows = rows if all(type(row) is bytes for row in rows) else tuple(map(tuple, rows))
+        self._rows = tuple(map(_row_form(base.q), rows))
         self.provenance = provenance
         self._generator = None
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        if self._rows and type(self._rows[0]) is bytes:
-            self._rows = tuple(map(tuple, self._rows))
-        return self._rows
+        return tuple(map(tuple, self._rows))
 
     @property
     def generator(self) -> tuple[tuple[FieldElement, ...], ...]:
@@ -386,10 +384,10 @@ class LinearCode:
     def __eq__(self, other):
         if not isinstance(other, LinearCode):
             return NotImplemented
-        return self.base == other.base and self.n == other.n and self.rows == other.rows
+        return self.base == other.base and self.n == other.n and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.base, self.n, self.rows))
+        return hash((self.base, self.n, self._rows))
 
     # -- enumeration ---------------------------------------------------------
 
@@ -491,8 +489,8 @@ def _pairing(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], field
             return [reduce(ar.add, map(ar.mul, u, v), 0) for v in vs]
 
     elif p == 2:
-        rows = [int(bytes(row).translate(_BINARY_DIGITS), 2) for row in rows]
-        cols = rows if gram else [int(bytes(col).translate(_BINARY_DIGITS), 2) for col in cols]
+        rows = [int(row.translate(_BINARY_DIGITS), 2) for row in rows]
+        cols = rows if gram else [int(col.translate(_BINARY_DIGITS), 2) for col in cols]
 
         def line(u, vs):
             return [(u & v).bit_count() & 1 for v in vs]

@@ -27,6 +27,7 @@ from .codes import (
     _orthogonal_span,
     _pairing,
     _reduced_checks,
+    _row_form,
     _rref,
 )
 from .errors import (
@@ -129,9 +130,9 @@ def defining_set(
 # of one lookup per point: row j is digit j of T[d_i], for T the field's
 # relative trace-dual table (digit j of its entry of d is Tr_{q/Q}(x^j d))
 # or its coordinate table (the identity at s = 1, whose planes are the index
-# digits of d).  While Q <= 256 a row is kept as bytes, one per coordinate,
-# which the elimination kernel of codes reads as its packed word (one byte a
-# lane at p = 2 and odd p <= 61); above that, as a tuple.
+# digits of d).  A row has the form of a code's row over F_Q (_row_form):
+# bytes while Q <= 256, which the elimination kernel of codes reads as its
+# packed word (one byte a lane at p = 2 and odd p <= 61); else a tuple.
 
 
 @lru_cache(maxsize=64)
@@ -171,8 +172,8 @@ def _digit_rows(ctx: Field, s: int, table: Sequence[int] | None, indices: Sequen
                 word = word & ones * (0xFF >> o) | (planes[b + 1] & ones * ((1 << o + s - 8) - 1)) << 8 - o
             rows.append((word & ones * (Q - 1)).to_bytes(n, "little"))
         return rows
-    row = bytes if Q <= 256 else tuple
-    return [row(map(_digit_table(Q, j, q).__getitem__, looked)) for j in range(count)]
+    form = _row_form(Q)
+    return [form(map(_digit_table(Q, j, q).__getitem__, looked)) for j in range(count)]
 
 
 class _Matrices:
@@ -368,7 +369,7 @@ def code_to_defining_set(code: LinearCode, ctx: Field) -> DefiningSet:
     if ctx.m < k:
         raise DimensionTooLarge(f"need m >= k, got m={ctx.m} < k={k}")
     # the element with coordinates (c_0, ..., c_{k-1}) has index sum_j c_j p^j
-    p, rows = ctx.p, code.rows
+    p, rows = ctx.p, code._rows
     ds = [sum(row[i] * p ** j for j, row in enumerate(rows)) for i in range(code.n)]
     return DefiningSet._from_indices(ctx, 1, ds, "code-realization")
 

@@ -35,7 +35,7 @@ def code_to_json(code: LinearCode) -> dict:
         "alphabet": field_to_json(code.base),
         "n": code.n,
         "k": code.k,
-        "generator": [list(row) for row in code.rows],
+        "generator": [list(row) for row in code._rows],
     }
 
 

@@ -12,7 +12,10 @@ packed kernel must return the same rows and pivots as both, on every
 field up to q = 27 and on prime fields on each side of every lane-width
 switch.  The Gram pairing that read one byte an entry and every pair lives
 here as `pairing_oracle`, for the one that reads one bit an entry and one
-triangle.
+triangle.  The kernel's tuple transpose, which built each dual column by
+column and turned it into rows with one `zip(*cols)`, lives here as
+`kernel_oracle`, for the kernel that writes the rows into one buffer in
+the stored row form.
 
 The FieldElement operators that `rref_oracle` uses run on the same index
 tables as `IndexArith`, so the oracles' independence rests on
@@ -26,7 +29,8 @@ import subprocess
 import sys
 import textwrap
 from functools import reduce
-from operator import mul
+from itertools import islice
+from operator import itemgetter, mul
 from pathlib import Path
 
 import pytest
@@ -34,12 +38,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import walshcodes.codes as codes_module
-from walshcodes._packed import pack
+from walshcodes._packed import lanes_of, pack, unpack
 from walshcodes.algebra import is_prime, make_field, subfield
 from walshcodes.codes import (
     LinearCode,
     dual,
     from_rows,
+    full_code,
     hull,
     hull_dim,
     intersect,
@@ -49,13 +54,19 @@ from walshcodes.codes import (
     restrict_to_prime_subfield,
     restrict_to_subfield,
     rref,
+    sum_code,
+    zero_code,
 )
 from walshcodes.constructions import (
     defining_set,
     dimension_via_span,
     dual_first_closed_form,
     dual_second_closed_form,
+    first_codeword,
     first_generic,
+    hull_first_kernel,
+    hull_second_kernel,
+    second_codeword,
     second_generic,
 )
 from walshcodes.errors import RaggedRows, TooLarge
@@ -450,6 +461,12 @@ def _tuples(rows):
     return tuple(map(tuple, rows))
 
 
+def _stored_form(q):
+    """The form of a code's stored row over an alphabet of q elements: bytes,
+    one index a byte, while q <= 256, else a tuple."""
+    return bytes if q <= 256 else tuple
+
+
 @pytest.mark.parametrize("pm", ORACLE, ids=_ids(ORACLE))
 def test_packed_kernel_matches_the_list_kernel(pm):
     field = make_field(*pm)
@@ -672,23 +689,24 @@ PAIRING_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
 @pytest.mark.parametrize("pm", PAIRING_FIELDS, ids=_ids(PAIRING_FIELDS))
 def test_pairing_matches_the_byte_route(pm):
     """Rows against other rows and Gram matrices (cols is rows, one triangle
-    read), as bytes and as tuples, with zero and repeated rows, on lengths
-    on both sides of a byte and past a 4300-digit int."""
+    read), in the stored form of the field's rows (bytes), with zero and
+    repeated rows, on lengths on both sides of a byte and past a 4300-digit
+    int."""
     field = make_field(*pm)
+    form = _stored_form(field.q)
     rng = random.Random(field.q)
     for n in (1, 7, 8, 9, 64, 5000):
         for k in (0, 1, 2, 5):
             rows = [tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(k)]
             if k > 2:
                 rows[1], rows[2] = (0,) * n, rows[0]
-            for form in (tuple, bytes):
-                kept = [form(row) for row in rows]
-                others = [form(rng.randrange(field.q) for _ in range(n)) for _ in range(3)]
-                gram = codes_module._pairing(kept, kept, field)
-                assert gram == pairing_oracle(kept, list(kept), field)
-                assert all(gram[i][j] == gram[j][i] for i in range(k) for j in range(k))
-                assert codes_module._pairing(kept, others, field) == pairing_oracle(kept, others, field)
-                assert codes_module._pairing(others, kept, field) == pairing_oracle(others, kept, field)
+            kept = [form(row) for row in rows]
+            others = [form(rng.randrange(field.q) for _ in range(n)) for _ in range(3)]
+            gram = codes_module._pairing(kept, kept, field)
+            assert gram == pairing_oracle(kept, list(kept), field)
+            assert all(gram[i][j] == gram[j][i] for i in range(k) for j in range(k))
+            assert codes_module._pairing(kept, others, field) == pairing_oracle(kept, others, field)
+            assert codes_module._pairing(others, kept, field) == pairing_oracle(others, kept, field)
 
 
 def test_every_dual_route_refuses_past_the_byte_guard(monkeypatch):
@@ -728,6 +746,162 @@ def test_every_dual_route_refuses_past_the_byte_guard(monkeypatch):
         dual(code, byte_guard=8 * 494 * 512 - 1)
     small = first_generic(ParyFunction.from_callable(make_field(2, 3), lambda x: x ** 3, 3))
     assert dual(small, byte_guard=1).k == 2
+
+
+# -- one row form ------------------------------------------------------------
+
+
+def kernel_oracle(reduced, field, n):
+    """The route _kernel replaced: the F_p kernel vectors built column by
+    column (a unit column at each free column, -R[i] at the free columns at
+    pivot column P_i), turned into rows by one tuple transpose, and those
+    that lead at digit 0 of a block joined into tuples of entries."""
+    rows, pivots = reduced
+    p, s = field.p, field.m
+    width = n * s
+    nf = width - len(pivots)
+    if not nf:
+        return []
+    free = sorted(set(range(width)).difference([width - 1 - c for c in pivots]))
+    lanes = lanes_of(p, width)
+    eye = (0,) * (nf - 1) + (1,) + (0,) * (nf - 1)
+    cols = [None] * width
+    for a, f in enumerate(free):
+        cols[f] = islice(eye, nf - 1 - a, None)
+    at_free = itemgetter(*free)
+    for row, c in zip(unpack([lanes.sub(0, row) for row in rows], lanes.width, width, order="big"), pivots):
+        col = at_free(row)
+        cols[width - 1 - c] = col if nf > 1 else (col,)
+    vectors = list(zip(*cols))
+    if s == 1:
+        return vectors
+    joined = []
+    for v, f in zip(vectors, free):
+        if f % s == 0:
+            word = v[s - 1 :: s]
+            for t in range(s - 2, -1, -1):
+                word = [w * p + c for w, c in zip(word, v[t::s])]
+            joined.append(tuple(word))
+    return joined
+
+
+KERNEL_FIELDS = ORACLE + [(3, 6)]
+
+
+@pytest.mark.parametrize("pm", KERNEL_FIELDS, ids=_ids(KERNEL_FIELDS))
+def test_kernel_matches_the_transpose_route(pm):
+    """_kernel against kernel_oracle, its rows in the stored form of the
+    field: nullity 0 (n x n of rank n), nullity 1 (the nf = 1 branch of the
+    transpose), larger nullities, the zero matrix, and zero and repeated
+    rows, over the index matrices of the list-kernel tests as well."""
+    field = make_field(*pm)
+    form = _stored_form(field.q)
+    rng = random.Random(900 + field.q)
+    cases = [(mat, len(mat[0])) for mat in shape_cases(field, rng)]
+    for n in (1, 2, 5, 9):
+        full = [[x.index for x in row] for row in _unitriangular(field, n, rng)]
+        cases += [(full, n), (full[1:], n), (full[1:] + full[:1] + [[0] * n], n), (full[2:] + full[2:3] * 2, n)]
+    nullities = set()
+    for mat, n in cases:
+        reduced = codes_module._reduced_checks(mat, field, n)
+        got = codes_module._kernel(reduced, field, n)
+        assert all(type(row) is form for row in got)
+        assert list(map(tuple, got)) == kernel_oracle(reduced, field, n)
+        nullities.add(len(got))
+    assert {0, 1, 2} <= nullities
+
+
+# one-byte prime fields on both sides of the lane switch at 61, alphabets
+# F_{p^s} of at most 256 elements, and alphabets past one byte
+ROW_FORM_FIELDS = [(2, 1), (3, 1), (61, 1), (67, 1), (251, 1), (2, 2), (3, 2), (2, 8), (257, 1), (3, 6)]
+# (ambient field, base degree) of the constructions over each alphabet
+ROW_FORM_AMBIENT = {
+    (2, 1): ((2, 3), 1),
+    (3, 1): ((3, 2), 1),
+    (61, 1): ((61, 1), 1),
+    (67, 1): ((67, 1), 1),
+    (251, 1): ((251, 1), 1),
+    (257, 1): ((257, 1), 1),
+    (2, 2): ((2, 4), 2),
+    (3, 2): ((3, 4), 2),
+    (2, 8): ((2, 8), 8),
+    (3, 6): ((3, 6), 6),
+}
+
+
+def _assert_one_row_form(code, expected):
+    """The stored rows are in the form of the alphabet, the same objects
+    after rows, generator, == and hash are read, and rows reads the index
+    tuples the list kernels give."""
+    form = _stored_form(code.base.q)
+    stored = code._rows
+    assert all(type(row) is form for row in stored)
+    assert code.rows == _tuples(expected)
+    assert [tuple(x.index for x in row) for row in code.generator] == list(code.rows)
+    assert code == LinearCode(code.base, code.n, code.rows) and not code != code
+    assert hash(code) == hash(LinearCode(code.base, code.n, [list(row) for row in code.rows]))
+    assert code._rows is stored and all(type(row) is form for row in code._rows)
+
+
+@pytest.mark.parametrize("pm", ROW_FORM_FIELDS, ids=_ids(ROW_FORM_FIELDS))
+def test_every_producer_stores_one_row_form(pm):
+    """Every producer of a code stores its rows as bytes over an alphabet of
+    at most 256 elements and as tuples over a larger one, whatever form it
+    was handed, and never changes them; rows reads the list kernels' tuples.
+    The producers: from_rows, full_code, zero_code, dual, sum_code,
+    intersect, hull, restrict_to_subfield, both generic constructions, both
+    closed-form duals and both kernel hulls."""
+    field = make_field(*pm)
+    ar, rng = field.arith, random.Random(1000 + field.q)
+    n = 7
+    rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(3)]
+    rows.append(list(map(ar.add, rows[0], rows[1])))
+    other = [[rng.randrange(field.q) for _ in range(n)] for _ in range(2)]
+    code, b = from_rows(field, rows, n), from_rows(field, other, n)
+    red, red_b = list_rref([list(r) for r in rows], ar)[0], list_rref([list(r) for r in other], ar)[0]
+    _assert_one_row_form(code, red)
+    _assert_one_row_form(from_rows(field, list(map(_stored_form(field.q), rows)), n), red)
+    _assert_one_row_form(full_code(field, n), [[int(i == j) for j in range(n)] for i in range(n)])
+    _assert_one_row_form(zero_code(field, n), [])
+    _assert_one_row_form(dual(code), list_nullspace(red, ar, n))
+    _assert_one_row_form(sum_code(code, b), list_rref([list(r) for r in red + red_b], ar)[0])
+    perps = list_nullspace(red, ar, n) + list_nullspace(red_b, ar, n)
+    _assert_one_row_form(intersect(code, b), list_nullspace(perps, ar, n))
+    _assert_one_row_form(hull(code), list_hull(red, ar, n))
+    for s in range(1, field.m):
+        if field.m % s == 0:
+            _assert_one_row_form(restrict_to_subfield(code, s), list_restrict(code, s))
+    (p, m), s = ROW_FORM_AMBIENT[pm]
+    ambient = make_field(p, m)
+    basis = [ambient.elements[p ** j] for j in range(m)]
+    if s == 1:
+        f = ParyFunction.from_callable(ambient, lambda x: x ** 3, m)
+        words = [first_codeword(f, a, ambient.zero) for a in basis] + [first_codeword(f, ambient.zero, x) for x in basis]
+        first = list_rref(list(map(list, words)), ar)[0]
+        _assert_one_row_form(first_generic(f), first)
+        _assert_one_row_form(dual_first_closed_form(f), list_nullspace(first, ar, ambient.q))
+        _assert_one_row_form(hull_first_kernel(f), list_hull(first, ar, ambient.q))
+    ds = defining_set(ambient, [ambient.elements[rng.randrange(1, ambient.q)] for _ in range(9)], base_degree=s)
+    second = list_rref([list(second_codeword(ds, x)) for x in basis], ar)[0]
+    _assert_one_row_form(second_generic(ds), second)
+    _assert_one_row_form(dual_second_closed_form(ds), list_nullspace(second, ar, len(ds)))
+    _assert_one_row_form(hull_second_kernel(ds), list_hull(second, ar, len(ds)))
+
+
+def test_a_dual_is_stored_in_bytes():
+    """The dual of the [2048, 22] code of x^3 over GF(2^11), 2026 x 2048
+    entries, is built in one byte an entry: its traced peak stays under
+    12 MiB (a dual of tuples, with its transpose, took 32.5 MiB)."""
+    import tracemalloc
+
+    code = first_generic(parse_function(make_field(2, 11), "x^3").with_codomain(11))
+    tracemalloc.start()
+    try:
+        d = dual(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.k == 2026 and peak < 12 * 2 ** 20
 
 
 def test_ragged_rows_raise_at_the_edge():
