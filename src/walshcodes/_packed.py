@@ -14,7 +14,12 @@ The transform has one width rule: for input fields at most b and a total
 mass M, pass k runs at the fewest bytes that hold min(M, b p^k), the
 bound on its outputs (with a sign bit at p = 2), and its words are
 widened only when that bound outgrows their fields, then once more to the
-width its caller reads, which holds M and a sign bit.
+width its caller reads, which holds M and a sign bit.  It has one p rule:
+below p = 5 its passes are strided, p^2 (p - 1) additions of words that
+are p-fold sparse; from p = 5 up they are compact, in Stockham order, p^2
+additions of the dense blocks of one digit, each block a strided slice of
+one byte string of all the layers, its layers turned by a right shift of
+the block doubled.
 """
 
 from __future__ import annotations
@@ -231,25 +236,30 @@ def gray_walk(word: int, width: int, p: int, m: int) -> Iterator[int]:
 # -- the p-ary fast Walsh-Hadamard transform ---------------------------------------
 
 
+def _spread(data: bytes, width: int, wider: int, count: int, signed: bool) -> bytearray:
+    """The ``count`` fields of ``data`` widened from ``width`` to ``wider``
+    bytes, byte b of every field moved by one strided slice: zero-extended,
+    or if signed (v + B in a field of B = 2^(8 width - 1), as the passes at
+    p = 2 keep them), sign-extended and re-biased to v + 2^(8 wider - 1),
+    each new byte a translate of the old top byte."""
+    spread = bytearray(count * wider)
+    for b in range(width - signed):
+        spread[b::wider] = data[b::width]
+    if signed:
+        top = data[width - 1 :: width]
+        spread[width - 1 :: wider] = top.translate(_FLIP)
+        for b in range(width, wider - 1):
+            spread[b::wider] = top.translate(_SIGN)
+        spread[wider - 1 :: wider] = top.translate(_TOP)
+    return spread
+
+
 def _widen(words: list[int], width: int, wider: int, count: int, signed: bool) -> list[int]:
-    """The ``count`` fields of each word, widened from ``width`` to
-    ``wider`` bytes, byte b of every field moved by one strided slice:
-    zero-extended, or if signed (v + B in a field of B = 2^(8 width - 1),
-    as the passes at p = 2 keep them), sign-extended and re-biased to
-    v + 2^(8 wider - 1), each new byte a translate of the old top byte."""
-    out = []
-    for word in words:
-        data, spread = word.to_bytes(count * width, "little"), bytearray(count * wider)
-        for b in range(width - signed):
-            spread[b::wider] = data[b::width]
-        if signed:
-            top = data[width - 1 :: width]
-            spread[width - 1 :: wider] = top.translate(_FLIP)
-            for b in range(width, wider - 1):
-                spread[b::wider] = top.translate(_SIGN)
-            spread[wider - 1 :: wider] = top.translate(_TOP)
-        out.append(int.from_bytes(spread, "little"))
-    return out
+    """The ``count`` fields of each word widened (see _spread)."""
+    return [
+        int.from_bytes(_spread(word.to_bytes(count * width, "little"), width, wider, count, signed), "little")
+        for word in words
+    ]
 
 
 # for the top byte x of a field holding v + B: x ^ 0x80, the top byte of v
@@ -257,6 +267,14 @@ def _widen(words: list[int], width: int, wider: int, count: int, signed: bool) -
 _FLIP = bytes(x ^ 0x80 for x in range(256))
 _SIGN = bytes(0xFF * (x < 0x80) for x in range(256))
 _TOP = bytes(0x7F if x < 0x80 else 0x80 for x in range(256))
+
+# the compact passes run from this characteristic up.  Against the strided
+# passes (interleaved timeit, medians of nine, 2-vCPU host, Python 3.11) they
+# took at p = 5 0.68-0.93 times the time on one-hot planes, GF(5^2) to
+# GF(5^5), and 0.80-0.82 times on the count words of the column transforms of
+# codes over GF(5^2) (m = 4); at p = 3 0.94-1.17 times on planes, GF(3^3) to
+# GF(3^7), above 1 from GF(3^5) up, and 1.15 times on count words at m = 6
+COMPACT_FROM = 5
 
 
 def transform(words: list[int], width: int, p: int, m: int, bound: int, mass: int) -> list[int]:
@@ -271,30 +289,60 @@ def transform(words: list[int], width: int, p: int, m: int, bound: int, mass: in
     together they are at most ``mass``; the input fields take the fewest
     bytes that hold the bound, and a sign bit at p = 2.
 
-    The width rule: pass k, on digit k - 1, runs at the fewest bytes that
-    hold min(mass, bound p^k), and a sign bit at p = 2, which bounds its
-    outputs, since each sums p^k input fields, of distinct inputs.  The
-    words are widened only when that bound outgrows their fields (see
-    _widen), and at the end to ``width``.
+    The width rule: pass k runs at the fewest bytes that hold min(mass,
+    bound p^k), and a sign bit at p = 2, which bounds its outputs, since
+    each sums p^k input fields, of distinct inputs.  The words are widened
+    only when that bound outgrows their fields (see _spread), and at the
+    end to ``width``.
 
-    At p = 2 the passes run on N + B, B = 2^(8 w - 1) in every field of w
-    bytes: with t and M the shift and mask of the digit, lo + d and lo - d,
-    for lo = word & M and d = ((word >> t) & M) - B per field, are
-    (a + B) + (b + B) - B and (a + B) - (b + B) + B, which the bound keeps
-    in [0, 2B).  At odd p block x of a layer is (layer >> x t) & M, and
-    output digit u of layer e is the sum over x of block x of layer
-    e + u x, shifted up by u t: p^2 extractions and p^2 (p - 1) additions.
+    The p rule: the passes are strided (_strided_passes) below p =
+    COMPACT_FROM = 5 and compact (_compact_passes) from there up, chosen
+    from p alone: a strided pass makes p^2 (p - 1) additions of words of q
+    fields that are p-fold sparse, a compact one p^2 additions of dense
+    blocks of q fields, for p slices, p^2 shifts and p^2 joined slices
+    more.  Both give the same words.
+
     The canonical layers are formed on the packed output, F_e + B - F_{p-1}
     being in [0, 2B) and XOR with B turning it into two's complement."""
     q, signed, reach = p ** m, p == 2, bound
-    w = field_width(max(bound, 1).bit_length() + signed)
-    bias = _bias(w, q) if signed else 0
-    words = [words[0] ^ bias] if signed else words
-    rep = 1  # a 1 at the first bit of every block of p^(i+1) fields, for digit i
-    for i in reversed(range(m)):  # the passes commute: top digit first
+    w = wide = field_width(max(bound, 1).bit_length() + signed)
+    widths = []  # the width of each pass
+    for _ in range(m):
         reach = min(mass, reach * p)
-        if w < width and reach >> 8 * w - signed:
-            wider = field_width(reach.bit_length() + signed)
+        if wide < width and reach >> 8 * wide - signed:
+            wide = field_width(reach.bit_length() + signed)
+        widths.append(wide)
+    if signed:
+        words = [words[0] ^ _bias(w, q)]
+    words, w = (_compact_passes if p >= COMPACT_FROM else _strided_passes)(words, w, widths, p, m)
+    if width > w:
+        words = _widen(words, w, width, q, signed)
+    bias = _bias(width, q)
+    if signed:
+        return [words[0] ^ bias]
+    *words, last = words
+    return [(word + bias - last) ^ bias for word in words]
+
+
+def _strided_passes(words: list[int], w: int, widths: list[int], p: int, m: int) -> tuple[list[int], int]:
+    """The passes of transform, at ``w`` bytes a field and widened to
+    widths[k] before pass k, one digit of the index each, from the top
+    digit down (the passes commute); the output words and their width.
+
+    At p = 2 the passes run on N + B, as transform gives it, B =
+    2^(8 w - 1) in every field of w bytes: with t and M the shift and mask
+    of the digit, lo + d and lo - d, for lo = word & M and
+    d = ((word >> t) & M) - B per field, are
+    (a + B) + (b + B) - B and (a + B) - (b + B) + B, which the bound keeps
+    in [0, 2B).  At odd p block x of a layer is (layer >> x t) & M, and
+    output digit u of layer e is the sum over x of block x of layer
+    e + u x, shifted up by u t: p^2 extractions and p^2 (p - 1) additions
+    of words of p^m fields, all but a p-th of them zero."""
+    q, signed = p ** m, p == 2
+    bias = _bias(w, q) if signed else 0
+    rep = 1  # a 1 at the first bit of every block of p^(i+1) fields, for digit i
+    for i, wider in zip(reversed(range(m)), widths):
+        if wider > w:
             words, w = _widen(words, w, wider, q, signed), wider
             bias = _bias(w, q) if signed else 0
             rep = int.from_bytes((b"\1" + bytes(w * p ** (i + 1) - 1)) * p ** (m - 1 - i), "little")
@@ -321,13 +369,53 @@ def transform(words: list[int], width: int, p: int, m: int, bound: int, mass: in
             for c in range(1, p):
                 copies |= rep << c * t
             rep = copies
-    if width > w:
-        words = _widen(words, w, width, q, signed)
-    bias = _bias(width, q)
-    if signed:
-        return [words[0] ^ bias]
-    *words, last = words
-    return [(word + bias - last) ^ bias for word in words]
+    return words, w
+
+
+def _compact_passes(words: list[int], w: int, widths: list[int], p: int, m: int) -> tuple[list[int], int]:
+    """The passes of transform at odd p, as _strided_passes, on one byte
+    string of the p layers: layer e holds fields e q to (e + 1) q - 1,
+    q = p^m, and field v of a layer is the one of vector v.
+
+    Each pass reads the lowest digit of the index and writes its output
+    digit on top, so that after m passes every digit is back in place
+    (Stockham order).  Block x, the fields whose lowest digit is x, is one
+    strided slice of the fields (w slices of bytes at w bytes a field): p
+    layers of q/p fields.  Output digit u of layer e is the sum over x of
+    layer e + u x of block x.  Each block is read as an int and doubled,
+    so that its layers turned by s are one right shift of it, and each
+    output digit is p additions of whole blocks, p^2 in all, of q fields
+    each, with one mask at the end: a field of the turned blocks carries
+    into none above it, and what lies above the q fields is dropped.  The
+    p layers of each digit are then laid on top of the others', one slice
+    each."""
+    q = p ** m
+    state = b"".join(word.to_bytes(q * w, "little") for word in words)
+    for wider in widths:
+        if wider > w:
+            state, w = _spread(state, w, wider, p * q, False), wider
+        size = q * w  # the bytes of a block, and of a layer of the state
+        part, bits = size // p, 8 * size  # a layer of a block; the bits of a block
+        blocks = []
+        for x in range(p):
+            if w == 1:
+                block = state[x::p]
+            else:
+                block = bytearray(size)
+                for b in range(w):
+                    block[b::w] = state[x * w + b :: p * w]
+            blocks.append(int.from_bytes(block, "little"))
+        doubled = [block | block << bits for block in blocks]
+        turns = [8 * part * s for s in range(p)]
+        digits = [sum(blocks)]
+        for u in range(1, p):
+            acc = blocks[0]
+            for x in range(1, p):
+                acc += doubled[x] >> turns[u * x % p]
+            digits.append(acc & (1 << bits) - 1)
+        digits = [digit.to_bytes(size, "little") for digit in digits]
+        state = b"".join([digit[e : e + part] for e in range(0, size, part) for digit in digits])
+    return [int.from_bytes(state[e : e + q * w], "little") for e in range(0, p * q * w, q * w)], w
 
 
 _cached_bias = lru_cache(maxsize=64)(bias_word)

@@ -224,7 +224,7 @@ class Field:
         self._generator: int | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._trace_log: list[int] | None = None
+        self._trace_log: bytes | list[int] | None = None
 
     def __repr__(self):
         return f"Field(p={self.p}, m={self.m}, modulus={list(self.modulus)})"
@@ -438,11 +438,13 @@ class Field:
             table = self._traces[s] = self._linear_indices([project[v] for v in values])
         return table
 
-    def _log_traces(self) -> list[int]:
-        """Tr_{q/p}(g^k) for k < q - 1, by k (cached): the trace table read
-        through the exp table, so that a trace of c x^d is one pass over log."""
+    def _log_traces(self) -> bytes | list[int]:
+        """Tr_{q/p}(g^k) for k < q - 1, by k (cached), as bytes while p < 256:
+        the trace table read through the exp table, so that a trace of c x^d
+        is this table turned by log c and read at stride d."""
         if self._trace_log is None:
-            self._trace_log = list(map(self.trace_table().__getitem__, self._pow_tables()[0]))
+            traces = list(map(self.trace_table().__getitem__, self._pow_tables()[0]))
+            self._trace_log = bytes(traces) if self.p < 256 else traces
         return self._trace_log
 
     def trace_int(self, a: FieldElement) -> int:
@@ -482,15 +484,19 @@ class Field:
 
     @cached_property
     def _dual_blocks(self) -> tuple[bytes, list[int]]:
-        """The inverse of trace_dual_indices, the x with v_x = u at each u,
-        for q <= 4096: the low byte of each x, and for each high byte j the
-        word with a byte of ones at each u whose x has high byte j."""
+        """The gather (_gather_blocks) that reads the value of the x with
+        v_x = u at each u, v_x = trace_dual_indices()[x], for q <= 4096."""
         points = [0] * self.q
         for x, u in enumerate(self.trace_dual_indices()):
             points[u] = x
-        highs = bytes(x >> 8 for x in points)
-        rows = range(-(-self.q // 256))
-        return bytes(x & 255 for x in points), [int.from_bytes(highs.translate(_unit_table(j)), "little") * 255 for j in rows]
+        return _gather_blocks(points)
+
+    @cached_property
+    def _log_blocks(self) -> tuple[bytes, list[int]]:
+        """The gather (_gather_blocks) that reads the value of k = log x at
+        each x != 0, and the one of k = q - 1 at x = 0, for q <= 4096: a
+        table by k in point order."""
+        return _gather_blocks([self.q - 1] + self._pow_tables()[1][1:])
 
     def _relative_trace_dual(self, s: int) -> list[int]:
         """For each d, sum_j t_j Q^j over j < m/s, Q = p^s, with t_j the
@@ -706,6 +712,26 @@ def _unit_table(j: int) -> bytes:
     return bytes(j) + b"\1" + bytes(255 - j)
 
 
+def _gather_blocks(index: Sequence[int]) -> tuple[bytes, list[int]]:
+    """What _gather needs to read values[index[u]] at each u, for indices
+    below 4096: the low byte of each index, and for each high byte j the
+    word with a byte of ones at each u whose index has high byte j."""
+    highs = bytes(i >> 8 for i in index)
+    rows = range(max(highs) + 1)
+    return bytes(i & 255 for i in index), [int.from_bytes(highs.translate(_unit_table(j)), "little") * 255 for j in rows]
+
+
+def _gather(blocks: tuple[bytes, list[int]], values: bytes) -> bytes:
+    """values[index[u]] at each u, for the index behind ``blocks``
+    (_gather_blocks) and byte values: one translate of the low bytes for
+    each 256 values, kept where the high byte matches, as ints."""
+    lows, rows = blocks
+    out = 0
+    for j, row in enumerate(rows):
+        out |= int.from_bytes(lows.translate(values[256 * j : 256 * j + 256].ljust(256, b"\0")), "little") & row
+    return out.to_bytes(len(lows), "little")
+
+
 def _character_fwht(values: Sequence[int], field: Field) -> list[list[int]]:
     """The transform F of N with N(v_x) = zeta^(values[x]) for each x, v_x
     the trace dual of x (Field.trace_dual_indices), for values in [0, p),
@@ -713,15 +739,17 @@ def _character_fwht(values: Sequence[int], field: Field) -> list[list[int]]:
     one integer list F_0 - F_1).
 
     The input takes one byte a field (bound 1, mass q; see
-    _packed.transform).  The value at each u = v_x is placed while
-    q <= 4096 through the inverse of the trace-dual table
-    (Field._dual_blocks): one translate of the low bytes of the x for each
-    256 values, kept where the high byte matches (one translate in all
-    while q <= 256); above, by one pass over the points, which costs less
-    than building the inverse.  Each input plane, the indicator of a value
-    at odd p or (-1)^value at p = 2, is one more translate.  Past p = 255,
-    where a value takes more than a byte, one pass writes a 1 into field
-    v_x of indicator plane values[x]."""
+    _packed.transform, whose passes are compact from p = 5 up).  The value
+    at each u = v_x is placed while q <= 4096 by one gather (_gather)
+    through the inverse of the trace-dual table (Field._dual_blocks): one
+    translate of the low bytes of the x for each 256 values, kept where the
+    high byte matches (one translate in all while q <= 256), the gather
+    that also puts a parsed trace term in point order; above, by one pass
+    over the points, which costs less than building the inverse.  Each
+    input plane, the indicator of a value at odd p or (-1)^value at p = 2,
+    is one more translate.  Past p = 255, where a value takes more than a
+    byte, one pass writes a 1 into field v_x of indicator plane
+    values[x]."""
     p, m, q = field.p, field.m, field.q
     if p > 255:
         planes = [bytearray(q) for _ in range(p)]
@@ -733,11 +761,7 @@ def _character_fwht(values: Sequence[int], field: Field) -> list[list[int]]:
             for v, u in zip(values, field.trace_dual_indices()):
                 placed[u] = v
         else:
-            lows, rows = field._dual_blocks
-            table, placed = bytes(values), 0
-            for j, row in enumerate(rows):
-                placed |= int.from_bytes(lows.translate(table[256 * j : 256 * j + 256].ljust(256, b"\0")), "little") & row
-            placed = placed.to_bytes(q, "little")
+            placed = _gather(field._dual_blocks, bytes(values))
         tables = [b"\1\xff" + bytes(254)] if p == 2 else [_unit_table(e) for e in range(p)]
         planes = [placed.translate(table) for table in tables]
     width = field_width(q.bit_length() + 1)

@@ -1,7 +1,8 @@
 """Command-line front-end.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or spec
-error, 3 a guard exceeded (codewords enumerated, or the bytes of a dual),
+error, 3 a guard exceeded (codewords enumerated, or the bytes of a dual)
+or, as a last resort where no guard caught the request, memory ran out,
 4 an internal invariant failed.
 JSON is the canonical output format; CSV uses plain headers and no locale
 formatting, so identical configuration and seed produce byte-identical
@@ -321,6 +322,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn_cmd(args)
     except TooLarge as ex:
         print(f"guard exceeded: {ex}", file=sys.stderr)
+        return EXIT_GUARD
+    except MemoryError:
+        print("out of memory: the request needs more memory than this process may take", file=sys.stderr)
         return EXIT_GUARD
     except InvariantViolated as ex:
         print(f"invariant violated: {ex}", file=sys.stderr)

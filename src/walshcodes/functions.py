@@ -5,8 +5,10 @@ is evaluated once over the whole field, constants are folded, and a
 truth table holds the index of each value; its interned elements are
 built when first read.
 A monomial c x^d stays symbolic as (log c, d) through products, powers
-and negations, so that tr(c x^d) and c x^d each take one pass over the
-log table.
+and negations, so that c x^d takes one pass over the log table, and
+tr(c x^d), while q <= 4096 and p <= 128, a few slices and translates of
+bytes: the traces by log turned by log c, read at the least stride of the
+cyclotomic coset of d, and gathered into point order.
 
 The Walsh transform of a prime-valued function lands in Z[zeta_p] and is
 computed coefficient-exactly by a p-ary fast Walsh-Hadamard transform on
@@ -34,7 +36,7 @@ from operator import mul, xor
 from typing import Callable, Sequence
 
 from ._packed import TYPECODES, Lanes, gray_walk, pack
-from .algebra import CyclotomicInt, Field, FieldElement, _character_fwht, gauss_sum_power
+from .algebra import CyclotomicInt, Field, FieldElement, _character_fwht, _gather, gauss_sum_power
 from .codes import enumeration_guard
 from .errors import (
     ExponentOverflow,
@@ -47,6 +49,9 @@ from .errors import (
 )
 
 EXPONENT_CAP = 10 ** 6
+# a traced monomial is read from a tiled copy of its traces while the copy
+# takes at most this many times q bytes
+TILE_LIMIT = 256
 
 
 class ParyFunction:
@@ -242,13 +247,17 @@ class _Monomial:
 class _Parser:
     """Recursive descent that evaluates each node once, over the whole
     field, as soon as it is parsed.  A node's value is an int, the index of
-    a constant; a list of q indices, its value at every point in canonical
-    order; or a monomial c x^d with c != 0.  Constant subexpressions are
-    folded on the way.  Products, powers and negations of monomials are
-    exponent arithmetic; a monomial takes its values in one pass over the
-    log table, straight into the trace under tr, and as exp entries when it
-    meets a sum, a product with a value list, a family coefficient or the
-    end of the spec."""
+    a constant; a list of q indices, or bytes of values below p, its value
+    at every point in canonical order; or a monomial c x^d with c != 0.
+    Constant subexpressions are folded on the way.  Products, powers and
+    negations of monomials are exponent arithmetic.  Under tr a monomial's
+    values are its traces, gathered as bytes while q <= 4096 and p <= 128
+    (_gathered_trace: a tiled slice of the traces by log, put in point
+    order by the gather that places the Walsh transform's input, and at
+    p = 2 two of them add as one XOR of ints), else read in one pass over
+    the log table; outside tr a monomial takes its values as exp entries
+    in one such pass when it meets a sum, a product with a value list, a
+    family coefficient or the end of the spec."""
 
     def __init__(self, field: Field, tokens: list[str]):
         self.field = field
@@ -384,6 +393,8 @@ class _Parser:
         neighbour, and one translate mod p."""
         p, q = self.field.p, self.field.q
         if p == 2:
+            if isinstance(a, bytes) and isinstance(b, bytes):
+                return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(q, "little")
             return self._pointwise(xor, a, b)
         a, b = self._values(a), self._values(b)
         if p > 128 or not all(isinstance(v, bytes) or (v if isinstance(v, int) else max(v)) < p for v in (a, b)):
@@ -432,12 +443,44 @@ class _Parser:
     def _trace(self, a):
         """Tr(a): a constant, or the list of its values; at odd p <= 128 as
         bytes, which _add reads as they are (at p = 2, converting two lists
-        costs as much as the XOR of their entries)."""
-        table = self.field.trace_table()
+        costs as much as the XOR of their entries).  A monomial's traces
+        are gathered as bytes while q <= 4096 and p <= 128 (see
+        _gathered_trace)."""
+        field = self.field
+        table = field.trace_table()
         if isinstance(a, int):
             return table[a]
-        out = self._on_log(self.field._log_traces(), a) if isinstance(a, _Monomial) else list(map(table.__getitem__, a))
-        return bytes(out) if 2 < self.field.p <= 128 else out
+        if isinstance(a, _Monomial) and field.q <= 4096 and field.p <= 128:
+            return self._gathered_trace(a)
+        out = self._on_log(field._log_traces(), a) if isinstance(a, _Monomial) else list(map(table.__getitem__, a))
+        return bytes(out) if 2 < field.p <= 128 else out
+
+    def _gathered_trace(self, a: _Monomial) -> bytes:
+        """Tr(c x^d) at every x as bytes, at C speed: Tr(c x^d) =
+        Tr(c^(p^i) x^(d p^i)), so the conjugate whose stride d p^i mod
+        (q - 1), or q - 1 less it, read backwards, is least is read.  Its
+        traces by k = log x are Field._log_traces turned by log c^(p^i) and
+        read at that stride, one slice of a tiled copy while the copy takes
+        at most TILE_LIMIT q bytes (past that, per point, by _on_log), and
+        then put in point order by one gather through the log table
+        (Field._log_blocks), which also gives Tr(0) = 0 at x = 0."""
+        field, n1 = self.field, self.n1
+        stride, d, log = min(
+            (min(d, n1 - d), d, a.log * p_i % n1)
+            for p_i in (field.p ** i for i in range(field.m))
+            for d in [a.d * p_i % n1]
+        )
+        if stride * n1 > TILE_LIMIT * field.q:
+            return bytes(self._on_log(field._log_traces(), a))
+        traces = field._log_traces()
+        turned = traces[log:] + traces[:log]
+        if not stride:  # x^(q-1): 1 at every x != 0
+            by_log = turned[:1] * n1
+        elif stride == d:
+            by_log = (turned * stride)[::stride]
+        else:  # k d = -k stride mod q - 1: the tiled copy read from its end
+            by_log = (turned * stride + turned[:1])[::-stride][:n1]
+        return _gather(field._log_blocks, by_log + b"\0")
 
 
 @cache

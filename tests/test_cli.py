@@ -304,3 +304,18 @@ def test_one_parser_serves_every_call_of_a_process(monkeypatch, capsys):
         for argv, run_alone in zip(ONE_PROCESS, fresh):
             assert status_and_stdout(argv) == (run_alone.returncode, run_alone.stdout), argv
     assert [r.returncode for r in fresh] == [0, 0, 0, 2, 2]
+
+
+def test_memory_running_out_exits_3_with_one_line(monkeypatch, capsys):
+    """A MemoryError that no guard caught ends the command with exit 3 and
+    a one-line message, not a traceback."""
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "first_generic", exhausted)
+    assert run(["build", "first", "--field", F9_SPEC, "--fn", "x^2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("out of memory")
+    assert "Traceback" not in captured.err

@@ -27,13 +27,14 @@ from collections import Counter
 from functools import lru_cache
 from itertools import repeat
 from math import gcd
-from operator import add, mul, sub
+from operator import add, mul, sub, xor
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from walshcodes import _packed
 from walshcodes._packed import bias_word, digit_steps, field_width, pack, transform, unpack
 from walshcodes.algebra import CyclotomicInt, IndexArith, gauss_sum_power, is_prime, make_field, trace
 from walshcodes.errors import ExponentOverflow, InvariantViolated, ParseError, UndefinedSymbol
@@ -598,6 +599,23 @@ def test_walsh_transform_on_both_sides_of_each_width_switch(pm):
     _assert_same_as_list_route(_random_function(field, random.Random(q)))
 
 
+# the primes past 40 at m <= 2 where the list route takes about a second at
+# most (GF(101^2) would take minutes); fwht_oracle too while p <= 101
+LARGE_P_FIELDS = [(31, 2), (101, 1), (211, 1)]
+
+
+@pytest.mark.parametrize("pm", LARGE_P_FIELDS, ids=_ids(LARGE_P_FIELDS))
+def test_walsh_transform_at_large_p_matches_list_route(pm):
+    field = make_field(*pm)
+    p, m, q = field.p, field.m, field.q
+    f = _random_function(field, random.Random(q))
+    spectrum = _assert_same_as_list_route(f)
+    if p <= 101:
+        *layers, last = fwht_oracle([[int(v == e) for v in f.exponents()] for e in range(p)], p, m)
+        dual = field.trace_dual_indices()
+        assert spectrum.layers == tuple([layer[u] - last[u] for u in dual] for layer in layers)
+
+
 def test_walsh_transform_past_one_byte_values():
     """p = 257 at m = 1: the values of f do not fit a byte."""
     field = make_field(257, 1)
@@ -896,8 +914,69 @@ def test_widening_transform_of_indicators(pm):
 
 
 def test_widening_transform_of_zero_passes():
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7):
         _assert_widening_matches_fixed_width([[5]] if p == 2 else [[5]] + [[0]] * (p - 1), p, 0, 5)
+
+
+# -- the compact passes against the strided passes ------------------------------------
+
+
+def _assert_compact_matches_strided(monkeypatch, layers, p, m, bound):
+    """_packed.transform at p >= 5, where it runs the compact passes, against
+    the same call with the strided passes, word for word, and against the
+    fixed-width passes."""
+    assert p >= _packed.COMPACT_FROM
+    mass = sum(map(sum, layers))
+    width = field_width(mass.bit_length() + 1)
+    words = pack(layers, field_width(bound.bit_length()))
+    compact = transform(list(words), width, p, m, bound, mass)
+    with monkeypatch.context() as patched:
+        patched.setattr(_packed, "COMPACT_FROM", p + 1)
+        strided = transform(list(words), width, p, m, bound, mass)
+    assert compact == strided == fixed_width_transform(layers, width, p, m)
+
+
+# _character_fwht's planes hold p^k after pass k, which passes 2^8 at k = 4 for
+# p = 5, at k = 3 for p = 7, 11 and 13, and at k = 2 for p = 31: the last field
+# below each switch, and the first past it
+COMPACT_PLANE_FIELDS = [(5, 3), (5, 4), (7, 2), (7, 3), (11, 2), (11, 3), (13, 2), (13, 3), (31, 1), (31, 2)]
+
+
+@pytest.mark.parametrize("pm", COMPACT_PLANE_FIELDS, ids=_ids(COMPACT_PLANE_FIELDS))
+def test_compact_passes_of_indicator_planes_match_the_strided_passes(monkeypatch, pm):
+    """_character_fwht's call: p one-hot planes, bound 1 and mass q, for
+    random values and for the constant ones, whose transform reaches q and
+    -q."""
+    p, m = pm
+    q = p ** m
+    rng = random.Random(q)
+    for values in ([rng.randrange(p) for _ in range(q)], [0] * q, [p - 1] * q):
+        layers = [[int(v == e) for v in values] for e in range(p)]
+        _assert_compact_matches_strided(monkeypatch, layers, p, m, 1)
+
+
+# _column_transform's call, one count word and p - 1 zero words, with b > 1:
+# pass k's bound b p^k just below the limit of its width, or at it
+COMPACT_COUNT_CASES = [
+    (p, k, limit, side)
+    for p in (5, 7, 11, 13, 31)
+    for k in ((1, 2) if p < 31 else (1,))
+    for limit in (1 << 8, 1 << 16)
+    for side in ("below", "at")
+]
+
+
+@pytest.mark.parametrize(
+    "p,k,limit,side", COMPACT_COUNT_CASES, ids=[f"p{p}-pass{k}-{limit}-{side}" for p, k, limit, side in COMPACT_COUNT_CASES]
+)
+def test_compact_passes_of_count_words_match_the_strided_passes(monkeypatch, p, k, limit, side):
+    """Count words whose pass k lies on either side of a width switch, with
+    one more pass after it (see _extreme_inputs)."""
+    m = k + 1
+    bound = (limit - 1) // p ** k if side == "below" else -(-limit // p ** k)
+    rng = random.Random(p * limit + k)
+    for layers in _extreme_inputs(p, m, bound, rng):
+        _assert_compact_matches_strided(monkeypatch, layers, p, m, bound)
 
 
 def character_fwht_loop(values, field):
@@ -1310,6 +1389,83 @@ def test_monomials_skip_the_power_and_scale_passes(monkeypatch, pm):
     got = [parse_function(field, spec) for spec in specs]
     monkeypatch.undo()
     assert [(f.table, f.codomain_degree) for f in got] == want
+
+
+def traced_monomial_oracle(field, j, d):
+    """Tr(g^j x^d) at every x, point by point: the route that the gathered
+    traces replaced while q <= 4096, the trace of exp[j + d log x], with
+    0^d = 0 for d >= 1 and 0^0 = 1."""
+    (exp, log), tr, n1 = field._pow_tables(), field.trace_table(), field.q - 1
+    return tuple(tr[exp[(j + d * log[x]) % n1]] if x or not d else 0 for x in range(field.q))
+
+
+def _assert_traced_monomials_match(field, ds, rng):
+    for d in ds:
+        j = rng.randrange(field.q - 1)
+        f = parse_function(field, f"tr(g^{j}*x^{d})")
+        assert f.indices == traced_monomial_oracle(field, j, d), (j, d)
+
+
+TRACED_FIELDS = [(2, 8), (2, 9), (3, 5), (7, 3)]
+
+
+@pytest.mark.parametrize("pm", TRACED_FIELDS, ids=_ids(TRACED_FIELDS))
+def test_traced_monomials_match_the_per_point_route_at_every_exponent(pm):
+    """Every d < q, d = 0 and d = q - 1 (x^(q-1), read at stride 0)
+    included: the least stride of each cyclotomic coset, forwards or
+    backwards."""
+    field = make_field(*pm)
+    _assert_traced_monomials_match(field, range(field.q), random.Random(field.q))
+
+
+@pytest.mark.parametrize("pm", [(2, 12), (2, 13)], ids=_ids([(2, 12), (2, 13)]))
+def test_traced_monomials_match_the_per_point_route_on_a_sample(pm):
+    """A seeded sample of d at GF(2^12), the largest field of the gathered
+    traces, and at GF(2^13), past it, where the per-point route answers."""
+    field = make_field(*pm)
+    rng = random.Random(field.q)
+    _assert_traced_monomials_match(field, rng.sample(range(field.q), 60), rng)
+
+
+def test_traced_monomials_read_backwards_and_past_the_tile_limit(monkeypatch):
+    """At GF(2^12): x^(q-2) has forward strides q - 1 - 2^i and backward
+    strides 2^i, so it is read backwards at stride 1; the coset {1365, 2730}
+    has least stride 1365, whose tiled copy would take 1365 (q - 1) bytes,
+    past TILE_LIMIT q, and is read point by point; a conjugate exponent and
+    coefficient give the same traces."""
+    from walshcodes import functions
+
+    field = make_field(2, 12)
+    q = field.q
+    assert 1365 * (q - 1) > functions.TILE_LIMIT * q
+    per_point = []
+    on_log = functions._Parser._on_log
+    monkeypatch.setattr(functions._Parser, "_on_log", lambda self, *args: per_point.append(1) or on_log(self, *args))
+    rng = random.Random(q)
+    _assert_traced_monomials_match(field, [q - 2, 1, 2], rng)
+    assert not per_point
+    _assert_traced_monomials_match(field, [1365, 2730], rng)
+    assert len(per_point) == 2
+    assert parse_function(field, "tr(g^3*x^5)") == parse_function(field, "tr(g^6*x^10)")
+
+
+@pytest.mark.parametrize("pm", [(2, 1), (2, 9), (2, 12)], ids=_ids([(2, 1), (2, 9), (2, 12)]))
+def test_binary_sums_of_gathered_traces(pm):
+    """At p = 2 two gathered traces add as one XOR of their byte strings,
+    and a trace meets a value list or a constant point by point."""
+    field = make_field(*pm)
+    q = field.q
+    rng = random.Random(q)
+    (a, d), (b, e) = [(rng.randrange(q - 1), rng.randrange(1, q)) for _ in range(2)]
+    one, two = traced_monomial_oracle(field, a, d), traced_monomial_oracle(field, b, e)
+    cases = {
+        f"tr(g^{a}*x^{d}) + tr(g^{b}*x^{e})": tuple(map(xor, one, two)),
+        f"tr(g^{a}*x^{d}) + x^3": tuple(map(xor, one, field.power_indices(range(q), 3))),
+        f"tr(g^{a}*x^{d}) + 1": tuple(v ^ 1 for v in one),
+        f"tr(g^{a}*x^{d}) - tr(g^{a}*x^{d})": (0,) * q,
+    }
+    for spec, want in cases.items():
+        assert parse_function(field, spec).indices == want, spec
 
 
 @pytest.mark.parametrize("pm", [(3, 2), (2, 4), (5, 3)], ids=_ids([(3, 2), (2, 4), (5, 3)]))
