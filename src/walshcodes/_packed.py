@@ -20,6 +20,9 @@ are p-fold sparse; from p = 5 up they are compact, in Stockham order, p^2
 additions of the dense blocks of one digit, each block a strided slice of
 one byte string of all the layers, its layers turned by a right shift of
 the block doubled.
+
+Base-p digits are laid out here alone: split gives the digit planes of a
+sequence, and join the values of digit planes.
 """
 
 from __future__ import annotations
@@ -59,8 +62,9 @@ def pack(rows: Iterable[Sequence[int]], width: int, signed: bool = False, order:
     if width == 1 and not signed:
         return [int.from_bytes(row, order) for row in rows]
     code = TYPECODES[width, signed]
-    # iter: an array initialised from bytes would take them as its buffer
-    return [int.from_bytes(_little(array(code, iter(row)), order), "little") for row in rows]
+    # iter: an array initialised from bytes would take them as its buffer (a list is read faster as it is)
+    rows = (iter(row) if isinstance(row, (bytes, bytearray)) else row for row in rows)
+    return [int.from_bytes(_little(array(code, row), order), "little") for row in rows]
 
 
 def unpack(words: Iterable[int], width: int, count: int, signed: bool = False, order: str = "little") -> list:
@@ -126,21 +130,86 @@ def _numbering(values: bytes) -> bytearray:
     return table
 
 
+# -- base-radix digits ------------------------------------------------------------
+
+
+def split(values: Sequence[int], radix: int, count: int) -> list:
+    """The ``count`` base-``radix`` digit planes of values below radix^count,
+    plane t holding digit t of every value: bytes while radix <= 256, else
+    tuples.  Values below 256 take one translate a plane; at radix 2^s <= 256
+    a plane is a shift and a mask (two where a digit spans two bytes) of a
+    byte plane of the values.  Otherwise the values lie in fields that hold
+    their products with M = ceil(2^(N + l) / radix), for values below 2^N
+    and 2^l >= radix, and a product shifted down by N + l is the quotient by
+    radix (Granlund and Montgomery, PLDI 1994): a digit is one whole-int
+    multiplication, shift, mask and subtraction."""
+    n = len(values)
+    if radix ** count <= 256:
+        data = bytes(values)
+        return [data.translate(_digit_table(radix, t)) for t in range(count)]
+    if radix <= 256 and not radix & radix - 1:
+        s = radix.bit_length() - 1
+        width = max(4, field_width(s * count))  # an array fills fastest at 4 bytes an entry or more
+        raw = pack([values], width)[0].to_bytes(width * n, "little")
+        planes = [int.from_bytes(raw[b::width], "little") for b in range((s * count + 7) // 8)]
+        ones, out = int.from_bytes(b"\1" * n, "little"), []
+        for b, o in (divmod(s * t, 8) for t in range(count)):
+            word = planes[b] >> o
+            if o + s > 8:
+                word = word & ones * (0xFF >> o) | (planes[b + 1] & ones * ((1 << o + s - 8) - 1)) << 8 - o
+            out.append((word & ones * (radix - 1)).to_bytes(n, "little"))
+        return out
+    bits = (radix ** count - 1).bit_length()
+    shift = bits + (radix - 1).bit_length()
+    magic = -((-1 << shift) // radix)
+    width = field_width(bits + magic.bit_length())
+    low = int.from_bytes(((1 << 8 * width - shift) - 1).to_bytes(width, "little") * n, "little")
+    word, out = pack([values], width)[0], []
+    for _ in range(count):
+        quotient = word * magic >> shift & low
+        rest = word - radix * quotient
+        out.append(rest.to_bytes(width * n, "little")[::width] if radix <= 256 else tuple(unpack([rest], width, n)[0]))
+        word = quotient
+    return out
+
+
+def join(planes: Sequence[Sequence[int]], radix: int) -> Sequence[int]:
+    """The values sum_t radix^t planes[t], the inverse of split: bytes while
+    they are below 256 (radix^len(planes) <= 256), else a list.  The planes
+    are laid into fields that hold the values, and Horner's rule runs on
+    whole ints, one multiplication and one addition a plane."""
+    n, word = len(planes[0]), 0
+    width = field_width(max(1, (radix ** len(planes) - 1).bit_length()))
+    for plane in reversed(planes):
+        bytewise = isinstance(plane, (bytes, bytearray))
+        plane = int.from_bytes(_spread(plane, 1, width, n, False), "little") if bytewise else pack([plane], width)[0]
+        word = word * radix + plane
+    return unpack([word], width, n)[0]
+
+
+@lru_cache(maxsize=64)
+def _digit_table(radix: int, t: int) -> bytes:
+    """The translate table that maps each byte to its digit t in base radix."""
+    return bytes(v // radix ** t % radix for v in range(256))
+
+
 def bias_word(width: int, count: int) -> int:
     """2^(w - 1), the top bit, in each of ``count`` fields."""
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
-def digit_steps(width: int, p: int, m: int) -> Iterator[tuple[int, int]]:
-    """(t, mask) for each digit i of the index of p^m fields, from i = m - 1
-    down to 0: t the bit offset of p^i fields, mask the fields of digit i 0.
+def digit_steps(width: int, p: int, m: int, top: int | None = None) -> Iterator[tuple[int, int]]:
+    """(t, mask) for each digit i of the index of p^m fields, from i = top - 1
+    (m - 1 by default) down to 0: t the bit offset of p^i fields, mask the
+    fields of digit i 0.
 
     rep holds a 1 at the first bit of every block of p^(i+1) fields, so the
     mask is (rep << t) - rep, and the rep of digit i - 1 is p copies of it,
     each one block of p^i fields further on: a few shifts and ORs of whole
     ints per digit, with no field written one by one."""
-    rep = 1
-    for i in reversed(range(m)):
+    top = m if top is None else top
+    rep = int.from_bytes((b"\1" + bytes(width * p ** top - 1)) * p ** (m - top), "little")
+    for i in reversed(range(top)):
         t = 8 * width * p ** i
         yield t, (rep << t) - rep
         if i:
@@ -331,23 +400,23 @@ def _strided_passes(words: list[int], w: int, widths: list[int], p: int, m: int)
 
     At p = 2 the passes run on N + B, as transform gives it, B =
     2^(8 w - 1) in every field of w bytes: with t and M the shift and mask
-    of the digit, lo + d and lo - d, for lo = word & M and
-    d = ((word >> t) & M) - B per field, are
-    (a + B) + (b + B) - B and (a + B) - (b + B) + B, which the bound keeps
-    in [0, 2B).  At odd p block x of a layer is (layer >> x t) & M, and
-    output digit u of layer e is the sum over x of block x of layer
-    e + u x, shifted up by u t: p^2 extractions and p^2 (p - 1) additions
-    of words of p^m fields, all but a p-th of them zero."""
+    of the digit (digit_steps, started again where the words widen),
+    lo + d and lo - d, for lo = word & M and d = ((word >> t) & M) - B per
+    field, are (a + B) + (b + B) - B and (a + B) - (b + B) + B, which the
+    bound keeps in [0, 2B).  At odd p block x of a layer is
+    (layer >> x t) & M, and output digit u of layer e is the sum over x of
+    block x of layer e + u x, shifted up by u t: p^2 extractions and
+    p^2 (p - 1) additions of words of p^m fields, all but a p-th of them
+    zero."""
     q, signed = p ** m, p == 2
     bias = _bias(w, q) if signed else 0
-    rep = 1  # a 1 at the first bit of every block of p^(i+1) fields, for digit i
+    steps = digit_steps(w, p, m)
     for i, wider in zip(reversed(range(m)), widths):
         if wider > w:
             words, w = _widen(words, w, wider, q, signed), wider
             bias = _bias(w, q) if signed else 0
-            rep = int.from_bytes((b"\1" + bytes(w * p ** (i + 1) - 1)) * p ** (m - 1 - i), "little")
-        t = 8 * w * p ** i
-        mask = (rep << t) - rep
+            steps = digit_steps(w, p, m, i + 1)
+        t, mask = next(steps)
         if signed:
             word = words[0]
             d = ((word >> t) & mask) - (bias & mask)
@@ -364,11 +433,6 @@ def _strided_passes(words: list[int], w: int, widths: list[int], p: int, m: int)
                         acc += blocks[(e + u * x) % p][x]
                     word |= acc << u * t
                 words.append(word)
-        if i:  # the rep of digit i - 1: p copies, one block of p^i fields apart
-            copies = rep
-            for c in range(1, p):
-                copies |= rep << c * t
-            rep = copies
     return words, w
 
 

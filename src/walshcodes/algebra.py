@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cache, cached_property, reduce
 from typing import Iterable, Mapping, Sequence
 
-from ._packed import field_width, transform, unpack
+from ._packed import field_width, join, split, transform, unpack
 from .errors import (
     DegreeMismatch,
     EvenCharacteristic,
@@ -124,6 +124,16 @@ def _digits(n: int, p: int, width: int) -> tuple[int, ...]:
         out.append(n % p)
         n //= p
     return tuple(out)
+
+
+def _extend(plane: bytes | list[int], y: int, p: int) -> bytes | list[int]:
+    """Digit j of v + c y for each c < p (down) and each v (across), from
+    digit j of every v (plane) and of y, at odd p: p translates of the
+    plane, through the tables of x -> x + c y mod p, lists past p = 256."""
+    if p > 256:
+        return [(x + c * y) % p for c in range(p) for x in plane]
+    tables = (bytes(range(a, p)) + bytes(range(a)) for a in (c * y % p for c in range(p)))
+    return b"".join([plane.translate(table.ljust(256, b"\0")) for table in tables])
 
 
 class FieldElement:
@@ -302,23 +312,19 @@ class Field:
     def _linear_indices(self, images: Sequence[int]) -> list[int]:
         """Index of L(e) for every e of index below p^len(images), for the
         F_p-linear map L that takes x^j to the element of index images[j]:
-        each image extends the values so far by their sums with its
-        multiples, by XOR at p = 2 and digit by digit mod p at odd p, so
-        that it needs none of the tables it helps to build."""
+        each image y extends the values so far by their sums with its
+        multiples c y, c < p, by XOR at p = 2, and at odd p digit plane by
+        digit plane (_extend), the planes joined at the end (_packed.join),
+        so that it needs none of the tables it helps to build."""
         p, out = self.p, [0]
         if p == 2:
             for img in images:
                 out += [v ^ img for v in out]
             return out
-        weights = [p ** i for i in range(self.m)]
+        planes = [b"\0" if p < 256 else [0]] * self.m
         for img in images:
-            size = len(out)
-            for c in range(1, p):
-                step = [(c * y % p, w) for y, w in zip(_digits(img, p, self.m), weights) if c * y % p]
-                shift = sum(y * w for y, w in step)
-                carries = [(w, p - y, p * w) for y, w in step]  # digit d carries when d >= p - y
-                out += [v + shift - sum(pw for w, low, pw in carries if v // w % p >= low) for v in out[:size]]
-        return out
+            planes = [_extend(plane, y, p) for plane, y in zip(planes, _digits(img, p, self.m))]
+        return list(join(planes, p))
 
     def _pow_tables(self) -> tuple[list[int], list[int]]:
         """exp[k] = index of g^k for k < q - 1 and log[index of g^k] = k, for
@@ -326,8 +332,8 @@ class Field:
         basis images x^j * g are reduced by the modulus."""
         if self._exp is None:
             p, g = self.p, _digits(self._generator_index(), self.p, self.m)
-            images = [_poly_mod((0,) * j + g, self.modulus, p) for j in range(self.m)]
-            times_g = self._linear_indices([sum(c * p ** i for i, c in enumerate(img)) for img in images])
+            images = [(_poly_mod((0,) * j + g, self.modulus, p) + (0,) * self.m)[: self.m] for j in range(self.m)]
+            times_g = self._linear_indices(join(list(zip(*images)), p))
             exp = [0] * (self.q - 1)
             log = [0] * self.q
             cur = 1
@@ -460,9 +466,10 @@ class Field:
 
         The element with packed coordinates k is F_p-linear in the digits of
         k, digit j s + t standing for theta^t x^j with theta the root behind
-        the subfield's power basis, so the table inverts one
-        :meth:`_linear_indices`; it raises InvariantViolated if that map is
-        not a bijection.  x^j, j < m, is the element of index p^j."""
+        the subfield's power basis: one :meth:`_linear_indices`, which
+        raises InvariantViolated if it is not a bijection.  The table is its
+        inverse, F_p-linear too, so it is the :meth:`_linear_indices` of
+        the packed coordinates of x^j, j < m, the element of index p^j."""
         table = self._coordinates.get(s)
         if table is None:
             _, embed, _ = self._subfield(s)
@@ -470,10 +477,7 @@ class Field:
             elements = self._linear_indices([mul(embed[p ** t], p ** j) for j in range(self.m // s) for t in range(s)])
             if len(set(elements)) != self.q:
                 raise InvariantViolated(f"the relative basis of F_{self.p}^{self.m} over F_{self.p}^{s} is singular")
-            table = [0] * self.q
-            for k, a in enumerate(elements):
-                table[a] = k
-            self._coordinates[s] = table
+            table = self._coordinates[s] = self._linear_indices([elements.index(p ** j) for j in range(self.m)])
         return table
 
     def trace_dual_indices(self) -> list[int]:
@@ -508,7 +512,7 @@ class Field:
         if table is None:
             mul, tr, Q = self.arith.mul, self.trace_table(s), self.p ** s
             basis = [self.p ** i for i in range(self.m)]
-            images = [sum(tr[mul(x, d)] * Q ** j for j, x in enumerate(basis[: self.m // s])) for d in basis]
+            images = join([[tr[mul(x, d)] for d in basis] for x in basis[: self.m // s]], Q)
             table = self._trace_duals[s] = self._linear_indices(images)
         return table
 
@@ -542,12 +546,9 @@ class IndexArith:
         self.n1 = field.q - 1
         if not self.prime:
             self.exp, self.log = exp, log = field._pow_tables()
-            if not self.even:
+            if not self.even:  # 1 + g^k adds 1 to the constant digit of g^k
                 p = field.p
-                self.zech = zech = []
-                for e in exp:
-                    one_plus = e - e % p + (e + 1) % p  # add 1 to the constant digit
-                    zech.append(log[one_plus] if one_plus else -1)
+                self.zech = [log[v] if v else -1 for v in (e - e % p + (e + 1) % p for e in exp)]
 
     def add(self, a: int, b: int) -> int:
         if self.prime:
@@ -716,9 +717,8 @@ def _gather_blocks(index: Sequence[int]) -> tuple[bytes, list[int]]:
     """What _gather needs to read values[index[u]] at each u, for indices
     below 4096: the low byte of each index, and for each high byte j the
     word with a byte of ones at each u whose index has high byte j."""
-    highs = bytes(i >> 8 for i in index)
-    rows = range(max(highs) + 1)
-    return bytes(i & 255 for i in index), [int.from_bytes(highs.translate(_unit_table(j)), "little") * 255 for j in rows]
+    lows, highs = split(index, 256, 2)
+    return lows, [int.from_bytes(highs.translate(_unit_table(j)), "little") * 255 for j in range(max(highs) + 1)]
 
 
 def _gather(blocks: tuple[bytes, list[int]], values: bytes) -> bytes:

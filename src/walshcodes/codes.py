@@ -45,7 +45,8 @@ from itertools import chain
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from ._packed import TYPECODES, Lanes, _little, bias_word, field_counts, field_width, lanes_of, pack, transform, unpack
+from ._packed import TYPECODES, Lanes, _little, bias_word, field_counts, field_width, join, lanes_of, pack, split
+from ._packed import transform, unpack
 from .algebra import Field, FieldElement
 from .errors import EmptyLength, InvariantViolated, RaggedRows, TooLarge, ZeroCode
 
@@ -176,25 +177,15 @@ def _reduce(words: Iterable[int], lanes: Lanes) -> tuple[list[int], list[int]]:
 
 
 def _digits(row: Sequence[int], p: int, s: int) -> Sequence[int]:
-    """The s base-p digits of each entry, digit t of entry j at j s + t."""
-    if s == 1:
-        return row
-    out = [0] * (len(row) * s)
-    for t in range(s):
-        pt = p ** t
-        out[t::s] = [x // pt % p for x in row]
-    return out
+    """The s base-p digits of each entry (split), digit t of entry j at
+    j s + t."""
+    return row if s == 1 else list(chain.from_iterable(zip(*split(row, p, s))))
 
 
 def _join(digits: Sequence[int], p: int, s: int) -> Sequence[int]:
-    """The entries whose digits _digits lays out, by Horner; at s = 1 the
+    """The entries whose digits _digits lays out (join); at s = 1 the
     digits as they are."""
-    if s == 1:
-        return digits
-    word = digits[s - 1 :: s]
-    for t in range(s - 2, -1, -1):
-        word = [w * p + c for w, c in zip(word, digits[t::s])]
-    return word
+    return digits if s == 1 else join([digits[t::s] for t in range(s)], p)
 
 
 def _expand(rows: Sequence[Sequence[int]], field: Field) -> Sequence[Sequence[int]]:
@@ -213,16 +204,12 @@ def _constraints(checks: Sequence[Sequence[int]], field: Field, theta: Sequence[
     c_j = sum_t c_jt theta_t sits at columns j s + t, for s = len(theta)
     indices theta_t of field: coordinate e < m of sum_j h_j c_j reads
     digit e of each h_j theta_t."""
-    p = field.p
     if field.m == 1:
         return checks
     scale = field.arith.scale
     out = []
     for h in checks:
-        prods = [x for xs in zip(*(scale(h, t) for t in theta)) for x in xs]
-        for e in range(field.m):
-            pe = p ** e
-            out.append([x // pe % p for x in prods])
+        out += split([x for xs in zip(*(scale(h, t) for t in theta)) for x in xs], field.p, field.m)
     return out
 
 
@@ -271,8 +258,8 @@ def _kernel(
     kernel, each leading with the 1 at its free column.  Over F_{p^s} those
     leading at digit 0 of a block are the F_{p^s} RREF (see _digits), and
     only they are built: row after row in one buffer of digits (bytes while
-    p < 256), pivot column P_i one strided slice, then sliced into rows in
-    the form of field (see _row_form), joined into entries over F_{p^s}.
+    p < 256), pivot column P_i one strided slice, then joined into entries
+    over F_{p^s} and sliced into rows in the form of field (see _row_form).
     TooLarge is raised first when the (n s - rank) x n s F_p entries, at 8
     bytes each as in a tuple view, pass the byte guard (see byte_guard)."""
     rows, pivots = reduced
@@ -292,10 +279,8 @@ def _kernel(
         out[a * width + f] = 1
     for row, c in zip(unpack([lanes.sub(0, row) for row in rows], lanes.width, width, order="big"), pivots):
         out[width - 1 - c :: width] = [row[f] for f in lead]
-    if s > 1:
-        return [form(_join(out[a * width : a * width + width], p, s)) for a in range(count)]
-    out = form(out)  # the buffer is freed here, before the rows are sliced
-    return [out[a * width : a * width + width] for a in range(count)]
+    out = form(_join(out, p, s))  # the buffer is freed here, before the rows are sliced
+    return [out[a * n : a * n + n] for a in range(count)]
 
 
 def _nullspace(mat: Sequence[Sequence[int]], field: Field, n: int, guard: int | None = None) -> list[Sequence[int]]:
@@ -645,13 +630,13 @@ def _column_transform(code: LinearCode, guard: int | None) -> tuple[int, int]:
     size, r = code.size(), (q - 1) // (p - 1)
     width = field_width((code.n * (q - 1)).bit_length() + 1)
     rows, entries = code._rows, set().union(*code._rows)
+    image = bytearray(256) if q <= 256 else [0] * q  # a translate table for bytes rows
 
     def functionals(y):
-        image = {g: dual[mul(y, g)] for g in entries}
-        out = [0] * code.n
-        for row in reversed(rows):
-            out = [v * q + image[g] for v, g in zip(out, row)]
-        return out
+        for g in entries:
+            image[g] = dual[mul(y, g)]
+        planes = [row.translate(image) if q <= 256 else list(map(image.__getitem__, row)) for row in rows]
+        return join(planes, q) if rows else [0] * code.n
 
     reps = [y for t in range(base.m) for y in range(p ** t, 2 * p ** t)]  # y = 1 first
     first = functionals(reps[0])

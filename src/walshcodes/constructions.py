@@ -13,11 +13,10 @@ so every generator here emits a deterministic canonical order.
 
 from __future__ import annotations
 
-from array import array
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
-from ._packed import pack
+from ._packed import join, split
 from .algebra import Field, FieldElement, _check_subfield
 from .codes import (
     LinearCode,
@@ -27,7 +26,6 @@ from .codes import (
     _orthogonal_span,
     _pairing,
     _reduced_checks,
-    _row_form,
     _rref,
 )
 from .errors import (
@@ -127,53 +125,24 @@ def defining_set(
 # basis of F_q.  For a sequence (d_i) the trace rows Tr_{q/Q}(x^j d_i) are
 # codewords, one per basis element, and the coordinate rows c_j(d_i) turn
 # sum_i c_i d_i = 0 into b equations over F_Q.  Both are base-Q digit planes
-# of one lookup per point: row j is digit j of T[d_i], for T the field's
-# relative trace-dual table (digit j of its entry of d is Tr_{q/Q}(x^j d))
-# or its coordinate table (the identity at s = 1, whose planes are the index
-# digits of d).  A row has the form of a code's row over F_Q (_row_form):
-# bytes while Q <= 256, which the elimination kernel of codes reads as its
-# packed word (one byte a lane at p = 2 and odd p <= 61); else a tuple.
-
-
-@lru_cache(maxsize=64)
-def _digit_table(base: int, j: int, size: int) -> array:
-    """Digit j in base ``base`` of each v < size, one byte an entry while
-    base <= 256: runs of base^j copies of each digit, repeated.  Shared, so
-    never written to."""
-    digits = array("B" if base <= 256 else "I")
-    for c in range(base):
-        digits += array(digits.typecode, [c]) * base ** j
-    return (digits * -(-size // len(digits)))[:size]
+# of one lookup per point (_packed.split): row j is digit j of T[d_i], for T
+# the field's relative trace-dual table (digit j of its entry of d is
+# Tr_{q/Q}(x^j d)) or its coordinate table (the identity at s = 1, whose
+# planes are the index digits of d).  A plane has the form of a code's row
+# over F_Q (codes._row_form): bytes while Q <= 256, which the elimination
+# kernel of codes reads as its packed word (one byte a lane at p = 2 and odd
+# p <= 61); else a tuple.
 
 
 def _digit_rows(ctx: Field, s: int, table: Sequence[int] | None, indices: Sequence[int]) -> list:
     """Digit j < m/s, base Q = p^s, of table[d] (of d itself when table is
-    None) for each index d (across), one row a digit (down).  The entries
-    are looked up once: for q <= 256 by one translate, and each plane is
-    one more; at p = 2 each plane is a shift and a mask (two where a digit
-    spans two bytes) of a byte plane of the entries; otherwise each plane
-    reads a table of the digits of every index."""
-    p, q, Q, count = ctx.p, ctx.q, ctx.p ** s, ctx.m // s
-    if q <= 256:
-        looked = bytes(indices)
-        if table is not None:
-            looked = looked.translate(bytes(table).ljust(256, b"\0"))
-        return [looked.translate(_digit_table(Q, j, 256)) for j in range(count)]
-    looked = indices if table is None else list(map(table.__getitem__, indices))
-    if p == 2 and Q <= 256:
-        n = len(looked)
-        raw = pack([looked], 4)[0].to_bytes(4 * n, "little")
-        planes = [int.from_bytes(raw[b::4], "little") for b in range((ctx.m + 7) // 8)]
-        ones = int.from_bytes(b"\1" * n, "little")
-        rows = []
-        for b, o in (divmod(s * j, 8) for j in range(count)):
-            word = planes[b] >> o
-            if o + s > 8:
-                word = word & ones * (0xFF >> o) | (planes[b + 1] & ones * ((1 << o + s - 8) - 1)) << 8 - o
-            rows.append((word & ones * (Q - 1)).to_bytes(n, "little"))
-        return rows
-    form = _row_form(Q)
-    return [form(map(_digit_table(Q, j, q).__getitem__, looked)) for j in range(count)]
+    None) for each index d (across), one row a digit (down): one lookup, a
+    translate while q <= 256, and one split."""
+    if table is not None and ctx.q <= 256:
+        indices = bytes(indices).translate(bytes(table).ljust(256, b"\0"))
+    elif table is not None:
+        indices = list(map(table.__getitem__, indices))
+    return split(indices, ctx.p ** s, ctx.m // s)
 
 
 class _Matrices:
@@ -369,8 +338,7 @@ def code_to_defining_set(code: LinearCode, ctx: Field) -> DefiningSet:
     if ctx.m < k:
         raise DimensionTooLarge(f"need m >= k, got m={ctx.m} < k={k}")
     # the element with coordinates (c_0, ..., c_{k-1}) has index sum_j c_j p^j
-    p, rows = ctx.p, code._rows
-    ds = [sum(row[i] * p ** j for j, row in enumerate(rows)) for i in range(code.n)]
+    ds = join(code._rows, ctx.p) if k else [0] * code.n
     return DefiningSet._from_indices(ctx, 1, ds, "code-realization")
 
 

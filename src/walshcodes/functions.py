@@ -35,7 +35,7 @@ from math import gcd
 from operator import mul, xor
 from typing import Callable, Sequence
 
-from ._packed import TYPECODES, Lanes, gray_walk, pack
+from ._packed import TYPECODES, Lanes, _digit_table, gray_walk, join, pack, split
 from .algebra import CyclotomicInt, Field, FieldElement, _character_fwht, _gather, gauss_sum_power
 from .codes import enumeration_guard
 from .errors import (
@@ -402,7 +402,7 @@ class _Parser:
         if isinstance(a, int) and isinstance(b, int):
             return (a + b) % p
         a, b = (int.from_bytes(bytes([v]) * q if isinstance(v, int) else bytes(v), "little") for v in (a, b))
-        return (a + b).to_bytes(q, "little").translate(_residues(p))
+        return (a + b).to_bytes(q, "little").translate(_digit_table(p, 0))  # each byte mod p
 
     def _neg(self, a):
         """-a, which is a itself at p = 2; -c x^d is g^((q-1)/2) c x^d."""
@@ -481,12 +481,6 @@ class _Parser:
         else:  # k d = -k stride mod q - 1: the tiled copy read from its end
             by_log = (turned * stride + turned[:1])[::-stride][:n1]
         return _gather(field._log_blocks, by_log + b"\0")
-
-
-@cache
-def _residues(p: int) -> bytes:
-    """The translate table that maps each byte v < 2p - 1 to v mod p."""
-    return bytes(v % p for v in range(256))
 
 
 def parse_function(field: Field, spec: str) -> ParyFunction:
@@ -736,12 +730,8 @@ def differential_uniformity(f: ParyFunction, guard: int | None = None) -> int:
         if q * q > cap:
             raise TooLarge(f"{q * q} additions exceed the guard {cap}")
     lanes = Lanes(p, q, m)
-    values = f.indices
-    if lanes.bits > 1:  # else the lanes of v hold the bits of v as they are
-        lanes_of = [0]  # lanes_of[v]: the base-p digits of v, one per lane
-        for j in range(m):
-            lanes_of = [v + d for d in range(0, p << j * lanes.bits, 1 << j * lanes.bits) for v in lanes_of]
-        values = [lanes_of[v] for v in values]
+    # the base-p digits of f(x), one a lane; lanes of one bit hold the bits of f(x) as they are
+    values = f.indices if lanes.bits == 1 else join(split(f.indices, p, m), 1 << lanes.bits)
     (word,) = pack([values], lanes.width)
     code, size = TYPECODES[lanes.width, False], q * lanes.width
     best = least = 2 if p == 2 else 1

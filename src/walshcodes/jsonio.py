@@ -8,7 +8,8 @@ of lists of ints raise ValueError.
 
 from __future__ import annotations
 
-from .algebra import Field, _digits, make_field
+from ._packed import split
+from .algebra import Field, make_field
 from .codes import CompleteWeightEnumerator, LinearCode, WeightDistribution
 from .conditions import MembershipVerdict
 from .constructions import DefiningSet
@@ -52,7 +53,7 @@ def defining_set_to_json(ds: DefiningSet) -> dict:
     return {
         "field": field_to_json(ds.field),
         "base_degree": ds.base_degree,
-        "elements": [list(_digits(d, ds.field.p, ds.field.m)) for d in ds.indices()],
+        "elements": [list(v) for v in zip(*split(ds.indices(), ds.field.p, ds.field.m))],
         "provenance": ds.provenance,
     }
 
@@ -75,17 +76,11 @@ def cwe_to_json(cwe: CompleteWeightEnumerator) -> list[dict]:
 
 
 def spectrum_to_json(spec: WalshSpectrum) -> list[dict]:
-    out = []
-    p, m = spec.field.p, spec.field.m
-    for b, c in enumerate(spec.coefficients):
-        out.append(
-            {
-                "b": list(_digits(b, p, m)),
-                "coeffs": list(c.coeffs),
-                "abs2": c.abs_squared().as_int(),
-            }
-        )
-    return out
+    field = spec.field
+    return [
+        {"b": list(b), "coeffs": list(c.coeffs), "abs2": c.abs_squared().as_int()}
+        for b, c in zip(zip(*split(range(field.q), field.p, field.m)), spec.coefficients)
+    ]
 
 
 def verdict_to_json(v: MembershipVerdict) -> dict:

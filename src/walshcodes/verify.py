@@ -12,7 +12,9 @@ import itertools
 import random
 from collections import Counter
 from math import comb
+from operator import mul
 
+from ._packed import split
 from .algebra import Field, make_field
 from .codes import (
     dual,
@@ -96,15 +98,8 @@ def _report(suite: str, instances: list[dict], seed: int | None = None) -> dict:
 
 def boolean_quadratic(field: Field) -> ParyFunction:
     """x1*x2 + x3*x4 + ... on the coefficient coordinates (bent for even m)."""
-    m = field.m
-
-    def fn(x):
-        acc = 0
-        for i in range(0, m - 1, 2):
-            acc += x.coeffs[i] * x.coeffs[i + 1]
-        return field.scalar(acc)
-
-    return ParyFunction.from_callable(field, fn, 1)
+    vectors = zip(*split(range(field.q), field.p, field.m))
+    return ParyFunction.from_indices(field, [sum(map(mul, v[0::2], v[1::2])) % field.p for v in vectors], 1)
 
 
 # ---------------------------------------------------------------------------

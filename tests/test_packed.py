@@ -6,15 +6,19 @@ of the Gray walk against a rotation of the list of fields by each vector,
 all read off the word bit by bit rather than through the module under
 test.  The digit masks built by doubling are checked against the byte
 strings they replaced (digit_word), and the field counts against unpack
-and a Counter.
+and a Counter.  The digit planes of split and the values of join are
+checked against the scalar digits of algebra._digits and plain Horner.
 """
 
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from walshcodes._packed import Lanes, _byte_counts, digit_steps, field_counts, gray_walk, lanes_of, pack, unpack
+from walshcodes._packed import Lanes, _byte_counts, digit_steps, field_counts, gray_walk, join, lanes_of, pack, split, unpack
+from walshcodes.algebra import _digits
 
 WIDTHS = [1, 2, 4, 8]
 
@@ -128,6 +132,8 @@ def test_digit_steps_are_the_digit_words_from_the_top_digit_down(width, p):
         q = p ** m
         want = [(8 * width * p ** i, digit_word(b"\xff" * width, p, p ** i, q)) for i in reversed(range(m))]
         assert list(digit_steps(width, p, m)) == want, m
+        for top in range(m + 1):  # started at a lower digit, as the transform does where it widens
+            assert list(digit_steps(width, p, m, top)) == want[m - top :], (m, top)
         # the oracle itself, read bit by bit: all ones where digit i is 0
         ones = (1 << 8 * width) - 1
         for i, (_, mask) in zip(reversed(range(m)), want):
@@ -170,3 +176,50 @@ def test_the_last_distinct_byte_takes_no_count_pass():
 
     assert _byte_counts(CountedBytes(bytes([7]) * 300)) == {7: 300} and passes == []
     assert _byte_counts(CountedBytes(bytes([7]) * 300 + bytes([9]) * 5)) == {7: 300, 9: 5} and passes == [7]
+
+
+# -- base-radix digits --------------------------------------------------------------
+
+# each route of split: values below 256 by translate (radix^count <= 256),
+# radix 2^s <= 256 by shifts of byte planes, digits across two bytes among
+# them (s = 3, 5), and odd radices, and radices past a byte, by reciprocal
+# multiplication
+RADICES = [2, 3, 4, 8, 9, 25, 32, 49, 251, 257, 1009]
+
+
+@st.composite
+def digit_cases(draw):
+    """(radix, count, values): values below 256 or below 2^20, and below
+    radix^count <= 2^30, with count no more digits than that allows."""
+    radix = draw(st.sampled_from(RADICES))
+    count = draw(st.integers(1, max(c for c in range(1, 31) if radix ** c <= 2 ** 30)))
+    top = min(radix ** count, draw(st.sampled_from([256, 2 ** 20])))
+    return radix, count, draw(st.lists(st.integers(0, top - 1), max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digit_cases())
+def test_split_gives_the_scalar_digits(case):
+    radix, count, values = case
+    planes = split(values, radix, count)
+    assert len(planes) == count
+    for t, plane in enumerate(planes):
+        assert isinstance(plane, bytes) == (radix <= 256)
+        assert list(plane) == [_digits(v, radix, count)[t] for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(digit_cases(), st.data())
+def test_join_is_horner_and_undoes_split(case, data):
+    radix, count, values = case
+    joined = join(split(values, radix, count), radix)
+    assert isinstance(joined, bytes) == (radix ** count <= 256)
+    assert list(joined) == values
+    digit = st.integers(0, radix - 1)
+    planes = [data.draw(st.lists(digit, min_size=len(values), max_size=len(values))) for _ in range(count)]
+    horner = [0] * len(values)
+    for plane in reversed(planes):
+        horner = [h * radix + d for h, d in zip(horner, plane)]
+    assert list(join(planes, radix)) == horner
+    if radix <= 256:  # byte planes, as split gives them, join to the same values
+        assert list(join([bytes(plane) for plane in planes], radix)) == horner
