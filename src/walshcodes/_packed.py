@@ -19,7 +19,8 @@ below p = 5 its passes are strided, p^2 (p - 1) additions of words that
 are p-fold sparse; from p = 5 up they are compact, in Stockham order, p^2
 additions of the dense blocks of one digit, each block a strided slice of
 one byte string of all the layers, its layers turned by a right shift of
-the block doubled.
+the block doubled.  It may run the passes of the low digits alone, for a
+caller that counts the fields.
 
 Base-p digits are laid out here alone: split gives the digit planes of a
 sequence, and join the values of digit planes.
@@ -346,11 +347,21 @@ _TOP = bytes(0x7F if x < 0x80 else 0x80 for x in range(256))
 COMPACT_FROM = 5
 
 
-def transform(words: list[int], width: int, p: int, m: int, bound: int, mass: int) -> list[int]:
+def transform(
+    words: list[int], width: int, p: int, m: int, bound: int, mass: int, digits: int | None = None
+) -> list[int]:
     """F(u) = sum over v of N(v) zeta^(-<v, u>) for N in Z[zeta_p] on p^m
     vectors, as its p - 1 canonical layers F_e - F_{p-1}, e < p - 1, in
     two's complement fields of ``width`` bytes (at p = 2 the one layer
     F_0 - F_1), for a ``width`` that holds ``mass`` and a sign bit.
+
+    With ``digits`` below m, only the low ``digits`` of the m index digits
+    are transformed: each block of p^digits fields on its own, ``mass``
+    bounding the fields of one block.  The strided passes leave the fields
+    in place; a partial run of the compact passes leaves them in rotated
+    order (the transformed digits on top, see _compact_passes), so only a
+    caller that counts the fields may read a partial transform at p >=
+    COMPACT_FROM.
 
     N is given at odd p as p words of unsigned fields, ``words[e]`` holding
     the coefficient of zeta^e, and at p = 2 as the one word of N in two's
@@ -376,7 +387,7 @@ def transform(words: list[int], width: int, p: int, m: int, bound: int, mass: in
     q, signed, reach = p ** m, p == 2, bound
     w = wide = field_width(max(bound, 1).bit_length() + signed)
     widths = []  # the width of each pass
-    for _ in range(m):
+    for _ in range(m if digits is None else digits):
         reach = min(mass, reach * p)
         if wide < width and reach >> 8 * wide - signed:
             wide = field_width(reach.bit_length() + signed)
@@ -395,8 +406,9 @@ def transform(words: list[int], width: int, p: int, m: int, bound: int, mass: in
 
 def _strided_passes(words: list[int], w: int, widths: list[int], p: int, m: int) -> tuple[list[int], int]:
     """The passes of transform, at ``w`` bytes a field and widened to
-    widths[k] before pass k, one digit of the index each, from the top
-    digit down (the passes commute); the output words and their width.
+    widths[k] before pass k, one digit of the index each, from digit
+    len(widths) - 1 down (the passes commute); the output words and their
+    width.
 
     At p = 2 the passes run on N + B, as transform gives it, B =
     2^(8 w - 1) in every field of w bytes: with t and M the shift and mask
@@ -410,8 +422,8 @@ def _strided_passes(words: list[int], w: int, widths: list[int], p: int, m: int)
     zero."""
     q, signed = p ** m, p == 2
     bias = _bias(w, q) if signed else 0
-    steps = digit_steps(w, p, m)
-    for i, wider in zip(reversed(range(m)), widths):
+    steps = digit_steps(w, p, m, len(widths))
+    for i, wider in zip(reversed(range(len(widths))), widths):
         if wider > w:
             words, w = _widen(words, w, wider, q, signed), wider
             bias = _bias(w, q) if signed else 0
@@ -443,9 +455,10 @@ def _compact_passes(words: list[int], w: int, widths: list[int], p: int, m: int)
 
     Each pass reads the lowest digit of the index and writes its output
     digit on top, so that after m passes every digit is back in place
-    (Stockham order).  Block x, the fields whose lowest digit is x, is one
-    strided slice of the fields (w slices of bytes at w bytes a field): p
-    layers of q/p fields.  Output digit u of layer e is the sum over x of
+    (Stockham order), and after j < m passes the j low digits are
+    transformed and sit on top of the others.  Block x, the fields whose
+    lowest digit is x, is one strided slice of the fields (w slices of bytes
+    at w bytes a field): p layers of q/p fields.  Output digit u of layer e is the sum over x of
     layer e + u x of block x.  Each block is read as an int and doubled,
     so that its layers turned by s are one right shift of it, and each
     output digit is p additions of whole blocks, p^2 in all, of q fields

@@ -160,7 +160,7 @@ def _json_dump(obj) -> str:
 def cmd_build(args) -> int:
     code = _build_code(args)
     try:
-        d = min_distance(code, args.guard) if code.k else None
+        d = min_distance(code, args.guard, args.byte_guard) if code.k else None
     except TooLarge:
         d = None
     payload = {"code": jsonio.code_to_json(code), "parameters": [code.n, code.k, d]}
@@ -175,12 +175,12 @@ def cmd_analyze(args) -> int:
     code = _build_code(args)
     report: dict = {"parameters": [code.n, code.k]}
     # with --weights, one transform gives both the table and d
-    wd = weight_distribution(code, args.guard) if args.weights else None
+    wd = weight_distribution(code, args.guard, args.byte_guard) if args.weights else None
     if wd is not None:
         report["parameters"].append(min(wd.nonzero_weights()) if code.k else None)
     else:
         try:
-            report["parameters"].append(min_distance(code, args.guard) if code.k else None)
+            report["parameters"].append(min_distance(code, args.guard, args.byte_guard) if code.k else None)
         except TooLarge:
             report["parameters"].append(None)
     lines_csv: list[str] = []
@@ -279,7 +279,9 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-zero", action="store_true", help="puncture at x = 0")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--guard", type=int, default=None, help="codeword cap of weight queries")
-        p.add_argument("--byte-guard", type=int, default=None, help="cap on the estimated bytes of a dual")
+        p.add_argument(
+            "--byte-guard", type=int, default=None, help="cap on the estimated bytes of a dual or a weight transform"
+        )
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", help="write output to this path instead of stdout")
 

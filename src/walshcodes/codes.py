@@ -27,11 +27,14 @@ pivots in whole blocks of digits, so the F_p RREF yields the F_{p^s} one
 Hamming weights come from one p-ary fast Walsh-Hadamard transform of the
 multiset of generator columns, packed into one word and transformed by
 _packed.transform, which counts the zero coordinates of every codeword at
-once; the complete weight enumerator enumerates codewords, as
-tuples of alphabet indices.
+once; for a code C(f) of dimension 2m over F_p, p <= 128, that transform's
+passes over the digits of f(x) have a closed form, the components
+x -> <a, f(x)>, and only the passes over the points run
+(_component_transform).  The complete weight enumerator enumerates
+codewords, as tuples of alphabet indices.
 Every weight query is guarded by a configurable cap on the number of
 codewords, and every dual (dual, nullspace, intersect and the closed forms
-of constructions) by a cap on its estimated bytes.
+of constructions) and weight transform by a cap on its estimated bytes.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .errors import EmptyLength, InvariantViolated, RaggedRows, TooLarge, ZeroCo
 
 DEFAULT_GUARD = 2 ** 22
 DEFAULT_BYTE_GUARD = 2 ** 30
-BYTE_GUARD_FLOOR = 2 ** 20  # no dual of at most this many bytes is refused
+BYTE_GUARD_FLOOR = 2 ** 20  # no dual or weight transform of at most this many bytes is refused
 
 
 def enumeration_guard(override: int | None = None) -> int:
@@ -63,14 +66,23 @@ def enumeration_guard(override: int | None = None) -> int:
 
 
 def byte_guard(override: int | None = None) -> int:
-    """The cap on the estimated bytes of a dual (see _kernel): the override,
-    else WALSHCODES_BYTE_GUARD, else DEFAULT_BYTE_GUARD.  It is read only
-    for a dual past BYTE_GUARD_FLOOR, so a cap below the floor acts as the
+    """The cap on the estimated bytes of a dual (see _kernel) or of a weight
+    transform (see weight_distribution): the override, else
+    WALSHCODES_BYTE_GUARD, else DEFAULT_BYTE_GUARD.  It is read only for an
+    estimate past BYTE_GUARD_FLOOR, so a cap below the floor acts as the
     floor."""
     if override is not None:
         return override
     env = os.environ.get("WALSHCODES_BYTE_GUARD")
     return int(env) if env else DEFAULT_BYTE_GUARD
+
+
+def _check_bytes(what: str, need: int, guard: int | None) -> None:
+    """TooLarge when ``need`` estimated bytes pass the byte guard, which is
+    read only past BYTE_GUARD_FLOOR."""
+    cap = byte_guard(guard) if need > BYTE_GUARD_FLOOR else need
+    if need > cap:
+        raise TooLarge(f"{what} takes about {need} bytes, past the byte guard {cap}")
 
 
 def _row_form(q: int) -> type:
@@ -266,10 +278,7 @@ def _kernel(
     p, s = field.p, field.m
     width = n * s
     nf = width - len(pivots)
-    need = 8 * nf * width
-    cap = byte_guard(guard) if need > BYTE_GUARD_FLOOR else need
-    if need > cap:
-        raise TooLarge(f"a dual of {nf} x {width} entries takes about {need} bytes, past the byte guard {cap}")
+    _check_bytes(f"a dual of {nf} x {width} entries", 8 * nf * width, guard)
     if not nf:
         return []
     lead = sorted(set(range(0, width, s)).difference([width - 1 - c for c in pivots]))
@@ -337,9 +346,12 @@ class LinearCode:
     """An [n, k] linear code: its RREF generator over the alphabet ``base``,
     rows of indices in the alphabet's form (see _row_form), kept as given
     when in that form and never changed.  ``rows`` (index tuples, built on
-    each read) and ``generator`` (FieldElements, on first read) view them."""
+    each read) and ``generator`` (FieldElements, on first read) view them.
+    A code built by constructions.first_generic also keeps its function's
+    field, values and points, which only the weight queries read; equality
+    and hashing read the rows alone."""
 
-    __slots__ = ("base", "n", "_rows", "provenance", "_generator")
+    __slots__ = ("base", "n", "_rows", "provenance", "_generator", "_function")
 
     def __init__(self, base: Field, n: int, rows, provenance: str | None = None):
         self.base = base
@@ -347,6 +359,7 @@ class LinearCode:
         self._rows = tuple(map(_row_form(base.q), rows))
         self.provenance = provenance
         self._generator = None
+        self._function = None  # (field, f's index table, points) of a code C(f) (see _component_transform)
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -603,12 +616,11 @@ class CompleteWeightEnumerator:
         return dict(sorted(out.items()))
 
 
-def _column_transform(code: LinearCode, guard: int | None) -> tuple[int, int]:
-    """(W, width): layer 0 minus layer p - 1 of the p-ary FWHT of the
-    multiset of the functionals x -> Tr_{Q/p}(y <x, g_j>) on F_p^(sk), one
-    for each column j and each y in F_Q^*, for the alphabet F_Q, Q = p^s,
-    as the packed word W of Q^k fields of ``width`` bytes, field x holding
-    its value at x plus the bias B = 2^(8 width - 1).
+def _column_transform(code: LinearCode, width: int) -> list[int]:
+    """The p - 1 canonical layers D_e, in fields of ``width`` bytes, of the
+    p-ary FWHT of the multiset of the functionals x -> Tr_{Q/p}(y <x, g_j>)
+    on F_p^(sk), one for each column j and each y in F_Q^*, for the
+    alphabet F_Q, Q = p^s, over Q^k fields.
 
     A word x in F_Q^k has the index sum_i x_i Q^i, so its p-ary digits are
     the F_p-coordinates of its entries.  The counts N of one y per
@@ -618,17 +630,14 @@ def _column_transform(code: LinearCode, guard: int | None) -> tuple[int, int]:
     most r times the largest multiplicity of a column, which the functionals
     of y = 1 give: the transform starts at the width of that bound and
     widens as it grows (see _packed.transform).  The other lambda y put
-    (p - 1) F_0 in layer 0 and n r - F_0 in every other layer, so the
-    difference is p F_0 - n r = p D_0 - sum_e D_e for the canonical layers
-    D_e of N, exact on the biased layers D_e + B as B, with the width,
-    exceeds the mass n (Q - 1) of the full multiset; p biased fields less
-    p - 1 leave the difference biased by B."""
-    code._check_guard(guard)
+    (p - 1) F_0 in layer 0 and n r - F_0 in every other layer, so layer 0
+    less layer p - 1 of the full multiset is p F_0 - n r = p D_0 - sum_e D_e
+    (see weight_distribution).  ``width`` holds that difference and a sign
+    bit."""
     base = code.base
     p, q = base.p, base.q
     mul, dual = base.arith.mul, base.trace_dual_indices()
-    size, r = code.size(), (q - 1) // (p - 1)
-    width = field_width((code.n * (q - 1)).bit_length() + 1)
+    r = (q - 1) // (p - 1)
     rows, entries = code._rows, set().union(*code._rows)
     image = bytearray(256) if q <= 256 else [0] * q  # a translate table for bytes rows
 
@@ -641,35 +650,86 @@ def _column_transform(code: LinearCode, guard: int | None) -> tuple[int, int]:
     reps = [y for t in range(base.m) for y in range(p ** t, 2 * p ** t)]  # y = 1 first
     first = functionals(reps[0])
     bound = r * max(Counter(first).values()) if width > 1 else code.n * r
-    counts = array(TYPECODES[field_width(bound.bit_length() + (p == 2)), False], [0]) * size
+    counts = array(TYPECODES[field_width(bound.bit_length() + (p == 2)), False], [0]) * code.size()
     for values in chain([first], map(functionals, reps[1:])):
         for v in values:
             counts[v] += 1
     words = [int.from_bytes(_little(counts, "little"), "little")] + [0] * (p - 1) * (p > 2)
-    words = transform(words, width, p, base.m * code.k, bound, code.n * r)
-    bias = bias_word(width, size)
-    biased = [word ^ bias for word in words]
-    return p * biased[0] - sum(biased), width
+    return transform(words, width, p, base.m * code.k, bound, code.n * r)
 
 
-def weight_distribution(code: LinearCode, guard: int | None = None) -> WeightDistribution:
-    """A_w for every w.  For the z zero coordinates of xG, Tr(y <x, g_j>)
-    is 0 for all Q - 1 values of y when <x, g_j> = 0, and otherwise takes
-    each nonzero value Q/p times and 0 Q/p - 1 times.  So layer 0 of the
-    column transform at x is (Q - 1) z + (Q/p - 1)(n - z), every other
-    layer is (Q/p)(n - z), and their difference is Q z - n.  The values
-    are counted on the packed word, without a list of its Q^k fields."""
-    n, q = code.n, code.base.q
-    word, width = _column_transform(code, guard)
-    bias = 1 << 8 * width - 1
-    counts = {}
-    for biased, c in field_counts(word, width, code.size()).items():
-        value = biased - bias
+def _component_transform(code: LinearCode, width: int) -> list[int]:
+    """The layers of _column_transform for a code C(f) = {(Tr(a f(x)) +
+    Tr(b x))_x} of dimension 2m over F_p, p <= 128, from the components
+    of f, over the q^2 fields a q + x, q = p^m.
+
+    Its column at the point x is the vector (f(x), x) of F_p^(2m), one point
+    each: the m passes over the digits of f(x) have the closed form
+    T[a q + x] = <a, f(x)> mod p (up to the sign of a), so only the m
+    passes over the digits of x run (see _packed.transform).  Both a -> <a, y> and y -> Tr(alpha y)
+    range over every F_p-linear functional, and (a, b) -> the word is one
+    to one at k = 2m, so the multiset of fields is that of the column
+    transform.  T is built by doubling over the digits of a, from the
+    digit planes of f's values (_packed.split): the block of digit j of a
+    equal to c is the block below it plus c times plane j, p - 1 additions
+    of ints a digit, each byte below 2p - 1, brought back mod p by one
+    translate (so p <= 128).  An absent point is marked p, which every
+    input plane reads as 0: the ones and minus ones of (-1)^T at p = 2, the
+    p one-hot planes of T otherwise."""
+    field, values, points = code._function
+    p, q, m = field.p, field.q, field.m
+    mod = (bytes(range(p)) * 2).ljust(256, b"\0")
+    table = bytes(q)
+    for plane in split(values, p, m):
+        size = len(table)
+        step, blocks = int.from_bytes(plane * (size // q), "little"), [table]
+        for _ in range(p - 1):
+            blocks.append((int.from_bytes(blocks[-1], "little") + step).to_bytes(size, "little").translate(mod))
+        table = bytearray().join(blocks)
+    for x in set(range(q)).difference(points):
+        table[x::q] = bytes([p]) * q
+    # the translate table of each input plane, which maps the marker p to 0
+    images = [b"\1\xff"] if p == 2 else [bytes(e) + b"\1" for e in range(p)]
+    words = [int.from_bytes(table.translate(image.ljust(256, b"\0")), "little") for image in images]
+    return transform(words, width, p, 2 * m, 1, code.n, m)
+
+
+def weight_distribution(
+    code: LinearCode, guard: int | None = None, byte_guard: int | None = None
+) -> WeightDistribution:
+    """A_w for every w, from one transform: by components for a code C(f)
+    of dimension 2m over F_p, p <= 128 (_component_transform), else of the
+    column multiset (_column_transform).  TooLarge comes first, past the
+    codeword guard, or when the transform's state, p words (one at p = 2)
+    of Q^k fields of the final width, passes the byte guard.
+
+    For the z zero coordinates of xG, Tr(y <x, g_j>) is 0 for all Q - 1
+    values of y when <x, g_j> = 0, and otherwise takes each nonzero value
+    Q/p times and 0 Q/p - 1 times.  So layer 0 of the column transform at x
+    is (Q - 1) z + (Q/p - 1)(n - z), every other layer is (Q/p)(n - z), and
+    their difference is Q z - n = p D_0 - sum_e D_e for the canonical layers
+    D_e of the transform taken.  On the layers biased by B = 2^(8 width -
+    1), p (D_0 + B) - sum_e (D_e + B) is that value biased by B, exact as B,
+    with the width, exceeds the mass n (Q - 1) of the full multiset.  The
+    values are counted on the packed word, without a list of its Q^k
+    fields."""
+    code._check_guard(guard)
+    n, size, base, function = code.n, code.size(), code.base, code._function
+    p, q = base.p, base.q
+    width = field_width((n * (q - 1)).bit_length() + 1)
+    _check_bytes(f"a weight transform of {size} fields", (1 if p == 2 else p) * size * width, byte_guard)
+    by_components = function is not None and code.k == 2 * function[0].m and p <= 128
+    words = (_component_transform if by_components else _column_transform)(code, width)
+    biases = bias_word(width, size)
+    biased = [word ^ biases for word in words]
+    bias, counts = 1 << 8 * width - 1, {}
+    for value, c in field_counts(p * biased[0] - sum(biased), width, size).items():
+        value -= bias
         z, rem = divmod(value + n, q)
         if rem:
             raise InvariantViolated(f"transform value {value} leaves remainder {rem} mod {q}")
         counts[n - z] = c
-    return WeightDistribution(counts, n, code.size())
+    return WeightDistribution(counts, n, size)
 
 
 def complete_weight_enumerator(
@@ -687,10 +747,10 @@ def complete_weight_enumerator(
     return CompleteWeightEnumerator(counts, code.n, code.size())
 
 
-def min_distance(code: LinearCode, guard: int | None = None) -> int:
+def min_distance(code: LinearCode, guard: int | None = None, byte_guard: int | None = None) -> int:
     if code.k == 0:
         raise ZeroCode("minimum distance of the zero code is undefined")
-    return min(weight_distribution(code, guard).nonzero_weights())
+    return min(weight_distribution(code, guard, byte_guard).nonzero_weights())
 
 
 def is_mds(code: LinearCode, guard: int | None = None) -> bool:

@@ -230,8 +230,13 @@ def _first_columns(f: ParyFunction, include_zero: bool) -> tuple[range, Sequence
 
 
 def first_generic(f: ParyFunction, include_zero: bool = True) -> LinearCode:
-    """Code {(Tr(a f(x) + b x))_x : a, b in F_q} over F_p; length q or q-1."""
-    return _matrices(f, include_zero).code("function-code" if include_zero else "punctured-function-code")
+    """Code {(Tr(a f(x) + b x))_x : a, b in F_q} over F_p; length q or q-1.
+    The code keeps f's field, values and points, not the record, for its
+    weights (see codes._component_transform)."""
+    record = _matrices(f, include_zero)
+    code = record.code("function-code" if include_zero else "punctured-function-code")
+    code._function = f.field, f.indices, record.traced[1]
+    return code
 
 
 def first_codeword(

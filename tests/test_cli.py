@@ -231,23 +231,23 @@ def test_a_dual_past_the_byte_guard_exits_3(monkeypatch, capsys):
 
 
 def test_analyze_weights_enumerates_once(monkeypatch, capsys):
-    """analyze computes the weight enumerator once, by one column transform,
-    and lists no codeword."""
+    """analyze computes the weight enumerator once, by one transform, and
+    lists no codeword."""
     from walshcodes import codes
     from walshcodes.codes import LinearCode
 
     calls, listed = [], []
-    transform, codewords = codes._column_transform, LinearCode.codewords
+    transform, codewords = codes.transform, LinearCode.codewords
 
-    def counted(code, guard=None):
-        calls.append(code.k)
-        return transform(code, guard)
+    def counted(*args):
+        calls.append(args[3])
+        return transform(*args)
 
     def listing(self, guard=None):
         listed.append(self.k)
         return codewords(self, guard)
 
-    monkeypatch.setattr(codes, "_column_transform", counted)
+    monkeypatch.setattr(codes, "transform", counted)
     monkeypatch.setattr(LinearCode, "codewords", listing)
     argv = ["analyze", "first", "--field", "p=2,m=4", "--fn", "x^3", "--weights"]
     assert run(argv) == 0

@@ -918,6 +918,39 @@ def test_widening_transform_of_zero_passes():
         _assert_widening_matches_fixed_width([[5]] if p == 2 else [[5]] + [[0]] * (p - 1), p, 0, 5)
 
 
+@pytest.mark.parametrize(
+    "p,k,limit,side", WIDENING_CASES, ids=[f"p{p}-pass{k}-{limit}-{side}" for p, k, limit, side in WIDENING_CASES]
+)
+def test_partial_transform_is_the_transform_of_each_block(p, k, limit, side):
+    """transform(..., digits=j) of p^m fields against transform(..., m=j) of
+    each of its p^(m - j) blocks of p^j fields, j = k + 1, m = j + 1: pass
+    k's bound lies on either side of a width switch, as in the widening
+    test above, and one more pass follows it.  The strided passes keep the
+    fields in order; the compact passes leave them in rotated order, so
+    their fields are compared as multisets of (D_0, ..., D_{p-2})."""
+    j = k + 1
+    m, size = j + 1, p ** j
+    bound = (limit - 1) // p ** k if side == "below" else -(-limit // p ** k)
+    signed, rng = p == 2, random.Random(p * limit + k)
+    for layers in _extreme_inputs(p, m, bound, rng):
+        mass = sum(abs(v) for layer in layers for v in layer)
+        width = field_width(mass.bit_length() + 1)
+        start = field_width(bound.bit_length() + signed)
+        got = transform(pack(layers, start, signed=signed), width, p, m, bound, mass, j)
+        got = unpack(got, width, p ** m, signed=True)
+        want = [[] for _ in got]
+        for at in range(0, p ** m, size):
+            block = [layer[at : at + size] for layer in layers]
+            block_mass = sum(abs(v) for layer in block for v in layer)
+            words = transform(pack(block, start, signed=signed), width, p, j, bound, block_mass)
+            for out, layer in zip(want, unpack(words, width, size, signed=True)):
+                out += layer
+        if p < _packed.COMPACT_FROM:
+            assert got == want
+        else:
+            assert sorted(zip(*got)) == sorted(zip(*want))
+
+
 # -- the compact passes against the strided passes ------------------------------------
 
 

@@ -1,8 +1,10 @@
 """Differential tests of the weight queries.
 
 Hamming weights come from one p-ary Walsh-Hadamard transform of the
-multiset of generator columns (codes._column_transform).  The reference it
-replaced lives here as the oracle: every codeword spanned from the
+multiset of generator columns (codes._column_transform), or for a function
+code C(f) from the spectra of its components (codes._component_transform),
+which is tested against the column transform.  The reference the column
+transform replaced lives here as the oracle: every codeword spanned from the
 FieldElement view of the generator with the element operators
 (codewords_oracle), its nonzero entries counted one by one.  The same
 oracle checks LinearCode.codewords(), which adds index rows with the
@@ -16,8 +18,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from walshcodes import codes
 from walshcodes.algebra import is_prime, make_field
 from walshcodes.codes import (
+    LinearCode,
     complete_weight_enumerator,
     dual,
     from_rows,
@@ -37,7 +41,7 @@ from walshcodes.constructions import (
     second_generic,
 )
 from walshcodes.errors import TooLarge, ZeroCode
-from walshcodes.functions import parse_function
+from walshcodes.functions import ParyFunction, parse_function
 
 
 def _prime_powers(limit):
@@ -186,9 +190,10 @@ def test_column_transform_on_both_sides_of_each_width_switch(p, n):
 # -- the paper's codes, duals and hulls -----------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "pm,spec", [((2, 3), "x^3"), ((2, 4), "x^3"), ((3, 2), "x^2"), ((3, 3), "x^2"), ((5, 2), "g*x^2+x")]
-)
+FUNCTION_CASES = [((2, 3), "x^3"), ((2, 4), "x^3"), ((3, 2), "x^2"), ((3, 3), "x^2"), ((5, 2), "g*x^2+x")]
+
+
+@pytest.mark.parametrize("pm,spec", FUNCTION_CASES)
 @pytest.mark.parametrize("include_zero", [True, False])
 def test_function_codes(pm, spec, include_zero):
     field = make_field(*pm)
@@ -213,6 +218,121 @@ def test_defining_set_codes():
         for c in (code, dual(code), hull(code)):
             if c.size() <= 4096:
                 assert_matches_enumeration(c)
+
+
+# -- function codes from their component spectra --------------------------------------
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The names of the weight routes taken, in call order."""
+    taken = []
+    for name in ("_component_transform", "_column_transform"):
+
+        def spy(code, width, name=name, route=getattr(codes, name)):
+            taken.append(name)
+            return route(code, width)
+
+        monkeypatch.setattr(codes, name, spy)
+    return taken
+
+
+def column_oracle(code):
+    """The column transform's distribution, read from a copy of the code
+    that keeps no function."""
+    return weight_distribution(LinearCode(code.base, code.n, code._rows)).counts
+
+
+def assert_components_match_columns(f, routes):
+    """The distribution of C(f), with and without x = 0, equals the column
+    transform's, and came from the components exactly when k = 2m."""
+    for include_zero in (True, False):
+        code = first_generic(f, include_zero)
+        routes.clear()
+        got = weight_distribution(code).counts
+        assert routes == ["_component_transform" if code.k == 2 * f.field.m else "_column_transform"]
+        assert got == column_oracle(code)
+
+
+@pytest.mark.parametrize("pm,spec", FUNCTION_CASES)
+def test_component_route_of_the_function_codes(pm, spec, routes):
+    field = make_field(*pm)
+    assert_components_match_columns(parse_function(field, spec).with_codomain(field.m), routes)
+
+
+POWER_FIELDS = [(2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2)]
+
+
+@pytest.mark.parametrize("pm", POWER_FIELDS, ids=_ids(POWER_FIELDS))
+def test_component_route_of_power_functions(pm, routes):
+    """x^d for every d <= 16, the linear x^p^i and the others of k < 2m
+    among them."""
+    field = make_field(*pm)
+    for d in range(1, 17):
+        f = ParyFunction.from_indices(field, field.power_indices(range(field.q), d), field.m)
+        assert_components_match_columns(f, routes)
+
+
+@pytest.mark.parametrize("pm", [(2, 8), (3, 5), (2, 10)], ids=_ids([(2, 8), (3, 5), (2, 10)]))
+def test_component_route_of_random_tables(pm, routes):
+    field = make_field(*pm)
+    rng = random.Random(field.q)
+    f = ParyFunction.from_indices(field, [rng.randrange(field.q) for _ in range(field.q)], field.m)
+    assert_components_match_columns(f, routes)
+    if field.q == 1024:
+        assert_components_match_columns(parse_function(field, "x^3").with_codomain(field.m), routes)
+
+
+def test_the_route_is_read_from_the_code(routes):
+    """The components answer C(f) of dimension 2m over p <= 128; the column
+    transform answers affine f (k < 2m), p > 128, and every code that
+    first_generic did not build: duals, hulls and defining-set codes."""
+    f16, f27, f131 = make_field(2, 4), make_field(3, 3), make_field(131, 1)
+
+    def route(code):
+        routes.clear()
+        weight_distribution(code)
+        return routes[0]
+
+    f = parse_function(f16, "x^3").with_codomain(4)
+    cube = first_generic(f)
+    assert route(cube) == "_component_transform"
+    # the code keeps the field, the values and the points, not the record, and
+    # they take no part in equality or hashing
+    assert cube._function == (f16, f.indices, range(16))
+    assert first_generic(f, False)._function == (f16, f.indices, range(1, 16))
+    untagged = LinearCode(cube.base, cube.n, cube._rows, cube.provenance)
+    assert untagged == cube and hash(untagged) == hash(cube) and untagged._function is None
+    for field, spec in ((f16, "x"), (f16, "x^2"), (f27, "x^3"), (f16, "x^4+x+1"), (f27, "g*x^9+x^3")):
+        code = first_generic(parse_function(field, spec).with_codomain(field.m))
+        assert code.k < 2 * field.m and route(code) == "_column_transform", spec
+    square = first_generic(parse_function(f131, "x^2").with_codomain(1))
+    assert square.k == 2 and route(square) == "_column_transform"
+    for code in (dual(cube), hull(cube), second_generic(make_skew_set(f27)), second_generic(make_cyclotomic_set(f16, 1))):
+        assert route(code) == "_column_transform"
+
+
+def test_a_weight_transform_past_the_byte_guard_is_refused():
+    """The [1009, 2] code of x^2 over GF(1009) passes the codeword guard,
+    but its column transform would hold 1009 words of 1009^2 fields of 4
+    bytes: refused before anything is built.  GF(31^2) holds 31 words of
+    31^4 fields of 2 bytes, refused under a 2-MiB guard and answered by
+    default."""
+    import time
+
+    start = time.perf_counter()
+    big = first_generic(parse_function(make_field(1009, 1), "x^2").with_codomain(1))
+    with pytest.raises(TooLarge, match="about 4108974916 bytes"):
+        weight_distribution(big)
+    with pytest.raises(TooLarge):
+        min_distance(big)
+    assert time.perf_counter() - start < 5
+    field = make_field(31, 2)
+    code = first_generic(parse_function(field, "x^2").with_codomain(2))
+    with pytest.raises(TooLarge, match="about 57258302 bytes, past the byte guard 2097152"):
+        weight_distribution(code, byte_guard=2 ** 21)
+    want = {0: 1, 900: 29280, 929: 460800, 930: 960, 931: 432000, 960: 480}
+    assert weight_distribution(code).counts == want
 
 
 # -- the guard -------------------------------------------------------------------------
