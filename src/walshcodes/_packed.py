@@ -10,20 +10,14 @@ uniformity moves f(x) to f(x + a) by rotating blocks of fields
 (gray_walk).  This is the packed-row idea of M4RI (Albrecht and Bard),
 extended to lanes mod p.
 
-The transform has one width rule: for input fields at most b and a total
-mass M, pass k runs at the fewest bytes that hold min(M, b p^k), the
-bound on its outputs (with a sign bit at p = 2), and its words are
-widened only when that bound outgrows their fields, then once more to the
-width its caller reads, which holds M and a sign bit.  It has one p rule:
-below p = 5 its passes are strided, p^2 (p - 1) additions of words that
-are p-fold sparse; from p = 5 up they are compact, in Stockham order, p^2
-additions of the dense blocks of one digit, each block a strided slice of
-one byte string of all the layers, its layers turned by a right shift of
-the block doubled.  It may run the passes of the low digits alone, for a
-caller that counts the fields.
+The transform has one width rule and one p rule (see transform), and may
+run the passes of the low digits alone, for a caller that counts the fields.
 
 Base-p digits are laid out here alone: split gives the digit planes of a
 sequence, and join the values of digit planes.
+
+The keep rule (_keep): a bias word (_bias) or digit mask set (_steps) of
+at most KEEP_BYTES is kept once built, the 64 most recent of each kind.
 """
 
 from __future__ import annotations
@@ -199,16 +193,14 @@ def bias_word(width: int, count: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
-def digit_steps(width: int, p: int, m: int, top: int | None = None) -> Iterator[tuple[int, int]]:
+def digit_steps(width: int, p: int, m: int, top: int) -> Iterator[tuple[int, int]]:
     """(t, mask) for each digit i of the index of p^m fields, from i = top - 1
-    (m - 1 by default) down to 0: t the bit offset of p^i fields, mask the
-    fields of digit i 0.
+    down to 0: t the bit offset of p^i fields, mask the fields of digit i 0.
 
     rep holds a 1 at the first bit of every block of p^(i+1) fields, so the
     mask is (rep << t) - rep, and the rep of digit i - 1 is p copies of it,
     each one block of p^i fields further on: a few shifts and ORs of whole
     ints per digit, with no field written one by one."""
-    top = m if top is None else top
     rep = int.from_bytes((b"\1" + bytes(width * p ** top - 1)) * p ** (m - top), "little")
     for i in reversed(range(top)):
         t = 8 * width * p ** i
@@ -218,6 +210,19 @@ def digit_steps(width: int, p: int, m: int, top: int | None = None) -> Iterator[
             for k in range(1, p):
                 copies |= rep << k * t
             rep = copies  # one rep, not two, held between the steps
+
+
+def input_words(values: bytes, p: int) -> list[int]:
+    """The input words of transform for values in [0, p) a byte each, one
+    translate a word: at p = 2 (-1)^value, at odd p the p one-hot planes.
+    Any other byte, such as an absent point's marker, reads 0 in each."""
+    tables = [b"\1\xff".ljust(256, b"\0")] if p == 2 else map(unit_table, range(p))
+    return [int.from_bytes(values.translate(table), "little") for table in tables]
+
+
+def unit_table(j: int) -> bytes:
+    """The translate table that maps byte j to 1 and every other to 0."""
+    return bytes(j) + b"\1" + bytes(255 - j)
 
 
 # -- lanes mod p ------------------------------------------------------------------
@@ -293,7 +298,7 @@ def gray_walk(word: int, width: int, p: int, m: int) -> Iterator[int]:
     p = 2 they swap).  Digit i of a is then k_i - k_(i+1) mod p for the
     digits k_i of k, so the walk reaches every nonzero a once."""
     full = (1 << 8 * width * p ** m) - 1
-    steps = [(t, full ^ zero << (p - 1) * t, zero, (p - 1) * t) for t, zero in digit_steps(width, p, m)][::-1]
+    steps = [(t, full ^ zero << (p - 1) * t, zero, (p - 1) * t) for t, zero in _steps(width, p, m, m)][::-1]
     digits: list[int] = []  # v_p(k) for k = 1, ..., p^m - 1
     for j in range(m):
         digits = (digits + [j]) * (p - 1) + digits
@@ -377,10 +382,7 @@ def transform(
 
     The p rule: the passes are strided (_strided_passes) below p =
     COMPACT_FROM = 5 and compact (_compact_passes) from there up, chosen
-    from p alone: a strided pass makes p^2 (p - 1) additions of words of q
-    fields that are p-fold sparse, a compact one p^2 additions of dense
-    blocks of q fields, for p slices, p^2 shifts and p^2 joined slices
-    more.  Both give the same words.
+    from p alone.  Both give the same words.
 
     The canonical layers are formed on the packed output, F_e + B - F_{p-1}
     being in [0, 2B) and XOR with B turning it into two's complement."""
@@ -404,6 +406,27 @@ def transform(
     return [(word + bias - last) ^ bias for word in words]
 
 
+def transform_bytes(p: int, m: int, bound: int, mass: int, width: int, digits: int | None = None) -> int:
+    """An upper bound on the bytes transform(words, width, p, m, bound, mass,
+    digits) holds at once, in layers of p^m fields, an int taking 16 bytes
+    for 15 of its value: the input at its width (p layers, 1 at p = 2), the
+    kept masks, the p^2 slices joining a compact pass's digits at 121
+    bytes each beside their data (a bytes header of 33, a list slot of 8
+    and the Py_buffer of 80 that bytes.join takes of each), and the most of the end, at ``width`` (the words, their widened
+    or canonical copies and 3 layers being made: 2p + 3), and of the last
+    pass, the widest by the width rule.  A compact pass holds the state,
+    its blocks, their doubled copies and the output digits (5p), the digit
+    being summed and the block read (7); a strided one at odd p the p^2
+    blocks, the words before and after (2p), the digit being summed (4) and
+    the masks (3); at p = 2 the word, d, the masked word, its sum, shifted
+    difference, their OR, the bias and 2 masks (9)."""
+    n, q, signed, d = (1 if p == 2 else p), p ** m, p == 2, m if digits is None else digits
+    w = field_width(max(bound, 1).bit_length() + signed)
+    last = field_width(min(mass, bound * p ** d).bit_length() + signed) if d else 0
+    layers = 5 * p + 7 if p >= COMPACT_FROM else p * p + 2 * p + 7 if p > 2 else 9
+    return (n * q * w + max(layers * last, (2 * n + 3) * width) * q + 121 * p * p) * 16 // 15 + d * KEEP_BYTES
+
+
 def _strided_passes(words: list[int], w: int, widths: list[int], p: int, m: int) -> tuple[list[int], int]:
     """The passes of transform, at ``w`` bytes a field and widened to
     widths[k] before pass k, one digit of the index each, from digit
@@ -412,7 +435,7 @@ def _strided_passes(words: list[int], w: int, widths: list[int], p: int, m: int)
 
     At p = 2 the passes run on N + B, as transform gives it, B =
     2^(8 w - 1) in every field of w bytes: with t and M the shift and mask
-    of the digit (digit_steps, started again where the words widen),
+    of the digit (_steps, started again where the words widen),
     lo + d and lo - d, for lo = word & M and d = ((word >> t) & M) - B per
     field, are (a + B) + (b + B) - B and (a + B) - (b + B) + B, which the
     bound keeps in [0, 2B).  At odd p block x of a layer is
@@ -422,12 +445,12 @@ def _strided_passes(words: list[int], w: int, widths: list[int], p: int, m: int)
     zero."""
     q, signed = p ** m, p == 2
     bias = _bias(w, q) if signed else 0
-    steps = digit_steps(w, p, m, len(widths))
+    steps = iter(_steps(w, p, m, len(widths)))
     for i, wider in zip(reversed(range(len(widths))), widths):
         if wider > w:
             words, w = _widen(words, w, wider, q, signed), wider
             bias = _bias(w, q) if signed else 0
-            steps = digit_steps(w, p, m, i + 1)
+            steps = iter(_steps(w, p, m, i + 1))
         t, mask = next(steps)
         if signed:
             word = words[0]
@@ -445,6 +468,7 @@ def _strided_passes(words: list[int], w: int, widths: list[int], p: int, m: int)
                         acc += blocks[(e + u * x) % p][x]
                     word |= acc << u * t
                 words.append(word)
+            del blocks  # not held while the next pass's are built
     return words, w
 
 
@@ -490,14 +514,21 @@ def _compact_passes(words: list[int], w: int, widths: list[int], p: int, m: int)
             for x in range(1, p):
                 acc += doubled[x] >> turns[u * x % p]
             digits.append(acc & (1 << bits) - 1)
+        del blocks, doubled  # not held while the digits are joined
         digits = [digit.to_bytes(size, "little") for digit in digits]
         state = b"".join([digit[e : e + part] for e in range(0, size, part) for digit in digits])
     return [int.from_bytes(state[e : e + q * w], "little") for e in range(0, p * q * w, q * w)], w
 
 
-_cached_bias = lru_cache(maxsize=64)(bias_word)
+KEEP_BYTES = 4096  # the keep rule: a bias word or digit mask of at most this many bytes is kept
 
 
-def _bias(width: int, count: int) -> int:
-    """bias_word, kept while it takes at most 4 KB."""
-    return (_cached_bias if width * count <= 4096 else bias_word)(width, count)
+def _keep(size, fresh, kept):
+    """fresh(*key), or under the keep rule, while size(*key) <= KEEP_BYTES,
+    kept(*key), of which the 64 most recent are kept."""
+    kept = lru_cache(maxsize=64)(kept)
+    return lambda *key: (kept if size(*key) <= KEEP_BYTES else fresh)(*key)
+
+
+_bias = _keep(lambda width, count: width * count, bias_word, bias_word)
+_steps = _keep(lambda width, p, m, top: width * p ** m, digit_steps, lambda *key: tuple(digit_steps(*key)))

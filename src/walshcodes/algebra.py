@@ -19,10 +19,10 @@ values exactly; complex floats are a display-only view.
 
 from __future__ import annotations
 
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, wraps
 from typing import Iterable, Mapping, Sequence
 
-from ._packed import field_width, join, split, transform, unpack
+from ._packed import field_width, input_words, join, split, transform, unit_table, unpack
 from .errors import (
     DegreeMismatch,
     EvenCharacteristic,
@@ -136,6 +136,24 @@ def _extend(plane: bytes | list[int], y: int, p: int) -> bytes | list[int]:
     return b"".join([plane.translate(table.ljust(256, b"\0")) for table in tables])
 
 
+def _per_degree(build):
+    """The table build(field, s) of a subfield degree s, checked
+    (_check_subfield) and built once per s, however s is passed, and kept
+    in the field's own dict, so that a field reads only its own tables."""
+    key = f"_{build.__name__}_by_s"
+
+    @wraps(build)
+    def table(self, s=1):
+        try:
+            return self.__dict__[key][s]
+        except KeyError:
+            tables = self.__dict__.setdefault(key, {})
+            tables[s] = _check_subfield(self, s) or build(self, s)
+            return tables[s]
+
+    return table
+
+
 class FieldElement:
     """Element of F_{p^m}: its canonical index, with the coefficient vector
     over the power basis of the modulus, the digits of the index, as a
@@ -216,7 +234,10 @@ class Field:
     Construct through :func:`make_field`, which validates the modulus and
     interns the instance so equal parameters yield the same object.  The
     field holds no element until one is asked for: each element is interned
-    when first built, so that ``from_index(i) is elements[i]``.
+    when first built, so that ``from_index(i) is elements[i]``.  Each table
+    is built once, on first read, and kept on the field itself (a cached
+    property, or per subfield degree: _per_degree), so it lives as long as
+    the field, which make_field interns for the process's life.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -226,15 +247,6 @@ class Field:
         self.modulus = modulus
         # the elements handed out one at a time before the list was built
         self._single: dict[int, FieldElement] | None = {}
-        # per-subfield data, keyed by the subfield degree s and built on first use
-        self._subfields: dict[int, tuple] = {}
-        self._traces: dict[int, list[int]] = {}
-        self._coordinates: dict[int, list[int]] = {}
-        self._trace_duals: dict[int, list[int]] = {}
-        self._generator: int | None = None
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._trace_log: bytes | list[int] | None = None
 
     def __repr__(self):
         return f"Field(p={self.p}, m={self.m}, modulus={list(self.modulus)})"
@@ -326,36 +338,40 @@ class Field:
             planes = [_extend(plane, y, p) for plane, y in zip(planes, _digits(img, p, self.m))]
         return list(join(planes, p))
 
+    def _sum(self, indices: Iterable[int]) -> int:
+        """The index of the sum of the elements of these indices, added
+        digit by digit, with no table."""
+        digits = zip(*(_digits(v, self.p, self.m) for v in indices))
+        return sum(sum(col) % self.p * self.p ** i for i, col in enumerate(digits))
+
+    @cached_property
     def _pow_tables(self) -> tuple[list[int], list[int]]:
         """exp[k] = index of g^k for k < q - 1 and log[index of g^k] = k, for
         the generator g, walked through the F_p-linear map x -> g*x, whose
         basis images x^j * g are reduced by the modulus."""
-        if self._exp is None:
-            p, g = self.p, _digits(self._generator_index(), self.p, self.m)
-            images = [(_poly_mod((0,) * j + g, self.modulus, p) + (0,) * self.m)[: self.m] for j in range(self.m)]
-            times_g = self._linear_indices(join(list(zip(*images)), p))
-            exp = [0] * (self.q - 1)
-            log = [0] * self.q
-            cur = 1
-            for k in range(self.q - 1):
-                exp[k] = cur
-                log[cur] = k
-                cur = times_g[cur]
-            self._exp, self._log = exp, log
-        return self._exp, self._log
+        p, g = self.p, _digits(self._generator_index, self.p, self.m)
+        images = [(_poly_mod((0,) * j + g, self.modulus, p) + (0,) * self.m)[: self.m] for j in range(self.m)]
+        times_g = self._linear_indices(join(list(zip(*images)), p))
+        exp = [0] * (self.q - 1)
+        log = [0] * self.q
+        cur = 1
+        for k in range(self.q - 1):
+            exp[k] = cur
+            log[cur] = k
+            cur = times_g[cur]
+        return exp, log
 
     def _pow(self, a: FieldElement, e: int) -> FieldElement:
         if a.index == 0:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero field element")
             return self.one if e == 0 else self.zero
-        exp, log = self._pow_tables()
-        return self.from_index(exp[log[a.index] * e % (self.q - 1)])
+        return self.from_index(self.power_indices([a.index], e)[0])
 
     def power_indices(self, indices: Iterable[int], e: int) -> list[int]:
-        """The index of v^e for every index v, for e >= 1, in one pass over
-        the exp/log tables."""
-        exp, log = self._pow_tables()
+        """The index of v^e for every index v, in one pass over the exp/log
+        tables: any e at v != 0, and 0 at v = 0, which takes e >= 1."""
+        exp, log = self._pow_tables
         n1 = self.q - 1
         k = e % n1
         return [exp[log[v] * k % n1] if v else 0 for v in indices]
@@ -365,10 +381,11 @@ class Field:
 
     def generator(self) -> FieldElement:
         """Multiplicative generator of smallest canonical index."""
-        return self.from_index(self._generator_index())
+        return self.from_index(self._generator_index)
 
+    @cached_property
     def _generator_index(self) -> int:
-        """The index of :meth:`generator` (cached).  A candidate a generates
+        """The index of :meth:`generator`.  A candidate a generates
         F_q^* exactly when a^((q-1)/r) != 1 for every prime r dividing q - 1.
         These powers are taken by square-and-multiply on coefficient vectors,
         since the tables behind :meth:`_pow` and :attr:`arith` need the
@@ -384,17 +401,14 @@ class Field:
                 e >>= 1
             return result == (1,)
 
-        if self._generator is None:
-            cofactors = [(self.q - 1) // r for r in _prime_factors(self.q - 1)]
-            self._generator = next(
-                a for a in range(1, self.q) if not any(power_is_one(_digits(a, p, m), c) for c in cofactors)
-            )
-        return self._generator
+        cofactors = [(self.q - 1) // r for r in _prime_factors(self.q - 1)]
+        return next(a for a in range(1, self.q) if not any(power_is_one(_digits(a, p, m), c) for c in cofactors))
 
     # -- subfields -------------------------------------------------------------
 
+    @_per_degree
     def _subfield(self, s: int) -> tuple["Field", Sequence[int], Mapping[int, int] | range]:
-        """(sub, embed, project) for the subfield F_{p^s} (cached per s): sub
+        """(sub, embed, project) for the subfield F_{p^s}: sub
         is F_{p^s} as a field of its own, embed[k] the index here of its
         element of index k, and project the inverse of embed; at s = 1 and
         s = m both maps are the identity on range(p^s).
@@ -402,67 +416,63 @@ class Field:
         embed sends the root behind sub's power basis to the smallest-index
         root of sub's modulus here.  The roots lie in the subfield, so only
         its nonzero elements, g^(c k) with c = (q - 1)/(p^s - 1), are tried."""
-        _check_subfield(self, s)
-        if s not in self._subfields:
-            sub = self if s == self.m else make_field(self.p, s)
-            embed = project = range(sub.q)
-            if 1 < s < self.m:
-                (exp, _), n1, arith = self._pow_tables(), self.q - 1, self.arith
-                roots = (
-                    k for k in sorted(range(0, n1, n1 // (sub.q - 1)), key=exp.__getitem__)
-                    if not reduce(arith.add, [arith.mul(c, exp[k * i % n1]) for i, c in enumerate(sub.modulus)])
-                )
-                k = next(roots, None)
-                if k is None:
-                    raise InvariantViolated(f"the modulus of F_{self.p}^{s} has no root in {self!r}")
-                embed = self._linear_indices([exp[k * t % n1] for t in range(s)])
-                project = {v: i for i, v in enumerate(embed)}
-                if len(project) != sub.q:
-                    raise InvariantViolated(f"the embedding of F_{self.p}^{s} into {self!r} is not injective")
-            self._subfields[s] = sub, embed, project
-        return self._subfields[s]
+        sub = self if s == self.m else make_field(self.p, s)
+        embed = project = range(sub.q)
+        if 1 < s < self.m:
+            (exp, _), n1, mul = self._pow_tables, self.q - 1, self.arith.mul
+            roots = (
+                k for k in sorted(range(0, n1, n1 // (sub.q - 1)), key=exp.__getitem__)
+                if not self._sum([mul(c, exp[k * i % n1]) for i, c in enumerate(sub.modulus)])
+            )
+            k = next(roots, None)
+            if k is None:
+                raise InvariantViolated(f"the modulus of F_{self.p}^{s} has no root in {self!r}")
+            embed = self._linear_indices([exp[k * t % n1] for t in range(s)])
+            project = {v: i for i, v in enumerate(embed)}
+            if len(project) != sub.q:
+                raise InvariantViolated(f"the embedding of F_{self.p}^{s} into {self!r} is not injective")
+        return sub, embed, project
 
     # -- trace machinery -------------------------------------------------------
 
+    @_per_degree
     def trace_table(self, s: int = 1) -> list[int]:
         """Tr_{q/p^s} of every element, by index, as the index of its value in
-        the subfield F_{p^s} of :func:`subfield` (cached per s); at s = 1 the
-        values are the integers in [0, p).
+        the subfield F_{p^s} of :func:`subfield`; at s = 1 the values are the
+        integers in [0, p).
 
         The table is the F_p-linear map Tr(a) = sum_i a_i Tr(x^i), so only
-        the m basis traces are Frobenius sums, taken on the exp/log tables;
-        InvariantViolated is raised if one leaves the subfield."""
-        table = self._traces.get(s)
-        if table is None:
-            _, _, project = self._subfield(s)
-            (exp, log), n1, add = self._pow_tables(), self.q - 1, self.arith.add
-            frobenius = [self.p ** (s * i) for i in range(self.m // s)]
-            values = [reduce(add, [exp[log[self.p ** j] * e % n1] for e in frobenius]) for j in range(self.m)]
-            if not all(v in project for v in values):
-                raise InvariantViolated(f"a trace of the power basis left the subfield F_{self.p}^{s}")
-            # a subfield index is carried by the element of this field with the same digits
-            table = self._traces[s] = self._linear_indices([project[v] for v in values])
-        return table
+        the m basis traces are Frobenius sums, of images read from the
+        exp/log tables and added digit by digit (_sum); InvariantViolated is
+        raised if one leaves the subfield."""
+        _, _, project = self._subfield(s)
+        (exp, log), n1 = self._pow_tables, self.q - 1
+        frobenius = [self.p ** (s * i) for i in range(self.m // s)]
+        values = [self._sum([exp[log[self.p ** j] * e % n1] for e in frobenius]) for j in range(self.m)]
+        if not all(v in project for v in values):
+            raise InvariantViolated(f"a trace of the power basis left the subfield F_{self.p}^{s}")
+        # a subfield index is carried by the element of this field with the same digits
+        return self._linear_indices([project[v] for v in values])
 
+    @cached_property
     def _log_traces(self) -> bytes | list[int]:
-        """Tr_{q/p}(g^k) for k < q - 1, by k (cached), as bytes while p < 256:
-        the trace table read through the exp table, so that a trace of c x^d
-        is this table turned by log c and read at stride d."""
-        if self._trace_log is None:
-            traces = list(map(self.trace_table().__getitem__, self._pow_tables()[0]))
-            self._trace_log = bytes(traces) if self.p < 256 else traces
-        return self._trace_log
+        """Tr_{q/p}(g^k) for k < q - 1, by k, as bytes while p < 256: the
+        trace table read through the exp table, so that a trace of c x^d is
+        this table turned by log c and read at stride d."""
+        traces = list(map(self.trace_table().__getitem__, self._pow_tables[0]))
+        return bytes(traces) if self.p < 256 else traces
 
     def trace_int(self, a: FieldElement) -> int:
         """Absolute trace Tr_{q/p}(a) as an integer in [0, p)."""
-        return (self._traces.get(1) or self.trace_table())[a.index]
+        return self.trace_table()[a.index]
 
+    @_per_degree
     def coordinate_table(self, s: int) -> list[int]:
         """The coordinates (c_0, ..., c_{m/s-1}) of every element over the
         subfield F_{p^s} in the basis 1, x, ..., x^(m/s-1), by index, packed
         as the index sum_j c_j p^(s j), with c_j an index in the subfield of
-        :func:`subfield` (cached per s).  At s = 1 the table is the identity:
-        the index digits are the coordinates.
+        :func:`subfield`.  At s = 1 the table is the identity: the index
+        digits are the coordinates.
 
         The element with packed coordinates k is F_p-linear in the digits of
         k, digit j s + t standing for theta^t x^j with theta the root behind
@@ -470,21 +480,12 @@ class Field:
         raises InvariantViolated if it is not a bijection.  The table is its
         inverse, F_p-linear too, so it is the :meth:`_linear_indices` of
         the packed coordinates of x^j, j < m, the element of index p^j."""
-        table = self._coordinates.get(s)
-        if table is None:
-            _, embed, _ = self._subfield(s)
-            mul, p = self.arith.mul, self.p
-            elements = self._linear_indices([mul(embed[p ** t], p ** j) for j in range(self.m // s) for t in range(s)])
-            if len(set(elements)) != self.q:
-                raise InvariantViolated(f"the relative basis of F_{self.p}^{self.m} over F_{self.p}^{s} is singular")
-            table = self._coordinates[s] = self._linear_indices([elements.index(p ** j) for j in range(self.m)])
-        return table
-
-    def trace_dual_indices(self) -> list[int]:
-        """For each b, the index of the coefficient vector v_b with
-        Tr_{q/p}(b x) = <x, v_b> for every x (cached): digit j of v_b is
-        Tr(x^j b), the relative trace-dual table at s = 1."""
-        return self._relative_trace_dual(1)
+        _, embed, _ = self._subfield(s)
+        mul, p = self.arith.mul, self.p
+        elements = self._linear_indices([mul(embed[p ** t], p ** j) for j in range(self.m // s) for t in range(s)])
+        if len(set(elements)) != self.q:
+            raise InvariantViolated(f"the relative basis of F_{self.p}^{self.m} over F_{self.p}^{s} is singular")
+        return self._linear_indices([elements.index(p ** j) for j in range(self.m)])
 
     @cached_property
     def _dual_blocks(self) -> tuple[bytes, list[int]]:
@@ -500,21 +501,19 @@ class Field:
         """The gather (_gather_blocks) that reads the value of k = log x at
         each x != 0, and the one of k = q - 1 at x = 0, for q <= 4096: a
         table by k in point order."""
-        return _gather_blocks([self.q - 1] + self._pow_tables()[1][1:])
+        return _gather_blocks([self.q - 1] + self._pow_tables[1][1:])
 
-    def _relative_trace_dual(self, s: int) -> list[int]:
+    @_per_degree
+    def trace_dual_indices(self, s: int = 1) -> list[int]:
         """For each d, sum_j t_j Q^j over j < m/s, Q = p^s, with t_j the
-        index in the subfield F_Q of Tr_{q/Q}(x^j d) (cached per s).  The
-        map is F_p-linear and bijective, so the table extends the images of
-        the power basis, read from the trace table (at s = 1: d contracted
-        with the Gram matrix Tr(x^i x^j))."""
-        table = self._trace_duals.get(s)
-        if table is None:
-            mul, tr, Q = self.arith.mul, self.trace_table(s), self.p ** s
-            basis = [self.p ** i for i in range(self.m)]
-            images = join([[tr[mul(x, d)] for d in basis] for x in basis[: self.m // s]], Q)
-            table = self._trace_duals[s] = self._linear_indices(images)
-        return table
+        index in the subfield F_Q of Tr_{q/Q}(x^j d): at s = 1 the index of
+        the coefficient vector v_d with Tr_{q/p}(d x) = <x, v_d> for every
+        x.  The map is F_p-linear and bijective, so the table extends the
+        images of the power basis, read from the trace table (at s = 1: d
+        contracted with the Gram matrix Tr(x^i x^j))."""
+        mul, tr, Q = self.arith.mul, self.trace_table(s), self.p ** s
+        basis = [self.p ** i for i in range(self.m)]
+        return self._linear_indices(join([[tr[mul(x, d)] for d in basis] for x in basis[: self.m // s]], Q))
 
     def trace_bilinear(self, a: FieldElement, b: FieldElement) -> int:
         """Tr_{q/p}(a*b) in [0, p), read from the cached Gram contraction of
@@ -532,12 +531,9 @@ class IndexArith:
 
     Over F_p the index is the value and the arithmetic is mod p.  Over
     F_{p^m} products and inverses read the field's exp/log tables; sums are
-    the XOR of indices when p = 2 and go through Zech logarithms when p is
-    odd: zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0, so that a + b =
-    a * (1 + b/a) has log(a + b) = log(a) + zech[log(b) - log(a)] (Huber,
-    IEEE TIT 1990).  Every table has O(q) entries."""
-
-    __slots__ = ("p", "prime", "even", "n1", "exp", "log", "zech")
+    the XOR of indices when p = 2 and go through Zech logarithms (zech)
+    when p is odd, a table built on the first such sum: no table build of
+    :class:`Field` adds through it.  Every table has O(q) entries."""
 
     def __init__(self, field: Field):
         self.p = field.p
@@ -545,10 +541,15 @@ class IndexArith:
         self.even = field.p == 2
         self.n1 = field.q - 1
         if not self.prime:
-            self.exp, self.log = exp, log = field._pow_tables()
-            if not self.even:  # 1 + g^k adds 1 to the constant digit of g^k
-                p = field.p
-                self.zech = [log[v] if v else -1 for v in (e - e % p + (e + 1) % p for e in exp)]
+            self.exp, self.log = field._pow_tables
+
+    @cached_property
+    def zech(self) -> list[int]:
+        """zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0, so that a + b =
+        a * (1 + b/a) has log(a + b) = log(a) + zech[log(b) - log(a)]
+        (Huber, IEEE TIT 1990); 1 + g^k adds 1 to the constant digit of g^k."""
+        p, log = self.p, self.log
+        return [log[v] if v else -1 for v in (e - e % p + (e + 1) % p for e in self.exp)]
 
     def add(self, a: int, b: int) -> int:
         if self.prime:
@@ -708,17 +709,12 @@ def subfield(ctx: Field, s: int) -> tuple[Field, dict, dict]:
 # the p-ary fast Walsh-Hadamard transform
 # ---------------------------------------------------------------------------
 
-def _unit_table(j: int) -> bytes:
-    """The translate table that maps byte j to 1 and every other to 0."""
-    return bytes(j) + b"\1" + bytes(255 - j)
-
-
 def _gather_blocks(index: Sequence[int]) -> tuple[bytes, list[int]]:
     """What _gather needs to read values[index[u]] at each u, for indices
     below 4096: the low byte of each index, and for each high byte j the
     word with a byte of ones at each u whose index has high byte j."""
     lows, highs = split(index, 256, 2)
-    return lows, [int.from_bytes(highs.translate(_unit_table(j)), "little") * 255 for j in range(max(highs) + 1)]
+    return lows, [int.from_bytes(highs.translate(unit_table(j)), "little") * 255 for j in range(max(highs) + 1)]
 
 
 def _gather(blocks: tuple[bytes, list[int]], values: bytes) -> bytes:
@@ -739,34 +735,28 @@ def _character_fwht(values: Sequence[int], field: Field) -> list[list[int]]:
     one integer list F_0 - F_1).
 
     The input takes one byte a field (bound 1, mass q; see
-    _packed.transform, whose passes are compact from p = 5 up).  The value
-    at each u = v_x is placed while q <= 4096 by one gather (_gather)
-    through the inverse of the trace-dual table (Field._dual_blocks): one
-    translate of the low bytes of the x for each 256 values, kept where the
-    high byte matches (one translate in all while q <= 256), the gather
-    that also puts a parsed trace term in point order; above, by one pass
-    over the points, which costs less than building the inverse.  Each
-    input plane, the indicator of a value at odd p or (-1)^value at p = 2,
-    is one more translate.  Past p = 255, where a value takes more than a
-    byte, one pass writes a 1 into field v_x of indicator plane
-    values[x]."""
+    _packed.transform).  The value at each u = v_x is placed while q <=
+    4096 by one gather (_gather) through the inverse of the trace-dual
+    table (Field._dual_blocks), above by one pass over the points, which
+    costs less than building the inverse; the input planes are translates
+    of the placed values (_packed.input_words).  Past p = 255, where a
+    value takes more than a byte, one pass writes a 1 into field v_x of
+    indicator plane values[x]."""
     p, m, q = field.p, field.m, field.q
     if p > 255:
         planes = [bytearray(q) for _ in range(p)]
         for v, u in zip(values, field.trace_dual_indices()):
             planes[v][u] = 1
+        words = [int.from_bytes(plane, "little") for plane in planes]
+    elif q > 4096:
+        placed = bytearray(q)
+        for v, u in zip(values, field.trace_dual_indices()):
+            placed[u] = v
+        words = input_words(placed, p)
     else:
-        if q > 4096:
-            placed = bytearray(q)
-            for v, u in zip(values, field.trace_dual_indices()):
-                placed[u] = v
-        else:
-            placed = _gather(field._dual_blocks, bytes(values))
-        tables = [b"\1\xff" + bytes(254)] if p == 2 else [_unit_table(e) for e in range(p)]
-        planes = [placed.translate(table) for table in tables]
+        words = input_words(_gather(field._dual_blocks, bytes(values)), p)
     width = field_width(q.bit_length() + 1)
-    words = transform([int.from_bytes(plane, "little") for plane in planes], width, p, m, 1, q)
-    return unpack(words, width, q, signed=True)
+    return unpack(transform(words, width, p, m, 1, q), width, q, signed=True)
 
 
 # ---------------------------------------------------------------------------

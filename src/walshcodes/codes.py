@@ -48,8 +48,8 @@ from itertools import chain
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from ._packed import TYPECODES, Lanes, _little, bias_word, field_counts, field_width, join, lanes_of, pack, split
-from ._packed import transform, unpack
+from ._packed import TYPECODES, Lanes, _digit_table, _little, bias_word, field_counts, field_width, input_words
+from ._packed import join, lanes_of, pack, split, transform, transform_bytes, unpack
 from .algebra import Field, FieldElement
 from .errors import EmptyLength, InvariantViolated, RaggedRows, TooLarge, ZeroCode
 
@@ -674,11 +674,11 @@ def _component_transform(code: LinearCode, width: int) -> list[int]:
     equal to c is the block below it plus c times plane j, p - 1 additions
     of ints a digit, each byte below 2p - 1, brought back mod p by one
     translate (so p <= 128).  An absent point is marked p, which every
-    input plane reads as 0: the ones and minus ones of (-1)^T at p = 2, the
-    p one-hot planes of T otherwise."""
+    input plane of (-1)^T or of T's one-hot planes (_packed.input_words)
+    reads as 0."""
     field, values, points = code._function
     p, q, m = field.p, field.q, field.m
-    mod = (bytes(range(p)) * 2).ljust(256, b"\0")
+    mod = _digit_table(p, 0)  # each byte below 2p mod p
     table = bytes(q)
     for plane in split(values, p, m):
         size = len(table)
@@ -688,10 +688,7 @@ def _component_transform(code: LinearCode, width: int) -> list[int]:
         table = bytearray().join(blocks)
     for x in set(range(q)).difference(points):
         table[x::q] = bytes([p]) * q
-    # the translate table of each input plane, which maps the marker p to 0
-    images = [b"\1\xff"] if p == 2 else [bytes(e) + b"\1" for e in range(p)]
-    words = [int.from_bytes(table.translate(image.ljust(256, b"\0")), "little") for image in images]
-    return transform(words, width, p, 2 * m, 1, code.n, m)
+    return transform(input_words(table, p), width, p, 2 * m, 1, code.n, m)
 
 
 def weight_distribution(
@@ -700,8 +697,10 @@ def weight_distribution(
     """A_w for every w, from one transform: by components for a code C(f)
     of dimension 2m over F_p, p <= 128 (_component_transform), else of the
     column multiset (_column_transform).  TooLarge comes first, past the
-    codeword guard, or when the transform's state, p words (one at p = 2)
-    of Q^k fields of the final width, passes the byte guard.
+    codeword guard, or when the bytes held at once pass the byte guard: the
+    transform's (_packed.transform_bytes) and its input's, or after it 2p +
+    4 layers (8 at p = 2): its words, their biased copies, the bias, the
+    combined word, two sums on the way and the byte planes of field_counts.
 
     For the z zero coordinates of xG, Tr(y <x, g_j>) is 0 for all Q - 1
     values of y when <x, g_j> = 0, and otherwise takes each nonzero value
@@ -717,8 +716,14 @@ def weight_distribution(
     n, size, base, function = code.n, code.size(), code.base, code._function
     p, q = base.p, base.q
     width = field_width((n * (q - 1)).bit_length() + 1)
-    _check_bytes(f"a weight transform of {size} fields", (1 if p == 2 else p) * size * width, byte_guard)
     by_components = function is not None and code.k == 2 * function[0].m and p <= 128
+    if by_components:  # f's table and its last blocks, a byte a field
+        need = transform_bytes(p, 2 * function[0].m, 1, n, width, function[0].m) + 3 * size
+    else:  # the counts, a field each
+        mass = n * (q - 1) // (p - 1)
+        need = transform_bytes(p, base.m * code.k, mass, mass, width) + size * width
+    need = max(need, (2 * (1 if p == 2 else p - 1) + 6) * size * width * 16 // 15)
+    _check_bytes(f"a weight transform of {size} fields", need, byte_guard)
     words = (_component_transform if by_components else _column_transform)(code, width)
     biases = bias_word(width, size)
     biased = [word ^ biases for word in words]

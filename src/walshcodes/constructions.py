@@ -157,7 +157,7 @@ class _Matrices:
 
     @cached_property
     def traces(self) -> tuple:
-        table = self.ctx._relative_trace_dual(self.s)
+        table = self.ctx.trace_dual_indices(self.s)
         return tuple(row for seq in self.traced for row in _digit_rows(self.ctx, self.s, table, seq))
 
     @cached_property
@@ -438,7 +438,7 @@ def make_cyclotomic_set(ctx: Field, base_degree: int, second_class: bool = False
     r = ctx.q
     if q % 3 != 2 or b % 2 != 0 or r <= 4:
         raise BadParameters("need q = 2 mod 3, even extension degree, q^b > 4")
-    _, log = ctx._pow_tables()
+    _, log = ctx._pow_tables
     c = (r - 1) // (q - 1)
     reps: dict[int, int] = {}
     for z in range(1, r):

@@ -181,7 +181,7 @@ def _outside_subfield(field: Field, indices: Sequence[int], d: int) -> int | Non
         if max(indices) < p:
             return None
         return next(i for i, v in enumerate(indices) if v >= p)
-    log = field._pow_tables()[1]  # log[0] = 0 keeps zero in every subfield
+    log = field._pow_tables[1]  # log[0] = 0 keeps zero in every subfield
     step = (field.q - 1) // (field.p ** d - 1)
     return next((i for i, v in enumerate(indices) if log[v] % step), None)
 
@@ -325,7 +325,7 @@ class _Parser:
         if tok == "x":
             return _Monomial(0, 1, self.n1)
         if tok == "g":
-            return field._generator_index()
+            return field._generator_index
         if tok == "(":
             node = self.expr()
             self.take(")")
@@ -367,7 +367,7 @@ class _Parser:
         """table[(log c + d log x) mod (q - 1)] at every x != 0, 0 at x = 0:
         the table turned by log c, read at d log x, which at d = 1 is the
         log table itself."""
-        n1, d, log = self.n1, a.d, self.field._pow_tables()[1]
+        n1, d, log = self.n1, a.d, self.field._pow_tables[1]
         turned = table[a.log:] + table[:a.log]
         out = list(map(turned.__getitem__, log)) if d == 1 else [turned[d * k % n1] for k in log]
         out[0] = 0
@@ -375,7 +375,7 @@ class _Parser:
 
     def _values(self, a):
         """A monomial's value list; a constant or a list as it is."""
-        return self._on_log(self.field._pow_tables()[0], a) if isinstance(a, _Monomial) else a
+        return self._on_log(self.field._pow_tables[0], a) if isinstance(a, _Monomial) else a
 
     def _pointwise(self, fn, *nodes):
         """fn applied at every point; a constant stays a constant."""
@@ -422,7 +422,7 @@ class _Parser:
             if isinstance(a, int):
                 return arith.mul(a, b)
             if isinstance(a, _Monomial):
-                return _Monomial(a.log + self.field._pow_tables()[1][b], a.d, self.n1) if b else 0
+                return _Monomial(a.log + self.field._pow_tables[1][b], a.d, self.n1) if b else 0
             return arith.scale(a, b)
         if isinstance(a, _Monomial) and isinstance(b, _Monomial):
             return _Monomial(a.log + b.log, a.d + b.d, self.n1)
@@ -434,7 +434,7 @@ class _Parser:
         if e == 0:
             return [1] * len(a) if isinstance(a, (list, bytes)) else 1
         if isinstance(a, int):
-            exp, log = self.field._pow_tables()
+            exp, log = self.field._pow_tables
             return exp[log[a] * e % self.n1] if a else 0
         if isinstance(a, _Monomial):
             return _Monomial(a.log * e, a.d * e, self.n1)
@@ -452,7 +452,7 @@ class _Parser:
             return table[a]
         if isinstance(a, _Monomial) and field.q <= 4096 and field.p <= 128:
             return self._gathered_trace(a)
-        out = self._on_log(field._log_traces(), a) if isinstance(a, _Monomial) else list(map(table.__getitem__, a))
+        out = self._on_log(field._log_traces, a) if isinstance(a, _Monomial) else list(map(table.__getitem__, a))
         return bytes(out) if 2 < field.p <= 128 else out
 
     def _gathered_trace(self, a: _Monomial) -> bytes:
@@ -471,8 +471,8 @@ class _Parser:
             for d in [a.d * p_i % n1]
         )
         if stride * n1 > TILE_LIMIT * field.q:
-            return bytes(self._on_log(field._log_traces(), a))
-        traces = field._log_traces()
+            return bytes(self._on_log(field._log_traces, a))
+        traces = field._log_traces
         turned = traces[log:] + traces[:log]
         if not stride:  # x^(q-1): 1 at every x != 0
             by_log = turned[:1] * n1

@@ -76,7 +76,7 @@ DEFAULT_SEED = 1
 
 
 def _monomial(field: Field, e: int) -> ParyFunction:
-    return ParyFunction.from_callable(field, lambda x: x ** e, field.m)
+    return ParyFunction.from_indices(field, field.power_indices(range(field.q), e), field.m)
 
 
 def _random_defining_set(field: Field, rng: random.Random, max_len: int) -> DefiningSet:

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -238,3 +240,80 @@ def test_pow_and_zero():
     z = zeta(7, 3)
     assert z ** 7 == CyclotomicInt.from_int(7, 1)
     assert CyclotomicInt.zero(7).is_zero()
+
+
+# -- tables built once, on first read --------------------------------------------
+
+
+def _unused_field(p, m):
+    """F_{p^m} under its largest monic irreducible modulus, which no other
+    test builds, so that its tables are cold here."""
+    moduli = (algebra._digits(idx, p, m) + (1,) for idx in reversed(range(p ** m)))
+    return make_field(p, m, next(c for c in moduli if algebra._modulus_is_irreducible(c, p, m)))
+
+
+def test_each_table_is_built_once_whatever_the_call_form(monkeypatch):
+    """One _linear_indices build per (field, table, s): a default s, a
+    positional or a named one, and trace_int all read the same table."""
+    field = _unused_field(3, 4)
+    builds = []
+    linear = algebra.Field._linear_indices
+
+    def spy(self, images):
+        builds.append(sys._getframe(1).f_code.co_name)
+        return linear(self, images)
+
+    monkeypatch.setattr(algebra.Field, "_linear_indices", spy)
+    for _ in range(2):
+        field.trace_table(), field.trace_table(1), field.trace_table(s=1), field.trace_int(field.one)
+        field.trace_table(2), field.trace_table(s=2), field.trace_table(4)
+        field.coordinate_table(2), field.trace_dual_indices(), field.trace_dual_indices(2)
+    assert builds.count("trace_table") == 3  # s = 1, 2, 4
+    assert builds.count("trace_dual_indices") == 2  # s = 1, 2
+    assert builds.count("coordinate_table") == 2  # its basis and its table, at s = 2
+    assert builds.count("_pow_tables") == builds.count("_subfield") == 1  # the subfield at s = 2
+    with pytest.raises(NotASubfield):
+        field.trace_table(3)
+
+
+def test_the_zech_table_is_built_by_the_first_sum_only(monkeypatch):
+    """No table build adds through IndexArith: a cold spectrum and function
+    code leave the Zech table unbuilt, and the first sum through
+    IndexArith.add, that of x^2 + x, builds it, once."""
+    from walshcodes import first_generic, parse_function, walsh_transform
+
+    built = []
+    zech = algebra.IndexArith.zech
+
+    def counted(arith):
+        built.append(arith)
+        return zech.func(arith)
+
+    counting = functools.cached_property(counted)
+    counting.__set_name__(algebra.IndexArith, "zech")
+    monkeypatch.setattr(algebra.IndexArith, "zech", counting)
+    for field in (_unused_field(3, 7), _unused_field(5, 5)):
+        assert "zech" not in vars(algebra.IndexArith(field))
+        walsh_transform(parse_function(field, "tr(x^2)"))
+        first_generic(parse_function(field, "x^2"))
+        assert built == []
+        parse_function(field, "x^2+x"), parse_function(field, "x^2+x")
+        assert built == [field.arith]
+        built.clear()
+
+
+def test_a_field_made_afresh_builds_and_reads_its_own_tables(monkeypatch):
+    """The tables are kept on each field, not matched by equality: a field
+    equal to an interned one but made afresh builds its own, and its
+    subfields are the fields of the fresh cache."""
+    old = make_field(3, 4)
+    old.trace_table(2), old.coordinate_table(2), old.trace_dual_indices(2)
+    monkeypatch.setattr(algebra, "_FIELD_CACHE", {})
+    new = make_field(3, 4)
+    assert new == old and new is not old
+    assert new._subfield(4)[0] is new and new._subfield(2)[0] is make_field(3, 2)
+    assert new._subfield(2)[0] is not old._subfield(2)[0]
+    for name in ("trace_table", "coordinate_table", "trace_dual_indices"):
+        assert getattr(new, name)(2) == getattr(old, name)(2)
+        assert getattr(new, name)(2) is not getattr(old, name)(2), name
+    assert all(a.field is new for a in algebra.subfield(new, 2)[1].values())

@@ -1033,7 +1033,7 @@ def test_construction_invariants_raise_under_optimize():
 
         f16 = make_field(2, 4)
         f16.arith, f16._subfield(2)  # built before the exp/log tables are corrupted
-        f16._pow_tables = lambda: ([0] * 15, [0] * 16)
+        f16._pow_tables = [0] * 15, [0] * 16
         try:
             cs.make_trace_zero_set(f16)
         except InvariantViolated as ex:

@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walshcodes._packed import Lanes, _byte_counts, digit_steps, field_counts, gray_walk, join, lanes_of, pack, split, unpack
+from walshcodes import _packed
+from walshcodes._packed import Lanes, _byte_counts, digit_steps, field_counts, gray_walk, join, lanes_of, pack, split
+from walshcodes._packed import unpack
 from walshcodes.algebra import _digits
 
 WIDTHS = [1, 2, 4, 8]
@@ -131,13 +133,25 @@ def test_digit_steps_are_the_digit_words_from_the_top_digit_down(width, p):
     for m in range(1, 5 if p < 7 else 4):
         q = p ** m
         want = [(8 * width * p ** i, digit_word(b"\xff" * width, p, p ** i, q)) for i in reversed(range(m))]
-        assert list(digit_steps(width, p, m)) == want, m
+        assert list(digit_steps(width, p, m, m)) == want, m
         for top in range(m + 1):  # started at a lower digit, as the transform does where it widens
             assert list(digit_steps(width, p, m, top)) == want[m - top :], (m, top)
         # the oracle itself, read bit by bit: all ones where digit i is 0
         ones = (1 << 8 * width) - 1
         for i, (_, mask) in zip(reversed(range(m)), want):
             assert _fields(mask, 8 * width, q) == [ones * (x // p ** i % p == 0) for x in range(q)]
+
+
+@pytest.mark.parametrize("width,p,m", [(1, 2, 12), (1, 2, 13), (2, 3, 7), (4, 3, 6), (8, 5, 3), (8, 5, 4)])
+def test_kept_digit_steps_are_the_fresh_ones_on_both_sides_of_the_keep_rule(width, p, m):
+    """The passes read digit_steps through _steps: masks of at most
+    KEEP_BYTES are kept and read again, larger ones built on each call."""
+    kept = width * p ** m <= _packed.KEEP_BYTES
+    for top in range(m + 1):
+        fresh = list(digit_steps(width, p, m, top))
+        for _ in range(2):  # built, then read again
+            assert list(_packed._steps(width, p, m, top)) == fresh, top
+        assert isinstance(_packed._steps(width, p, m, top), tuple) == kept  # a kept tuple, else a generator
 
 
 @pytest.mark.parametrize("width", [1, 2])

@@ -159,7 +159,7 @@ def binary_passes(word, width, m):
     step, lo + d and lo - d, for lo = word & M and d = ((word >> t) & M) - B
     per field, are (a + B) + (b + B) - B and (a + B) - (b + B) + B."""
     bias = bias_word(width, 1 << m)
-    for t, mask in digit_steps(width, 2, m):
+    for t, mask in digit_steps(width, 2, m, m):
         d = ((word >> t) & mask) - (bias & mask)
         word &= mask
         word = (word + d) | ((word - d) << t)
@@ -171,7 +171,7 @@ def odd_passes(words, width, p, m):
     ``words[e]`` holding the coefficient of zeta^e at vector v in field v,
     every pass at that one width, which holds the total mass of the input:
     the fixed-width passes that _packed.transform replaced."""
-    for t, mask in digit_steps(width, p, m):
+    for t, mask in digit_steps(width, p, m, m):
         blocks = [[(word >> x * t) & mask for x in range(p)] for word in words]
         words = []
         for e in range(p):
@@ -1428,7 +1428,7 @@ def traced_monomial_oracle(field, j, d):
     """Tr(g^j x^d) at every x, point by point: the route that the gathered
     traces replaced while q <= 4096, the trace of exp[j + d log x], with
     0^d = 0 for d >= 1 and 0^0 = 1."""
-    (exp, log), tr, n1 = field._pow_tables(), field.trace_table(), field.q - 1
+    (exp, log), tr, n1 = field._pow_tables, field.trace_table(), field.q - 1
     return tuple(tr[exp[(j + d * log[x]) % n1]] if x or not d else 0 for x in range(field.q))
 
 

@@ -314,25 +314,72 @@ def test_the_route_is_read_from_the_code(routes):
 
 def test_a_weight_transform_past_the_byte_guard_is_refused():
     """The [1009, 2] code of x^2 over GF(1009) passes the codeword guard,
-    but its column transform would hold 1009 words of 1009^2 fields of 4
-    bytes: refused before anything is built.  GF(31^2) holds 31 words of
-    31^4 fields of 2 bytes, refused under a 2-MiB guard and answered by
-    default."""
+    but its column transform's state alone would be 1009 words of 1009^2
+    fields of 4 bytes, and its passes hold 5p + 7 such layers: refused
+    before anything is built.  At p = 509 the state is about 527 MB, under
+    the guard, but the passes are not.  GF(31^2) holds 31 words of 31^4
+    fields of 2 bytes, and about 350 MB in its passes, refused under a
+    2-MiB guard and answered by default."""
     import time
 
     start = time.perf_counter()
     big = first_generic(parse_function(make_field(1009, 1), "x^2").with_codomain(1))
-    with pytest.raises(TooLarge, match="about 4108974916 bytes"):
+    with pytest.raises(TooLarge, match="about 13299403911 bytes"):
         weight_distribution(big)
     with pytest.raises(TooLarge):
         min_distance(big)
+    with pytest.raises(TooLarge, match="about 1726316711 bytes"):
+        weight_distribution(first_generic(parse_function(make_field(509, 1), "x^2").with_codomain(1)))
     assert time.perf_counter() - start < 5
     field = make_field(31, 2)
     code = first_generic(parse_function(field, "x^2").with_codomain(2))
-    with pytest.raises(TooLarge, match="about 57258302 bytes, past the byte guard 2097152"):
+    with pytest.raises(TooLarge, match="about 352609406 bytes, past the byte guard 2097152"):
         weight_distribution(code, byte_guard=2 ** 21)
     want = {0: 1, 900: 29280, 929: 460800, 930: 960, 931: 432000, 960: 480}
     assert weight_distribution(code).counts == want
+
+
+# the components of x^2 and x^3, the skew defining-set code and random [n, k]
+# codes; on these the passes' layers decide the count, at p = 2 (9 layers:
+# x^3 at GF(2^8) and [60, 16], which 8 fails), on the strided passes at p = 3
+# ([50, 10], which 2p + 7 fails) and on the compact ones (x^2 at GF(5^3),
+# which 4p + 7 fails)
+ESTIMATE_CASES = [
+    ("x^2", 7, 2), ("x^2", 5, 3), ("x^2", 3, 5), ("x^3", 2, 6), ("x^3", 2, 8), ("skew", 3, 3),
+    ((200, 9), 3, 1), ((50, 10), 3, 1), ((20, 4), 7, 1), ((60, 16), 2, 1),
+]
+
+
+@pytest.mark.parametrize("kind,p,m", ESTIMATE_CASES, ids=[f"{k}-GF({p}^{m})" for k, p, m in ESTIMATE_CASES])
+def test_the_byte_estimate_of_a_weight_transform_is_at_least_its_peak(monkeypatch, kind, p, m):
+    """The bytes weight_distribution counts before it starts, by components
+    (x^2, x^3), or by columns (the skew defining-set code, random [n, k]
+    codes), are at least the most that tracemalloc sees it hold."""
+    import tracemalloc
+
+    field, rng = make_field(p, m), random.Random(5)
+    if kind == "skew":
+        code = second_generic(make_skew_set(field))
+    elif isinstance(kind, str):
+        code = first_generic(parse_function(field, kind).with_codomain(m))
+    else:
+        n, k = kind
+        code = from_rows(field, [[field.elements[rng.randrange(field.q)] for _ in range(n)] for _ in range(k)])
+    counted, check = [], codes._check_bytes
+
+    def spy(what, need, guard):
+        counted.append(need)
+        check(what, need, guard)
+
+    monkeypatch.setattr(codes, "_check_bytes", spy)
+    want = weight_distribution(code)  # the kept masks and bias words built
+    tracemalloc.start()
+    try:
+        assert weight_distribution(code) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted[0] == counted[1] >= peak
 
 
 # -- the guard -------------------------------------------------------------------------
